@@ -10,7 +10,6 @@ quantities are checked as numerical residuals rather than assumed.
 
 from .exceptions import (
     BranchSelectionError,
-    ConvergenceError,
     DegenerateDenominatorError,
     DerivativeAccuracyError,
     DomainError,
@@ -21,15 +20,8 @@ from .exceptions import (
     PrecisionExhaustedError,
     QuadratureConvergenceError,
 )
-from .precision import (
-    PrecisionPolicy,
-    Real,
-    complete_gamma,
-    erfc,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
-from .weight import GapWeight, moment, seed_R0, seed_r1, zeroth_moment
+from .precision import PrecisionPolicy, Real
+from .weight import GapWeight, moment, seed_R0, seed_r1
 from .orthopoly import (
     EdgeEval,
     RecurrenceTable,
@@ -90,7 +82,6 @@ __all__ = [
     "AGrid",
     "BranchChoice",
     "BranchSelectionError",
-    "ConvergenceError",
     "DegenerateDenominatorError",
     "DerivativeAccuracyError",
     "DiscreteOrbit",
@@ -113,12 +104,10 @@ __all__ = [
     "all_pass",
     "build_a_grid",
     "build_recurrence_table",
-    "complete_gamma",
     "continuous_suite",
     "convergence_study",
     "default_z_samples",
     "edge_eval",
-    "erfc",
     "fd_derivative",
     "gap_probability_fredholm",
     "gap_probability_hankel",
@@ -130,7 +119,6 @@ __all__ = [
     "iterate_r_orbit",
     "ladder_states",
     "log_hankel_det",
-    "lower_incomplete_gamma",
     "moment",
     "overlap_matrix",
     "poly_eval",
@@ -154,7 +142,5 @@ __all__ = [
     "seed_r1",
     "select_r_branch",
     "subleading_coeff",
-    "upper_incomplete_gamma",
-    "zeroth_moment",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from .difference_eqs import (
     select_r_branch,
 )
 from .differential_eqs import DEFAULT_FD_STEP, build_a_grid, continuous_suite
-from .exceptions import EdgeZeroError, GapLabError
+from .exceptions import DomainError, EdgeZeroError, GapLabError
 from .ladder import ladder_states, residual_identities, residual_supplementary
 from .orthopoly import build_recurrence_table, edge_eval, hermite_norm_exact
 from .precision import PrecisionPolicy
@@ -61,10 +61,7 @@ class RunConfig:
     command: str
     n_max: int
     a_values: tuple[str, ...]
-    base_bits: int
-    bits_per_n: int
-    max_bits: int
-    target_digits: int
+    policy: PrecisionPolicy
     fd_h: str
     digits: int | None
     suite: str
@@ -77,10 +74,10 @@ class RunConfig:
             "command": self.command,
             "n_max": self.n_max,
             "a_values": list(self.a_values),
-            "base_bits": self.base_bits,
-            "bits_per_n": self.bits_per_n,
-            "max_bits": self.max_bits,
-            "target_digits": self.target_digits,
+            "base_bits": self.policy.base_bits,
+            "bits_per_n": self.policy.bits_per_n,
+            "max_bits": self.policy.max_bits,
+            "target_digits": self.policy.target_certified_digits,
             "fd_h": self.fd_h,
             "digits": self.digits,
             "suite": self.suite,
@@ -92,21 +89,58 @@ class RunConfig:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def policy(self) -> PrecisionPolicy:
-        return PrecisionPolicy(
-            base_bits=self.base_bits,
-            bits_per_n=self.bits_per_n,
-            max_bits=self.max_bits,
-            target_certified_digits=self.target_digits,
-        )
+
+def _half_width(text: str) -> str:
+    """argparse type for a gap half-width: a finite number a >= 0.
+
+    The stripped text is kept, not the parsed number, so every later stage
+    parses it once at its own working precision.
+    """
+    text = text.strip()
+    try:
+        with mp.workprec(64):
+            value = mp.mpf(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not mp.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"gap half-width must be a finite number >= 0, got {text!r}")
+    return text
+
+
+def _half_width_list(text: str) -> tuple[str, ...]:
+    """argparse type for --a-list: comma-separated half-widths."""
+    vals = tuple(_half_width(v) for v in text.split(",") if v.strip())
+    if not vals:
+        raise argparse.ArgumentTypeError("no values in the list")
+    return vals
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer flag with lower bound ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _parse_a_values(args) -> tuple[str, ...]:
     if args.a_list:
-        vals = tuple(v.strip() for v in args.a_list.split(",") if v.strip())
-        if not vals:
-            raise SystemExit("--a-list produced no values")
-        return vals
+        return args.a_list
     if args.a_min is None:
         raise SystemExit("provide --a-list or --a-min/--a-max/--a-steps")
     if args.a_steps == 1 or args.a_max is None:
@@ -148,7 +182,7 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
     alive across bad cells.
     """
     config = RunConfig(**config_dict)
-    policy = config.policy()
+    policy = config.policy
     n_max = config.n_max
     rows: list[dict[str, str]] = []
     with mp.workprec(200):
@@ -202,7 +236,7 @@ def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     right.  Odd-n rows are flagged edge-zero for the structural parity zero
     of P_n at the origin.
     """
-    policy = config.policy()
+    policy = config.policy
     n_max = config.n_max
     digits = config.digits or policy.target_certified_digits
     table = build_recurrence_table("0", n_max, policy)
@@ -258,6 +292,7 @@ def _map_cells(config: RunConfig, worker, cells):
 
 
 def cmd_table(config: RunConfig, out_path: str | None) -> int:
+    """Write the table; exit status 1 when any row's status is an error."""
     blocks = _map_cells(config, _table_rows_for_a, config.a_values)
     rows = [row for block in blocks for row in block]
     header = f"# {FORMAT_VERSION} config={config.config_hash()}"
@@ -274,7 +309,7 @@ def cmd_table(config: RunConfig, out_path: str | None) -> int:
         writer.writerows(rows)
         payload = buf.getvalue()
     _emit(payload, out_path)
-    return 0
+    return 1 if any(row["status"].startswith("error:") for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +317,7 @@ def cmd_table(config: RunConfig, out_path: str | None) -> int:
 
 
 def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
-    policy = config.policy()
+    policy = config.policy
     n_max = config.n_max
     suite = config.suite
     reports: list[ResidualReport] = []
@@ -382,7 +417,7 @@ def cmd_verify(config: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_prob(config: RunConfig, n: int, a_str: str, out_path: str | None) -> int:
-    policy = config.policy()
+    policy = config.policy
     digits = config.digits or policy.target_certified_digits
     with mp.workprec(200):
         a_is_zero = mp.mpf(a_str) == 0
@@ -509,22 +544,22 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 
 def _add_common(sub, with_amax=True):
-    sub.add_argument("--n-max", type=int, default=10)
-    sub.add_argument("--a-list", help="comma-separated a values")
-    sub.add_argument("--a-min")
+    sub.add_argument("--n-max", type=_int_at_least(0), default=10)
+    sub.add_argument("--a-list", type=_half_width_list, help="comma-separated a values")
+    sub.add_argument("--a-min", type=_half_width)
     if with_amax:
-        sub.add_argument("--a-max")
-        sub.add_argument("--a-steps", type=int, default=1)
+        sub.add_argument("--a-max", type=_half_width)
+        sub.add_argument("--a-steps", type=_int_at_least(1), default=1)
     sub.add_argument("--prec-bits", type=int, default=512,
                      help="base working precision in bits")
     sub.add_argument("--max-bits", type=int, default=16384)
     sub.add_argument("--target-digits", type=int, default=40)
-    sub.add_argument("--digits", type=int, default=None,
+    sub.add_argument("--digits", type=_int_at_least(1), default=None,
                      help="printed significant digits (default: certified)")
     sub.add_argument("--fd-h", default=DEFAULT_FD_STEP)
     sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                      help="tolerance override; NAME may be a check name or 'all'")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
     sub.add_argument("--out", default=None)
 
 
@@ -533,10 +568,12 @@ def _config_from(args, command: str, a_values: tuple[str, ...]) -> RunConfig:
         command=command,
         n_max=args.n_max,
         a_values=a_values,
-        base_bits=args.prec_bits,
-        bits_per_n=32,
-        max_bits=args.max_bits,
-        target_digits=args.target_digits,
+        policy=PrecisionPolicy(
+            base_bits=args.prec_bits,
+            bits_per_n=32,
+            max_bits=args.max_bits,
+            target_certified_digits=args.target_digits,
+        ),
         fd_h=args.fd_h,
         digits=args.digits,
         suite=getattr(args, "suite", "all"),
@@ -547,7 +584,7 @@ def _config_from(args, command: str, a_values: tuple[str, ...]) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gue-gap-lab",
         description="Finite-n GUE bulk gap probabilities and their "
                     "recurrence and differential structure, verified.",
@@ -565,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=SUITES, default="all")
 
     p = subs.add_parser("prob", help="both probability routes at one cell")
-    p.add_argument("n", type=int)
-    p.add_argument("a")
+    p.add_argument("n", type=_int_at_least(1))
+    p.add_argument("a", type=_half_width)
     _add_common(p, with_amax=False)
 
     pl = subs.add_parser("plot", help="SVG plot of a table CSV column")
@@ -579,19 +616,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "plot":
         n_select = None
         if args.n_select:
             n_select = tuple(int(v) for v in args.n_select.split(","))
         return cmd_plot(args.in_path, args.quantity, args.out, n_select)
+    a_values = (args.a,) if args.command == "prob" else _parse_a_values(args)
+    try:
+        config = _config_from(args, args.command, a_values)
+    except DomainError as exc:
+        parser.error(f"precision flags (--prec-bits, --max-bits, --target-digits): {exc}")
     if args.command == "prob":
-        config = _config_from(args, "prob", (args.a,))
-        if args.n < 1:
-            raise SystemExit("n must be >= 1")
         return cmd_prob(config, args.n, args.a, args.out)
-    a_values = _parse_a_values(args)
-    config = _config_from(args, args.command, a_values)
     if args.command == "table":
         code = cmd_table(config, args.out)
         if args.plot and args.out:

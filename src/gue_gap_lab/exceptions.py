@@ -16,23 +16,6 @@ class DomainError(GapLabError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class ConvergenceError(GapLabError, ArithmeticError):
-    """A series or continued fraction failed to meet its tail bound.
-
-    Attributes
-    ----------
-    iterations : int
-        Number of terms consumed before giving up.
-    tail_bound : float
-        Magnitude of the last correction, relative to the partial sum.
-    """
-
-    def __init__(self, message: str, *, iterations: int = 0, tail_bound: float = 0.0):
-        super().__init__(message)
-        self.iterations = iterations
-        self.tail_bound = tail_bound
-
-
 class IllConditioningError(GapLabError):
     """The moment-to-recurrence map lost all significant digits.
 

@@ -5,13 +5,8 @@ produced here.  The kernel wraps mpmath: mpf numbers carry their own bits,
 and every operation in this module runs inside an explicit ``mp.workprec``
 block so results never silently round to the ambient global precision.
 
-Two rules keep the package honest about accuracy:
-
-* a :class:`Real` remembers the precision it was computed at, and binary
-  operations promote to the larger operand precision;
-* special functions (incomplete gamma, erfc) evaluate with guard bits and
-  raise :class:`~gue_gap_lab.exceptions.ConvergenceError` instead of
-  returning a partial sum when a tail bound is not met.
+A :class:`Real` remembers the precision it was computed at, and binary
+operations promote to the larger operand precision.
 """
 
 from __future__ import annotations
@@ -22,14 +17,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .exceptions import ConvergenceError, DomainError
+from .exceptions import DomainError
 
 # Extra bits carried by internal evaluations before final rounding.
 GUARD_BITS = 48
-
-# Hard cap on series / continued-fraction length.  At 16384 bits the gamma
-# series below needs a few thousand terms, so this is a generous ceiling.
-MAX_TERMS = 200_000
 
 _CONST_LOCK = threading.Lock()
 _CONST_CACHE: dict[tuple[str, int], mp.mpf] = {}
@@ -215,142 +206,3 @@ class PrecisionPolicy:
             nxt = bits + 1
         return nxt
 
-
-def complete_gamma(s, prec_bits: int) -> Real:
-    """Gamma(s) for s > 0 at the requested precision."""
-    work = prec_bits + GUARD_BITS
-    sv = as_mpf(s, work)
-    if sv <= 0:
-        raise DomainError(f"complete_gamma requires s > 0, got {sv}")
-    with mp.workprec(work):
-        g = mp.gamma(sv)
-    return Real(as_mpf(g, prec_bits), prec_bits)
-
-
-def _lower_gamma_series(s: mp.mpf, x: mp.mpf, work: int) -> mp.mpf:
-    """gamma(s, 0 -> x) by the ascending series, inside workprec(work).
-
-    gamma(s,x) = x^s e^{-x} sum_{k>=0} x^k / (s (s+1) ... (s+k)).
-    Terms decay once k > x, so convergence is checked against the running
-    sum with the working epsilon.
-    """
-    with mp.workprec(work):
-        eps = mp.mpf(2) ** (-(work - 4))
-        ap = s
-        total = 1 / s
-        term = total
-        for _ in range(MAX_TERMS):
-            ap += 1
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * eps:
-                break
-        else:
-            raise ConvergenceError(
-                "lower incomplete gamma series did not converge",
-                iterations=MAX_TERMS,
-                tail_bound=float(abs(term) / abs(total)),
-            )
-        return total * mp.exp(-x + s * mp.log(x))
-
-
-def _upper_gamma_cf(s: mp.mpf, x: mp.mpf, work: int) -> mp.mpf:
-    """Gamma(s, x) by the Legendre continued fraction, inside workprec(work).
-
-    Modified Lentz iteration; reliable for x >= s + 1 where the fraction
-    converges geometrically.
-    """
-    with mp.workprec(work):
-        eps = mp.mpf(2) ** (-(work - 4))
-        tiny = mp.mpf(2) ** (-(work * 8))
-        b = x + 1 - s
-        c = 1 / tiny
-        d = 1 / b if b != 0 else 1 / tiny
-        h = d
-        delta = mp.mpf(0)
-        for i in range(1, MAX_TERMS):
-            an = -i * (i - s)
-            b += 2
-            d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1) < eps:
-                break
-        else:
-            raise ConvergenceError(
-                "upper incomplete gamma continued fraction did not converge",
-                iterations=MAX_TERMS,
-                tail_bound=float(abs(delta - 1)),
-            )
-        return h * mp.exp(-x + s * mp.log(x))
-
-
-def upper_incomplete_gamma(s, x, prec_bits: int) -> Real:
-    """Gamma(s, x) = integral_x^inf t^{s-1} e^{-t} dt, for s > 0, x >= 0.
-
-    Uses the continued fraction for x >= s + 1 and the complement of the
-    ascending series otherwise; both run with guard bits and a hard term
-    cap.
-    """
-    work = prec_bits + GUARD_BITS
-    sv = as_mpf(s, work)
-    xv = as_mpf(x, work)
-    if sv <= 0:
-        raise DomainError(f"upper_incomplete_gamma requires s > 0, got s={sv}")
-    if xv < 0:
-        raise DomainError(f"upper_incomplete_gamma requires x >= 0, got x={xv}")
-    if xv == 0:
-        return complete_gamma(sv, prec_bits)
-    if xv >= sv + 1:
-        g = _upper_gamma_cf(sv, xv, work)
-    else:
-        with mp.workprec(work):
-            g = mp.gamma(sv) - _lower_gamma_series(sv, xv, work)
-    return Real(as_mpf(g, prec_bits), prec_bits)
-
-
-def lower_incomplete_gamma(s, x, prec_bits: int) -> Real:
-    """gamma(s, x) = integral_0^x t^{s-1} e^{-t} dt, by ascending series.
-
-    Kept independent of :func:`upper_incomplete_gamma`'s continued-fraction
-    branch so the pair can cross-check each other against Gamma(s).
-    """
-    work = prec_bits + GUARD_BITS
-    sv = as_mpf(s, work)
-    xv = as_mpf(x, work)
-    if sv <= 0:
-        raise DomainError(f"lower_incomplete_gamma requires s > 0, got s={sv}")
-    if xv < 0:
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={xv}")
-    if xv == 0:
-        return Real(as_mpf(0, prec_bits), prec_bits)
-    g = _lower_gamma_series(sv, xv, work)
-    return Real(as_mpf(g, prec_bits), prec_bits)
-
-
-def erfc(x, prec_bits: int) -> Real:
-    """Complementary error function via Gamma(1/2, x^2) / sqrt(pi).
-
-    The reflection erfc(-x) = 2 - erfc(x) handles negative arguments.
-    """
-    work = prec_bits + GUARD_BITS
-    xv = as_mpf(x, work)
-    if xv == 0:
-        return Real(as_mpf(1, prec_bits), prec_bits)
-    if xv < 0:
-        with mp.workprec(work):
-            pos = erfc(-xv, work).value
-            v = 2 - pos
-        return Real(as_mpf(v, prec_bits), prec_bits)
-    with mp.workprec(work):
-        x2 = xv * xv
-    g = upper_incomplete_gamma("0.5", x2, work)
-    with mp.workprec(work):
-        v = g.value / sqrt_pi_const(work)
-    return Real(as_mpf(v, prec_bits), prec_bits)

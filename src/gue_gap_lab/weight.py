@@ -7,25 +7,29 @@ incomplete gamma values:
 
     mu_k(a) = integral_{|x|>a} x^k e^{-x^2} dx = Gamma((k+1)/2, a^2)
 
-for even k (substitute t = x^2 on each half line).  These exact moments are
-the sole input to the recurrence builder; no quadrature is involved on the
-main computational path.
+for even k (substitute t = x^2 on each half line).  Integrating by parts
+gives the two-term recurrence (DLMF 8.8.2 with s = (k+1)/2, x = a^2)
+
+    mu_{k+2} = ((k+1)/2) mu_k + a^{k+1} e^{-a^2},   mu_0 = sqrt(pi) erfc(a),
+
+which ``moment`` runs upward from mu_0.  Every term is nonnegative for
+a >= 0, so no step cancels: each one adds at most a few roundings, and mu_k
+carries a relative error of about (k/2 + 1) 2^-work at ``work`` bits.  The
+recurrence runs with guard bits above the weight's precision, which covers
+that growth for any k the recurrence builder asks for.  These exact moments
+are the sole input to the recurrence builder; no quadrature is involved on
+the main computational path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 
 from .exceptions import DomainError
-from .precision import (
-    Real,
-    as_mpf,
-    erfc,
-    sqrt_pi_const,
-    upper_incomplete_gamma,
-)
+from .precision import GUARD_BITS, Real, as_mpf, sqrt_pi_const
 
 
 @dataclass(frozen=True)
@@ -57,27 +61,34 @@ class GapWeight:
             v = mp.exp(-(self.a.value ** 2))
         return Real(v, bits)
 
+    @cached_property
+    def _mu0_guarded(self) -> mp.mpf:
+        """mu_0 = sqrt(pi) erfc(a) at prec_bits + GUARD_BITS, the recurrence start."""
+        work = self.prec_bits + GUARD_BITS
+        with mp.workprec(work):
+            return sqrt_pi_const(work) * mp.erfc(self.a.value)
+
 
 def moment(k: int, w: GapWeight) -> Real:
-    """k-th power moment of the weight; exactly zero for odd k."""
+    """k-th power moment of the weight; exactly zero for odd k.
+
+    Even moments come from k/2 steps of the upward recurrence in the module
+    docstring, started at mu_0 = sqrt(pi) erfc(a).
+    """
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
     bits = w.prec_bits
     if k % 2 == 1:
         return Real(as_mpf(0, bits), bits)
-    with mp.workprec(bits):
-        s = (mp.mpf(k) + 1) / 2
-        x = w.a.value ** 2
-    return upper_incomplete_gamma(s, x, bits)
-
-
-def zeroth_moment(w: GapWeight) -> Real:
-    """mu_0(a) = sqrt(pi) erfc(a), the squared norm of the constant."""
-    bits = w.prec_bits
-    e = erfc(w.a, bits)
-    with mp.workprec(bits):
-        v = sqrt_pi_const(bits) * e.value
-    return Real(v, bits)
+    mu = w._mu0_guarded
+    with mp.workprec(bits + GUARD_BITS):
+        a = w.a.value
+        a_sq = a * a
+        edge = a * mp.exp(-a_sq)  # a^{j+1} e^{-a^2} for j = 0
+        for j in range(0, k, 2):
+            mu = (j + 1) * mu / 2 + edge
+            edge *= a_sq
+    return Real(as_mpf(mu, bits), bits)
 
 
 def seed_R0(w: GapWeight) -> Real:
@@ -87,7 +98,7 @@ def seed_R0(w: GapWeight) -> Real:
     of edge quantities.
     """
     bits = w.prec_bits
-    h0 = zeroth_moment(w)
+    h0 = moment(0, w)
     with mp.workprec(bits):
         v = 2 * mp.exp(-(w.a.value ** 2)) / h0.value
     return Real(v, bits)

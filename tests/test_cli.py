@@ -105,6 +105,15 @@ class TestTable:
         assert len(doc["rows"]) == 2
         assert doc["rows"][1]["status"] == "ok"
 
+    def test_error_rows_give_exit_status_one(self, tmp_path):
+        out = tmp_path / "e.csv"
+        code = run_cli(["table", "--a-list", "1", "--n-max", "30",
+                        "--prec-bits", "64", "--max-bits", "128", "--out", str(out)])
+        assert code == 1
+        _, rows = read_table(str(out))
+        assert len(rows) == 31
+        assert all(r["status"] == "error:PrecisionExhaustedError" for r in rows)
+
     def test_grid_flags_generate_inclusive_linspace(self, tmp_path):
         out = tmp_path / "g.csv"
         run_cli(["table", "--n-max", "0", "--a-min", "0.5", "--a-max", "1.5",
@@ -283,3 +292,28 @@ def test_missing_grid_is_an_error():
 def test_bad_tolerance_syntax_is_an_error():
     with pytest.raises(SystemExit):
         cli.main(["verify", "--a-list", "1", "--tol", "name=notanumber"])
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--a-list", "abc"],
+    ["table", "--a-list", "1,-1"],
+    ["table", "--a-list", "nan"],
+    ["table", "--a-min", "x", "--a-max", "1", "--a-steps", "3"],
+    ["table", "--a-min", "0.5", "--a-max", "-2", "--a-steps", "3"],
+    ["prob", "3", "abc"],
+    ["prob", "3", "-1"],
+    ["prob", "0", "1"],
+    ["table", "--a-list", "1", "--n-max", "-1"],
+    ["table", "--a-min", "0.5", "--a-max", "1", "--a-steps", "0"],
+    ["table", "--a-list", "1", "--digits", "0"],
+    ["verify", "--a-list", "1", "--jobs", "0"],
+    ["table", "--a-list", "1", "--prec-bits", "20000"],
+    ["prob", "3", "1", "--prec-bits", "32"],
+], ids=lambda args: " ".join(args))
+def test_bad_input_is_a_one_line_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error:" in err
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Arbitrary-precision scaffolding: Real, policy, special functions."""
+"""Arbitrary-precision scaffolding: Real, policy, cached constants."""
 
 import mpmath as mp
 import pytest
@@ -7,28 +7,10 @@ from hypothesis import strategies as st
 
 from gue_gap_lab import (
     DomainError,
-    PrecisionExhaustedError,
     PrecisionPolicy,
     Real,
-    complete_gamma,
-    erfc,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
 )
 from gue_gap_lab.precision import as_mpf, pi_const, sqrt_pi_const
-
-# 45 digits each, recomputed independently before being frozen here
-GAMMA_3_2_AT_1 = "0.507282233811773309845140075700180453490086172"
-ERFC_1 = "0.157299207050285130658779364917390740703933002"
-
-
-def digits_agree(x, y, digits, bits=512):
-    with mp.workprec(bits):
-        xv, yv = mp.mpf(x), mp.mpf(y)
-        if xv == yv:
-            return True
-        scale = max(abs(xv), abs(yv))
-        return abs(xv - yv) / scale < mp.mpf(10) ** (-digits)
 
 
 class TestReal:
@@ -88,59 +70,6 @@ class TestPolicy:
             PrecisionPolicy(escalation_factor=1.0)
         with pytest.raises(DomainError):
             PrecisionPolicy(max_bits=256)
-
-
-class TestSpecialFunctions:
-    def test_complete_gamma_matches_mpmath(self):
-        for s in ("0.5", "1.5", "2.5", "7.5"):
-            g = complete_gamma(mp.mpf(s), 512)
-            with mp.workprec(512 + 48):
-                ref = mp.gamma(mp.mpf(s))
-            assert digits_agree(g.value, ref, 140)
-
-    @pytest.mark.parametrize("s,x", [("0.5", "0.01"), ("0.5", "4"), ("1.5", "1"),
-                                     ("2.5", "0.3"), ("3.5", "25"), ("6.5", "9")])
-    def test_upper_gamma_matches_mpmath(self, s, x):
-        # parse once at high precision so both routes see the same number
-        with mp.workprec(512 + 48):
-            sv, xv = mp.mpf(s), mp.mpf(x)
-            ref = mp.gammainc(sv, xv, mp.inf)
-        g = upper_incomplete_gamma(sv, xv, 512)
-        assert digits_agree(g.value, ref, 140)
-
-    def test_frozen_value_gamma_three_halves_at_one(self):
-        g = upper_incomplete_gamma(mp.mpf("1.5"), mp.mpf(1), 512)
-        assert digits_agree(g.value, GAMMA_3_2_AT_1, 44)
-
-    def test_frozen_value_erfc_one(self):
-        e = erfc(mp.mpf(1), 512)
-        assert digits_agree(e.value, ERFC_1, 44)
-
-    def test_erfc_matches_mpmath_on_a_range(self):
-        for x in ("0.1", "0.7", "2", "5"):
-            with mp.workprec(512 + 48):
-                xv = mp.mpf(x)
-                ref = mp.erfc(xv)
-            e = erfc(xv, 512)
-            assert digits_agree(e.value, ref, 140)
-
-    @given(st.floats(min_value=0.6, max_value=7.0),
-           st.floats(min_value=0.05, max_value=20.0))
-    @settings(max_examples=25, deadline=None)
-    def test_lower_plus_upper_is_complete(self, s, x):
-        bits = 384
-        lo = lower_incomplete_gamma(mp.mpf(s), mp.mpf(x), bits)
-        up = upper_incomplete_gamma(mp.mpf(s), mp.mpf(x), bits)
-        full = complete_gamma(mp.mpf(s), bits)
-        with mp.workprec(bits):
-            total = lo.value + up.value
-        assert digits_agree(total, full.value, 100, bits=bits)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(mp.mpf(-1), mp.mpf(1), 256)
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(mp.mpf(1), mp.mpf(-1), 256)
 
 
 def test_cached_constants_match_mpmath():

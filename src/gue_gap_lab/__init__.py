@@ -27,11 +27,8 @@ from .orthopoly import (
     RecurrenceTable,
     build_recurrence_table,
     edge_eval,
-    hankel_det,
-    hermite_beta_exact,
     hermite_norm_exact,
     log_hankel_det,
-    poly_eval,
     poly_values,
     subleading_coeff,
 )
@@ -112,8 +109,6 @@ __all__ = [
     "gap_probability_fredholm",
     "gap_probability_hankel",
     "gauss_legendre_rule",
-    "hankel_det",
-    "hermite_beta_exact",
     "hermite_function_values",
     "hermite_norm_exact",
     "iterate_r_orbit",
@@ -121,7 +116,6 @@ __all__ = [
     "log_hankel_det",
     "moment",
     "overlap_matrix",
-    "poly_eval",
     "poly_values",
     "probability_record",
     "relative_residual",

@@ -1,10 +1,10 @@
 """Command-line front door: tables, verification suites, probabilities, plots.
 
-Four subcommands share one configuration surface:
+Four subcommands:
 
   table    ladder and probability values on an a-grid, CSV or JSON
   verify   residual suites with per-check tolerances, JSON report,
-           exit status 0 exactly when every non-warning check passes
+           exit status 0 exactly when every check passes
   prob     both probability routes at a single (n, a) cell
   plot     standalone SVG line plot of a table column against a
 
@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -138,11 +139,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> tuple[str, float]:
+    """argparse type for --tol: NAME=VALUE, or a bare VALUE for every check."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        name, value = "all", text
+    if not name or not value:
+        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {text!r}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value not a number: {text!r}") from None
+
+
+def _degree_list(text: str) -> tuple[int, ...]:
+    """argparse type for --n-select: comma-separated degrees >= 0."""
+    return tuple(_int_at_least(0)(v) for v in text.split(","))
+
+
 def _parse_a_values(args) -> tuple[str, ...]:
     if args.a_list:
         return args.a_list
-    if args.a_min is None:
-        raise SystemExit("provide --a-list or --a-min/--a-max/--a-steps")
     if args.a_steps == 1 or args.a_max is None:
         return (args.a_min,)
     with mp.workprec(200):
@@ -153,21 +170,6 @@ def _parse_a_values(args) -> tuple[str, ...]:
             mp.nstr(lo + k * step, 30, min_fixed=1, max_fixed=0)
             for k in range(args.a_steps)
         )
-
-
-def _parse_tolerances(pairs: list[str]) -> tuple[tuple[str, float], ...]:
-    out = []
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            name, value = "all", pair
-        if not name or not value:
-            raise SystemExit(f"--tol expects name=value, got {pair!r}")
-        try:
-            out.append((name, float(value)))
-        except ValueError:
-            raise SystemExit(f"--tol value not a number: {pair!r}") from None
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +284,20 @@ def _row(n: int, a_str: str, status: str, digits: int = 20, **values) -> dict[st
 
 
 def _map_cells(config: RunConfig, worker, cells):
-    """Ordered map over grid cells, optionally through a process pool."""
+    """Ordered map over grid cells, through a process pool when more than
+    one worker is useful: no more workers than cells or CPUs."""
     config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, config_dict, cell) for cell in cells]
             return [f.result() for f in futures]
     return [worker(config_dict, cell) for cell in cells]
 
 
-def cmd_table(config: RunConfig, out_path: str | None) -> int:
-    """Write the table; exit status 1 when any row's status is an error."""
+def cmd_table(config: RunConfig, out_path: str | None, plot_path: str | None = None) -> int:
+    """Write the table, and its prob column as an SVG to ``plot_path``;
+    exit status 1 when any row's status is an error."""
     blocks = _map_cells(config, _table_rows_for_a, config.a_values)
     rows = [row for block in blocks for row in block]
     header = f"# {FORMAT_VERSION} config={config.config_hash()}"
@@ -309,6 +314,8 @@ def cmd_table(config: RunConfig, out_path: str | None) -> int:
         writer.writerows(rows)
         payload = buf.getvalue()
     _emit(payload, out_path)
+    if plot_path:
+        cmd_plot(rows, "prob", plot_path)
     return 1 if any(row["status"].startswith("error:") for row in rows) else 0
 
 
@@ -317,35 +324,32 @@ def cmd_table(config: RunConfig, out_path: str | None) -> int:
 
 
 def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
+    """Every report of the configured suite for one cell.
+
+    One table at n_max + 1 and its ladder states serve every suite but the
+    continuous one, whose 7-node grid sits at other values of a.
+    """
     policy = config.policy
     n_max = config.n_max
     suite = config.suite
     reports: list[ResidualReport] = []
-    table = None
-    states = None
-
-    def direct():
-        nonlocal table, states
-        if states is None:
-            table = build_recurrence_table(a_str, n_max + 1, policy)
-            states = ladder_states(table)
-        return states
-
+    if suite != "continuous":
+        table = build_recurrence_table(a_str, n_max + 1, policy)
+        states = ladder_states(table)
     if suite in ("identities", "all"):
-        reports.extend(residual_identities(direct()))
+        reports.extend(residual_identities(states))
     if suite in ("supplementary", "all"):
         for n in range(0, n_max + 1):
-            reports.append(residual_supplementary(direct(), n))
+            reports.append(residual_supplementary(states, n))
     if suite in ("discrete", "all"):
-        st = direct()
         orbit = iterate_r_orbit(a_str, n_max, table.working_bits)
-        reports.extend(residual_orbit_vs_direct(orbit, st))
+        reports.extend(residual_orbit_vs_direct(orbit, states))
         for n in range(1, n_max + 1):
             rep = ResidualReport(a=a_str, n=n)
-            rep.extend(residual_alternate_r(st, n).checks)
-            rep.extend(residual_sigma_recurrence(st, n).checks)
-            rep.extend(residual_R_recurrence(st, n).checks)
-            choice = select_r_branch(st, n)
+            rep.extend(residual_alternate_r(states, n).checks)
+            rep.extend(residual_sigma_recurrence(states, n).checks)
+            rep.extend(residual_R_recurrence(states, n).checks)
+            choice = select_r_branch(states, n)
             rep.add(ResidualCheck(
                 name="branch_select", n=n, residual=choice.rel_err,
                 tolerance=BRANCH_MATCH_TOL,
@@ -357,10 +361,8 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
         grid = build_a_grid(a_str, n_max, policy, h=config.fd_h)
         for n in range(1, n_max + 1):
             reports.append(continuous_suite(grid, n))
-    if suite in ("oracle", "all"):
-        ptable = build_recurrence_table(a_str, n_max, policy)
-        for n in range(1, n_max + 1):
-            reports.append(residual_oracle(n, a_str, policy, table=ptable))
+    if suite in ("oracle", "all") and n_max >= 1:
+        reports.append(residual_oracle(n_max, a_str, policy, table=table))
     return reports
 
 
@@ -386,7 +388,7 @@ def _verify_rows_for_a(config_dict: dict, a_str: str) -> list[dict]:
     for rep in reports:
         for row in rep.rows():
             tol = overrides.get(row["name"], overrides.get("all"))
-            if tol is not None and not row.get("warning"):
+            if tol is not None:
                 row["tolerance"] = tol
                 with mp.workprec(64):
                     row["pass"] = bool(mp.mpf(row["residual"]) < tol)
@@ -397,7 +399,7 @@ def _verify_rows_for_a(config_dict: dict, a_str: str) -> list[dict]:
 def cmd_verify(config: RunConfig, out_path: str | None) -> int:
     blocks = _map_cells(config, _verify_rows_for_a, config.a_values)
     rows = [row for block in blocks for row in block]
-    ok = all(row["pass"] for row in rows if not row.get("warning"))
+    ok = all(row["pass"] for row in rows)
     payload = json.dumps(
         {
             "version": FORMAT_VERSION,
@@ -416,9 +418,9 @@ def cmd_verify(config: RunConfig, out_path: str | None) -> int:
 # prob
 
 
-def cmd_prob(config: RunConfig, n: int, a_str: str, out_path: str | None) -> int:
-    policy = config.policy
-    digits = config.digits or policy.target_certified_digits
+def cmd_prob(policy: PrecisionPolicy, digits: int | None, n: int, a_str: str,
+             out_path: str | None) -> int:
+    digits = digits or policy.target_certified_digits
     with mp.workprec(200):
         a_is_zero = mp.mpf(a_str) == 0
     if a_is_zero:
@@ -449,9 +451,9 @@ def _read_table_csv(path: str) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
-def cmd_plot(in_path: str, quantity: str, out_path: str,
+def cmd_plot(rows: list[dict[str, str]], quantity: str, out_path: str,
              n_select: tuple[int, ...] | None = None) -> int:
-    rows = _read_table_csv(in_path)
+    """Draw one table column against a as an SVG, one polyline per n."""
     if quantity not in CSV_COLUMNS or quantity in ("n", "a", "status"):
         raise SystemExit(f"unknown plottable column {quantity!r}")
     series: dict[int, list[tuple[float, float]]] = {}
@@ -465,7 +467,7 @@ def cmd_plot(in_path: str, quantity: str, out_path: str,
             (float(row["a"]), float(mp.mpf(row[quantity])))
         )
     if not series or all(len(pts) == 0 for pts in series.values()):
-        raise SystemExit(f"no data for column {quantity!r} in {in_path}")
+        raise SystemExit(f"no data for column {quantity!r}")
     svg = _render_svg(series, quantity)
     with open(out_path, "w") as fh:
         fh.write(svg)
@@ -543,41 +545,41 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _add_common(sub, with_amax=True):
-    sub.add_argument("--n-max", type=_int_at_least(0), default=10)
-    sub.add_argument("--a-list", type=_half_width_list, help="comma-separated a values")
-    sub.add_argument("--a-min", type=_half_width)
-    if with_amax:
-        sub.add_argument("--a-max", type=_half_width)
-        sub.add_argument("--a-steps", type=_int_at_least(1), default=1)
+def _add_precision(sub):
+    """Flags of every computing subcommand: precision policy and output."""
     sub.add_argument("--prec-bits", type=int, default=512,
                      help="base working precision in bits")
     sub.add_argument("--max-bits", type=int, default=16384)
     sub.add_argument("--target-digits", type=int, default=40)
     sub.add_argument("--digits", type=_int_at_least(1), default=None,
                      help="printed significant digits (default: certified)")
-    sub.add_argument("--fd-h", default=DEFAULT_FD_STEP)
-    sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                     help="tolerance override; NAME may be a check name or 'all'")
-    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
     sub.add_argument("--out", default=None)
 
 
-def _config_from(args, command: str, a_values: tuple[str, ...]) -> RunConfig:
+def _add_grid(sub):
+    """Flags of the subcommands that sweep an a-grid: table and verify."""
+    sub.add_argument("--n-max", type=_int_at_least(0), default=10)
+    sub.add_argument("--a-list", type=_half_width_list, help="comma-separated a values")
+    sub.add_argument("--a-min", type=_half_width)
+    sub.add_argument("--a-max", type=_half_width)
+    sub.add_argument("--a-steps", type=_int_at_least(1), default=1)
+    sub.add_argument("--fd-h", default=DEFAULT_FD_STEP)
+    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
+                     metavar="NAME=VALUE",
+                     help="tolerance override; NAME may be a check name or 'all'")
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
+
+
+def _config_from(args, policy: PrecisionPolicy, a_values: tuple[str, ...]) -> RunConfig:
     return RunConfig(
-        command=command,
+        command=args.command,
         n_max=args.n_max,
         a_values=a_values,
-        policy=PrecisionPolicy(
-            base_bits=args.prec_bits,
-            bits_per_n=32,
-            max_bits=args.max_bits,
-            target_certified_digits=args.target_digits,
-        ),
+        policy=policy,
         fd_h=args.fd_h,
         digits=args.digits,
         suite=getattr(args, "suite", "all"),
-        tolerances=_parse_tolerances(args.tol),
+        tolerances=tuple(sorted(args.tol)),
         out_format=getattr(args, "format", "csv"),
         jobs=args.jobs,
     )
@@ -592,24 +594,26 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     t = subs.add_parser("table", help="ladder and probability table on an a-grid")
-    _add_common(t)
+    _add_grid(t)
+    _add_precision(t)
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--plot", default=None, metavar="SVG",
                    help="also render prob vs a to this SVG")
 
     v = subs.add_parser("verify", help="run residual suites and report")
-    _add_common(v)
+    _add_grid(v)
+    _add_precision(v)
     v.add_argument("--suite", choices=SUITES, default="all")
 
     p = subs.add_parser("prob", help="both probability routes at one cell")
     p.add_argument("n", type=_int_at_least(1))
     p.add_argument("a", type=_half_width)
-    _add_common(p, with_amax=False)
+    _add_precision(p)
 
     pl = subs.add_parser("plot", help="SVG plot of a table CSV column")
     pl.add_argument("--in", dest="in_path", required=True)
     pl.add_argument("--quantity", default="prob")
-    pl.add_argument("--n-select", default=None,
+    pl.add_argument("--n-select", type=_degree_list, default=None,
                     help="comma-separated degrees to draw (default: all)")
     pl.add_argument("--out", required=True)
     return parser
@@ -619,25 +623,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "plot":
-        n_select = None
-        if args.n_select:
-            n_select = tuple(int(v) for v in args.n_select.split(","))
-        return cmd_plot(args.in_path, args.quantity, args.out, n_select)
-    a_values = (args.a,) if args.command == "prob" else _parse_a_values(args)
+        try:
+            rows = _read_table_csv(args.in_path)
+        except OSError as exc:
+            parser.error(f"cannot read --in {args.in_path}: {exc.strerror}")
+        return cmd_plot(rows, args.quantity, args.out, args.n_select)
     try:
-        config = _config_from(args, args.command, a_values)
+        policy = PrecisionPolicy(
+            base_bits=args.prec_bits,
+            bits_per_n=32,
+            max_bits=args.max_bits,
+            target_certified_digits=args.target_digits,
+        )
     except DomainError as exc:
         parser.error(f"precision flags (--prec-bits, --max-bits, --target-digits): {exc}")
     if args.command == "prob":
-        return cmd_prob(config, args.n, args.a, args.out)
+        try:
+            return cmd_prob(policy, args.digits, args.n, args.a, args.out)
+        except GapLabError as exc:
+            print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    if not args.a_list and args.a_min is None:
+        parser.error("provide --a-list or --a-min/--a-max/--a-steps")
+    config = _config_from(args, policy, _parse_a_values(args))
     if args.command == "table":
-        code = cmd_table(config, args.out)
-        if args.plot and args.out:
-            cmd_plot(args.out, "prob", args.plot)
-        return code
-    if args.command == "verify":
-        return cmd_verify(config, args.out)
-    raise SystemExit(f"unknown command {args.command!r}")
+        return cmd_table(config, args.out, args.plot)
+    return cmd_verify(config, args.out)
 
 
 if __name__ == "__main__":

@@ -513,7 +513,7 @@ def convergence_study(
         grid = build_a_grid(a0, n_max, policy, h=h_text)
         rep = continuous_suite(grid, n, tolerance=1.0)
         for c in rep.checks:
-            if c.warning or c.residual <= 0:
+            if c.residual <= 0:
                 continue
             slopes_in.setdefault(c.name, []).append(
                 (float(mp.log10(mp.mpf(h_text))), float(mp.log10(c.residual)))

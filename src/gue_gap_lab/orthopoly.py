@@ -233,11 +233,6 @@ def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:
     return [Real(v, bits) for v in vals]
 
 
-def poly_eval(table: RecurrenceTable, n: int, x) -> Real:
-    """P_n(x) by the forward recurrence."""
-    return poly_values(table, n, x)[-1]
-
-
 @dataclass(frozen=True)
 class EdgeEval:
     """Values of consecutive polynomials at the gap edge x = a."""
@@ -268,18 +263,6 @@ def subleading_coeff(table: RecurrenceTable, n: int) -> Real:
         return Real(-total, bits)
 
 
-def hankel_det(table: RecurrenceTable, n: int) -> Real:
-    """D_n = h_0 h_1 ... h_{n-1}, the n x n moment determinant."""
-    if not 0 <= n <= table.n_max + 1:
-        raise DomainError(f"size {n} outside table range 0..{table.n_max + 1}")
-    bits = table.working_bits
-    with mp.workprec(bits):
-        prod = mp.mpf(1)
-        for j in range(n):
-            prod *= table.h[j].value
-        return Real(prod, bits)
-
-
 def log_hankel_det(table: RecurrenceTable, n: int) -> Real:
     """ln D_n as a sum of ln h_j, safe from overflow for large n."""
     if not 0 <= n <= table.n_max + 1:
@@ -300,11 +283,3 @@ def hermite_norm_exact(k: int, bits: int) -> Real:
         v = mp.mpf(math.factorial(k)) / mp.mpf(2) ** k * sqrt_pi_const(bits)
     return Real(v, bits)
 
-
-def hermite_beta_exact(k: int, bits: int) -> Real:
-    """beta_k at a = 0 in closed form: k / 2."""
-    if k < 0:
-        raise DomainError(f"index must be >= 0, got {k}")
-    with mp.workprec(bits):
-        v = mp.mpf(k) / 2
-    return Real(v, bits)

@@ -5,8 +5,7 @@ produced here.  The kernel wraps mpmath: mpf numbers carry their own bits,
 and every operation in this module runs inside an explicit ``mp.workprec``
 block so results never silently round to the ambient global precision.
 
-A :class:`Real` remembers the precision it was computed at, and binary
-operations promote to the larger operand precision.
+A :class:`Real` remembers the precision it was computed at.
 """
 
 from __future__ import annotations
@@ -61,84 +60,6 @@ class Real:
     @classmethod
     def from_str(cls, text: str, bits: int) -> "Real":
         return cls(as_mpf(text, bits), bits)
-
-    @classmethod
-    def from_int(cls, k: int, bits: int) -> "Real":
-        return cls(as_mpf(k, bits), bits)
-
-    def to_bits(self, bits: int) -> "Real":
-        """Re-round to a different working precision."""
-        return Real(as_mpf(self.value, bits), bits)
-
-    # -- arithmetic: promote to the larger operand precision ---------------
-
-    def _binop(self, other, op):
-        if isinstance(other, Real):
-            bits = max(self.precision_bits, other.precision_bits)
-            o = other.value
-        else:
-            bits = self.precision_bits
-            o = other
-        with mp.workprec(bits):
-            return Real(op(self.value, mp.mpf(o)), bits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self._binop(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return self._binop(other, lambda a, b: b * a)
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, k):
-        return self._binop(k, lambda a, b: a ** b)
-
-    def __neg__(self):
-        return Real(-self.value, self.precision_bits)
-
-    def __abs__(self):
-        return Real(abs(self.value), self.precision_bits)
-
-    # comparisons on exact binary values, precision-independent
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, Real) else other
-
-    def __eq__(self, other):
-        return self.value == self._cmp_value(other)
-
-    def __lt__(self, other):
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return float(self.value)
 
     def __repr__(self):
         with mp.workprec(self.precision_bits):

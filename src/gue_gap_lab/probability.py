@@ -10,8 +10,11 @@ in (-a, a).  Two independent routes compute it:
 
 * fredholm route: P(n, a) = det(I - G) where G is the n x n matrix of
   overlaps of the first n orthonormal Hermite functions over (-a, a),
-  integrated by arbitrary-precision Gauss-Legendre quadrature and reduced
-  by an LU factorization with symmetric pivoting.
+  integrated by arbitrary-precision Gauss-Legendre quadrature.  G_k is
+  the leading k x k block of G_n on the same nodes, so one unpivoted
+  LDL^T factorization of I - G_n gives P(k, a) for every k <= n as its
+  leading principal minors, and one pair of rules (order and twice the
+  order) serves a whole verify cell.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -145,33 +148,36 @@ def overlap_matrix(n: int, a, order: int, bits: int) -> list[list[mp.mpf]]:
         return G
 
 
-def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> mp.mpf:
-    """det(I - G) by LU with symmetric (diagonal) pivoting.
+def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
+    """Leading principal minors det(I - G)[:k, :k] for k = 1..n, by LDL^T.
 
-    Row and column swaps always come in pairs, so no sign bookkeeping is
-    needed; the determinant is the product of the pivots.
+    I - G is symmetric positive definite, since 0 <= G < I is the Gram
+    matrix of orthonormal functions restricted to (-a, a).  Unpivoted
+    elimination is therefore stable, and the k-th minor is the product of
+    the first k pivots.  Only the lower triangle of the Schur complement is
+    updated.  A pivot that is not positive means the quadrature lost that
+    property, and raises QuadratureConvergenceError.
     """
     n = len(G)
     with mp.workprec(bits):
         M = [[(mp.mpf(1) if i == j else mp.mpf(0)) - G[i][j] for j in range(n)] for i in range(n)]
+        minors = []
         det = mp.mpf(1)
         for k in range(n):
-            piv = max(range(k, n), key=lambda i: abs(M[i][i]))
-            if piv != k:
-                M[k], M[piv] = M[piv], M[k]
-                for row in M:
-                    row[k], row[piv] = row[piv], row[k]
             pivot = M[k][k]
+            if not pivot > 0:
+                raise QuadratureConvergenceError(
+                    f"pivot {k + 1} of I - G is {mp.nstr(pivot, 5)}, not positive"
+                )
             det *= pivot
-            if pivot == 0:
-                return mp.mpf(0)
+            minors.append(det)
             for i in range(k + 1, n):
                 f = M[i][k] / pivot
                 if f != 0:
-                    Mi, Mk = M[i], M[k]
-                    for j in range(k + 1, n):
-                        Mi[j] -= f * Mk[j]
-        return det
+                    Mi = M[i]
+                    for j in range(k + 1, i + 1):
+                        Mi[j] -= f * M[j][k]
+        return minors
 
 
 def gap_probability_hankel(
@@ -209,30 +215,30 @@ def gap_probability_fredholm(
     quad_order: int | None = None,
     *,
     convergence_tol: float = QUAD_CONVERGENCE_TOL,
-) -> Real:
-    """P(n, a) as det(I - G) with G the Hermite-function overlap matrix.
+) -> list[Real]:
+    """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
+    of the Hermite-function overlap matrix G_n.
 
-    The determinant is computed at the requested quadrature order and at
-    twice that order; disagreement beyond ``convergence_tol`` (relative)
-    raises QuadratureConvergenceError, otherwise the doubled-order value is
-    returned.
+    One rule pair serves every k: the minors are computed at the requested
+    quadrature order and at twice that order; a relative disagreement beyond
+    ``convergence_tol`` at any k raises QuadratureConvergenceError,
+    otherwise the doubled-order values are returned.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     order = quad_order if quad_order is not None else default_quad_order(n)
     bits = prec_bits + GUARD_BITS
-    det_lo = det_identity_minus(overlap_matrix(n, a, order, bits), bits)
-    det_hi = det_identity_minus(overlap_matrix(n, a, 2 * order, bits), bits)
+    dets_lo = det_identity_minus(overlap_matrix(n, a, order, bits), bits)
+    dets_hi = det_identity_minus(overlap_matrix(n, a, 2 * order, bits), bits)
     with mp.workprec(bits):
-        scale = max(abs(det_lo), abs(det_hi))
-        if scale > 0:
-            rel = abs(det_hi - det_lo) / scale
+        for k, (det_lo, det_hi) in enumerate(zip(dets_lo, dets_hi), start=1):
+            rel = abs(det_hi - det_lo) / max(det_lo, det_hi)
             if not rel < convergence_tol:
                 raise QuadratureConvergenceError(
                     f"orders {order} and {2 * order} disagree by {mp.nstr(rel, 5)} "
-                    f"(tolerance {convergence_tol}) at n={n}"
+                    f"(tolerance {convergence_tol}) at n={k}"
                 )
-    return Real(as_mpf(det_hi, prec_bits), prec_bits)
+    return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def probability_record(
     p_h = gap_probability_hankel(n, a, policy, table=table)
     bits = p_h.precision_bits
     a_val = a if a is not None else table.a
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits, quad_order=quad_order)
+    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits, quad_order=quad_order)[-1]
     with mp.workprec(bits):
         rel = abs(p_h.value - p_f.value) / p_h.value
         av = as_mpf(a_val, bits)
@@ -276,11 +282,15 @@ def residual_oracle(
     tolerance: float = ORACLE_TOL,
     table: RecurrenceTable | None = None,
 ) -> ResidualReport:
-    """Route-agreement residual |P_hankel - P_fredholm| / P_hankel."""
-    rec = probability_record(n, a, policy, table=table)
-    bits = rec.prob_hankel.precision_bits
-    rep = ResidualReport(a=mp.nstr(rec.a.value, 12), n=n)
-    with mp.workprec(bits):
-        terms = [rec.prob_hankel.value, -rec.prob_fredholm.value]
-    rep.add(make_check("route_agreement", n, terms, tolerance, bits))
+    """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
+    P(k, a), k = 1..n, from one recurrence table and one Fredholm call."""
+    if table is None:
+        table = build_recurrence_table(a, max(n - 1, 0), policy)
+    bits = table.working_bits
+    a_val = a if a is not None else table.a
+    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits)
+    rep = ResidualReport(a=mp.nstr(as_mpf(a_val, bits), 12), n=n)
+    for k in range(1, n + 1):
+        p_h = gap_probability_hankel(k, table=table)
+        rep.add(make_check("route_agreement", k, [p_h.value, -p_f[k - 1].value], tolerance, bits))
     return rep

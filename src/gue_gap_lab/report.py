@@ -36,18 +36,13 @@ def relative_residual(terms: Sequence, bits: int) -> mp.mpf:
 
 @dataclass(frozen=True)
 class ResidualCheck:
-    """One named residual with its verdict.
-
-    ``warning`` marks advisory checks (e.g. a skipped cell) that must not
-    affect the overall pass/fail outcome.
-    """
+    """One named residual with its verdict."""
 
     name: str
     n: int
     residual: mp.mpf
     tolerance: float
     passed: bool
-    warning: bool = False
     note: str = ""
 
 
@@ -55,13 +50,6 @@ def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) 
     """Evaluate a relative residual and compare against its tolerance."""
     r = relative_residual(terms, bits)
     return ResidualCheck(name=name, n=n, residual=r, tolerance=tolerance, passed=bool(r < tolerance))
-
-
-def warning_check(name: str, n: int, note: str) -> ResidualCheck:
-    """A non-fatal marker for a cell that was skipped or degenerate."""
-    return ResidualCheck(
-        name=name, n=n, residual=mp.mpf(0), tolerance=0.0, passed=True, warning=True, note=note
-    )
 
 
 @dataclass
@@ -80,11 +68,11 @@ class ResidualReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.warning)
+        return all(c.passed for c in self.checks)
 
     @property
     def worst(self) -> mp.mpf:
-        vals = [c.residual for c in self.checks if not c.warning]
+        vals = [c.residual for c in self.checks]
         return max(vals) if vals else mp.mpf(0)
 
     def rows(self) -> list[dict]:
@@ -104,8 +92,6 @@ class ResidualReport:
                 "tolerance": c.tolerance,
                 "pass": bool(c.passed),
             }
-            if c.warning:
-                row["warning"] = True
             if c.note:
                 row["note"] = c.note
             out.append(row)

@@ -4,11 +4,12 @@ import csv
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import cli
+from gue_gap_lab import PrecisionPolicy, cli
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
 
@@ -253,6 +254,15 @@ class TestPlot:
                  "--out", str(out), "--plot", str(svg)])
         assert svg.exists() and "<polyline" in svg.read_text()
 
+    @pytest.mark.parametrize("out_args", [[], ["--format", "json"]],
+                             ids=["stdout", "json"])
+    def test_inline_plot_draws_from_the_table_rows(self, tmp_path, capsys, out_args):
+        svg = tmp_path / "t.svg"
+        assert run_cli(["table", "--n-max", "2", "--a-list", "0.5,1,1.5",
+                        "--digits", "12", "--plot", str(svg), *out_args]) == 0
+        assert capsys.readouterr().out
+        assert svg.read_text().count("<polyline") == 3
+
 
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
@@ -309,6 +319,12 @@ def test_bad_tolerance_syntax_is_an_error():
     ["verify", "--a-list", "1", "--jobs", "0"],
     ["table", "--a-list", "1", "--prec-bits", "20000"],
     ["prob", "3", "1", "--prec-bits", "32"],
+    ["prob", "2", "1", "--a-list", "5", "--n-max", "99"],
+    ["prob", "2", "1", "--jobs", "2"],
+    ["table", "--n-max", "1"],
+    ["verify", "--a-list", "1", "--tol", "=3"],
+    ["plot", "--in", "t.csv", "--n-select", "a,b", "--out", "p.svg"],
+    ["plot", "--in", "no-such-dir/missing.csv", "--out", "p.svg"],
 ], ids=lambda args: " ".join(args))
 def test_bad_input_is_a_one_line_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -317,3 +333,48 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
+
+
+def test_prob_failure_is_one_line_and_exit_one(capsys):
+    # at a = 5 the default quadrature orders do not converge
+    assert cli.main(["prob", "1", "5"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "QuadratureConvergenceError" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (8, 4, 3),      # no more workers than cells
+    (2, 4, 2),
+    (3, 2, 2),      # no more workers than CPUs
+    (8, None, 1),   # unknown CPU count: serial
+    (1, 4, 1),
+])
+def test_jobs_are_clamped_to_cells_and_cpus(monkeypatch, jobs, cpus, workers):
+    pools = []
+
+    class InlinePool:
+        """Records max_workers and runs every task in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cells = ("0.5", "1", "2")
+    config = cli.RunConfig(command="table", n_max=0, a_values=cells,
+                           policy=PrecisionPolicy(), fd_h="1e-8", digits=None,
+                           suite="all", jobs=jobs)
+    assert cli._map_cells(config, lambda config_dict, cell: cell, cells) == list(cells)
+    assert pools == ([workers] if workers > 1 else [])

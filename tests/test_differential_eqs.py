@@ -62,7 +62,7 @@ class TestStencils:
 
     def test_input_validation(self):
         bits = 256
-        samples = [Real.from_int(k, bits) for k in range(7)]
+        samples = [Real.from_str(str(k), bits) for k in range(7)]
         with pytest.raises(DomainError):
             fd_derivative(samples[:5], 1, "0.1")
         with pytest.raises(DomainError):

@@ -14,11 +14,8 @@ from gue_gap_lab import (
     PrecisionPolicy,
     build_recurrence_table,
     edge_eval,
-    hankel_det,
-    hermite_beta_exact,
     hermite_norm_exact,
     log_hankel_det,
-    poly_eval,
     poly_values,
     subleading_coeff,
 )
@@ -43,7 +40,7 @@ class TestHermiteLimit:
         table = build_recurrence_table("0", 12)
         with mp.workprec(table.working_bits):
             for j in range(table.n_max + 1):
-                b_ref = hermite_beta_exact(j, table.working_bits).value
+                b_ref = mp.mpf(j) / 2
                 h_ref = hermite_norm_exact(j, table.working_bits).value
                 assert abs(table.h[j].value - h_ref) / h_ref < mp.mpf(10) ** -150
                 if j >= 1:
@@ -117,6 +114,12 @@ class TestOrthogonality:
                 assert abs(direct - p_n) / abs(p_n) < mp.mpf(10) ** -140
 
 
+def hankel_product(table, n):
+    """D_n = h_0 h_1 ... h_{n-1}, the n x n moment determinant."""
+    with mp.workprec(table.working_bits):
+        return mp.fprod(table.h[j].value for j in range(n))
+
+
 class TestHankelDeterminant:
     def test_against_lu_of_moment_matrix(self):
         # independent route: det of the raw (mu_{i+j}) matrix via mpmath LU
@@ -130,14 +133,14 @@ class TestHankelDeterminant:
                     for j in range(n):
                         M[i, j] = moment(i + j, w).value
                 ref = mp.det(M)
-                got = hankel_det(table, n).value
+                got = hankel_product(table, n)
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -120
 
     def test_log_route_consistent(self, table_a1):
         with mp.workprec(table_a1.working_bits):
             for n in (1, 4, 9):
                 lhs = log_hankel_det(table_a1, n).value
-                rhs = mp.log(hankel_det(table_a1, n).value)
+                rhs = mp.log(hankel_product(table_a1, n))
                 assert abs(lhs - rhs) < mp.mpf(10) ** -140
 
 
@@ -159,11 +162,8 @@ class TestEdgeValues:
         expected = [1, 1, -1, -1, 1, 1, -1, -1, 1]
         assert signs == expected
 
-    def test_poly_eval_agrees_with_poly_values(self, table_a1):
-        assert poly_eval(table_a1, 7, "1.9").value == poly_values(table_a1, 7, "1.9")[7].value
-
     def test_degree_bounds(self, table_a1):
         with pytest.raises(DomainError):
-            poly_eval(table_a1, table_a1.n_max + 1, "1")
+            poly_values(table_a1, table_a1.n_max + 1, "1")
         with pytest.raises(DomainError):
             subleading_coeff(table_a1, -1)

@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError
+from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError, probability
 from gue_gap_lab.probability import (
     default_quad_order,
     det_identity_minus,
@@ -88,16 +88,27 @@ class TestHermiteFunctions:
 
 class TestDeterminant:
     def test_against_mpmath_lu(self):
+        # every leading principal minor against mpmath's LU of the block
         bits = 512
         G = overlap_matrix(4, "0.9", 40, bits)
+        minors = det_identity_minus(G, bits)
+        assert len(minors) == 4
         with mp.workprec(bits):
-            M = mp.matrix(4, 4)
-            for i in range(4):
-                for j in range(4):
-                    M[i, j] = G[i][j]
-            ref = mp.det(mp.eye(4) - M)
-            got = det_identity_minus(G, bits)
-            assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -120
+            for k in range(1, 5):
+                M = mp.matrix(k, k)
+                for i in range(k):
+                    for j in range(k):
+                        M[i, j] = G[i][j]
+                ref = mp.det(mp.eye(k) - M)
+                assert abs(minors[k - 1] - ref) / abs(ref) < mp.mpf(10) ** -120
+
+    def test_non_positive_pivot_is_a_quadrature_failure(self):
+        # I - G with an overlap of 1 on the diagonal is not positive definite
+        bits = 128
+        with mp.workprec(bits):
+            G = [[mp.mpf("0.5"), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
+        with pytest.raises(QuadratureConvergenceError):
+            det_identity_minus(G, bits)
 
     def test_overlap_matrix_symmetric(self):
         bits = 384
@@ -139,8 +150,15 @@ class TestRoutes:
 
     def test_oracle_report(self):
         rep = residual_oracle(3, "0.8")
+        assert [(c.name, c.n) for c in rep.checks] == [("route_agreement", k) for k in (1, 2, 3)]
         assert rep.all_pass
         assert rep.worst < 1e-12
+
+    def test_oracle_builds_one_rule_pair_for_every_n(self):
+        probability._GL_CACHE.clear()
+        rep = residual_oracle(4, "0.9")
+        assert len(rep.checks) == 4 and rep.all_pass
+        assert len(probability._GL_CACHE) == 2
 
     def test_fredholm_convergence_guard(self):
         with pytest.raises(QuadratureConvergenceError):

@@ -1,4 +1,4 @@
-"""Residual bookkeeping: normalization, warnings, serialization."""
+"""Residual bookkeeping: normalization, verdicts, serialization."""
 
 import mpmath as mp
 from hypothesis import given, settings
@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from gue_gap_lab.report import (
     ResidualReport,
-    all_pass,
     make_check,
     relative_residual,
     sci_str,
-    warning_check,
 )
 
 
@@ -46,14 +44,6 @@ def test_make_check_verdict():
     assert good.passed and good.residual == 0
     bad = make_check("x", 1, [mp.mpf(1), mp.mpf("-1.01")], 1e-30, 256)
     assert not bad.passed
-
-
-def test_warnings_never_fail_a_report():
-    rep = ResidualReport(a="1", n=0)
-    rep.add(warning_check("skipped_cell", 0, "not applicable"))
-    assert rep.all_pass
-    assert rep.worst == 0
-    assert all_pass([rep])
 
 
 def test_rows_serialize_tiny_residuals_without_underflow():

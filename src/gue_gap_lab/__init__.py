@@ -11,12 +11,10 @@ quantities are checked as numerical residuals rather than assumed.
 from .exceptions import (
     BranchSelectionError,
     DegenerateDenominatorError,
-    DerivativeAccuracyError,
     DomainError,
     EdgeZeroError,
     GapLabError,
     IllConditioningError,
-    PoleProximityError,
     PrecisionExhaustedError,
     QuadratureConvergenceError,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "BranchChoice",
     "BranchSelectionError",
     "DegenerateDenominatorError",
-    "DerivativeAccuracyError",
     "DiscreteOrbit",
     "DomainError",
     "EdgeEval",
@@ -89,7 +86,6 @@ __all__ = [
     "GapWeight",
     "IllConditioningError",
     "LadderState",
-    "PoleProximityError",
     "PrecisionExhaustedError",
     "PrecisionPolicy",
     "ProbabilityRecord",

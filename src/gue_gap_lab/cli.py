@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +49,7 @@ from .report import ResidualCheck, ResidualReport, sci_str
 FORMAT_VERSION = "gue-gap-lab v1"
 CSV_COLUMNS = ("n", "a", "beta", "h", "Pn_at_a", "p", "R", "r", "sigma", "prob", "status")
 SUITES = ("identities", "supplementary", "discrete", "continuous", "oracle", "all")
+PLOT_COLUMNS = CSV_COLUMNS[2:-1]  # every numeric column
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -91,8 +93,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _half_width(text: str) -> str:
-    """argparse type for a gap half-width: a finite number a >= 0.
+def _number_text(text: str, what: str, positive: bool) -> str:
+    """Check that ``text`` is a finite number >= 0 (> 0 if ``positive``).
 
     The stripped text is kept, not the parsed number, so every later stage
     parses it once at its own working precision.
@@ -103,10 +105,21 @@ def _half_width(text: str) -> str:
             value = mp.mpf(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not mp.isfinite(value) or value < 0:
+    if not mp.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
         raise argparse.ArgumentTypeError(
-            f"gap half-width must be a finite number >= 0, got {text!r}")
+            f"{what} must be a finite number {bound}, got {text!r}")
     return text
+
+
+def _half_width(text: str) -> str:
+    """argparse type for a gap half-width: a finite number a >= 0."""
+    return _number_text(text, "gap half-width", positive=False)
+
+
+def _fd_step(text: str) -> str:
+    """argparse type for --fd-h: a finite number h > 0."""
+    return _number_text(text, "finite-difference step", positive=True)
 
 
 def _half_width_list(text: str) -> tuple[str, ...]:
@@ -140,16 +153,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> tuple[str, float]:
-    """argparse type for --tol: NAME=VALUE, or a bare VALUE for every check."""
+    """argparse type for --tol: NAME=VALUE, or a bare VALUE for every check;
+    VALUE is a finite number > 0."""
     name, sep, value = text.partition("=")
     if not sep:
         name, value = "all", text
     if not name or not value:
         raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {text!r}")
     try:
-        return name, float(value)
+        tol = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"value not a number: {text!r}") from None
+    # the sign test reads the text, since a tiny value such as 1e-500
+    # underflows to a float 0.0 and stays a valid (failing) tolerance
+    if not math.isfinite(tol) or not mp.mpf(value) > 0:
+        raise argparse.ArgumentTypeError(f"value must be a finite number > 0: {text!r}")
+    return name, tol
 
 
 def _degree_list(text: str) -> tuple[int, ...]:
@@ -453,9 +472,7 @@ def _read_table_csv(path: str) -> list[dict[str, str]]:
 
 def cmd_plot(rows: list[dict[str, str]], quantity: str, out_path: str,
              n_select: tuple[int, ...] | None = None) -> int:
-    """Draw one table column against a as an SVG, one polyline per n."""
-    if quantity not in CSV_COLUMNS or quantity in ("n", "a", "status"):
-        raise SystemExit(f"unknown plottable column {quantity!r}")
+    """Draw one of the PLOT_COLUMNS against a as an SVG, one polyline per n."""
     series: dict[int, list[tuple[float, float]]] = {}
     for row in rows:
         if not row.get(quantity):
@@ -563,10 +580,6 @@ def _add_grid(sub):
     sub.add_argument("--a-min", type=_half_width)
     sub.add_argument("--a-max", type=_half_width)
     sub.add_argument("--a-steps", type=_int_at_least(1), default=1)
-    sub.add_argument("--fd-h", default=DEFAULT_FD_STEP)
-    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
-                     metavar="NAME=VALUE",
-                     help="tolerance override; NAME may be a check name or 'all'")
     sub.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
@@ -576,10 +589,10 @@ def _config_from(args, policy: PrecisionPolicy, a_values: tuple[str, ...]) -> Ru
         n_max=args.n_max,
         a_values=a_values,
         policy=policy,
-        fd_h=args.fd_h,
+        fd_h=getattr(args, "fd_h", DEFAULT_FD_STEP),
         digits=args.digits,
         suite=getattr(args, "suite", "all"),
-        tolerances=tuple(sorted(args.tol)),
+        tolerances=tuple(sorted(getattr(args, "tol", []))),
         out_format=getattr(args, "format", "csv"),
         jobs=args.jobs,
     )
@@ -604,6 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(v)
     _add_precision(v)
     v.add_argument("--suite", choices=SUITES, default="all")
+    v.add_argument("--fd-h", type=_fd_step, default=DEFAULT_FD_STEP,
+                   help="finite-difference step of the continuous suite")
+    v.add_argument("--tol", type=_tolerance, action="append", default=[],
+                   metavar="NAME=VALUE",
+                   help="tolerance override; NAME may be a check name or 'all'")
 
     p = subs.add_parser("prob", help="both probability routes at one cell")
     p.add_argument("n", type=_int_at_least(1))
@@ -612,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = subs.add_parser("plot", help="SVG plot of a table CSV column")
     pl.add_argument("--in", dest="in_path", required=True)
-    pl.add_argument("--quantity", default="prob")
+    pl.add_argument("--quantity", choices=PLOT_COLUMNS, default="prob")
     pl.add_argument("--n-select", type=_degree_list, default=None,
                     help="comma-separated degrees to draw (default: all)")
     pl.add_argument("--out", required=True)

@@ -45,17 +45,11 @@ class DiscreteOrbit:
         return len(self.r)
 
 
-def iterate_r_orbit(
-    a,
-    n_top: int,
-    prec_bits: int,
-    *,
-    degeneracy_digits: int = DEGENERACY_DIGITS,
-) -> DiscreteOrbit:
+def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     """Iterate r_{n+1} = -r_n + 2 a^2 r_n^2 / [(n + r_n)(r_n + r_{n-1})].
 
     Starts from r_0 = 0 and the closed-form r_1.  Each step checks its
-    denominator factors against 10^-degeneracy_digits relative to the term
+    denominator factors against 10^-DEGENERACY_DIGITS relative to the term
     magnitudes and raises DegenerateDenominatorError rather than dividing
     through a cancellation.
     """
@@ -66,7 +60,7 @@ def iterate_r_orbit(
         raise DomainError("orbit iteration requires a > 0")
     w = GapWeight(Real(av, prec_bits), prec_bits)
     with mp.workprec(prec_bits):
-        thresh = mp.mpf(10) ** (-degeneracy_digits)
+        thresh = mp.mpf(10) ** (-DEGENERACY_DIGITS)
         r_list = [mp.mpf(0), seed_r1(w).value]
         for n in range(1, n_top):
             r_nm1, r_n = r_list[n - 1], r_list[n]
@@ -81,10 +75,7 @@ def iterate_r_orbit(
 
 
 def residual_orbit_vs_direct(
-    orbit: DiscreteOrbit,
-    states: Sequence[LadderState],
-    *,
-    tolerance: float = ORBIT_TOL,
+    orbit: DiscreteOrbit, states: Sequence[LadderState]
 ) -> list[ResidualReport]:
     """Relative disagreement between the iterated and the direct r_n."""
     n_top = min(len(orbit.r), len(states)) - 1
@@ -97,17 +88,12 @@ def residual_orbit_vs_direct(
             rep.add(make_check(
                 "orbit_vs_direct", n,
                 [orbit.r[n].value, -states[n].r.value],
-                tolerance, bits))
+                ORBIT_TOL, bits))
             reports.append(rep)
     return reports
 
 
-def residual_alternate_r(
-    states: Sequence[LadderState],
-    n: int,
-    *,
-    tolerance: float = DISCRETE_TOL,
-) -> ResidualReport:
+def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualReport:
     """Residual of the alternate form in y_n = -2 r_n / a^2 (n >= 1):
 
         (y_{n+1} + y_n)(y_n + y_{n-1}) = -4 y_n^2 / (y_n + z_n),
@@ -134,16 +120,11 @@ def residual_alternate_r(
         rep.add(make_check(
             "alternate_r", n,
             [(y_next + y) * (y + y_prev), 4 * y * y / den],
-            tolerance, bits))
+            DISCRETE_TOL, bits))
     return rep
 
 
-def residual_sigma_recurrence(
-    states: Sequence[LadderState],
-    n: int,
-    *,
-    tolerance: float = DISCRETE_TOL,
-) -> ResidualReport:
+def residual_sigma_recurrence(states: Sequence[LadderState], n: int) -> ResidualReport:
     """Residual of the pure-sigma recurrence (n >= 1).
 
     With the consecutive differences u = sigma_n - sigma_{n+1} (= R_n)
@@ -173,16 +154,11 @@ def residual_sigma_recurrence(
         rep.add(make_check(
             "sigma_recurrence", n,
             [2 * big_n * big_n, -u * v * big_n * big_d, -n * u * v * big_d * big_d],
-            tolerance, bits))
+            DISCRETE_TOL, bits))
     return rep
 
 
-def residual_R_recurrence(
-    states: Sequence[LadderState],
-    n: int,
-    *,
-    tolerance: float = DISCRETE_TOL,
-) -> ResidualReport:
+def residual_R_recurrence(states: Sequence[LadderState], n: int) -> ResidualReport:
     """Residual of the closure in R_n alone (n >= 1):
 
         R_{n-1} R_{n+1} (R_n R_{n-1} + 8n)(R_{n+1} R_n + 8n + 8)
@@ -205,7 +181,7 @@ def residual_R_recurrence(
             - 4 * (a * R + n) * Rm
         )
         rep = ResidualReport(a=mp.nstr(a, 12), n=n)
-        rep.add(make_check("R_recurrence", n, [lhs, -inner * inner], tolerance, bits))
+        rep.add(make_check("R_recurrence", n, [lhs, -inner * inner], DISCRETE_TOL, bits))
     return rep
 
 
@@ -220,12 +196,7 @@ class BranchChoice:
     rel_err_other: mp.mpf
 
 
-def select_r_branch(
-    states: Sequence[LadderState],
-    n: int,
-    *,
-    match_tol: float = BRANCH_MATCH_TOL,
-) -> BranchChoice:
+def select_r_branch(states: Sequence[LadderState], n: int) -> BranchChoice:
     """Solve 4 r^2 - Q r - (n/2) Q = 0, Q = R_n R_{n-1}, and pick the root
     matching the directly computed r_n.
 
@@ -234,7 +205,8 @@ def select_r_branch(
     (r_n = 2 w0 P_n P_{n-1} / h_{n-1} and the edge values P_n(a) change
     sign in a period-four pattern), so the selected branch alternates as
     well; selection is by measurement, not assumption.  Raises
-    BranchSelectionError when neither root is within match_tol relatively.
+    BranchSelectionError when neither root is within BRANCH_MATCH_TOL
+    relatively.
     """
     if n < 1 or n >= len(states):
         raise DomainError(f"need 1 <= n <= {len(states) - 1}, got {n}")
@@ -252,9 +224,9 @@ def select_r_branch(
             sign, value, err, other = "+", root_plus, err_plus, err_minus
         else:
             sign, value, err, other = "-", root_minus, err_minus, err_plus
-        if not err < match_tol:
+        if not err < BRANCH_MATCH_TOL:
             raise BranchSelectionError(
-                f"neither quadratic root matches r_{n} within {match_tol}"
+                f"neither quadratic root matches r_{n} within {BRANCH_MATCH_TOL}"
             )
         return BranchChoice(
             n=n, sign=sign, value=Real(value, bits), rel_err=err, rel_err_other=other

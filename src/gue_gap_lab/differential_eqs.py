@@ -19,12 +19,10 @@ the coupled Riccati pair, so they hold exactly on the same data; each is
 verified here as an independent residual because the eliminations are
 easy to get wrong by hand.
 
-The stencils are the standard central ones of order h^6 on 7 nodes; the
-embedded 5-node stencils give an independent lower-order value whose
-disagreement serves as the error estimate.  Node values are computed at
-full working precision (at least 700 bits), so the h^6 truncation term
-dominates the residual and its order can be measured by a convergence
-study.
+The stencils are the standard central ones of order h^6 on 7 nodes.  Node
+values are computed at full working precision (at least 700 bits), so the
+h^6 truncation term dominates the residual and its order can be measured
+by a convergence study.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exceptions import DerivativeAccuracyError, DomainError
+from .exceptions import DomainError
 from .ladder import LadderState, ladder_states
 from .orthopoly import (
     RecurrenceTable,
@@ -60,13 +58,6 @@ _D2_W7 = (
     Fraction(1, 90), Fraction(-3, 20), Fraction(3, 2), Fraction(-49, 18),
     Fraction(3, 2), Fraction(-3, 20), Fraction(1, 90),
 )
-# Embedded 5-node stencils (order h^4) for the error estimate.
-_D1_W5 = (
-    Fraction(1, 12), Fraction(-2, 3), Fraction(0), Fraction(2, 3), Fraction(-1, 12),
-)
-_D2_W5 = (
-    Fraction(-1, 12), Fraction(4, 3), Fraction(-5, 2), Fraction(4, 3), Fraction(-1, 12),
-)
 
 
 def _apply_stencil(values: Sequence[mp.mpf], coeffs, h: mp.mpf, order: int) -> mp.mpf:
@@ -78,21 +69,9 @@ def _apply_stencil(values: Sequence[mp.mpf], coeffs, h: mp.mpf, order: int) -> m
     return acc / h**order
 
 
-def fd_derivative(
-    values: Sequence,
-    order: int,
-    h,
-    *,
-    max_err: float | None = None,
-) -> tuple[Real, Real]:
-    """Central finite-difference derivative on 7 equally spaced samples.
-
-    Returns (derivative, error_estimate) where the estimate is the
-    disagreement with the embedded 5-node stencil.  ``order`` is 1 or 2.
-    If ``max_err`` is given and the estimate exceeds it, raises
-    DerivativeAccuracyError instead of returning a value silently worse
-    than requested.
-    """
+def fd_derivative(values: Sequence, order: int, h) -> Real:
+    """Central finite-difference derivative of ``order`` 1 or 2 on 7 equally
+    spaced samples."""
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     if len(values) != 7:
@@ -106,14 +85,8 @@ def fd_derivative(
         hv = as_mpf(h, bits)
         if not hv > 0:
             raise DomainError("step h must be positive")
-        wide = _apply_stencil(vals, _D1_W7 if order == 1 else _D2_W7, hv, order)
-        narrow = _apply_stencil(vals[1:6], _D1_W5 if order == 1 else _D2_W5, hv, order)
-        err = abs(wide - narrow)
-    if max_err is not None and not err < max_err:
-        raise DerivativeAccuracyError(
-            f"finite-difference error estimate {mp.nstr(err, 5)} exceeds {max_err}"
-        )
-    return Real(wide, bits), Real(err, bits)
+        deriv = _apply_stencil(vals, _D1_W7 if order == 1 else _D2_W7, hv, order)
+    return Real(deriv, bits)
 
 
 @dataclass(frozen=True)
@@ -187,11 +160,11 @@ def build_a_grid(
 
 
 def _fd1(grid: AGrid, samples: list[mp.mpf]) -> mp.mpf:
-    return fd_derivative([Real(v, grid.bits) for v in samples], 1, grid.h)[0].value
+    return fd_derivative([Real(v, grid.bits) for v in samples], 1, grid.h).value
 
 
 def _fd2(grid: AGrid, samples: list[mp.mpf]) -> mp.mpf:
-    return fd_derivative([Real(v, grid.bits) for v in samples], 2, grid.h)[0].value
+    return fd_derivative([Real(v, grid.bits) for v in samples], 2, grid.h).value
 
 
 def _cell(grid: AGrid, n: int):
@@ -201,12 +174,7 @@ def _cell(grid: AGrid, n: int):
     return s, mp.nstr(grid.a0.value, 12)
 
 
-def residual_derivative_identities(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def residual_derivative_identities(grid: AGrid, n: int) -> ResidualReport:
     """First-derivative identities for norms, recurrence and subleading data.
 
       norm_log_deriv       h_n'/h_n + R_n
@@ -226,29 +194,29 @@ def residual_derivative_identities(
         dh = _fd1(grid, h_samples)
         h_center = grid.tables[STENCIL_HALFWIDTH].h[n].value
         rep.add(make_check(
-            "norm_log_deriv", n, [dh / h_center, s.R.value], tolerance, bits))
+            "norm_log_deriv", n, [dh / h_center, s.R.value], CONTINUOUS_TOL, bits))
         if n >= 1:
             lb = [mp.log(grid.tables[k].beta[n].value) for k in range(7)]
             dlb = _fd1(grid, lb)
             rep.add(make_check(
                 "beta_log_deriv", n,
                 [dlb, -grid.center_states[n - 1].R.value, s.R.value],
-                tolerance, bits))
+                CONTINUOUS_TOL, bits))
             ld = [log_hankel_det(grid.tables[k], n).value for k in range(7)]
             rep.add(make_check(
-                "hankel_log_deriv", n, [_fd1(grid, ld), -s.sigma.value], tolerance, bits))
+                "hankel_log_deriv", n, [_fd1(grid, ld), -s.sigma.value], CONTINUOUS_TOL, bits))
             ln_dn0 = mp.fsum(
                 mp.log(hermite_norm_exact(j, bits).value) for j in range(n)
             )
             lp = [v - ln_dn0 for v in ld]
             rep.add(make_check(
-                "prob_log_deriv", n, [_fd1(grid, lp), -s.sigma.value], tolerance, bits))
+                "prob_log_deriv", n, [_fd1(grid, lp), -s.sigma.value], CONTINUOUS_TOL, bits))
         p_samples = [grid.states[k][n].p.value for k in range(7)]
         dp = _fd1(grid, p_samples)
         rep.add(make_check(
             "subleading_deriv", n,
             [dp, -a * s.r.value, (n + s.r.value) * s.R.value / 2],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
         b_samples = [grid.tables[k].beta[n].value for k in range(7)]
         db = _fd1(grid, b_samples)
         R, r, beta = s.R.value, s.r.value, s.beta.value
@@ -261,16 +229,11 @@ def residual_derivative_identities(
                     beta * R,
                     -((a * R - r) ** 2) / R,
                 ],
-                tolerance, bits))
+                CONTINUOUS_TOL, bits))
     return rep
 
 
-def residual_riccati(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def residual_riccati(grid: AGrid, n: int) -> ResidualReport:
     """The coupled first-order system in a:
 
       r_slope    r' - [2 r^2 / R - (n + r) R]
@@ -293,20 +256,15 @@ def residual_riccati(
             rep.add(make_check(
                 "r_slope", n,
                 [dr, -2 * r * r / R, (n + r) * R],
-                tolerance, bits))
+                CONTINUOUS_TOL, bits))
         rep.add(make_check(
             "R_slope", n,
             [dR, -4 * r, -R * R, 2 * a * R, 2 * r * R / a],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
     return rep
 
 
-def residual_painleve4(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def residual_painleve4(grid: AGrid, n: int) -> ResidualReport:
     """Second-order closure for R alone.
 
     Solving the R-Riccati for r and substituting into the r-Riccati
@@ -335,16 +293,11 @@ def residual_painleve4(
                 -R * R * dR,
                 R * R * (R - 2 * a) ** 2 * (a * (R - a) + 2 * n + 1),
             ],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
     return rep
 
 
-def residual_sigma_form(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def residual_sigma_form(grid: AGrid, n: int) -> ResidualReport:
     """The chain leading to the closed sigma equation, link by link:
 
       sigma_slope       sigma' - [2 r - r^2 / a^2]
@@ -383,26 +336,26 @@ def residual_sigma_form(
         rep.add(make_check(
             "sigma_slope", n,
             [ds, -2 * r, r * r / (a * a)],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
         core = 2 * a * r - sigma + r * r / a
         rep.add(make_check(
             "riccati_product", n,
             [8 * (n + r) * r * r, -core * core, dr * dr],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
         if R != 0:
             rep.add(make_check(
                 "R_root_plus", n,
                 [4 * r * r / R, -core, -dr],
-                tolerance, bits))
+                CONTINUOUS_TOL, bits))
         rep.add(make_check(
             "R_root_minus", n,
             [2 * (n + r) * R, -core, dr],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
         disc = dr * dr + 8 * r * r * (r + n)
         rep.add(make_check(
             "discriminant", n,
             [mp.sqrt(disc), -abs(2 * (n + r) * R + dr)],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
         c0 = (
             (a * a - ds)
             * (
@@ -427,16 +380,11 @@ def residual_sigma_form(
         rep.add(make_check(
             "sigma_ode", n,
             [big_p * big_p, -64 * a * a * (a * a - ds) * big_q * big_q],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
     return rep
 
 
-def residual_chazy(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def residual_chazy(grid: AGrid, n: int) -> ResidualReport:
     """Second-order closure for the off-diagonal quantity alone.
 
     Eliminating R between the r-Riccati and the R-Riccati (the R-Riccati
@@ -471,23 +419,18 @@ def residual_chazy(
                 -4 * (a * a + r) ** 2 * dr * dr,
                 -16 * r * r * (a * a - 2 * (n3 + r)) * (2 * (n3 + r) * a * a - r * r),
             ],
-            tolerance, bits))
+            CONTINUOUS_TOL, bits))
     return rep
 
 
-def continuous_suite(
-    grid: AGrid,
-    n: int,
-    *,
-    tolerance: float = CONTINUOUS_TOL,
-) -> ResidualReport:
+def continuous_suite(grid: AGrid, n: int) -> ResidualReport:
     """Every continuous residual for one (n, a0) cell, merged."""
-    rep = residual_derivative_identities(grid, n, tolerance=tolerance)
+    rep = residual_derivative_identities(grid, n)
     for part in (
-        residual_riccati(grid, n, tolerance=tolerance),
-        residual_painleve4(grid, n, tolerance=tolerance),
-        residual_sigma_form(grid, n, tolerance=tolerance),
-        residual_chazy(grid, n, tolerance=tolerance),
+        residual_riccati(grid, n),
+        residual_painleve4(grid, n),
+        residual_sigma_form(grid, n),
+        residual_chazy(grid, n),
     ):
         rep.extend(part.checks)
     return rep
@@ -511,7 +454,7 @@ def convergence_study(
     slopes_in: dict[str, list[tuple[float, float]]] = {}
     for h_text in h_values:
         grid = build_a_grid(a0, n_max, policy, h=h_text)
-        rep = continuous_suite(grid, n, tolerance=1.0)
+        rep = continuous_suite(grid, n)
         for c in rep.checks:
             if c.residual <= 0:
                 continue

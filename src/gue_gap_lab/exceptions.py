@@ -71,14 +71,6 @@ class DegenerateDenominatorError(GapLabError):
         self.n = n
 
 
-class PoleProximityError(GapLabError, ValueError):
-    """A spectral sample point z sits too close to z^2 = a^2."""
-
-
-class DerivativeAccuracyError(GapLabError):
-    """A finite-difference derivative failed its internal error estimate."""
-
-
 class QuadratureConvergenceError(GapLabError):
     """Two successive quadrature orders disagree beyond tolerance."""
 

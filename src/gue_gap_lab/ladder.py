@@ -24,7 +24,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exceptions import DomainError, EdgeZeroError, PoleProximityError
+from .exceptions import DomainError, EdgeZeroError
 from .orthopoly import RecurrenceTable, poly_values, subleading_coeff
 from .precision import Real, as_mpf
 from .report import ResidualReport, make_check
@@ -56,20 +56,14 @@ class LadderState:
         return self.R.precision_bits
 
 
-def ladder_states(
-    table: RecurrenceTable,
-    n_top: int | None = None,
-    *,
-    zero_threshold_digits: int | None = None,
-) -> list[LadderState]:
+def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[LadderState]:
     """LadderState for n = 0..n_top from one certified recurrence table.
 
     Requires a > 0: at a = 0 every odd-degree polynomial vanishes at the
     edge by parity and the ladder is not defined.  An accidental near-zero
     of P_n at the edge for a > 0 raises EdgeZeroError rather than returning
     uncertifiable ratios; the threshold is 10^-t relative to the recurrence
-    terms that produced the value, with t defaulting to half the table's
-    certified digits.
+    terms that produced the value, with t half the table's certified digits.
     """
     if n_top is None:
         n_top = table.n_max
@@ -77,7 +71,7 @@ def ladder_states(
         raise DomainError(f"n_top {n_top} outside table range 0..{table.n_max}")
     if not table.a.value > 0:
         raise DomainError("ladder quantities require a > 0")
-    t = zero_threshold_digits if zero_threshold_digits is not None else table.certified_digits // 2
+    t = table.certified_digits // 2
     bits = table.working_bits
     a = table.a.value
     pvals = [v.value for v in poly_values(table, n_top, table.a)]
@@ -117,11 +111,7 @@ def ladder_states(
     return states
 
 
-def residual_identities(
-    states: Sequence[LadderState],
-    *,
-    tolerance: float = IDENTITY_TOL,
-) -> list[ResidualReport]:
+def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
     """Residuals of the algebraic recurrence identities, one report per n.
 
     For each n with a successor state available the following must vanish:
@@ -158,20 +148,20 @@ def residual_identities(
             R, r, beta, sigma, p = s.R.value, s.r.value, s.beta.value, s.sigma.value, s.p.value
             rep = ResidualReport(a=a_str, n=n)
             rep.add(make_check(
-                "pair_sum", n, [s1.r.value, r, -a * R], tolerance, bits))
+                "pair_sum", n, [s1.r.value, r, -a * R], IDENTITY_TOL, bits))
             rep.add(make_check(
-                "beta_closed_form", n, [beta, -mp.mpf(n) / 2, -r / 2], tolerance, bits))
+                "beta_closed_form", n, [beta, -mp.mpf(n) / 2, -r / 2], IDENTITY_TOL, bits))
             if n >= 1:
                 Rm = states[n - 1].R.value
                 rep.add(make_check(
-                    "r_squared", n, [r * r, -beta * R * Rm], tolerance, bits))
+                    "r_squared", n, [r * r, -beta * R * Rm], IDENTITY_TOL, bits))
             rep.add(make_check(
-                "weighted_sum", n, [a * sum_R, -2 * sum_r, -r], tolerance, bits))
+                "weighted_sum", n, [a * sum_R, -2 * sum_r, -r], IDENTITY_TOL, bits))
             if R != 0:
                 rep.add(make_check(
                     "R_partial_sum", n,
                     [sum_R, 2 * a * r, r * r / a, -(n + r) * R, -2 * r * r / R],
-                    tolerance, bits))
+                    IDENTITY_TOL, bits))
                 rep.add(make_check(
                     "subleading", n,
                     [
@@ -182,9 +172,9 @@ def residual_identities(
                         -(a / 4) * (n + r) * R,
                         -(a / 2) * r * r / R,
                     ],
-                    tolerance, bits))
+                    IDENTITY_TOL, bits))
             rep.add(make_check(
-                "sigma_step", n, [R, -sigma, s1.sigma.value], tolerance, bits))
+                "sigma_step", n, [R, -sigma, s1.sigma.value], IDENTITY_TOL, bits))
             reports.append(rep)
             sum_R += R
             sum_r += r
@@ -197,27 +187,20 @@ def _spectral_AB(state: LadderState, z: mp.mpf, a: mp.mpf):
     return 2 + state.R.value * a / d, state.r.value * z / d
 
 
-def default_z_samples(a, bits: int, margin: float = POLE_MARGIN) -> list[Real]:
+def default_z_samples(a, bits: int) -> list[Real]:
     """The default spectral sample points, nudged away from z^2 = a^2."""
     av = as_mpf(a, bits)
     out = []
     with mp.workprec(bits):
         for text in DEFAULT_Z_SAMPLES:
             z = mp.mpf(text)
-            while abs(z * z - av * av) <= margin:
+            while abs(z * z - av * av) <= POLE_MARGIN:
                 z *= mp.mpf("1.5")
             out.append(Real(z, bits))
     return out
 
 
-def residual_supplementary(
-    states: Sequence[LadderState],
-    n: int,
-    z_samples: Sequence[Real] | None = None,
-    *,
-    tolerance: float = SUPPLEMENTARY_TOL,
-    pole_margin: float = POLE_MARGIN,
-) -> ResidualReport:
+def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualReport:
     """Residuals of the three supplementary spectral-function conditions.
 
     With v0'(z) = 2z for the Gaussian potential these read
@@ -227,31 +210,24 @@ def residual_supplementary(
       s2sum   B_n^2 + 2 z B_n + sum_{j<n} A_j = beta_n A_n A_{n-1}
 
     where sum_{j<n} A_j = 2n - a sigma_n / (z^2 - a^2).  s1 is checked for
-    n >= 0, the other two need n >= 1.  Sample points must stay away from
-    the poles at z = +-a; explicitly supplied ones that violate the margin
-    raise PoleProximityError, while the defaults self-adjust.
+    n >= 0, the other two need n >= 1.  The sample points are the defaults,
+    which move themselves off the poles at z = +-a.
     """
     if n < 0 or n + 1 >= len(states):
         raise DomainError(f"need states 0..{n + 1}, have {len(states)}")
     bits = states[0].bits
     a = states[0].a.value
-    if z_samples is None:
-        z_samples = default_z_samples(a, bits, pole_margin)
     rep = ResidualReport(a=mp.nstr(a, 12), n=n)
     with mp.workprec(bits):
-        for z_real in z_samples:
-            z = z_real.value if isinstance(z_real, Real) else mp.mpf(z_real)
-            if abs(z * z - a * a) <= pole_margin:
-                raise PoleProximityError(
-                    f"sample z={mp.nstr(z, 8)} within margin {pole_margin} of the pole at a={mp.nstr(a, 8)}"
-                )
+        for z_real in default_z_samples(a, bits):
+            z = z_real.value
             ztag = mp.nstr(z, 8)
             A_n, B_n = _spectral_AB(states[n], z, a)
             A_np1, B_np1 = _spectral_AB(states[n + 1], z, a)
             rep.add(make_check(
                 f"s1@{ztag}", n,
                 [B_np1, B_n, -z * A_n, 2 * z],
-                tolerance, bits))
+                SUPPLEMENTARY_TOL, bits))
             if n >= 1:
                 A_nm1, _ = _spectral_AB(states[n - 1], z, a)
                 beta_n = states[n].beta.value
@@ -259,10 +235,10 @@ def residual_supplementary(
                 rep.add(make_check(
                     f"s2@{ztag}", n,
                     [1, z * B_np1, -z * B_n, -beta_np1 * A_np1, beta_n * A_nm1],
-                    tolerance, bits))
+                    SUPPLEMENTARY_TOL, bits))
                 sum_A = 2 * mp.mpf(n) - a * states[n].sigma.value / (z * z - a * a)
                 rep.add(make_check(
                     f"s2sum@{ztag}", n,
                     [B_n * B_n, 2 * z * B_n, sum_A, -beta_n * A_n * A_nm1],
-                    tolerance, bits))
+                    SUPPLEMENTARY_TOL, bits))
     return rep

@@ -130,10 +130,11 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
     CLI input: the string parses exactly once at the ceiling precision, so
     every pass sees the same real number).
 
-    The certification loop computes the table at W and roughly 2W bits,
-    takes the worst cross-precision agreement over all coefficients as the
-    certified digit count, and escalates W until the policy target is met.
-    Raises PrecisionExhaustedError when the ceiling is reached first, and
+    The certification loop runs one pass per precision level W, 2W, 4W, ...
+    (capped at the ceiling), takes the worst cross-precision agreement of
+    two consecutive passes over all coefficients as the certified digit
+    count, and stops when it meets the policy target.  Raises
+    PrecisionExhaustedError when the ceiling is reached first, and
     IllConditioningError if norms cannot even be kept positive there.
     """
     if n_max < 0:
@@ -145,77 +146,53 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
         raise DomainError(f"gap half-width must be >= 0, got {a_value}")
 
     bits = min(policy.working_bits(n_max), policy.max_bits)
-    escalations = 0
-    lo = None
-    lo_ok = False
+    if bits >= policy.max_bits:
+        # Nothing above the starting precision to compare against, so the
+        # build cannot be certified.
+        raise PrecisionExhaustedError(
+            f"cannot certify: starting precision {bits} bits already at ceiling",
+            certified_digits=0,
+            ceiling_bits=policy.max_bits,
+        )
+    # One pass per precision level; each pass is compared with the one
+    # below it, or is None when its norms did not stay positive.
+    prev = prev_bits = None
+    levels = 0
     best_certified = 0
     while True:
-        if lo is None:
-            try:
-                lo = _chebyshev_pass(a_value, n_max, bits)
-                lo_ok = True
-            except _NonPositiveNorm as exc:
-                if bits >= policy.max_bits:
-                    raise IllConditioningError(
-                        f"norm h_{exc.index} not positive at ceiling precision "
-                        f"{policy.max_bits} bits (a={mp.nstr(a_value, 8)}, n_max={n_max})"
-                    ) from exc
-                lo = None
-                lo_ok = False
-
-        if bits >= policy.max_bits and not lo_ok:
-            raise IllConditioningError(
-                f"norms not positive at ceiling precision {policy.max_bits} bits"
-            )
-
-        hi_bits = min(policy.escalate(bits), policy.max_bits)
-        if hi_bits <= bits:
-            # Starting precision already at the ceiling: nothing to compare
-            # against, so the build cannot be certified.
-            raise PrecisionExhaustedError(
-                f"cannot certify: starting precision {bits} bits already at ceiling",
-                certified_digits=best_certified,
-                ceiling_bits=policy.max_bits,
-            )
         try:
-            hi = _chebyshev_pass(a_value, n_max, hi_bits)
-            hi_ok = True
+            cur = _chebyshev_pass(a_value, n_max, bits)
         except _NonPositiveNorm as exc:
-            if hi_bits >= policy.max_bits:
+            if bits >= policy.max_bits:
                 raise IllConditioningError(
                     f"norm h_{exc.index} not positive at ceiling precision "
                     f"{policy.max_bits} bits (a={mp.nstr(a_value, 8)}, n_max={n_max})"
                 ) from exc
-            hi = None
-            hi_ok = False
-
-        if lo_ok and hi_ok:
-            certified = _certified_digits(lo, hi, bits)
+            cur = None
+        levels += 1
+        if prev is not None and cur is not None:
+            certified = _certified_digits(prev, cur, prev_bits)
             best_certified = max(best_certified, certified)
             if certified >= policy.target_certified_digits:
-                beta_hi, h_hi = hi
+                beta, h = cur
                 return RecurrenceTable(
-                    a=Real(as_mpf(a_value, hi_bits), hi_bits),
+                    a=Real(as_mpf(a_value, bits), bits),
                     n_max=n_max,
-                    beta=tuple(Real(b, hi_bits) for b in beta_hi),
-                    h=tuple(Real(v, hi_bits) for v in h_hi),
+                    beta=tuple(Real(b, bits) for b in beta),
+                    h=tuple(Real(v, bits) for v in h),
                     certified_digits=certified,
-                    working_bits=hi_bits,
-                    escalations=escalations,
+                    working_bits=bits,
+                    escalations=levels - 2,
                 )
-
-        if hi_bits >= policy.max_bits:
+        if bits >= policy.max_bits:
             raise PrecisionExhaustedError(
                 f"certified only {best_certified} digits of "
                 f"{policy.target_certified_digits} at ceiling {policy.max_bits} bits",
                 certified_digits=best_certified,
                 ceiling_bits=policy.max_bits,
             )
-        # Reuse the high pass as the next low pass.
-        bits = hi_bits
-        lo = hi
-        lo_ok = hi_ok
-        escalations += 1
+        prev, prev_bits = cur, bits
+        bits = min(policy.escalate(bits), policy.max_bits)
 
 
 def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:

@@ -10,7 +10,6 @@ A :class:`Real` remembers the precision it was computed at.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -96,13 +95,12 @@ class PrecisionPolicy:
 
     ``working_bits(n_max)`` gives the starting precision for a recurrence
     build up to degree ``n_max``.  When two-level certification falls short
-    of ``target_certified_digits``, precision is multiplied by
-    ``escalation_factor`` until it certifies or hits ``max_bits``.
+    of ``target_certified_digits``, precision doubles until it certifies or
+    hits ``max_bits``.
     """
 
     base_bits: int = 512
     bits_per_n: int = 32
-    escalation_factor: float = 2.0
     target_certified_digits: int = 40
     max_bits: int = 16384
 
@@ -111,8 +109,6 @@ class PrecisionPolicy:
             raise DomainError("base_bits must be at least 64")
         if self.bits_per_n < 0:
             raise DomainError("bits_per_n must be nonnegative")
-        if not self.escalation_factor > 1:
-            raise DomainError("escalation_factor must exceed 1")
         if self.target_certified_digits < 1:
             raise DomainError("target_certified_digits must be positive")
         if self.max_bits < self.base_bits:
@@ -122,8 +118,5 @@ class PrecisionPolicy:
         return self.base_bits + self.bits_per_n * n_max
 
     def escalate(self, bits: int) -> int:
-        nxt = int(math.ceil(bits * self.escalation_factor))
-        if nxt <= bits:
-            nxt = bits + 1
-        return nxt
+        return 2 * bits
 

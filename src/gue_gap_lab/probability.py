@@ -40,9 +40,14 @@ _GL_LOCK = threading.Lock()
 _GL_CACHE: dict[tuple[int, int], tuple[tuple[mp.mpf, ...], tuple[mp.mpf, ...]]] = {}
 
 
-def default_quad_order(n: int) -> int:
-    """Quadrature order used for the n x n overlap matrix."""
-    return 40 + 4 * n
+def default_quad_order(n: int, a) -> int:
+    """Quadrature order used for the n x n overlap matrix at half-width a.
+
+    Mapped onto (-1, 1), the integrands phi_l(a t) phi_m(a t) vary on a
+    scale of 1/a, so beyond a = 2 the order gains 16 nodes per unit of a
+    (at 400 bits, n = 1 needs 36, 48, 60 and 76 nodes at a = 3, 4, 5, 6).
+    """
+    return 40 + 4 * n + 16 * max(0, int(mp.ceil(as_mpf(a, 64))) - 2)
 
 
 def gauss_legendre_rule(order: int, bits: int):
@@ -208,35 +213,28 @@ def gap_probability_hankel(
     return Real(prob, bits)
 
 
-def gap_probability_fredholm(
-    n: int,
-    a,
-    prec_bits: int = 512,
-    quad_order: int | None = None,
-    *,
-    convergence_tol: float = QUAD_CONVERGENCE_TOL,
-) -> list[Real]:
+def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
     of the Hermite-function overlap matrix G_n.
 
-    One rule pair serves every k: the minors are computed at the requested
+    One rule pair serves every k: the minors are computed at the default
     quadrature order and at twice that order; a relative disagreement beyond
-    ``convergence_tol`` at any k raises QuadratureConvergenceError,
+    QUAD_CONVERGENCE_TOL at any k raises QuadratureConvergenceError,
     otherwise the doubled-order values are returned.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    order = quad_order if quad_order is not None else default_quad_order(n)
+    order = default_quad_order(n, a)
     bits = prec_bits + GUARD_BITS
     dets_lo = det_identity_minus(overlap_matrix(n, a, order, bits), bits)
     dets_hi = det_identity_minus(overlap_matrix(n, a, 2 * order, bits), bits)
     with mp.workprec(bits):
         for k, (det_lo, det_hi) in enumerate(zip(dets_lo, dets_hi), start=1):
             rel = abs(det_hi - det_lo) / max(det_lo, det_hi)
-            if not rel < convergence_tol:
+            if not rel < QUAD_CONVERGENCE_TOL:
                 raise QuadratureConvergenceError(
                     f"orders {order} and {2 * order} disagree by {mp.nstr(rel, 5)} "
-                    f"(tolerance {convergence_tol}) at n={k}"
+                    f"(tolerance {QUAD_CONVERGENCE_TOL}) at n={k}"
                 )
     return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
 
@@ -256,7 +254,6 @@ def probability_record(
     n: int,
     a,
     policy: PrecisionPolicy | None = None,
-    quad_order: int | None = None,
     table: RecurrenceTable | None = None,
 ) -> ProbabilityRecord:
     """Compute both routes and their relative discrepancy |h - f| / h."""
@@ -265,7 +262,7 @@ def probability_record(
     p_h = gap_probability_hankel(n, a, policy, table=table)
     bits = p_h.precision_bits
     a_val = a if a is not None else table.a
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits, quad_order=quad_order)[-1]
+    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits)[-1]
     with mp.workprec(bits):
         rel = abs(p_h.value - p_f.value) / p_h.value
         av = as_mpf(a_val, bits)
@@ -279,7 +276,6 @@ def residual_oracle(
     a,
     policy: PrecisionPolicy | None = None,
     *,
-    tolerance: float = ORACLE_TOL,
     table: RecurrenceTable | None = None,
 ) -> ResidualReport:
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
@@ -292,5 +288,5 @@ def residual_oracle(
     rep = ResidualReport(a=mp.nstr(as_mpf(a_val, bits), 12), n=n)
     for k in range(1, n + 1):
         p_h = gap_probability_hankel(k, table=table)
-        rep.add(make_check("route_agreement", k, [p_h.value, -p_f[k - 1].value], tolerance, bits))
+        rep.add(make_check("route_agreement", k, [p_h.value, -p_f[k - 1].value], ORACLE_TOL, bits))
     return rep

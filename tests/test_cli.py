@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import PrecisionPolicy, cli
+from gue_gap_lab import PrecisionPolicy, cli, probability
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
 
@@ -197,6 +197,12 @@ class TestProb:
         doc = json.loads(capsys.readouterr().out)
         assert mp.mpf(doc["rel_discrepancy"]) < 1e-12
 
+    def test_wide_gap_converges(self, capsys):
+        # the quadrature order grows with a, so a = 5 converges
+        assert run_cli(["prob", "1", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert mp.mpf(doc["rel_discrepancy"]) < 1e-12
+
     def test_zero_width_notice(self, capsys):
         assert run_cli(["prob", "5", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -237,9 +243,10 @@ class TestPlot:
         assert probs[0] < 1
 
     def test_unknown_column_is_an_error(self, table_csv, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["plot", "--in", str(table_csv), "--quantity", "nope",
                      "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
 
     def test_empty_selection_is_an_error(self, table_csv, tmp_path):
         with pytest.raises(SystemExit):
@@ -325,6 +332,17 @@ def test_bad_tolerance_syntax_is_an_error():
     ["verify", "--a-list", "1", "--tol", "=3"],
     ["plot", "--in", "t.csv", "--n-select", "a,b", "--out", "p.svg"],
     ["plot", "--in", "no-such-dir/missing.csv", "--out", "p.svg"],
+    ["verify", "--a-list", "1", "--tol", "nan"],
+    ["verify", "--a-list", "1", "--tol", "inf"],
+    ["verify", "--a-list", "1", "--tol", "1e400"],
+    ["verify", "--a-list", "1", "--tol=-1"],
+    ["verify", "--a-list", "1", "--tol", "pair_sum=0"],
+    ["verify", "--a-list", "1", "--fd-h", "abc"],
+    ["verify", "--a-list", "1", "--fd-h", "0"],
+    ["verify", "--a-list", "1", "--fd-h", "inf"],
+    ["table", "--a-list", "1", "--fd-h", "1e-8"],
+    ["table", "--a-list", "1", "--tol", "1e-3"],
+    ["plot", "--in", "t.csv", "--quantity", "nope", "--out", "p.svg"],
 ], ids=lambda args: " ".join(args))
 def test_bad_input_is_a_one_line_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -335,8 +353,10 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys):
     assert "Traceback" not in err
 
 
-def test_prob_failure_is_one_line_and_exit_one(capsys):
-    # at a = 5 the default quadrature orders do not converge
+def test_prob_failure_is_one_line_and_exit_one(capsys, monkeypatch):
+    # a quadrature order far too low for a = 5 cannot converge
+    monkeypatch.setattr(probability, "default_quad_order", lambda n, a: 4)
+    monkeypatch.setattr(probability, "QUAD_CONVERGENCE_TOL", 1e-60)
     assert cli.main(["prob", "1", "5"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "QuadratureConvergenceError" in err

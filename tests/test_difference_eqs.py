@@ -7,6 +7,7 @@ from gue_gap_lab import (
     BranchSelectionError,
     DegenerateDenominatorError,
     DomainError,
+    difference_eqs,
     iterate_r_orbit,
     residual_R_recurrence,
     residual_alternate_r,
@@ -49,10 +50,11 @@ def test_orbit_rejects_nonpositive_a():
         iterate_r_orbit("-2", 5, 256)
 
 
-def test_degenerate_denominator_guard():
+def test_degenerate_denominator_guard(monkeypatch):
     # an absurdly loose threshold forces the guard to fire immediately
+    monkeypatch.setattr(difference_eqs, "DEGENERACY_DIGITS", -1)
     with pytest.raises(DegenerateDenominatorError):
-        iterate_r_orbit("1", 6, 256, degeneracy_digits=-1)
+        iterate_r_orbit("1", 6, 256)
 
 
 def test_closure_residuals_pass(states_a1):

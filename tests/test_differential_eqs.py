@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DerivativeAccuracyError, DomainError, Real
+from gue_gap_lab import DomainError, Real
 from gue_gap_lab.differential_eqs import (
     build_a_grid,
     continuous_suite,
@@ -34,8 +34,8 @@ class TestStencils:
         h = "0.5"
         with mp.workprec(bits):
             samples = [Real((mp.mpf(2) + k * mp.mpf(h)) ** 6, bits) for k in range(-3, 4)]
-        d1, _ = fd_derivative(samples, 1, h)
-        d2, _ = fd_derivative(samples, 2, h)
+        d1 = fd_derivative(samples, 1, h)
+        d2 = fd_derivative(samples, 2, h)
         with mp.workprec(bits):
             # 6 x^5 and 30 x^4 at x = 2; only stencil-weight rounding remains
             assert abs(d1.value - 192) / 192 < mp.mpf(2) ** (40 - bits)
@@ -48,17 +48,10 @@ class TestStencils:
             with mp.workprec(bits):
                 hv = mp.mpf(h)
                 samples = [Real(mp.exp(1 + k * hv), bits) for k in range(-3, 4)]
-                d1, _ = fd_derivative(samples, 1, h)
+                d1 = fd_derivative(samples, 1, h)
                 errs.append(abs(d1.value - mp.exp(mp.mpf(1))))
         ratio = float(errs[0] / errs[1])
         assert 3e5 < ratio < 3e7  # h^6 means a factor near 1e6 per decade
-
-    def test_error_estimate_guard(self):
-        bits = 512
-        with mp.workprec(bits):
-            samples = [Real(mp.exp(mp.mpf(k) / 100), bits) for k in range(-3, 4)]
-        with pytest.raises(DerivativeAccuracyError):
-            fd_derivative(samples, 1, "0.01", max_err=1e-400)
 
     def test_input_validation(self):
         bits = 256

@@ -5,8 +5,6 @@ import pytest
 
 from gue_gap_lab import (
     DomainError,
-    PoleProximityError,
-    Real,
     build_recurrence_table,
     ladder_states,
     residual_identities,
@@ -91,13 +89,6 @@ def test_supplementary_all_pass(states_a1):
 def test_supplementary_covers_three_conditions(states_a1):
     names = {c.name.split("@")[0] for c in residual_supplementary(states_a1, 3).checks}
     assert names == {"s1", "s2", "s2sum"}
-
-
-def test_supplementary_rejects_z_on_the_pole(states_a1):
-    bits = states_a1[0].bits
-    near_pole = [Real.from_str("1.0000001", bits)]
-    with pytest.raises(PoleProximityError):
-        residual_supplementary(states_a1, 2, near_pole)
 
 
 def test_ladder_requires_positive_half_width():

@@ -16,6 +16,7 @@ from gue_gap_lab import (
     edge_eval,
     hermite_norm_exact,
     log_hankel_det,
+    orthopoly,
     poly_values,
     subleading_coeff,
 )
@@ -67,6 +68,23 @@ class TestCertification:
                                   target_certified_digits=40)
         table = build_recurrence_table("1", 12, starved)
         assert table.escalations >= 1
+        assert table.certified_digits >= 40
+
+    def test_one_pass_per_precision_level(self, monkeypatch):
+        # at a = 3 the 64- and 128-bit passes lose positivity; each level
+        # runs once: 64, 128, 256, 512, 1024
+        bits_seen = []
+        real_pass = orthopoly._chebyshev_pass
+
+        def counting_pass(a_value, n_max, bits):
+            bits_seen.append(bits)
+            return real_pass(a_value, n_max, bits)
+
+        monkeypatch.setattr(orthopoly, "_chebyshev_pass", counting_pass)
+        starved = PrecisionPolicy(base_bits=64, bits_per_n=0)
+        table = build_recurrence_table("3", 80, starved)
+        assert bits_seen == [64, 128, 256, 512, 1024]
+        assert table.escalations == 3
         assert table.certified_digits >= 40
 
     def test_unreachable_target_raises(self):

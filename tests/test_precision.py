@@ -37,8 +37,6 @@ class TestPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(base_bits=16)
         with pytest.raises(DomainError):
-            PrecisionPolicy(escalation_factor=1.0)
-        with pytest.raises(DomainError):
             PrecisionPolicy(max_bits=256)
 
 

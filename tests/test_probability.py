@@ -52,7 +52,10 @@ class TestQuadrature:
         assert r1 is r2
 
     def test_order_grows_with_n(self):
-        assert default_quad_order(10) > default_quad_order(1)
+        assert default_quad_order(10, "1") > default_quad_order(1, "1")
+        # unchanged up to a = 2, then growing with a
+        assert default_quad_order(3, "0.5") == default_quad_order(3, "2") == 52
+        assert default_quad_order(1, "6") > default_quad_order(1, "5") > default_quad_order(1, "2.5")
 
 
 class TestHermiteFunctions:
@@ -160,10 +163,11 @@ class TestRoutes:
         assert len(rep.checks) == 4 and rep.all_pass
         assert len(probability._GL_CACHE) == 2
 
-    def test_fredholm_convergence_guard(self):
+    def test_fredholm_convergence_guard(self, monkeypatch):
+        monkeypatch.setattr(probability, "default_quad_order", lambda n, a: 6)
+        monkeypatch.setattr(probability, "QUAD_CONVERGENCE_TOL", 1e-60)
         with pytest.raises(QuadratureConvergenceError):
-            gap_probability_fredholm(4, "1", prec_bits=64, quad_order=6,
-                                     convergence_tol=1e-60)
+            gap_probability_fredholm(4, "1", prec_bits=64)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

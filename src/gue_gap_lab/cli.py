@@ -154,7 +154,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> tuple[str, float]:
     """argparse type for --tol: NAME=VALUE, or a bare VALUE for every check;
-    VALUE is a finite number > 0."""
+    VALUE is a finite number > 0 as a float (1e-500 underflows to 0.0)."""
     name, sep, value = text.partition("=")
     if not sep:
         name, value = "all", text
@@ -164,10 +164,8 @@ def _tolerance(text: str) -> tuple[str, float]:
         tol = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"value not a number: {text!r}") from None
-    # the sign test reads the text, since a tiny value such as 1e-500
-    # underflows to a float 0.0 and stays a valid (failing) tolerance
-    if not math.isfinite(tol) or not mp.mpf(value) > 0:
-        raise argparse.ArgumentTypeError(f"value must be a finite number > 0: {text!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"value must be a finite float > 0: {text!r}")
     return name, tol
 
 

@@ -22,10 +22,13 @@ since they share no code beyond the scalar kernel.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 
 from .exceptions import DomainError, QuadratureConvergenceError
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norm_exact
@@ -50,12 +53,35 @@ def default_quad_order(n: int, a) -> int:
     return 40 + 4 * n + 16 * max(0, int(mp.ceil(as_mpf(a, 64))) - 2)
 
 
+def _initial_guess(k: int, order: int) -> float:
+    """Chebyshev-type guess for the k-th largest root of P_order."""
+    return math.cos(math.pi * (4 * k - 1) / (4 * order + 2))
+
+
+def _legendre_newton(order: int, X: int, F: int) -> tuple[int, int, int]:
+    """(dX, D, S) at x = X / 2^F from the recurrence in integers scaled by
+    2^F: the Newton correction dX = -P_order / P_order' scaled by 2^F,
+    D = (x P_order - P_order-1) 2^F and S = (1 - x^2) 2^(2F), so that the
+    Gauss-Legendre weight at x is 2 S / (order D)^2."""
+    p_prev, p = 1 << F, X
+    for j in range(1, order):
+        p_prev, p = p, ((2 * j + 1) * (X * p >> F) - j * p_prev) // (j + 1)
+    d = (X * p >> F) - p_prev
+    s = (1 << 2 * F) - X * X
+    return p * s // (order * d << F), d, s
+
+
 def gauss_legendre_rule(order: int, bits: int):
     """Nodes and weights of the Gauss-Legendre rule on (-1, 1).
 
     Newton iteration on the degree-``order`` Legendre polynomial from
-    Chebyshev initial guesses; cached per (order, bits).  Nodes come in
-    exact +- pairs so odd integrands cancel identically.
+    Chebyshev initial guesses, in fixed-point integers x = X / 2^F: each
+    node converges at a low F, then F about doubles with every step up to
+    bits + GUARD_BITS + 32 (Brent & Zimmermann, Modern Computer Arithmetic,
+    2010, sec. 4.2).  One repeated step at full F must move the node by less
+    than 2^-(bits + GUARD_BITS/2), else QuadratureConvergenceError; it also
+    gives the weight.  Rounded to nearest at ``bits`` and cached per
+    (order, bits).  Nodes come in exact +- pairs so odd integrands cancel.
     """
     if order < 1:
         raise DomainError(f"quadrature order must be >= 1, got {order}")
@@ -65,65 +91,69 @@ def gauss_legendre_rule(order: int, bits: int):
     if hit is not None:
         return hit
 
-    with mp.workprec(bits + GUARD_BITS):
-        tol = mp.mpf(2) ** (-(bits + GUARD_BITS // 2))
-        pos_nodes = []
-        pos_weights = []
-        for k in range(1, order // 2 + 1):
-            # k-th positive root, counted from the largest
-            x = mp.cos(pi_const(bits + GUARD_BITS) * (4 * k - 1) / (4 * order + 2))
-            for _ in range(200):
-                p_prev, p = mp.mpf(1), x
-                for j in range(1, order):
-                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-                dp = order * (x * p - p_prev) / (x * x - 1)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            p_prev, p = mp.mpf(1), x
-            for j in range(1, order):
-                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-            dp = order * (x * p - p_prev) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            pos_nodes.append(x)
-            pos_weights.append(w)
-        nodes = [-x for x in pos_nodes] + (
-            [mp.mpf(0)] if order % 2 == 1 else []
-        ) + list(reversed(pos_nodes))
-        weights = list(pos_weights)
-        if order % 2 == 1:
-            x = mp.mpf(0)
-            p_prev, p = mp.mpf(1), x
-            for j in range(1, order):
-                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-            dp = order * (x * p - p_prev) / (x * x - 1)
-            weights.append(2 / (dp * dp))
-        weights += list(reversed(pos_weights))
-        with mp.workprec(bits):
-            result = (
-                tuple(+x for x in nodes),
-                tuple(+w for w in weights),
+    F = bits + GUARD_BITS + 32
+    # near the ends the Newton constant costs up to loss bits: a step at
+    # precision f from f // 2 + loss accurate bits is accurate to f - loss
+    loss = 2 * order.bit_length()
+    start = 2 * loss + 32
+    schedule = [F]
+    while schedule[-1] > start:
+        schedule.append(schedule[-1] // 2 + loss)
+    rnd = libmp.round_nearest
+    pos_nodes, pos_weights = [], []
+    for k in range(1, order // 2 + 1):
+        f = start
+        X = round(math.ldexp(_initial_guess(k, order), f))
+        for _ in range(100):
+            dX = _legendre_newton(order, X, f)[0]
+            X += dX
+            if abs(dX) < 1 << loss:
+                break
+        for f_next in schedule[-2::-1]:
+            X <<= f_next - f
+            f = f_next
+            X += _legendre_newton(order, X, f)[0]
+        dX, d, s = _legendre_newton(order, X, F)
+        if not abs(dX) < 1 << (F - bits - GUARD_BITS // 2):
+            raise QuadratureConvergenceError(
+                f"Newton did not converge to root {k} of P_{order} at {bits} bits"
             )
+        pos_nodes.append(libmp.from_man_exp(X + dX, -F, bits, rnd))
+        pos_weights.append(libmp.from_rational(2 * s, (order * d) ** 2, bits, rnd))
+    nodes = [libmp.mpf_neg(x) for x in pos_nodes]
+    weights = list(pos_weights)
+    if order % 2 == 1:
+        _, d, s = _legendre_newton(order, 0, F)
+        nodes.append(libmp.fzero)
+        weights.append(libmp.from_rational(2 * s, (order * d) ** 2, bits, rnd))
+    nodes += reversed(pos_nodes)
+    weights += reversed(pos_weights)
+    result = (tuple(map(mp.make_mpf, nodes)), tuple(map(mp.make_mpf, weights)))
     with _GL_LOCK:
         _GL_CACHE[key] = result
     return result
 
 
+@functools.lru_cache(maxsize=16)
+def _hermite_coefficients(count: int, bits: int) -> tuple:
+    """(sqrt(2/(l+1)), sqrt(l/(l+1))) for l < count - 1, at ``bits``."""
+    with mp.workprec(bits):
+        return tuple((mp.sqrt(mp.mpf(2) / (l + 1)), mp.sqrt(mp.mpf(l) / (l + 1)))
+                     for l in range(count - 1))
+
+
 def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
     """[phi_0(x), ..., phi_{count-1}(x)] for the orthonormal Hermite
     functions phi_l(x) = (2^l l! sqrt(pi))^{-1/2} H_l(x) e^{-x^2/2}."""
+    coefficients = _hermite_coefficients(count, bits)
     with mp.workprec(bits):
         phi0 = mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(pi_const(bits)))
         vals = [phi0]
         if count > 1:
-            vals.append(mp.sqrt(mp.mpf(2)) * x * phi0)
+            vals.append(coefficients[0][0] * x * phi0)
         for l in range(1, count - 1):
-            nxt = (
-                mp.sqrt(mp.mpf(2) / (l + 1)) * x * vals[l]
-                - mp.sqrt(mp.mpf(l) / (l + 1)) * vals[l - 1]
-            )
-            vals.append(nxt)
+            c_up, c_down = coefficients[l]
+            vals.append(c_up * x * vals[l] - c_down * vals[l - 1])
         return vals
 
 
@@ -143,13 +173,9 @@ def overlap_matrix(n: int, a, order: int, bits: int) -> list[list[mp.mpf]]:
         phi_rows = [hermite_function_values(n, av * t, bits) for t in nodes]
         G = [[mp.mpf(0)] * n for _ in range(n)]
         for l in range(n):
+            w_l = [w * row[l] for w, row in zip(weights, phi_rows)]
             for m in range(l, n):
-                acc = mp.fsum(
-                    w * row[l] * row[m] for w, row in zip(weights, phi_rows)
-                )
-                v = av * acc
-                G[l][m] = v
-                G[m][l] = v
+                G[l][m] = G[m][l] = av * mp.fsum(wl * row[m] for wl, row in zip(w_l, phi_rows))
         return G
 
 

@@ -152,15 +152,15 @@ class TestVerify:
     def test_named_tolerance_override(self, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--suite", "discrete", "--n-max", "3",
-                        "--a-list", "1", "--tol", "orbit_vs_direct=1e-500",
+                        "--a-list", "1", "--tol", "orbit_vs_direct=1e-300",
                         "--out", str(out)])
-        assert code == 1
+        # every residual of this cell is below 1e-308
+        assert code == 0
         doc = json.loads(out.read_text())
-        for c in doc["checks"]:
-            if c["name"] == "orbit_vs_direct":
-                assert c["tolerance"] == 1e-500
-            else:
-                assert c["pass"]
+        tolerances = {c["name"]: c["tolerance"] for c in doc["checks"]}
+        assert tolerances.pop("orbit_vs_direct") == 1e-300
+        assert tolerances and 1e-300 not in tolerances.values()
+        assert all(c["pass"] for c in doc["checks"])
 
     def test_zero_cell_warns_but_does_not_fail(self, tmp_path):
         out = tmp_path / "v.json"
@@ -337,6 +337,7 @@ def test_bad_tolerance_syntax_is_an_error():
     ["verify", "--a-list", "1", "--tol", "1e400"],
     ["verify", "--a-list", "1", "--tol=-1"],
     ["verify", "--a-list", "1", "--tol", "pair_sum=0"],
+    ["verify", "--a-list", "1", "--tol", "orbit_vs_direct=1e-500"],
     ["verify", "--a-list", "1", "--fd-h", "abc"],
     ["verify", "--a-list", "1", "--fd-h", "0"],
     ["verify", "--a-list", "1", "--fd-h", "inf"],

@@ -1,6 +1,9 @@
 """Gap probability routes: quadrature, determinants, anchors, agreement."""
 
+import hashlib
+
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 import pytest
 
 from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError, probability
@@ -51,6 +54,39 @@ class TestQuadrature:
         r2 = gauss_legendre_rule(16, 256)
         assert r1 is r2
 
+    def test_against_mpmath_rule(self):
+        # mpmath's degree-5 Gauss-Legendre rule has 3 * 2^4 = 48 nodes
+        nodes, weights = gauss_legendre_rule(48, 512)
+        ref = sorted(GaussLegendre(mp.mp).calc_nodes(5, 512))
+        assert len(ref) == len(nodes) == 48
+        with mp.workprec(512):
+            for x, w, (x_ref, w_ref) in zip(nodes, weights, ref):
+                assert abs(x - x_ref) < mp.mpf(10) ** -140
+                assert abs(w - w_ref) < mp.mpf(10) ** -140
+
+    @pytest.mark.parametrize("order, digest", [
+        (52, "510cf593c42d283c9a0f3de792c1dae4f09c4a04bfcd83e23dcd929e638bc23f"),
+        (104, "498906c63952bcd15c3676369bc49532231d19ed29126706aac012d38904c7b4"),
+    ])
+    def test_verify_cell_rules_are_pinned(self, order, digest):
+        # the rule pair of a verify cell at n = 3, a <= 2: its rounded nodes
+        # and weights feed every printed route-agreement residual
+        def raw(values):
+            return [(s, int(m), e, bc) for s, m, e, bc in (v._mpf_ for v in values)]
+
+        nodes, weights = gauss_legendre_rule(order, 1328)
+        text = repr((raw(nodes), raw(weights)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_newton_failure_is_an_error(self, monkeypatch):
+        # from x = 5 Newton creeps towards the largest root by about x / order
+        # per step, far too slowly to converge within its step budget
+        monkeypatch.setattr(probability, "_GL_CACHE", {})
+        monkeypatch.setattr(probability, "_initial_guess", lambda k, order: 5.0)
+        with pytest.raises(QuadratureConvergenceError, match="did not converge"):
+            gauss_legendre_rule(48, 256)
+        assert probability._GL_CACHE == {}
+
     def test_order_grows_with_n(self):
         assert default_quad_order(10, "1") > default_quad_order(1, "1")
         # unchanged up to a = 2, then growing with a
@@ -68,6 +104,21 @@ class TestHermiteFunctions:
             phi1 = mp.sqrt(2) * x * phi0
             assert abs(vals[0] - phi0) / phi0 < mp.mpf(10) ** -140
             assert abs(vals[1] - phi1) / phi1 < mp.mpf(10) ** -140
+
+    def test_matches_the_uncached_recurrence(self):
+        # the cached coefficients are the same roundings in the same order
+        bits = 384
+        with mp.workprec(bits):
+            x = mp.mpf("-1.3")
+            ref = [mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(mp.pi))]
+            ref.append(mp.sqrt(mp.mpf(2)) * x * ref[0])
+            for l in range(1, 7):
+                ref.append(
+                    mp.sqrt(mp.mpf(2) / (l + 1)) * x * ref[l]
+                    - mp.sqrt(mp.mpf(l) / (l + 1)) * ref[l - 1]
+                )
+        vals = hermite_function_values(8, x, bits)
+        assert [v._mpf_ for v in vals] == [r._mpf_ for r in ref]
 
     def test_orthonormality_via_quadrature(self):
         # integrate phi_i phi_j over [-12, 12]: the tail beyond is < 1e-31,

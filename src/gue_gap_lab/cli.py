@@ -32,6 +32,7 @@ import mpmath as mp
 from .difference_eqs import (
     BRANCH_MATCH_TOL,
     iterate_r_orbit,
+    orbit_recurrence_table,
     residual_R_recurrence,
     residual_alternate_r,
     residual_orbit_vs_direct,
@@ -39,9 +40,9 @@ from .difference_eqs import (
     select_r_branch,
 )
 from .differential_eqs import DEFAULT_FD_STEP, build_a_grid, continuous_suite
-from .exceptions import DomainError, EdgeZeroError, GapLabError
+from .exceptions import DegenerateDenominatorError, DomainError, EdgeZeroError, GapLabError
 from .ladder import ladder_states, residual_identities, residual_supplementary
-from .orthopoly import build_recurrence_table, edge_eval, hermite_norm_exact
+from .orthopoly import build_recurrence_table, hermite_norm_exact
 from .precision import PrecisionPolicy
 from .probability import probability_record, residual_oracle
 from .report import ResidualCheck, ResidualReport, sci_str
@@ -209,7 +210,7 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
     if a_is_zero:
         return _table_rows_zero(config, a_str)
     try:
-        table = build_recurrence_table(a_str, n_max, policy)
+        table = _table_route(a_str, n_max, policy)
     except GapLabError as exc:
         return [
             _row(n, a_str, status=f"error:{type(exc).__name__}")
@@ -247,36 +248,47 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
     return rows
 
 
+def _table_route(a_str: str, n_max: int, policy: PrecisionPolicy):
+    """The certified table of one a > 0 cell: from the r_n orbit, or from
+    the Chebyshev pass where the orbit degenerates (r_n + r_{n-1} = a R_{n-1}
+    is O(a^3) at small a, so the orbit's guard fires there)."""
+    try:
+        return orbit_recurrence_table(a_str, n_max, policy)
+    except DegenerateDenominatorError:
+        return build_recurrence_table(a_str, n_max, policy)
+
+
 def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     """Rows at a = 0: the classical weight, where the gap closes.
 
-    The probability is exactly 1 and r vanishes identically; sigma carries
-    the one-sided limit -sum R_j(0+), which is the slope of ln P from the
-    right.  Odd-n rows are flagged edge-zero for the structural parity zero
-    of P_n at the origin.
+    beta_n = n/2 and h_n = (n!/2^n) sqrt(pi) in closed form, and
+    P_{n+1}(0) = -beta_n P_{n-1}(0).  The probability is exactly 1 and r
+    vanishes identically; sigma carries the one-sided limit -sum R_j(0+),
+    which is the slope of ln P from the right.  Odd-n rows are flagged
+    edge-zero for the structural parity zero of P_n at the origin.
     """
     policy = config.policy
     n_max = config.n_max
     digits = config.digits or policy.target_certified_digits
-    table = build_recurrence_table("0", n_max, policy)
-    bits = table.working_bits
+    bits = policy.working_bits(n_max)
     rows = []
     with mp.workprec(bits):
         sigma = mp.mpf(0)
         p_val = mp.mpf(0)
+        P_prev, P = mp.mpf(0), mp.mpf(1)  # P_{n-1}(0), P_n(0)
         for n in range(n_max + 1):
-            ev = edge_eval(table, n)
-            beta = table.beta[n].value if n >= 1 else mp.mpf(0)
-            hn = table.h[n].value
-            rn2 = 2 * ev.Pn_at_a.value ** 2 / hn
+            beta = mp.mpf(n) / 2
+            hn = hermite_norm_exact(n, bits).value
+            rn2 = 2 * P ** 2 / hn
             rows.append(_row(
                 n, a_str, status="ok" if n % 2 == 0 else "edge-zero",
                 digits=digits,
-                beta=beta, h=hn, Pn=ev.Pn_at_a.value, p=p_val,
+                beta=beta, h=hn, Pn=P, p=p_val,
                 R=rn2, r=mp.mpf(0), sigma=sigma, prob=mp.mpf(1),
             ))
             sigma -= rn2
-            p_val -= beta if n >= 1 else mp.mpf(0)
+            p_val -= beta
+            P_prev, P = P, -beta * P_prev
     return rows
 
 

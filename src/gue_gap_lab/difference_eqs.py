@@ -4,7 +4,10 @@ The off-diagonal edge quantity r_n closes on itself as a second-order
 rational recurrence in n.  Iterating it from the two seeds r_0 = 0,
 r_1 = 2a e^{-a^2} / (sqrt(pi) erfc(a)) gives a route to every r_n that
 never touches moments or polynomials, so comparing the orbit against the
-directly computed ladder is a genuine two-route consistency check.
+directly computed ladder is a genuine two-route consistency check.  With
+beta_n = (n + r_n)/2 and h_n = beta_n h_{n-1} the orbit also gives the whole
+recurrence table in O(n) steps (``orbit_recurrence_table``), certified by the
+same two-level loop as the Chebyshev route; ``table`` is built that way.
 
 The same closure can be written three more ways, each checked here as a
 residual: an alternate form in y_n = -2 r_n / a^2 (a modified discrete
@@ -24,9 +27,10 @@ import mpmath as mp
 
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
-from .precision import Real, as_mpf
+from .orthopoly import RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs
+from .precision import PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
-from .weight import GapWeight, seed_r1
+from .weight import GapWeight, moment, seed_r1
 
 DISCRETE_TOL = 1e-30
 ORBIT_TOL = 1e-25
@@ -72,6 +76,43 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
                 )
             r_list.append(-r_n + 2 * av * av * r_n * r_n / (f1 * f2))
     return DiscreteOrbit(a=Real(av, prec_bits), r=tuple(Real(v, prec_bits) for v in r_list))
+
+
+def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
+    """One orbit-to-recurrence pass at a fixed precision.
+
+    beta_n = (n + r_n)/2 from the orbit, h_0 = mu_0 = sqrt(pi) erfc(a) and
+    h_n = beta_n h_{n-1}.  Returns (beta, h) as lists of mpf; raises
+    _NonPositiveNorm when some beta_n <= 0.
+    """
+    r = iterate_r_orbit(a_value, max(n_max, 1), bits).r
+    h0 = moment(0, GapWeight(Real(as_mpf(a_value, bits), bits), bits)).value
+    with mp.workprec(bits):
+        beta = [mp.mpf(0)]
+        h = [h0]
+        for n in range(1, n_max + 1):
+            b = (n + r[n].value) / 2
+            if not b > 0:
+                raise _NonPositiveNorm(n)
+            beta.append(b)
+            h.append(b * h[n - 1])
+    return beta, h
+
+
+def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None) -> RecurrenceTable:
+    """beta_j, h_j for j <= n_max from the r_n orbit, with certified accuracy.
+
+    The same table as ``orthopoly.build_recurrence_table`` by another route:
+    O(n_max) steps of the difference equation instead of moments and the
+    Chebyshev pass, certified by the same loop (``orthopoly._certify``).
+    The orbit loses digits slowly (tens at n = 1000 for a <= 3), so the
+    loop starts at ``policy.base_bits`` rather than at the Chebyshev
+    route's ``policy.working_bits(n_max)``.  Requires a > 0 (DomainError);
+    raises DegenerateDenominatorError where the orbit cannot be iterated,
+    and the Chebyshev route's exceptions otherwise.
+    """
+    policy, a_value = _parse_inputs(a, n_max, policy)
+    return _certify(_orbit_pass, a_value, n_max, policy.base_bits, policy)
 
 
 def residual_orbit_vs_direct(

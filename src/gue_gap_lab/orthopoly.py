@@ -8,10 +8,14 @@ Chebyshev algorithm on mixed moments S_k[l] = integral P_k(x) x^l w(x) dx:
     h_k     = S_k[k]
     beta_k  = h_k / h_{k-1}
 
-That map is notoriously ill conditioned, which is the point of running it
-in arbitrary precision: a build is accepted only after two passes at
-different precisions agree to the policy's target number of digits, and the
-working precision escalates until they do or a ceiling is hit.
+That map is notoriously ill conditioned (about half a digit lost per
+degree), which is the point of running it in arbitrary precision: a build
+is accepted only after two passes at different precisions agree to the
+policy's target number of digits, and the working precision escalates until
+they do or a ceiling is hit.  That loop, ``_certify``, also certifies the
+second route to the same table, ``difference_eqs.orbit_recurrence_table``,
+which ``table`` uses; ``verify``, ``prob`` and the acceptance gate use this
+module's Chebyshev route.
 
 Conventions: beta_0 = 0 and P_{-1} = 0, so h_0 = mu_0 and p(0) = p(1) = 0
 for the subleading coefficient p(n) = -(beta_0 + ... + beta_{n-1}).
@@ -27,7 +31,7 @@ import mpmath as mp
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
 from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf, sqrt_pi_const
-from .weight import GapWeight, moment
+from .weight import GapWeight, moments
 
 _LOG10_2 = 0.30102999566398120
 
@@ -70,7 +74,7 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int):
     precision was insufficient to keep the norms positive.
     """
     w = GapWeight(Real(as_mpf(a_value, bits), bits), bits)
-    mu = [moment(k, w).value for k in range(2 * n_max + 1)]
+    mu = [m.value for m in moments(2 * n_max + 1, w)]
     with mp.workprec(bits):
         zero = mp.mpf(0)
         beta = [zero]
@@ -96,56 +100,43 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int):
     return beta, h
 
 
-def _agreement_digits(x: mp.mpf, y: mp.mpf, cap: int) -> int:
-    """Decimal digits on which two estimates of the same quantity agree."""
-    if x == y:
-        return cap
-    with mp.workprec(64):
-        den = max(abs(x), abs(y))
-        if den == 0:
-            return cap
-        rel = abs(x - y) / den
-        if rel >= 1:
-            return 0
-        return min(cap, int(mp.floor(-mp.log10(rel))))
-
-
 def _certified_digits(lo, hi, lo_bits: int) -> int:
-    """Minimum cross-precision agreement over all recurrence coefficients."""
+    """Decimal digits on which two passes agree: the worst relative
+    disagreement over all recurrence coefficients, capped at the lower
+    pass's precision.  One logarithm, of the worst disagreement, since
+    floor(-log10(rel)) falls as rel grows."""
     beta_lo, h_lo = lo
     beta_hi, h_hi = hi
     cap = int(lo_bits * _LOG10_2)
-    worst = cap
-    for j in range(1, len(beta_lo)):
-        worst = min(worst, _agreement_digits(beta_lo[j], beta_hi[j], cap))
-    for j in range(len(h_lo)):
-        worst = min(worst, _agreement_digits(h_lo[j], h_hi[j], cap))
-    return worst
+    pairs = list(zip(beta_lo[1:], beta_hi[1:])) + list(zip(h_lo, h_hi))
+    worst = 0
+    with mp.workprec(64):
+        for x, y in pairs:
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        if worst == 0:
+            return cap
+        if worst >= 1:
+            return 0
+        return min(cap, int(mp.floor(-mp.log10(worst))))
 
 
-def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None) -> RecurrenceTable:
-    """Build beta_j, h_j for j <= n_max with certified accuracy.
+def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
+             policy: PrecisionPolicy) -> RecurrenceTable:
+    """Run ``pass_fn(a_value, n_max, bits) -> (beta, h)`` up the precision
+    ladder until two consecutive levels agree to the policy target.
 
-    ``a`` may be a Real, an mpf, an int, or a decimal string (preferred for
-    CLI input: the string parses exactly once at the ceiling precision, so
-    every pass sees the same real number).
-
-    The certification loop runs one pass per precision level W, 2W, 4W, ...
-    (capped at the ceiling), takes the worst cross-precision agreement of
-    two consecutive passes over all coefficients as the certified digit
-    count, and stops when it meets the policy target.  Raises
+    The loop runs one pass per precision level W, 2W, 4W, ... from
+    ``start_bits`` (capped at the ceiling), takes the worst cross-precision
+    agreement of two consecutive passes over all beta_j and h_j as the
+    certified digit count, and stops when it meets the policy target.  A
+    pass raises _NonPositiveNorm when its precision cannot keep the norms
+    positive; that level then certifies nothing.  Raises
     PrecisionExhaustedError when the ceiling is reached first, and
     IllConditioningError if norms cannot even be kept positive there.
+    Both recurrence builders certify through this one loop.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if policy is None:
-        policy = PrecisionPolicy()
-    a_value = as_mpf(a, policy.max_bits + GUARD_BITS)
-    if a_value < 0:
-        raise DomainError(f"gap half-width must be >= 0, got {a_value}")
-
-    bits = min(policy.working_bits(n_max), policy.max_bits)
+    bits = min(start_bits, policy.max_bits)
     if bits >= policy.max_bits:
         # Nothing above the starting precision to compare against, so the
         # build cannot be certified.
@@ -161,7 +152,7 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
     best_certified = 0
     while True:
         try:
-            cur = _chebyshev_pass(a_value, n_max, bits)
+            cur = pass_fn(a_value, n_max, bits)
         except _NonPositiveNorm as exc:
             if bits >= policy.max_bits:
                 raise IllConditioningError(
@@ -193,6 +184,35 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
             )
         prev, prev_bits = cur, bits
         bits = min(policy.escalate(bits), policy.max_bits)
+
+
+def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
+    """(policy, a) for a recurrence build: the default policy when None, and
+    a parsed once at the ceiling precision so every pass sees the same
+    real number.  Rejects n_max < 0 and a < 0."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if policy is None:
+        policy = PrecisionPolicy()
+    a_value = as_mpf(a, policy.max_bits + GUARD_BITS)
+    if a_value < 0:
+        raise DomainError(f"gap half-width must be >= 0, got {a_value}")
+    return policy, a_value
+
+
+def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None) -> RecurrenceTable:
+    """Build beta_j, h_j for j <= n_max with certified accuracy.
+
+    ``a`` may be a Real, an mpf, an int, or a decimal string (preferred for
+    CLI input: the string parses exactly once at the ceiling precision, so
+    every pass sees the same real number).
+
+    Chebyshev passes from the moments, certified by ``_certify`` from
+    ``policy.working_bits(n_max)``: the map loses about half a digit per
+    degree, which that starting precision budgets for.
+    """
+    policy, a_value = _parse_inputs(a, n_max, policy)
+    return _certify(_chebyshev_pass, a_value, n_max, policy.working_bits(n_max), policy)
 
 
 def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:

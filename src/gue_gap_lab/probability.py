@@ -160,8 +160,11 @@ def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
 def overlap_matrix(n: int, a, order: int, bits: int) -> list[list[mp.mpf]]:
     """G[l][m] = integral_{-a}^{a} phi_l phi_m dx for l, m < n.
 
-    Entries with l + m odd vanish by parity, and the symmetric node pairs
-    of the rule make that cancellation exact in floating point.
+    phi_l(-x) = (-1)^l phi_l(x) holds exactly in floating point and the
+    rule's nodes come in exact +- pairs, so only the nonnegative nodes are
+    evaluated: an entry with l + m even is the sum of twice each positive
+    node's term plus the middle node's (one rounding, as over all nodes),
+    and an entry with l + m odd is exactly 0.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
@@ -169,12 +172,14 @@ def overlap_matrix(n: int, a, order: int, bits: int) -> list[list[mp.mpf]]:
     if av < 0:
         raise DomainError("gap half-width must be >= 0")
     nodes, weights = gauss_legendre_rule(order, bits)
+    half = order // 2
     with mp.workprec(bits):
-        phi_rows = [hermite_function_values(n, av * t, bits) for t in nodes]
+        phi_rows = [hermite_function_values(n, av * t, bits) for t in nodes[half:]]
+        folded = [w if t == 0 else 2 * w for t, w in zip(nodes[half:], weights[half:])]
         G = [[mp.mpf(0)] * n for _ in range(n)]
         for l in range(n):
-            w_l = [w * row[l] for w, row in zip(weights, phi_rows)]
-            for m in range(l, n):
+            w_l = [w * row[l] for w, row in zip(folded, phi_rows)]
+            for m in range(l, n, 2):
                 G[l][m] = G[m][l] = av * mp.fsum(wl * row[m] for wl, row in zip(w_l, phi_rows))
         return G
 

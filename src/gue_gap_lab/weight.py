@@ -12,19 +12,20 @@ gives the two-term recurrence (DLMF 8.8.2 with s = (k+1)/2, x = a^2)
 
     mu_{k+2} = ((k+1)/2) mu_k + a^{k+1} e^{-a^2},   mu_0 = sqrt(pi) erfc(a),
 
-which ``moment`` runs upward from mu_0.  Every term is nonnegative for
-a >= 0, so no step cancels: each one adds at most a few roundings, and mu_k
-carries a relative error of about (k/2 + 1) 2^-work at ``work`` bits.  The
-recurrence runs with guard bits above the weight's precision, which covers
-that growth for any k the recurrence builder asks for.  These exact moments
-are the sole input to the recurrence builder; no quadrature is involved on
-the main computational path.
+which ``moments`` runs upward from mu_0 in one sweep.  Every term is
+nonnegative for a >= 0, so no step cancels: each one adds at most a few
+roundings, and mu_k carries a relative error of about (k/2 + 1) 2^-work at
+``work`` bits.  The recurrence runs with guard bits above the weight's
+precision, which covers that growth for any k the recurrence builder asks
+for.  These exact moments are the sole input to the Chebyshev route of the
+recurrence builder; no quadrature is involved on the main computational
+path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import mpmath as mp
 
@@ -61,34 +62,50 @@ class GapWeight:
             v = mp.exp(-(self.a.value ** 2))
         return Real(v, bits)
 
-    @cached_property
+    @property
     def _mu0_guarded(self) -> mp.mpf:
         """mu_0 = sqrt(pi) erfc(a) at prec_bits + GUARD_BITS, the recurrence start."""
-        work = self.prec_bits + GUARD_BITS
-        with mp.workprec(work):
-            return sqrt_pi_const(work) * mp.erfc(self.a.value)
+        return _mu0(self.a.value, self.prec_bits + GUARD_BITS)
 
 
-def moment(k: int, w: GapWeight) -> Real:
-    """k-th power moment of the weight; exactly zero for odd k.
+@functools.lru_cache(maxsize=16)
+def _mu0(a: mp.mpf, work: int) -> mp.mpf:
+    """sqrt(pi) erfc(a) at ``work`` bits, cached per (a, work): an orbit pass
+    needs it twice, for the seed r_1 and for h_0, from two weights."""
+    with mp.workprec(work):
+        return sqrt_pi_const(work) * mp.erfc(a)
 
-    Even moments come from k/2 steps of the upward recurrence in the module
-    docstring, started at mu_0 = sqrt(pi) erfc(a).
-    """
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
+
+def moments(count: int, w: GapWeight) -> list[Real]:
+    """[mu_0, ..., mu_{count-1}] from one upward sweep of the recurrence in
+    the module docstring, started at mu_0 = sqrt(pi) erfc(a); odd moments
+    are exactly zero."""
+    if count < 0:
+        raise DomainError(f"moment count must be >= 0, got {count}")
     bits = w.prec_bits
-    if k % 2 == 1:
-        return Real(as_mpf(0, bits), bits)
+    zero = Real(as_mpf(0, bits), bits)
+    out = []
     mu = w._mu0_guarded
     with mp.workprec(bits + GUARD_BITS):
         a = w.a.value
         a_sq = a * a
-        edge = a * mp.exp(-a_sq)  # a^{j+1} e^{-a^2} for j = 0
-        for j in range(0, k, 2):
-            mu = (j + 1) * mu / 2 + edge
-            edge *= a_sq
-    return Real(as_mpf(mu, bits), bits)
+        edge = a * mp.exp(-a_sq)  # a^{k-1} e^{-a^2} at the step to even k
+        for k in range(count):
+            if k % 2 == 1:
+                out.append(zero)
+                continue
+            if k > 0:
+                mu = (k - 1) * mu / 2 + edge
+                edge *= a_sq
+            out.append(Real(as_mpf(mu, bits), bits))
+    return out
+
+
+def moment(k: int, w: GapWeight) -> Real:
+    """k-th power moment of the weight; exactly zero for odd k."""
+    if k < 0:
+        raise DomainError(f"moment order must be >= 0, got {k}")
+    return moments(k + 1, w)[k]
 
 
 def seed_R0(w: GapWeight) -> Real:

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes, plots."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from concurrent.futures import Future
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import PrecisionPolicy, cli, probability
+from gue_gap_lab import PrecisionPolicy, build_recurrence_table, cli, probability
+from gue_gap_lab.report import sci_str
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
 
@@ -58,6 +60,42 @@ class TestTable:
         with mp.workprec(64):
             assert mp.mpf(rows[1]["beta"]) == mp.mpf("0.5")
             assert mp.mpf(rows[2]["sigma"]) < 0
+
+    def test_zero_rows_match_the_certified_table(self, tmp_path):
+        # the closed forms beta_n = n/2, h_n = (n!/2^n) sqrt(pi) against the
+        # Chebyshev route at a = 0
+        out = tmp_path / "z.csv"
+        run_cli(["table", "--n-max", "12", "--a-list", "0",
+                 "--digits", "40", "--out", str(out)])
+        _, rows = read_table(str(out))
+        table = build_recurrence_table("0", 12)
+        assert [r["beta"] for r in rows] == [sci_str(b, 40) for b in table.beta]
+        assert [r["h"] for r in rows] == [sci_str(h, 40) for h in table.h]
+
+    def test_degenerate_orbit_falls_back_to_the_chebyshev_rows(self, tmp_path):
+        # at a = 1e-12 the orbit's guard fires at n = 2; the rows are those
+        # the Chebyshev route printed before the orbit route existed
+        out = tmp_path / "tiny.csv"
+        assert run_cli(["table", "--n-max", "5", "--a-list", "1e-12",
+                        "--digits", "30", "--out", str(out)]) == 0
+        body = out.read_text().split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "58fa459663f27b58f1ee59bdeca0af199cf7714d5d88473ca2e56ef50347ca55")
+        _, rows = read_table(str(out))
+        assert all(r["status"] == "ok" for r in rows)
+
+    def test_large_n_certifies_independent_of_base_bits(self, tmp_path):
+        bodies = []
+        for bits in ("512", "2048"):
+            out = tmp_path / f"big{bits}.csv"
+            assert run_cli(["table", "--n-max", "1000", "--a-list", "1",
+                            "--digits", "30", "--prec-bits", bits,
+                            "--out", str(out)]) == 0
+            _, rows = read_table(str(out))
+            assert len(rows) == 1001
+            assert all(r["status"] == "ok" for r in rows)
+            bodies.append(out.read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
 
     def test_byte_identical_reruns_and_jobs_merge(self, tmp_path):
         args = ["table", "--n-max", "3", "--a-list", "0.5,1.5",

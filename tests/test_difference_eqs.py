@@ -7,6 +7,8 @@ from gue_gap_lab import (
     BranchSelectionError,
     DegenerateDenominatorError,
     DomainError,
+    PrecisionPolicy,
+    build_recurrence_table,
     difference_eqs,
     iterate_r_orbit,
     residual_R_recurrence,
@@ -14,7 +16,7 @@ from gue_gap_lab import (
     residual_orbit_vs_direct,
     residual_sigma_recurrence,
 )
-from gue_gap_lab.difference_eqs import select_r_branch
+from gue_gap_lab.difference_eqs import orbit_recurrence_table, select_r_branch
 from gue_gap_lab.report import all_pass
 
 
@@ -55,6 +57,47 @@ def test_degenerate_denominator_guard(monkeypatch):
     monkeypatch.setattr(difference_eqs, "DEGENERACY_DIGITS", -1)
     with pytest.raises(DegenerateDenominatorError):
         iterate_r_orbit("1", 6, 256)
+
+
+@pytest.mark.parametrize("a_text", ["1e-9", "0.25", "1", "3", "6", "12"])
+def test_orbit_table_agrees_with_chebyshev_table(a_text):
+    # two routes to beta_j and h_j, each certified by its own pair of passes
+    for n_max in (0, 1, 2, 30, 60):
+        orbit = orbit_recurrence_table(a_text, n_max)
+        cheb = build_recurrence_table(a_text, n_max)
+        digits = min(orbit.certified_digits, cheb.certified_digits)
+        assert digits >= 40
+        with mp.workprec(cheb.working_bits):
+            tol = mp.mpf(10) ** (1 - digits)
+            for j in range(n_max + 1):
+                for x, y in ((orbit.beta[j], cheb.beta[j]), (orbit.h[j], cheb.h[j])):
+                    assert abs(x.value - y.value) <= tol * abs(y.value), (n_max, j)
+
+
+def test_orbit_table_certifies_from_base_bits(monkeypatch):
+    # one orbit pass per precision level from base_bits, not working_bits(n_max)
+    bits_seen = []
+    real_pass = difference_eqs._orbit_pass
+
+    def counting_pass(a_value, n_max, bits):
+        bits_seen.append(bits)
+        return real_pass(a_value, n_max, bits)
+
+    monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
+    table = orbit_recurrence_table("1", 12, PrecisionPolicy(base_bits=64))
+    assert bits_seen == [64, 128, 256, 512]
+    assert table.working_bits == 512
+    assert table.escalations == 2
+    assert table.certified_digits >= 40
+
+
+def test_orbit_table_degenerates_at_tiny_half_width():
+    # r_2 + r_1 = a R_1 is O(a^3) while r_1 is O(a): the guard fires at n = 2
+    with pytest.raises(DegenerateDenominatorError) as exc:
+        orbit_recurrence_table("1e-12", 5)
+    assert exc.value.n == 2
+    with pytest.raises(DomainError):
+        orbit_recurrence_table("0", 5)
 
 
 def test_closure_residuals_pass(states_a1):

@@ -164,6 +164,25 @@ class TestDeterminant:
         with pytest.raises(QuadratureConvergenceError):
             det_identity_minus(G, bits)
 
+    @pytest.mark.parametrize("n, a_text, order, bits", [
+        (1, "0.5", 40, 256), (6, "1.1", 45, 384), (9, "2.5", 76, 800),
+        (4, "5", 129, 1328), (5, "0.7", 52, 1328),
+    ])
+    def test_parity_fold_matches_the_full_node_sum(self, n, a_text, order, bits):
+        # reference: every node, every entry with m >= l, one fsum each
+        nodes, weights = gauss_legendre_rule(order, bits)
+        ref = [[None] * n for _ in range(n)]
+        with mp.workprec(bits):
+            av = mp.mpf(a_text)
+            rows = [hermite_function_values(n, av * t, bits) for t in nodes]
+            for l in range(n):
+                for m in range(l, n):
+                    ref[l][m] = ref[m][l] = av * mp.fsum(
+                        w * row[l] * row[m] for w, row in zip(weights, rows))
+        G = overlap_matrix(n, a_text, order, bits)
+        assert [[v._mpf_ for v in row] for row in G] == [[v._mpf_ for v in row] for row in ref]
+        assert all(G[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
+
     def test_overlap_matrix_symmetric(self):
         bits = 384
         G = overlap_matrix(5, "1.1", 44, bits)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gue_gap_lab import DomainError, GapWeight, Real, moment, seed_R0, seed_r1
+from gue_gap_lab.precision import GUARD_BITS, as_mpf
+from gue_gap_lab.weight import moments
 
 R0_AT_1 = "2.63896751423479126047150115207156112883768656"
 TWO_OVER_SQRT_PI = "1.12837916709551257389615890312154517168810126"
@@ -33,6 +35,35 @@ def test_even_moments_match_incomplete_gamma_oracle():
                 ref = mp.gammainc(mp.mpf(k + 1) / 2, av * av, mp.inf)
                 rel = abs(m.value - ref) / ref
             assert rel < mp.mpf(10) ** -140
+
+
+def per_order_moment(k, w):
+    """mu_k by restarting the recurrence at mu_0 for this k alone."""
+    bits = w.prec_bits
+    if k % 2 == 1:
+        return as_mpf(0, bits)
+    mu = w._mu0_guarded
+    with mp.workprec(bits + GUARD_BITS):
+        a = w.a.value
+        edge = a * mp.exp(-a * a)
+        for j in range(0, k, 2):
+            mu = (j + 1) * mu / 2 + edge
+            edge *= a * a
+    return as_mpf(mu, bits)
+
+
+@pytest.mark.parametrize("a_text", ["0", "0.5", "3"])
+def test_one_sweep_matches_per_order_recurrence(a_text):
+    # the sweep rounds each mu_k exactly as a fresh run up to k would
+    w = make_weight(a_text, 700)
+    swept = moments(121, w)
+    assert len(swept) == 121
+    for k in range(121):
+        assert swept[k].value._mpf_ == per_order_moment(k, w)._mpf_, k
+        assert moment(k, w).value._mpf_ == swept[k].value._mpf_
+    assert moments(0, w) == []
+    with pytest.raises(DomainError):
+        moments(-1, w)
 
 
 def test_zeroth_moment_is_sqrt_pi_erfc():

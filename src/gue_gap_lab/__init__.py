@@ -21,10 +21,8 @@ from .exceptions import (
 from .precision import PrecisionPolicy, Real
 from .weight import GapWeight, moment, seed_R0, seed_r1
 from .orthopoly import (
-    EdgeEval,
     RecurrenceTable,
     build_recurrence_table,
-    edge_eval,
     hermite_norm_exact,
     log_hankel_det,
     poly_values,
@@ -80,7 +78,6 @@ __all__ = [
     "DegenerateDenominatorError",
     "DiscreteOrbit",
     "DomainError",
-    "EdgeEval",
     "EdgeZeroError",
     "GapLabError",
     "GapWeight",
@@ -100,7 +97,6 @@ __all__ = [
     "continuous_suite",
     "convergence_study",
     "default_z_samples",
-    "edge_eval",
     "fd_derivative",
     "gap_probability_fredholm",
     "gap_probability_hankel",

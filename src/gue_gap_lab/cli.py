@@ -459,7 +459,8 @@ def cmd_prob(policy: PrecisionPolicy, digits: int | None, n: int, a_str: str,
             "note": "gap of zero width; determinant route skipped",
         }
     else:
-        rec = probability_record(n, a_str, policy)
+        rec = probability_record(
+            n, a_str, policy, digits=max(digits, policy.target_certified_digits))
         doc = {
             "n": n, "a": a_str,
             "prob_hankel": sci_str(rec.prob_hankel, digits),

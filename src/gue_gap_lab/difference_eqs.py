@@ -53,9 +53,10 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     """Iterate r_{n+1} = -r_n + 2 a^2 r_n^2 / [(n + r_n)(r_n + r_{n-1})].
 
     Starts from r_0 = 0 and the closed-form r_1.  Each step checks its
-    denominator factors against 10^-DEGENERACY_DIGITS relative to the term
+    denominator factors against 2^-(prec_bits // 2) relative to the term
     magnitudes and raises DegenerateDenominatorError rather than dividing
-    through a cancellation.
+    through a cancellation that leaves fewer than half the bits; the
+    certification loop judges what the orbit keeps.
     """
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
@@ -64,7 +65,7 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
         raise DomainError("orbit iteration requires a > 0")
     w = GapWeight(Real(av, prec_bits), prec_bits)
     with mp.workprec(prec_bits):
-        thresh = mp.mpf(10) ** (-DEGENERACY_DIGITS)
+        thresh = mp.ldexp(1, -(prec_bits // 2))
         r_list = [mp.mpf(0), seed_r1(w).value]
         for n in range(1, n_top):
             r_nm1, r_n = r_list[n - 1], r_list[n]

@@ -230,24 +230,6 @@ def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:
     return [Real(v, bits) for v in vals]
 
 
-@dataclass(frozen=True)
-class EdgeEval:
-    """Values of consecutive polynomials at the gap edge x = a."""
-
-    n: int
-    Pn_at_a: Real
-    Pnm1_at_a: Real
-
-
-def edge_eval(table: RecurrenceTable, n: int) -> EdgeEval:
-    """(P_n(a), P_{n-1}(a)); P_{-1} = 0 by convention for n = 0."""
-    vals = poly_values(table, n, table.a)
-    if n == 0:
-        zero = Real(as_mpf(0, table.working_bits), table.working_bits)
-        return EdgeEval(0, vals[0], zero)
-    return EdgeEval(n, vals[n], vals[n - 1])
-
-
 def subleading_coeff(table: RecurrenceTable, n: int) -> Real:
     """p(n) = -(beta_0 + ... + beta_{n-1}), the x^{n-2} coefficient of P_n."""
     if not 0 <= n <= table.n_max:

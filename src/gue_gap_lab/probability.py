@@ -14,7 +14,9 @@ in (-a, a).  Two independent routes compute it:
   the leading k x k block of G_n on the same nodes, so one unpivoted
   LDL^T factorization of I - G_n gives P(k, a) for every k <= n as its
   leading principal minors, and one pair of rules (order and twice the
-  order) serves a whole verify cell.
+  order) serves a whole verify cell.  Its precision comes from the digits
+  asked for plus the bits I - G_n can lose, bounded through the Hankel
+  value of P(n, a) (``fredholm_bits``), not from the Hankel table's bits.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -270,6 +272,26 @@ def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
     return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
 
 
+def fredholm_bits(n: int, p_hankel, digits: int) -> int:
+    """Precision at which ``gap_probability_fredholm`` gives ``digits`` digits
+    of P(k, a) for every k <= n, from the Hankel route's P(n, a).
+
+    0 <= G_n < I, so every eigenvalue of I - G_n lies in (0, 1] and the
+    smallest is at least det(I - G_n) = P(n, a): the LDL^T minors lose at
+    most about log2(n / P(n, a)) bits (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 10), and GUARD_BITS absorb the constant.
+    A wrong P(n, a) would show as route disagreement, so it cannot make the
+    check pass falsely.  Rounded up to a multiple of 64 bits so that nearby
+    cells share one cached rule pair.
+    """
+    if n < 1:
+        raise DomainError(f"matrix size must be >= 1, got {n}")
+    with mp.workprec(64):
+        loss = max(0, int(mp.ceil(mp.log(n / as_mpf(p_hankel, 64), 2))))
+    bits = math.ceil(digits * math.log2(10)) + loss
+    return -(-bits // 64) * 64
+
+
 @dataclass(frozen=True)
 class ProbabilityRecord:
     """P(n, a) by both routes, with their relative discrepancy."""
@@ -286,14 +308,20 @@ def probability_record(
     a,
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
+    digits: int | None = None,
 ) -> ProbabilityRecord:
-    """Compute both routes and their relative discrepancy |h - f| / h."""
+    """Compute both routes and their relative discrepancy |h - f| / h.
+
+    The Fredholm route runs at ``fredholm_bits`` for ``digits``, by default
+    ``policy.target_certified_digits``.
+    """
     if policy is None:
         policy = PrecisionPolicy()
     p_h = gap_probability_hankel(n, a, policy, table=table)
     bits = p_h.precision_bits
     a_val = a if a is not None else table.a
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits)[-1]
+    f_bits = fredholm_bits(n, p_h, digits or policy.target_certified_digits)
+    p_f = gap_probability_fredholm(n, a_val, prec_bits=f_bits)[-1]
     with mp.workprec(bits):
         rel = abs(p_h.value - p_f.value) / p_h.value
         av = as_mpf(a_val, bits)
@@ -310,14 +338,21 @@ def residual_oracle(
     table: RecurrenceTable | None = None,
 ) -> ResidualReport:
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
-    P(k, a), k = 1..n, from one recurrence table and one Fredholm call."""
+    P(k, a), k = 1..n, from one recurrence table and one Fredholm call at
+    ``fredholm_bits`` for ``policy.target_certified_digits``."""
+    if n < 1:
+        raise DomainError(f"matrix size must be >= 1, got {n}")
+    if policy is None:
+        policy = PrecisionPolicy()
     if table is None:
         table = build_recurrence_table(a, max(n - 1, 0), policy)
     bits = table.working_bits
     a_val = a if a is not None else table.a
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=bits)
+    p_h = [gap_probability_hankel(k, table=table) for k in range(1, n + 1)]
+    f_bits = fredholm_bits(n, p_h[-1], policy.target_certified_digits)
+    p_f = gap_probability_fredholm(n, a_val, prec_bits=f_bits)
     rep = ResidualReport(a=mp.nstr(as_mpf(a_val, bits), 12), n=n)
-    for k in range(1, n + 1):
-        p_h = gap_probability_hankel(k, table=table)
-        rep.add(make_check("route_agreement", k, [p_h.value, -p_f[k - 1].value], ORACLE_TOL, bits))
+    with mp.workprec(bits):
+        for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
+            rep.add(make_check("route_agreement", k, [h.value, -f.value], ORACLE_TOL, bits))
     return rep

@@ -10,7 +10,13 @@ from concurrent.futures import Future
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import PrecisionPolicy, build_recurrence_table, cli, probability
+from gue_gap_lab import (
+    DegenerateDenominatorError,
+    PrecisionPolicy,
+    build_recurrence_table,
+    cli,
+    probability,
+)
 from gue_gap_lab.report import sci_str
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
@@ -72,9 +78,9 @@ class TestTable:
         assert [r["beta"] for r in rows] == [sci_str(b, 40) for b in table.beta]
         assert [r["h"] for r in rows] == [sci_str(h, 40) for h in table.h]
 
-    def test_degenerate_orbit_falls_back_to_the_chebyshev_rows(self, tmp_path):
-        # at a = 1e-12 the orbit's guard fires at n = 2; the rows are those
-        # the Chebyshev route printed before the orbit route existed
+    def test_tiny_half_width_rows_are_unchanged(self, tmp_path):
+        # the orbit builds these rows; the pin is the Chebyshev route's
+        # output at a = 1e-12, so both routes print the same digits
         out = tmp_path / "tiny.csv"
         assert run_cli(["table", "--n-max", "5", "--a-list", "1e-12",
                         "--digits", "30", "--out", str(out)]) == 0
@@ -83,6 +89,46 @@ class TestTable:
             "58fa459663f27b58f1ee59bdeca0af199cf7714d5d88473ca2e56ef50347ca55")
         _, rows = read_table(str(out))
         assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.fixture()
+    def cheb_calls(self, monkeypatch):
+        """Arguments of every Chebyshev-route build the CLI makes."""
+        calls = []
+        real_build = cli.build_recurrence_table
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_recurrence_table", counting_build)
+        return calls
+
+    def test_orbit_builds_tiny_half_width_cells(self, tmp_path, monkeypatch, cheb_calls):
+        # the orbit's guard scales with precision, so a = 1e-12 no longer
+        # falls back; its rows equal the Chebyshev route's
+        args = ["table", "--n-max", "200", "--digits", "30", "--a-list", "1e-12"]
+        orbit_out = tmp_path / "orbit.csv"
+        assert run_cli(args + ["--out", str(orbit_out)]) == 0
+        assert cheb_calls == []
+
+        def degenerate(*a, **kw):
+            raise DegenerateDenominatorError("forced", n=2)
+
+        monkeypatch.setattr(cli, "orbit_recurrence_table", degenerate)
+        cheb_out = tmp_path / "cheb.csv"
+        assert run_cli(args + ["--out", str(cheb_out)]) == 0
+        assert len(cheb_calls) == 1
+        assert orbit_out.read_text() == cheb_out.read_text()
+
+    def test_degenerate_orbit_falls_back_to_the_chebyshev_route(self, tmp_path, cheb_calls):
+        # at a = 1e-60, r_2 + r_1 = a R_1 cancels below 2^-256 of r_1 at
+        # 512 bits, so the orbit's guard fires and the Chebyshev route builds
+        out = tmp_path / "tiny.csv"
+        assert run_cli(["table", "--n-max", "5", "--a-list", "1e-60",
+                        "--digits", "30", "--out", str(out)]) == 0
+        assert len(cheb_calls) == 1
+        _, rows = read_table(str(out))
+        assert len(rows) == 6 and all(r["status"] == "ok" for r in rows)
 
     def test_large_n_certifies_independent_of_base_bits(self, tmp_path):
         bodies = []
@@ -217,6 +263,17 @@ class TestVerify:
         assert all(c["name"] == "route_agreement" for c in doc["checks"])
         assert len(doc["checks"]) == 3
 
+    def test_route_agreement_residuals_reach_the_fredholm_precision(self, tmp_path):
+        # the Fredholm value's negation no longer rounds to 53 bits, so the
+        # residuals show the routes' agreement (about 1e-58), not 1e-17
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--suite", "oracle", "--n-max", "3",
+                        "--a-list", "0.7,1.1", "--out", str(out)])
+        assert code == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 6
+        assert all(mp.mpf(c["residual"]) < mp.mpf("1e-40") for c in checks)
+
 
 class TestProb:
     def test_erfc_cell(self, capsys):
@@ -240,6 +297,13 @@ class TestProb:
         assert run_cli(["prob", "1", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert mp.mpf(doc["rel_discrepancy"]) < 1e-12
+
+    def test_printed_digits_raise_the_fredholm_precision(self, capsys):
+        assert run_cli(["prob", "2", "1", "--digits", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        mantissa = doc["prob_fredholm"].split("e")[0].replace(".", "")
+        assert len(mantissa) == 100
+        assert doc["prob_fredholm"] == doc["prob_hankel"]
 
     def test_zero_width_notice(self, capsys):
         assert run_cli(["prob", "5", "0"]) == 0

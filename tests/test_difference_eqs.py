@@ -52,11 +52,13 @@ def test_orbit_rejects_nonpositive_a():
         iterate_r_orbit("-2", 5, 256)
 
 
-def test_degenerate_denominator_guard(monkeypatch):
-    # an absurdly loose threshold forces the guard to fire immediately
-    monkeypatch.setattr(difference_eqs, "DEGENERACY_DIGITS", -1)
-    with pytest.raises(DegenerateDenominatorError):
-        iterate_r_orbit("1", 6, 256)
+def test_degenerate_denominator_guard():
+    # at a = 1e-12, r_2 + r_1 cancels to about 1e-24 of r_1: below the guard
+    # 2^-64 at 128 bits, above the guard 2^-256 at 512 bits
+    with pytest.raises(DegenerateDenominatorError) as exc:
+        iterate_r_orbit("1e-12", 6, 128)
+    assert exc.value.n == 2
+    assert len(iterate_r_orbit("1e-12", 6, 512)) == 7
 
 
 @pytest.mark.parametrize("a_text", ["1e-9", "0.25", "1", "3", "6", "12"])
@@ -92,9 +94,10 @@ def test_orbit_table_certifies_from_base_bits(monkeypatch):
 
 
 def test_orbit_table_degenerates_at_tiny_half_width():
-    # r_2 + r_1 = a R_1 is O(a^3) while r_1 is O(a): the guard fires at n = 2
+    # r_2 + r_1 = a R_1 is O(a^3) while r_1 is O(a): at a = 1e-60 the guard
+    # fires at n = 2 already at base_bits
     with pytest.raises(DegenerateDenominatorError) as exc:
-        orbit_recurrence_table("1e-12", 5)
+        orbit_recurrence_table("1e-60", 5)
     assert exc.value.n == 2
     with pytest.raises(DomainError):
         orbit_recurrence_table("0", 5)

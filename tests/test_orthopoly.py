@@ -13,7 +13,6 @@ from gue_gap_lab import (
     PrecisionExhaustedError,
     PrecisionPolicy,
     build_recurrence_table,
-    edge_eval,
     hermite_norm_exact,
     log_hankel_det,
     orthopoly,
@@ -174,9 +173,7 @@ class TestEdgeValues:
 
     def test_edge_signs_follow_period_four_pattern(self, table_a1):
         # at a = 1: P_n(a) signs go +, +, -, -, +, +, -, - ...
-        signs = []
-        for n in range(9):
-            signs.append(1 if edge_eval(table_a1, n).Pn_at_a.value > 0 else -1)
+        signs = [1 if v.value > 0 else -1 for v in poly_values(table_a1, 8, table_a1.a)]
         expected = [1, 1, -1, -1, 1, 1, -1, -1, 1]
         assert signs == expected
 

@@ -10,6 +10,7 @@ from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError
 from gue_gap_lab.probability import (
     default_quad_order,
     det_identity_minus,
+    fredholm_bits,
     gap_probability_fredholm,
     gap_probability_hankel,
     gauss_legendre_rule,
@@ -69,8 +70,8 @@ class TestQuadrature:
         (104, "498906c63952bcd15c3676369bc49532231d19ed29126706aac012d38904c7b4"),
     ])
     def test_verify_cell_rules_are_pinned(self, order, digest):
-        # the rule pair of a verify cell at n = 3, a <= 2: its rounded nodes
-        # and weights feed every printed route-agreement residual
+        # the rule pair of orders 52 and 104 (n = 3, a <= 2) at 1328 bits:
+        # its rounded nodes and weights, byte for byte
         def raw(values):
             return [(s, int(m), e, bc) for s, m, e, bc in (v._mpf_ for v in values)]
 
@@ -261,3 +262,32 @@ class TestRoutes:
         with mp.workprec(min(via_table.precision_bits, fresh.precision_bits)):
             rel = abs(via_table.value - fresh.value) / fresh.value
             assert rel < mp.mpf(10) ** -100
+
+
+class TestPrecisionRule:
+    def test_digits_plus_loss_rounded_to_64_bits(self):
+        # 40 digits are 133 bits; P = 2^-100 at n = 1 adds 100 bits of loss
+        assert fredholm_bits(1, 1, 40) == 192
+        assert fredholm_bits(1, mp.mpf(2) ** -100, 40) == 256
+        assert fredholm_bits(4, mp.mpf(2) ** -100, 40) == 256
+        assert fredholm_bits(4, mp.mpf(2) ** -124, 40) == 320
+        assert fredholm_bits(1, 1, 1) == 64
+        with pytest.raises(DomainError):
+            fredholm_bits(0, 1, 40)
+
+    @pytest.mark.parametrize("a_text, n", [("3", 10), ("6", 4), ("5", 1), ("2", 25)])
+    def test_hard_cells_agree_with_the_hankel_route(self, a_text, n):
+        # wide gaps and large n, where I - G_n loses the most bits
+        p_h = gap_probability_hankel(n, a_text)
+        bits = fredholm_bits(n, p_h, 40)
+        p_f = gap_probability_fredholm(n, a_text, prec_bits=bits)[-1]
+        assert p_f.precision_bits == bits
+        with mp.workprec(p_h.precision_bits):
+            assert abs(p_h.value - p_f.value) / p_h.value < mp.mpf(10) ** -40
+
+    def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
+        # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192
+        monkeypatch.setattr(probability, "_GL_CACHE", {})
+        assert residual_oracle(3, "0.7").all_pass
+        assert residual_oracle(3, "1.1").all_pass
+        assert len(probability._GL_CACHE) == 2

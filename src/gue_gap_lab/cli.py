@@ -40,7 +40,7 @@ from .difference_eqs import (
     select_r_branch,
 )
 from .differential_eqs import DEFAULT_FD_STEP, build_a_grid, continuous_suite
-from .exceptions import DegenerateDenominatorError, DomainError, EdgeZeroError, GapLabError
+from .exceptions import DomainError, EdgeZeroError, GapLabError
 from .ladder import ladder_states, residual_identities, residual_supplementary
 from .orthopoly import build_recurrence_table, hermite_norm_exact
 from .precision import PrecisionPolicy
@@ -175,18 +175,28 @@ def _degree_list(text: str) -> tuple[int, ...]:
     return tuple(_int_at_least(0)(v) for v in text.split(","))
 
 
-def _parse_a_values(args) -> tuple[str, ...]:
+def _parse_a_values(args, parser) -> tuple[str, ...]:
+    """The a-grid: --a-list as given, --a-min alone, or --a-steps >= 2
+    points spaced evenly from --a-min to --a-max inclusive.  A grid flag
+    that would be ignored is a usage error."""
     if args.a_list:
+        if (args.a_min, args.a_max, args.a_steps) != (None, None, None):
+            parser.error("--a-list cannot be combined with --a-min/--a-max/--a-steps")
         return args.a_list
-    if args.a_steps == 1 or args.a_max is None:
+    if args.a_min is None:
+        parser.error("provide --a-list or --a-min/--a-max/--a-steps")
+    steps = args.a_steps or 1
+    if (args.a_max is None) != (steps == 1):
+        parser.error("give --a-max together with --a-steps >= 2")
+    if steps == 1:
         return (args.a_min,)
     with mp.workprec(200):
         lo = mp.mpf(args.a_min)
         hi = mp.mpf(args.a_max)
-        step = (hi - lo) / (args.a_steps - 1)
+        step = (hi - lo) / (steps - 1)
         return tuple(
             mp.nstr(lo + k * step, 30, min_fixed=1, max_fixed=0)
-            for k in range(args.a_steps)
+            for k in range(steps)
         )
 
 
@@ -210,7 +220,7 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
     if a_is_zero:
         return _table_rows_zero(config, a_str)
     try:
-        table = _table_route(a_str, n_max, policy)
+        table = orbit_recurrence_table(a_str, n_max, policy)
     except GapLabError as exc:
         return [
             _row(n, a_str, status=f"error:{type(exc).__name__}")
@@ -246,16 +256,6 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
                 ))
             prob *= hn / hermite_norm_exact(n, bits).value
     return rows
-
-
-def _table_route(a_str: str, n_max: int, policy: PrecisionPolicy):
-    """The certified table of one a > 0 cell: from the r_n orbit, or from
-    the Chebyshev pass where the orbit degenerates (r_n + r_{n-1} = a R_{n-1}
-    is O(a^3) at small a, so the orbit's guard fires there)."""
-    try:
-        return orbit_recurrence_table(a_str, n_max, policy)
-    except DegenerateDenominatorError:
-        return build_recurrence_table(a_str, n_max, policy)
 
 
 def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
@@ -370,7 +370,7 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     if suite in ("supplementary", "all"):
         for n in range(0, n_max + 1):
             reports.append(residual_supplementary(states, n))
-    if suite in ("discrete", "all"):
+    if suite in ("discrete", "all") and n_max >= 1:
         orbit = iterate_r_orbit(a_str, n_max, table.working_bits)
         reports.extend(residual_orbit_vs_direct(orbit, states))
         for n in range(1, n_max + 1):
@@ -590,7 +590,8 @@ def _add_grid(sub):
     sub.add_argument("--a-list", type=_half_width_list, help="comma-separated a values")
     sub.add_argument("--a-min", type=_half_width)
     sub.add_argument("--a-max", type=_half_width)
-    sub.add_argument("--a-steps", type=_int_at_least(1), default=1)
+    sub.add_argument("--a-steps", type=_int_at_least(1), default=None,
+                     help="grid points from --a-min to --a-max (default 1)")
     sub.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
@@ -672,9 +673,7 @@ def main(argv: list[str] | None = None) -> int:
         except GapLabError as exc:
             print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-    if not args.a_list and args.a_min is None:
-        parser.error("provide --a-list or --a-min/--a-max/--a-steps")
-    config = _config_from(args, policy, _parse_a_values(args))
+    config = _config_from(args, policy, _parse_a_values(args, parser))
     if args.command == "table":
         return cmd_table(config, args.out, args.plot)
     return cmd_verify(config, args.out)

@@ -1,15 +1,17 @@
 """Difference equations in n satisfied by the edge quantities.
 
-The off-diagonal edge quantity r_n closes on itself as a second-order
-rational recurrence in n.  Iterating it from the two seeds r_0 = 0,
-r_1 = 2a e^{-a^2} / (sqrt(pi) erfc(a)) gives a route to every r_n that
-never touches moments or polynomials, so comparing the orbit against the
-directly computed ladder is a genuine two-route consistency check.  With
-beta_n = (n + r_n)/2 and h_n = beta_n h_{n-1} the orbit also gives the whole
-recurrence table in O(n) steps (``orbit_recurrence_table``), certified by the
-same two-level loop as the Chebyshev route; ``table`` is built that way.
+The ladder relations give two first-order conditions on the edge quantities,
+r_{n+1} + r_n = a R_n and r_n^2 = beta_n R_n R_{n-1} with
+beta_n = (n + r_n)/2.  Iterating that pair from R_0 = 2 e^{-a^2} /
+(sqrt(pi) erfc(a)) and r_1 = a R_0 gives a route to every r_n that never
+touches the polynomials, so comparing the orbit against the directly
+computed ladder is a genuine two-route consistency check.  With
+h_n = beta_n h_{n-1} the orbit also gives the whole recurrence table in O(n)
+steps (``orbit_recurrence_table``), certified by the same two-level loop as
+the Chebyshev route; ``table`` builds every a > 0 cell that way.
 
-The same closure can be written three more ways, each checked here as a
+Eliminating R_n closes r_n on itself as a second-order rational recurrence.
+That closure can be written three more ways, each checked here as a
 residual: an alternate form in y_n = -2 r_n / a^2 (a modified discrete
 Painleve II equation with parameter z_n = -2n/a^2), a recurrence for the
 partial sums sigma_n alone, and a recurrence in R_n alone whose two
@@ -30,7 +32,7 @@ from .ladder import LadderState
 from .orthopoly import RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs
 from .precision import PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
-from .weight import GapWeight, moment, seed_r1
+from .weight import GapWeight, moment, seed_R0
 
 DISCRETE_TOL = 1e-30
 ORBIT_TOL = 1e-25
@@ -50,13 +52,17 @@ class DiscreteOrbit:
 
 
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
-    """Iterate r_{n+1} = -r_n + 2 a^2 r_n^2 / [(n + r_n)(r_n + r_{n-1})].
+    """Iterate the first-order pair of the ladder relations,
 
-    Starts from r_0 = 0 and the closed-form r_1.  Each step checks its
-    denominator factors against 2^-(prec_bits // 2) relative to the term
-    magnitudes and raises DegenerateDenominatorError rather than dividing
-    through a cancellation that leaves fewer than half the bits; the
-    certification loop judges what the orbit keeps.
+        R_n = 2 r_n^2 / ((n + r_n) R_{n-1}),    r_{n+1} = a R_n - r_n,
+
+    from R_0 and r_1 = a R_0 (r_0 = 0).  These are r_n^2 = beta_n R_n R_{n-1}
+    with beta_n = (n + r_n)/2, and r_{n+1} + r_n = a R_n; eliminating R_n
+    gives the second-order closure in r_n alone, whose denominator
+    r_n + r_{n-1} = a R_{n-1} cancels to O(a^3) at small a.  The pair only
+    divides by 2 beta_n R_{n-1}, positive in exact arithmetic, so a value
+    <= 0 at some n <= n_top means this precision lost the orbit: that raises
+    _NonPositiveNorm(n), and the certification loop escalates.
     """
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
@@ -64,27 +70,24 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
     w = GapWeight(Real(av, prec_bits), prec_bits)
+    R = seed_R0(w).value
     with mp.workprec(prec_bits):
-        thresh = mp.ldexp(1, -(prec_bits // 2))
-        r_list = [mp.mpf(0), seed_r1(w).value]
-        for n in range(1, n_top):
-            r_nm1, r_n = r_list[n - 1], r_list[n]
-            f1 = n + r_n
-            f2 = r_n + r_nm1
-            if abs(f1) < thresh * (n + abs(r_n)) or abs(f2) < thresh * (abs(r_n) + abs(r_nm1)):
-                raise DegenerateDenominatorError(
-                    f"denominator degenerates at step n={n}", n=n
-                )
-            r_list.append(-r_n + 2 * av * av * r_n * r_n / (f1 * f2))
-    return DiscreteOrbit(a=Real(av, prec_bits), r=tuple(Real(v, prec_bits) for v in r_list))
+        r = [mp.mpf(0), av * R]
+        for n in range(1, n_top + 1):
+            den = (n + r[n]) * R
+            if not den > 0:
+                raise _NonPositiveNorm(n)
+            R = 2 * r[n] * r[n] / den
+            r.append(av * R - r[n])
+    return DiscreteOrbit(a=Real(av, prec_bits), r=tuple(Real(v, prec_bits) for v in r[:-1]))
 
 
 def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
     """One orbit-to-recurrence pass at a fixed precision.
 
-    beta_n = (n + r_n)/2 from the orbit, h_0 = mu_0 = sqrt(pi) erfc(a) and
-    h_n = beta_n h_{n-1}.  Returns (beta, h) as lists of mpf; raises
-    _NonPositiveNorm when some beta_n <= 0.
+    beta_n = (n + r_n)/2 from the orbit, which has already checked that each
+    is positive, h_0 = mu_0 = sqrt(pi) erfc(a) and h_n = beta_n h_{n-1}.
+    Returns (beta, h) as lists of mpf.
     """
     r = iterate_r_orbit(a_value, max(n_max, 1), bits).r
     h0 = moment(0, GapWeight(Real(as_mpf(a_value, bits), bits), bits)).value
@@ -92,11 +95,8 @@ def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
         beta = [mp.mpf(0)]
         h = [h0]
         for n in range(1, n_max + 1):
-            b = (n + r[n].value) / 2
-            if not b > 0:
-                raise _NonPositiveNorm(n)
-            beta.append(b)
-            h.append(b * h[n - 1])
+            beta.append((n + r[n].value) / 2)
+            h.append(beta[n] * h[n - 1])
     return beta, h
 
 
@@ -109,8 +109,7 @@ def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
     The orbit loses digits slowly (tens at n = 1000 for a <= 3), so the
     loop starts at ``policy.base_bits`` rather than at the Chebyshev
     route's ``policy.working_bits(n_max)``.  Requires a > 0 (DomainError);
-    raises DegenerateDenominatorError where the orbit cannot be iterated,
-    and the Chebyshev route's exceptions otherwise.
+    raises the Chebyshev route's exceptions otherwise.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
     return _certify(_orbit_pass, a_value, n_max, policy.base_bits, policy)

@@ -25,7 +25,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .exceptions import DomainError, EdgeZeroError
-from .orthopoly import RecurrenceTable, poly_values, subleading_coeff
+from .orthopoly import RecurrenceTable, poly_values
 from .precision import Real, as_mpf
 from .report import ResidualReport, make_check
 

@@ -14,8 +14,8 @@ is accepted only after two passes at different precisions agree to the
 policy's target number of digits, and the working precision escalates until
 they do or a ceiling is hit.  That loop, ``_certify``, also certifies the
 second route to the same table, ``difference_eqs.orbit_recurrence_table``,
-which ``table`` uses; ``verify``, ``prob`` and the acceptance gate use this
-module's Chebyshev route.
+from which ``table`` builds every a > 0 cell; ``verify``, ``prob``, the
+continuous grid and the acceptance gate use this module's Chebyshev route.
 
 Conventions: beta_0 = 0 and P_{-1} = 0, so h_0 = mu_0 and p(0) = p(1) = 0
 for the subleading coefficient p(n) = -(beta_0 + ... + beta_{n-1}).
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import mpmath as mp
 
@@ -59,11 +58,14 @@ class RecurrenceTable:
             raise DomainError("beta and h must both have n_max + 1 entries")
 
 
-class _NonPositiveNorm(Exception):
-    """Internal: a squared norm came out <= 0 at the current precision."""
+class _NonPositiveNorm(IllConditioningError):
+    """A quantity that is positive in exact arithmetic (h_n, or the orbit's
+    2 beta_n R_{n-1}) came out <= 0 at the current precision.  ``_certify``
+    treats that level as certifying nothing; outside the loop it is an
+    IllConditioningError."""
 
     def __init__(self, index: int):
-        super().__init__(f"h_{index} <= 0")
+        super().__init__(f"norm {index} not positive")
         self.index = index
 
 
@@ -130,8 +132,8 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
     ``start_bits`` (capped at the ceiling), takes the worst cross-precision
     agreement of two consecutive passes over all beta_j and h_j as the
     certified digit count, and stops when it meets the policy target.  A
-    pass raises _NonPositiveNorm when its precision cannot keep the norms
-    positive; that level then certifies nothing.  Raises
+    pass raises _NonPositiveNorm when its precision cannot keep positive
+    what must be; that level then certifies nothing.  Raises
     PrecisionExhaustedError when the ceiling is reached first, and
     IllConditioningError if norms cannot even be kept positive there.
     Both recurrence builders certify through this one loop.

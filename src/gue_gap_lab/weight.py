@@ -55,13 +55,6 @@ class GapWeight:
     def from_str(cls, a_text: str, prec_bits: int) -> "GapWeight":
         return cls(Real.from_str(a_text, prec_bits), prec_bits)
 
-    def w0_at_edge(self) -> Real:
-        """Weight density e^{-a^2} carried by the edge x = a."""
-        bits = self.prec_bits
-        with mp.workprec(bits):
-            v = mp.exp(-(self.a.value ** 2))
-        return Real(v, bits)
-
     @property
     def _mu0_guarded(self) -> mp.mpf:
         """mu_0 = sqrt(pi) erfc(a) at prec_bits + GUARD_BITS, the recurrence start."""

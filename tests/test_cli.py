@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from gue_gap_lab import (
-    DegenerateDenominatorError,
     PrecisionPolicy,
     build_recurrence_table,
     cli,
@@ -104,31 +103,25 @@ class TestTable:
         return calls
 
     def test_orbit_builds_tiny_half_width_cells(self, tmp_path, monkeypatch, cheb_calls):
-        # the orbit's guard scales with precision, so a = 1e-12 no longer
-        # falls back; its rows equal the Chebyshev route's
-        args = ["table", "--n-max", "200", "--digits", "30", "--a-list", "1e-12"]
-        orbit_out = tmp_path / "orbit.csv"
-        assert run_cli(args + ["--out", str(orbit_out)]) == 0
+        # the orbit iterates the (r_n, R_n) pair, which has no cancellation
+        # at small a, so these cells never reach the Chebyshev route; their
+        # rows equal that route's
+        cells = [("200", "1e-12"), ("60", "1e-40"), ("60", "1e-300")]
+        orbit_outs = []
+        for n_max, a in cells:
+            out = tmp_path / f"orbit{a}.csv"
+            assert run_cli(["table", "--n-max", n_max, "--digits", "30",
+                            "--a-list", a, "--out", str(out)]) == 0
+            orbit_outs.append(out.read_text())
         assert cheb_calls == []
 
-        def degenerate(*a, **kw):
-            raise DegenerateDenominatorError("forced", n=2)
-
-        monkeypatch.setattr(cli, "orbit_recurrence_table", degenerate)
-        cheb_out = tmp_path / "cheb.csv"
-        assert run_cli(args + ["--out", str(cheb_out)]) == 0
-        assert len(cheb_calls) == 1
-        assert orbit_out.read_text() == cheb_out.read_text()
-
-    def test_degenerate_orbit_falls_back_to_the_chebyshev_route(self, tmp_path, cheb_calls):
-        # at a = 1e-60, r_2 + r_1 = a R_1 cancels below 2^-256 of r_1 at
-        # 512 bits, so the orbit's guard fires and the Chebyshev route builds
-        out = tmp_path / "tiny.csv"
-        assert run_cli(["table", "--n-max", "5", "--a-list", "1e-60",
-                        "--digits", "30", "--out", str(out)]) == 0
-        assert len(cheb_calls) == 1
-        _, rows = read_table(str(out))
-        assert len(rows) == 6 and all(r["status"] == "ok" for r in rows)
+        monkeypatch.setattr(cli, "orbit_recurrence_table", cli.build_recurrence_table)
+        for (n_max, a), orbit_text in zip(cells, orbit_outs):
+            out = tmp_path / f"cheb{a}.csv"
+            assert run_cli(["table", "--n-max", n_max, "--digits", "30",
+                            "--a-list", a, "--out", str(out)]) == 0
+            assert out.read_text() == orbit_text, a
+        assert len(cheb_calls) == len(cells)
 
     def test_large_n_certifies_independent_of_base_bits(self, tmp_path):
         bodies = []
@@ -253,6 +246,18 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["checks"][0]["warning"] is True
+
+    @pytest.mark.parametrize("suite", ["all", "discrete"])
+    def test_zero_degree_cell_keeps_its_identity_checks(self, tmp_path, suite):
+        # no orbit step exists below n = 1, so the discrete suite adds nothing
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", suite, "--n-max", "0",
+                        "--a-list", "1", "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert not any(name.startswith("cell_error") for name in names)
+        if suite == "all":
+            assert {"pair_sum", "beta_closed_form", "weighted_sum",
+                    "R_partial_sum", "subleading", "sigma_step"} <= set(names)
 
     def test_oracle_suite(self, tmp_path):
         out = tmp_path / "v.json"
@@ -424,6 +429,11 @@ def test_bad_tolerance_syntax_is_an_error():
     ["prob", "0", "1"],
     ["table", "--a-list", "1", "--n-max", "-1"],
     ["table", "--a-min", "0.5", "--a-max", "1", "--a-steps", "0"],
+    ["table", "--a-min", "1", "--a-steps", "3"],
+    ["table", "--a-min", "0.5", "--a-max", "2"],
+    ["table", "--a-list", "1", "--a-min", "0.5"],
+    ["verify", "--a-list", "1", "--a-max", "2"],
+    ["table", "--a-list", "1", "--a-steps", "3"],
     ["table", "--a-list", "1", "--digits", "0"],
     ["verify", "--a-list", "1", "--jobs", "0"],
     ["table", "--a-list", "1", "--prec-bits", "20000"],

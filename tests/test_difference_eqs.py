@@ -5,7 +5,6 @@ import pytest
 
 from gue_gap_lab import (
     BranchSelectionError,
-    DegenerateDenominatorError,
     DomainError,
     PrecisionPolicy,
     build_recurrence_table,
@@ -50,18 +49,22 @@ def test_orbit_rejects_nonpositive_a():
         iterate_r_orbit("0", 5, 256)
     with pytest.raises(DomainError):
         iterate_r_orbit("-2", 5, 256)
+    with pytest.raises(DomainError):
+        orbit_recurrence_table("0", 5)
 
 
-def test_degenerate_denominator_guard():
-    # at a = 1e-12, r_2 + r_1 cancels to about 1e-24 of r_1: below the guard
-    # 2^-64 at 128 bits, above the guard 2^-256 at 512 bits
-    with pytest.raises(DegenerateDenominatorError) as exc:
-        iterate_r_orbit("1e-12", 6, 128)
-    assert exc.value.n == 2
-    assert len(iterate_r_orbit("1e-12", 6, 512)) == 7
+def test_orbit_iterates_at_tiny_half_width():
+    # the pair divides only by 2 beta_n R_{n-1}, so at a = 1e-12 (where
+    # r_2 + r_1 = a R_1 cancels to about 1e-24 of r_1) even 128 bits iterate
+    lo = iterate_r_orbit("1e-12", 6, 128)
+    hi = iterate_r_orbit("1e-12", 6, 512)
+    with mp.workprec(512):
+        for n in range(1, 7):
+            rel = abs(lo.r[n].value - hi.r[n].value) / abs(hi.r[n].value)
+            assert rel < mp.mpf(10) ** -35, n
 
 
-@pytest.mark.parametrize("a_text", ["1e-9", "0.25", "1", "3", "6", "12"])
+@pytest.mark.parametrize("a_text", ["1e-300", "1e-60", "1e-9", "0.25", "1", "3", "6", "12"])
 def test_orbit_table_agrees_with_chebyshev_table(a_text):
     # two routes to beta_j and h_j, each certified by its own pair of passes
     for n_max in (0, 1, 2, 30, 60):
@@ -93,14 +96,20 @@ def test_orbit_table_certifies_from_base_bits(monkeypatch):
     assert table.certified_digits >= 40
 
 
-def test_orbit_table_degenerates_at_tiny_half_width():
-    # r_2 + r_1 = a R_1 is O(a^3) while r_1 is O(a): at a = 1e-60 the guard
-    # fires at n = 2 already at base_bits
-    with pytest.raises(DegenerateDenominatorError) as exc:
-        orbit_recurrence_table("1e-60", 5)
-    assert exc.value.n == 2
-    with pytest.raises(DomainError):
-        orbit_recurrence_table("0", 5)
+def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
+    # at a = 30 the orbit loses beta_n > 0 at 512 bits; that level certifies
+    # nothing and the loop goes on to 1024 and 2048 bits
+    bits_seen = []
+    real_pass = difference_eqs._orbit_pass
+
+    def counting_pass(a_value, n_max, bits):
+        bits_seen.append(bits)
+        return real_pass(a_value, n_max, bits)
+
+    monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
+    table = orbit_recurrence_table("30", 100)
+    assert bits_seen == [512, 1024, 2048]
+    assert table.certified_digits >= 40
 
 
 def test_closure_residuals_pass(states_a1):

@@ -109,14 +109,6 @@ def test_negative_half_width_rejected():
         make_weight("-0.5")
 
 
-def test_w0_at_edge_is_exp_minus_a_squared():
-    w = make_weight("0.9")
-    with mp.workprec(560):
-        ref = mp.exp(-mp.mpf("0.9") ** 2)
-        rel = abs(w.w0_at_edge().value - ref) / ref
-    assert rel < mp.mpf(10) ** -140
-
-
 @given(st.integers(min_value=0, max_value=6).map(lambda k: 2 * k))
 @settings(max_examples=10, deadline=None)
 def test_even_moments_decrease_as_gap_widens(k):

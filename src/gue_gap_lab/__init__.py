@@ -19,7 +19,7 @@ from .exceptions import (
     QuadratureConvergenceError,
 )
 from .precision import PrecisionPolicy, Real
-from .weight import GapWeight, moment, seed_R0, seed_r1
+from .weight import GapWeight, moment, seed_R0
 from .orthopoly import (
     RecurrenceTable,
     build_recurrence_table,
@@ -47,10 +47,12 @@ from .difference_eqs import (
 )
 from .differential_eqs import (
     AGrid,
+    JetSource,
     build_a_grid,
     continuous_suite,
     convergence_study,
     fd_derivative,
+    jet_source,
     residual_chazy,
     residual_derivative_identities,
     residual_painleve4,
@@ -82,6 +84,7 @@ __all__ = [
     "GapLabError",
     "GapWeight",
     "IllConditioningError",
+    "JetSource",
     "LadderState",
     "PrecisionExhaustedError",
     "PrecisionPolicy",
@@ -104,6 +107,7 @@ __all__ = [
     "hermite_function_values",
     "hermite_norm_exact",
     "iterate_r_orbit",
+    "jet_source",
     "ladder_states",
     "log_hankel_det",
     "moment",
@@ -125,7 +129,6 @@ __all__ = [
     "residual_supplementary",
     "sci_str",
     "seed_R0",
-    "seed_r1",
     "select_r_branch",
     "subleading_coeff",
     "__version__",

@@ -39,7 +39,7 @@ from .difference_eqs import (
     residual_sigma_recurrence,
     select_r_branch,
 )
-from .differential_eqs import DEFAULT_FD_STEP, build_a_grid, continuous_suite
+from .differential_eqs import continuous_suite, jet_source
 from .exceptions import DomainError, EdgeZeroError, GapLabError
 from .ladder import ladder_states, residual_identities, residual_supplementary
 from .orthopoly import build_recurrence_table, hermite_norm_exact
@@ -66,7 +66,6 @@ class RunConfig:
     n_max: int
     a_values: tuple[str, ...]
     policy: PrecisionPolicy
-    fd_h: str
     digits: int | None
     suite: str
     tolerances: tuple[tuple[str, float], ...] = ()
@@ -82,7 +81,6 @@ class RunConfig:
             "bits_per_n": self.policy.bits_per_n,
             "max_bits": self.policy.max_bits,
             "target_digits": self.policy.target_certified_digits,
-            "fd_h": self.fd_h,
             "digits": self.digits,
             "suite": self.suite,
             "tolerances": [list(t) for t in self.tolerances],
@@ -94,8 +92,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _number_text(text: str, what: str, positive: bool) -> str:
-    """Check that ``text`` is a finite number >= 0 (> 0 if ``positive``).
+def _half_width(text: str) -> str:
+    """argparse type for a gap half-width: a finite number a >= 0.
 
     The stripped text is kept, not the parsed number, so every later stage
     parses it once at its own working precision.
@@ -106,21 +104,10 @@ def _number_text(text: str, what: str, positive: bool) -> str:
             value = mp.mpf(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not mp.isfinite(value) or value < 0 or (positive and value == 0):
-        bound = "> 0" if positive else ">= 0"
+    if not mp.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(
-            f"{what} must be a finite number {bound}, got {text!r}")
+            f"gap half-width must be a finite number >= 0, got {text!r}")
     return text
-
-
-def _half_width(text: str) -> str:
-    """argparse type for a gap half-width: a finite number a >= 0."""
-    return _number_text(text, "gap half-width", positive=False)
-
-
-def _fd_step(text: str) -> str:
-    """argparse type for --fd-h: a finite number h > 0."""
-    return _number_text(text, "finite-difference step", positive=True)
 
 
 def _half_width_list(text: str) -> tuple[str, ...]:
@@ -355,16 +342,16 @@ def cmd_table(config: RunConfig, out_path: str | None, plot_path: str | None = N
 def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     """Every report of the configured suite for one cell.
 
-    One table at n_max + 1 and its ladder states serve every suite but the
-    continuous one, whose 7-node grid sits at other values of a.
+    One table at n_max + 1, built on Taylor jets in a, serves every suite:
+    its values and their ladder states the algebraic, discrete and oracle
+    suites, and its jets the exact derivatives of the continuous one.
     """
     policy = config.policy
     n_max = config.n_max
     suite = config.suite
     reports: list[ResidualReport] = []
-    if suite != "continuous":
-        table = build_recurrence_table(a_str, n_max + 1, policy)
-        states = ladder_states(table)
+    table = build_recurrence_table(a_str, n_max + 1, policy, jets=True)
+    states = ladder_states(table)
     if suite in ("identities", "all"):
         reports.extend(residual_identities(states))
     if suite in ("supplementary", "all"):
@@ -387,9 +374,9 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
             ))
             reports.append(rep)
     if suite in ("continuous", "all"):
-        grid = build_a_grid(a_str, n_max, policy, h=config.fd_h)
+        source = jet_source(table)
         for n in range(1, n_max + 1):
-            reports.append(continuous_suite(grid, n))
+            reports.append(continuous_suite(source, n))
     if suite in ("oracle", "all") and n_max >= 1:
         reports.append(residual_oracle(n_max, a_str, policy, table=table))
     return reports
@@ -426,9 +413,11 @@ def _verify_rows_for_a(config_dict: dict, a_str: str) -> list[dict]:
 
 
 def cmd_verify(config: RunConfig, out_path: str | None) -> int:
+    """Write the verify report; exit status 0 exactly when at least one row
+    was made and every row passes."""
     blocks = _map_cells(config, _verify_rows_for_a, config.a_values)
     rows = [row for block in blocks for row in block]
-    ok = all(row["pass"] for row in rows)
+    ok = bool(rows) and all(row["pass"] for row in rows)
     payload = json.dumps(
         {
             "version": FORMAT_VERSION,
@@ -601,7 +590,6 @@ def _config_from(args, policy: PrecisionPolicy, a_values: tuple[str, ...]) -> Ru
         n_max=args.n_max,
         a_values=a_values,
         policy=policy,
-        fd_h=getattr(args, "fd_h", DEFAULT_FD_STEP),
         digits=args.digits,
         suite=getattr(args, "suite", "all"),
         tolerances=tuple(sorted(getattr(args, "tol", []))),
@@ -629,8 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(v)
     _add_precision(v)
     v.add_argument("--suite", choices=SUITES, default="all")
-    v.add_argument("--fd-h", type=_fd_step, default=DEFAULT_FD_STEP,
-                   help="finite-difference step of the continuous suite")
     v.add_argument("--tol", type=_tolerance, action="append", default=[],
                    metavar="NAME=VALUE",
                    help="tolerance override; NAME may be a check name or 'all'")
@@ -674,6 +660,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     config = _config_from(args, policy, _parse_a_values(args, parser))
+    if args.command == "verify" and config.n_max == 0 and config.suite in (
+            "discrete", "continuous", "oracle"):
+        parser.error(f"--suite {config.suite} has no checks at n = 0; give --n-max >= 1")
     if args.command == "table":
         return cmd_table(config, args.out, args.plot)
     return cmd_verify(config, args.out)

@@ -2,8 +2,7 @@
 
 Every quantity the package computes is, for fixed degree n, a smooth
 function of a.  This module checks the differential relations those
-functions satisfy by high-order finite differences on a 7-node grid
-centered at the point of interest:
+functions satisfy:
 
   first derivatives   d/da ln h_n = -R_n,   d/da ln beta_n = R_{n-1} - R_n,
                       d/da ln D_n = sigma_n,   dp/da = a r_n - (n+r_n) R_n / 2,
@@ -12,17 +11,30 @@ centered at the point of interest:
                       R' = 4r + R^2 - 2aR - 2rR/a,
   a single second-order equation for R alone, the sigma-form chain ending
   in a polynomial relation between sigma, sigma', sigma'', and a
-  second-order equation for v = -2r - 2n/3.
+  second-order equation for r alone.
 
 The second-order closures are obtained by eliminating one unknown from
 the coupled Riccati pair, so they hold exactly on the same data; each is
 verified here as an independent residual because the eliminations are
 easy to get wrong by hand.
 
-The stencils are the standard central ones of order h^6 on 7 nodes.  Node
-values are computed at full working precision (at least 700 bits), so the
-h^6 truncation term dominates the residual and its order can be measured
-by a convergence study.
+Each residual family is a formula in the values and first and second
+a-derivatives of h_n, beta_n, R_n, r_n, sigma_n and p_n, which it reads
+from a derivative source, ``grid.derivs(name, n) -> (value, d/da,
+d^2/da^2)``.  Log-derivatives are ratios, (ln h_n)' = h_n'/h_n and
+(ln D_n)' = sum_{j<n} h_j'/h_j, so no logarithm is taken.  There are two
+sources:
+
+  JetSource   exact derivatives at a: the recurrence table is built on
+              Taylor jets from the exact moment derivatives, and the edge
+              quantities are formed from it with the edge x = a itself the
+              jet (a, 1, 0).  The residuals sit at working precision.
+              ``verify`` reads the cell's one table this way.
+  AGrid       standard central differences of order h^6 on 7 nodes a0 + kh,
+              each node with its own certified table at full working
+              precision (at least 700 bits), so the h^6 truncation term
+              dominates the residual and ``convergence_study`` can measure
+              its order.  The acceptance gate runs on this source.
 """
 
 from __future__ import annotations
@@ -35,13 +47,8 @@ import mpmath as mp
 
 from .exceptions import DomainError
 from .ladder import LadderState, ladder_states
-from .orthopoly import (
-    RecurrenceTable,
-    build_recurrence_table,
-    hermite_norm_exact,
-    log_hankel_det,
-)
-from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf
+from .orthopoly import RecurrenceTable, build_recurrence_table
+from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
 
 CONTINUOUS_TOL = 1e-20
@@ -60,15 +67,6 @@ _D2_W7 = (
 )
 
 
-def _apply_stencil(values: Sequence[mp.mpf], coeffs, h: mp.mpf, order: int) -> mp.mpf:
-    acc = mp.fsum(
-        values[i] * mp.mpf(c.numerator) / c.denominator
-        for i, c in enumerate(coeffs)
-        if c != 0
-    )
-    return acc / h**order
-
-
 def fd_derivative(values: Sequence, order: int, h) -> Real:
     """Central finite-difference derivative of ``order`` 1 or 2 on 7 equally
     spaced samples."""
@@ -85,7 +83,12 @@ def fd_derivative(values: Sequence, order: int, h) -> Real:
         hv = as_mpf(h, bits)
         if not hv > 0:
             raise DomainError("step h must be positive")
-        deriv = _apply_stencil(vals, _D1_W7 if order == 1 else _D2_W7, hv, order)
+        acc = mp.fsum(
+            vals[i] * mp.mpf(c.numerator) / c.denominator
+            for i, c in enumerate(_D1_W7 if order == 1 else _D2_W7)
+            if c != 0
+        )
+        deriv = acc / hv**order
     return Real(deriv, bits)
 
 
@@ -113,6 +116,21 @@ class AGrid:
     @property
     def center_states(self) -> tuple[LadderState, ...]:
         return self.states[STENCIL_HALFWIDTH]
+
+    def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+        """(value, d/da, d^2/da^2) of ``name`` ("h", "beta", "R", "r",
+        "sigma" or "p") at degree n: the centre node's value and the 7-node
+        central differences."""
+        if name in ("h", "beta"):
+            samples = [getattr(t, name)[n].value for t in self.tables]
+        else:
+            samples = [getattr(s[n], name).value for s in self.states]
+        with mp.workprec(self.bits):
+            return (
+                samples[STENCIL_HALFWIDTH],
+                fd_derivative(samples, 1, self.h).value,
+                fd_derivative(samples, 2, self.h).value,
+            )
 
 
 def build_a_grid(
@@ -159,72 +177,112 @@ def build_a_grid(
     )
 
 
-def _fd1(grid: AGrid, samples: list[mp.mpf]) -> mp.mpf:
-    return fd_derivative([Real(v, grid.bits) for v in samples], 1, grid.h).value
+@dataclass(frozen=True)
+class JetSource:
+    """Exact a-derivatives at one half-width: Taylor jets (value, d/da,
+    d^2/da^2 / 2) of h, beta, R, r, sigma and p for n = 0..n_max, from one
+    recurrence table built with ``jets=True``."""
+
+    a0: Real
+    n_max: int
+    bits: int
+    jets: dict[str, tuple[Jet, ...]]
+
+    def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+        """(value, d/da, d^2/da^2) of ``name`` at degree n."""
+        c = self.jets[name][n].c
+        return c[0], c[1], mp.ldexp(c[2], 1)
 
 
-def _fd2(grid: AGrid, samples: list[mp.mpf]) -> mp.mpf:
-    return fd_derivative([Real(v, grid.bits) for v in samples], 2, grid.h).value
+def jet_source(table: RecurrenceTable) -> JetSource:
+    """The edge quantities of ``ladder.ladder_states`` as jets in a.
+
+    P_j(a) comes from the three-term recurrence with x = a the jet (a, 1, 0)
+    and the table's beta jets; with w0 = e^{-a^2} as a jet,
+    R_n = 2 w0 P_n^2 / h_n, r_n = 2 w0 P_n P_{n-1} / h_{n-1} (r_0 = 0),
+    sigma_n = -(R_0 + ... + R_{n-1}) and p_n = -(beta_0 + ... + beta_{n-1}).
+    ``table`` must carry jets and have a > 0.
+    """
+    if table.jets is None:
+        raise DomainError("table carries no jets; build it with jets=True")
+    if not table.a.value > 0:
+        raise DomainError("ladder quantities require a > 0")
+    beta, h = table.jets
+    bits = table.working_bits
+    with mp.workprec(bits):
+        a = table.a.value
+        e = mp.exp(-a * a)
+        two_w0 = Jet((2 * e, -4 * a * e, 2 * (2 * a * a - 1) * e))
+        zero = Jet([mp.mpf(0)] * 3)
+        x = Jet((a, mp.mpf(1), mp.mpf(0)))
+        P = [Jet((mp.mpf(1), mp.mpf(0), mp.mpf(0))), x]
+        for j in range(1, table.n_max):
+            P.append(x * P[j] - beta[j] * P[j - 1])
+        R, r, sigma, p = [], [], [zero], [zero]
+        for n in range(table.n_max + 1):
+            R.append(two_w0 * P[n] * P[n] / h[n])
+            r.append(two_w0 * P[n] * P[n - 1] / h[n - 1] if n else zero)
+            sigma.append(sigma[n] - R[n])
+            p.append(p[n] - beta[n])
+    return JetSource(
+        a0=table.a,
+        n_max=table.n_max,
+        bits=bits,
+        jets={"h": h, "beta": beta, "R": tuple(R), "r": tuple(r),
+              "sigma": tuple(sigma[:-1]), "p": tuple(p[:-1])},
+    )
 
 
-def _cell(grid: AGrid, n: int):
+def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
     if not 0 <= n <= grid.n_max:
         raise DomainError(f"degree {n} outside grid range 0..{grid.n_max}")
-    s = grid.center_states[n]
-    return s, mp.nstr(grid.a0.value, 12)
+    return ResidualReport(a=mp.nstr(grid.a0.value, 12), n=n)
 
 
-def residual_derivative_identities(grid: AGrid, n: int) -> ResidualReport:
+def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """First-derivative identities for norms, recurrence and subleading data.
 
       norm_log_deriv       h_n'/h_n + R_n
-      beta_log_deriv       (ln beta_n)' - (R_{n-1} - R_n)        (n >= 1)
+      beta_log_deriv       beta_n'/beta_n - (R_{n-1} - R_n)      (n >= 1)
       hankel_log_deriv     (ln D_n)' - sigma_n                   (n >= 1)
       prob_log_deriv       (ln [D_n(a)/D_n(0)])' - sigma_n       (n >= 1)
       subleading_deriv     p' - [a r_n - (n + r_n) R_n / 2]
       beta_deriv           beta_n' - [a(2 r_n - a R_n) - beta_n R_n
                                       + (a R_n - r_n)^2 / R_n]
+
+    with (ln D_n)' = sum_{j<n} h_j'/h_j; D_n(0) does not depend on a, so
+    that sum is also the log-derivative of P(n, a) = D_n(a)/D_n(0).
     """
-    s, a_str = _cell(grid, n)
+    rep = _report(grid, n)
     bits = grid.bits
-    rep = ResidualReport(a=a_str, n=n)
     with mp.workprec(bits):
         a = grid.a0.value
-        h_samples = [grid.tables[k].h[n].value for k in range(7)]
-        dh = _fd1(grid, h_samples)
-        h_center = grid.tables[STENCIL_HALFWIDTH].h[n].value
-        rep.add(make_check(
-            "norm_log_deriv", n, [dh / h_center, s.R.value], CONTINUOUS_TOL, bits))
+        hn, dh, _ = grid.derivs("h", n)
+        beta, dbeta, _ = grid.derivs("beta", n)
+        R = grid.derivs("R", n)[0]
+        r = grid.derivs("r", n)[0]
+        rep.add(make_check("norm_log_deriv", n, [dh / hn, R], CONTINUOUS_TOL, bits))
         if n >= 1:
-            lb = [mp.log(grid.tables[k].beta[n].value) for k in range(7)]
-            dlb = _fd1(grid, lb)
             rep.add(make_check(
                 "beta_log_deriv", n,
-                [dlb, -grid.center_states[n - 1].R.value, s.R.value],
+                [dbeta / beta, -grid.derivs("R", n - 1)[0], R],
                 CONTINUOUS_TOL, bits))
-            ld = [log_hankel_det(grid.tables[k], n).value for k in range(7)]
+            dlog_d = mp.fsum(d / v for v, d, _ in (grid.derivs("h", j) for j in range(n)))
+            sigma = grid.derivs("sigma", n)[0]
             rep.add(make_check(
-                "hankel_log_deriv", n, [_fd1(grid, ld), -s.sigma.value], CONTINUOUS_TOL, bits))
-            ln_dn0 = mp.fsum(
-                mp.log(hermite_norm_exact(j, bits).value) for j in range(n)
-            )
-            lp = [v - ln_dn0 for v in ld]
+                "hankel_log_deriv", n, [dlog_d, -sigma], CONTINUOUS_TOL, bits))
             rep.add(make_check(
-                "prob_log_deriv", n, [_fd1(grid, lp), -s.sigma.value], CONTINUOUS_TOL, bits))
-        p_samples = [grid.states[k][n].p.value for k in range(7)]
-        dp = _fd1(grid, p_samples)
+                "prob_log_deriv", n, [dlog_d, -sigma], CONTINUOUS_TOL, bits))
+        dp = grid.derivs("p", n)[1]
         rep.add(make_check(
             "subleading_deriv", n,
-            [dp, -a * s.r.value, (n + s.r.value) * s.R.value / 2],
+            [dp, -a * r, (n + r) * R / 2],
             CONTINUOUS_TOL, bits))
-        b_samples = [grid.tables[k].beta[n].value for k in range(7)]
-        db = _fd1(grid, b_samples)
-        R, r, beta = s.R.value, s.r.value, s.beta.value
         if R != 0:
             rep.add(make_check(
                 "beta_deriv", n,
                 [
-                    db,
+                    dbeta,
                     -a * (2 * r - a * R),
                     beta * R,
                     -((a * R - r) ** 2) / R,
@@ -233,7 +291,7 @@ def residual_derivative_identities(grid: AGrid, n: int) -> ResidualReport:
     return rep
 
 
-def residual_riccati(grid: AGrid, n: int) -> ResidualReport:
+def residual_riccati(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """The coupled first-order system in a:
 
       r_slope    r' - [2 r^2 / R - (n + r) R]
@@ -244,14 +302,12 @@ def residual_riccati(grid: AGrid, n: int) -> ResidualReport:
     that ties p(n, a) to r and R.  At n = 0 the second reduces to the
     closed Riccati R' = R^2 - 2aR for the seed ratio.
     """
-    s, a_str = _cell(grid, n)
+    rep = _report(grid, n)
     bits = grid.bits
-    rep = ResidualReport(a=a_str, n=n)
     with mp.workprec(bits):
         a = grid.a0.value
-        R, r = s.R.value, s.r.value
-        dr = _fd1(grid, [grid.states[k][n].r.value for k in range(7)])
-        dR = _fd1(grid, [grid.states[k][n].R.value for k in range(7)])
+        R, dR, _ = grid.derivs("R", n)
+        r, dr, _ = grid.derivs("r", n)
         if R != 0:
             rep.add(make_check(
                 "r_slope", n,
@@ -264,7 +320,7 @@ def residual_riccati(grid: AGrid, n: int) -> ResidualReport:
     return rep
 
 
-def residual_painleve4(grid: AGrid, n: int) -> ResidualReport:
+def residual_painleve4(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """Second-order closure for R alone.
 
     Solving the R-Riccati for r and substituting into the r-Riccati
@@ -276,15 +332,11 @@ def residual_painleve4(grid: AGrid, n: int) -> ResidualReport:
     At n = 0 this is the derivative of the seed Riccati.  The equation is
     polynomial, so no sign or branch choices enter the residual.
     """
-    s, a_str = _cell(grid, n)
+    rep = _report(grid, n)
     bits = grid.bits
-    rep = ResidualReport(a=a_str, n=n)
     with mp.workprec(bits):
         a = grid.a0.value
-        R = s.R.value
-        samples = [grid.states[k][n].R.value for k in range(7)]
-        dR = _fd1(grid, samples)
-        d2R = _fd2(grid, samples)
+        R, dR, d2R = grid.derivs("R", n)
         rep.add(make_check(
             "painleve4_R", n,
             [
@@ -297,7 +349,7 @@ def residual_painleve4(grid: AGrid, n: int) -> ResidualReport:
     return rep
 
 
-def residual_sigma_form(grid: AGrid, n: int) -> ResidualReport:
+def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """The chain leading to the closed sigma equation, link by link:
 
       sigma_slope       sigma' - [2 r - r^2 / a^2]
@@ -322,17 +374,13 @@ def residual_sigma_form(grid: AGrid, n: int) -> ResidualReport:
     quadratic in sigma''.  Equations of X and the product come from the
     partial-fraction sum rule for sum R_j combined with the r-Riccati.
     """
-    s, a_str = _cell(grid, n)
+    rep = _report(grid, n)
     bits = grid.bits
-    rep = ResidualReport(a=a_str, n=n)
     with mp.workprec(bits):
         a = grid.a0.value
-        R, r, sigma = s.R.value, s.r.value, s.sigma.value
-        r_samples = [grid.states[k][n].r.value for k in range(7)]
-        s_samples = [grid.states[k][n].sigma.value for k in range(7)]
-        dr = _fd1(grid, r_samples)
-        ds = _fd1(grid, s_samples)
-        d2s = _fd2(grid, s_samples)
+        R = grid.derivs("R", n)[0]
+        r, dr, _ = grid.derivs("r", n)
+        sigma, ds, d2s = grid.derivs("sigma", n)
         rep.add(make_check(
             "sigma_slope", n,
             [ds, -2 * r, r * r / (a * a)],
@@ -384,7 +432,7 @@ def residual_sigma_form(grid: AGrid, n: int) -> ResidualReport:
     return rep
 
 
-def residual_chazy(grid: AGrid, n: int) -> ResidualReport:
+def residual_chazy(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """Second-order closure for the off-diagonal quantity alone.
 
     Eliminating R between the r-Riccati and the R-Riccati (the R-Riccati
@@ -392,25 +440,18 @@ def residual_chazy(grid: AGrid, n: int) -> ResidualReport:
 
         a^2 (r'')^2 + 8 a^2 r (2n + 3r) r''
             = 4 (a^2 + r)^2 (r')^2
-              + 16 r^2 [a^2 - 2(n + r)] [2 (n + r) a^2 - r^2].
+              + 16 r^2 [a^2 - 2(n + r)] [2 (n + r) a^2 - r^2],
 
-    The check is evaluated through the shifted variable v = -2r - 2n/3
-    (the normalization in which the n-dependence of the leading balance
-    is centered), mapping back r = -v/2 - n/3 exactly.
+    a particular case of Chazy's second-degree second-order equation, which
+    takes its normalized form in v = -2r - 2n/3.  The check is evaluated in
+    r itself.
     """
-    s, a_str = _cell(grid, n)
+    rep = _report(grid, n)
     bits = grid.bits
-    rep = ResidualReport(a=a_str, n=n)
     with mp.workprec(bits):
         a = grid.a0.value
         n3 = mp.mpf(n)
-        v_samples = [-2 * grid.states[k][n].r.value - 2 * n3 / 3 for k in range(7)]
-        v = v_samples[3]
-        dv = _fd1(grid, v_samples)
-        d2v = _fd2(grid, v_samples)
-        r = -v / 2 - n3 / 3
-        dr = -dv / 2
-        d2r = -d2v / 2
+        r, dr, d2r = grid.derivs("r", n)
         rep.add(make_check(
             "chazy", n,
             [
@@ -423,8 +464,9 @@ def residual_chazy(grid: AGrid, n: int) -> ResidualReport:
     return rep
 
 
-def continuous_suite(grid: AGrid, n: int) -> ResidualReport:
-    """Every continuous residual for one (n, a0) cell, merged."""
+def continuous_suite(grid: AGrid | JetSource, n: int) -> ResidualReport:
+    """Every continuous residual for one (n, a0) cell, merged, from either
+    derivative source."""
     rep = residual_derivative_identities(grid, n)
     for part in (
         residual_riccati(grid, n),

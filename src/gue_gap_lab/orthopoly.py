@@ -17,20 +17,29 @@ second route to the same table, ``difference_eqs.orbit_recurrence_table``,
 from which ``table`` builds every a > 0 cell; ``verify``, ``prob``, the
 continuous grid and the acceptance gate use this module's Chebyshev route.
 
+Every moment has an exact a-derivative (``weight.moment_jets``), so the same
+pass run on Taylor jets (``build_recurrence_table(..., jets=True)``) carries
+d/da and d^2/da^2 of every beta_j and h_j alongside its values, which are
+bit for bit the plain pass's.  The certification loop then compares the
+derivative parts too, so the certified digit count covers them.  ``verify``
+builds its one table per cell this way and takes every derivative of the
+continuous suite from it.
+
 Conventions: beta_0 = 0 and P_{-1} = 0, so h_0 = mu_0 and p(0) = p(1) = 0
 for the subleading coefficient p(n) = -(beta_0 + ... + beta_{n-1}).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
-from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf, sqrt_pi_const
-from .weight import GapWeight, moments
+from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf, sqrt_pi_const
+from .weight import GapWeight, moment_jets, moments
 
 _LOG10_2 = 0.30102999566398120
 
@@ -42,7 +51,9 @@ class RecurrenceTable:
     ``beta[j]`` and ``h[j]`` are available for j = 0..n_max, computed at
     ``working_bits`` and certified to ``certified_digits`` decimal digits by
     cross-precision agreement.  ``escalations`` counts how many times the
-    precision had to be raised beyond the policy's starting level.
+    precision had to be raised beyond the policy's starting level.  A table
+    built with ``jets=True`` also holds ``jets``, the (beta, h) Taylor jets
+    in a whose value parts are ``beta`` and ``h``; otherwise it is None.
     """
 
     a: Real
@@ -52,6 +63,7 @@ class RecurrenceTable:
     certified_digits: int
     working_bits: int
     escalations: int = 0
+    jets: tuple[tuple[Jet, ...], tuple[Jet, ...]] | None = None
 
     def __post_init__(self):
         if len(self.beta) != self.n_max + 1 or len(self.h) != self.n_max + 1:
@@ -69,21 +81,29 @@ class _NonPositiveNorm(IllConditioningError):
         self.index = index
 
 
-def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int):
+def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int, jets: bool = False):
     """One full moment-to-recurrence pass at a fixed precision.
 
-    Returns (beta, h) as lists of mpf.  Raises _NonPositiveNorm if the
-    precision was insufficient to keep the norms positive.
+    Returns (beta, h) as lists of mpf, or of Jet when ``jets`` is set: the
+    same formulas then run on the moment jets.  Raises _NonPositiveNorm if
+    the precision was insufficient to keep the norms positive.
     """
     w = GapWeight(Real(as_mpf(a_value, bits), bits), bits)
-    mu = [m.value for m in moments(2 * n_max + 1, w)]
+    if jets:
+        mu = moment_jets(2 * n_max + 1, w)
+    else:
+        mu = [m.value for m in moments(2 * n_max + 1, w)]
+
+    def value(x):
+        return x.c[0] if jets else x
+
     with mp.workprec(bits):
-        zero = mp.mpf(0)
+        zero = mu[0] * 0
         beta = [zero]
         h = [mu[0]]
-        if not h[0] > 0:
+        if not value(h[0]) > 0:
             raise _NonPositiveNorm(0)
-        row_km2: list[mp.mpf] = []
+        row_km2: list = []
         row_km1 = mu
         for k in range(1, n_max + 1):
             width = 2 * (n_max - k) + 1
@@ -93,7 +113,7 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int):
                 b = beta[k - 1]
                 row = [row_km1[i + 2] - b * row_km2[i + 2] for i in range(width)]
             hk = row[0]
-            if not hk > 0:
+            if not value(hk) > 0:
                 raise _NonPositiveNorm(k)
             beta.append(hk / h[k - 1])
             h.append(hk)
@@ -102,15 +122,26 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int):
     return beta, h
 
 
+def _numbers(values):
+    """Every number of a pass's list: its values, or its jets' coefficients."""
+    for v in values:
+        if isinstance(v, Jet):
+            yield from v.c
+        else:
+            yield v
+
+
 def _certified_digits(lo, hi, lo_bits: int) -> int:
     """Decimal digits on which two passes agree: the worst relative
-    disagreement over all recurrence coefficients, capped at the lower
-    pass's precision.  One logarithm, of the worst disagreement, since
-    floor(-log10(rel)) falls as rel grows."""
+    disagreement over all recurrence coefficients (over each jet
+    coefficient, for a pass on jets), capped at the lower pass's precision.
+    One logarithm, of the worst disagreement, since floor(-log10(rel))
+    falls as rel grows."""
     beta_lo, h_lo = lo
     beta_hi, h_hi = hi
     cap = int(lo_bits * _LOG10_2)
-    pairs = list(zip(beta_lo[1:], beta_hi[1:])) + list(zip(h_lo, h_hi))
+    pairs = (list(zip(_numbers(beta_lo[1:]), _numbers(beta_hi[1:])))
+             + list(zip(_numbers(h_lo), _numbers(h_hi))))
     worst = 0
     with mp.workprec(64):
         for x, y in pairs:
@@ -168,6 +199,11 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
             best_certified = max(best_certified, certified)
             if certified >= policy.target_certified_digits:
                 beta, h = cur
+                jets = None
+                if isinstance(h[0], Jet):
+                    jets = (tuple(beta), tuple(h))
+                    beta = [b.c[0] for b in beta]
+                    h = [v.c[0] for v in h]
                 return RecurrenceTable(
                     a=Real(as_mpf(a_value, bits), bits),
                     n_max=n_max,
@@ -176,6 +212,7 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
                     certified_digits=certified,
                     working_bits=bits,
                     escalations=levels - 2,
+                    jets=jets,
                 )
         if bits >= policy.max_bits:
             raise PrecisionExhaustedError(
@@ -202,7 +239,8 @@ def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
     return policy, a_value
 
 
-def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None) -> RecurrenceTable:
+def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
+                           jets: bool = False) -> RecurrenceTable:
     """Build beta_j, h_j for j <= n_max with certified accuracy.
 
     ``a`` may be a Real, an mpf, an int, or a decimal string (preferred for
@@ -211,10 +249,13 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
 
     Chebyshev passes from the moments, certified by ``_certify`` from
     ``policy.working_bits(n_max)``: the map loses about half a digit per
-    degree, which that starting precision budgets for.
+    degree, which that starting precision budgets for.  With ``jets`` the
+    passes run on Taylor jets, and the table also carries them (see
+    ``RecurrenceTable``); its values are those of the plain build.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
-    return _certify(_chebyshev_pass, a_value, n_max, policy.working_bits(n_max), policy)
+    pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
+    return _certify(pass_fn, a_value, n_max, policy.working_bits(n_max), policy)
 
 
 def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:

@@ -3,9 +3,11 @@
 Everything downstream (moments, recurrences, residuals) manipulates values
 produced here.  The kernel wraps mpmath: mpf numbers carry their own bits,
 and every operation in this module runs inside an explicit ``mp.workprec``
-block so results never silently round to the ambient global precision.
+block so results never silently round to the ambient global precision
+(``Jet`` arithmetic runs inside its callers' blocks).
 
-A :class:`Real` remembers the precision it was computed at.
+A :class:`Real` remembers the precision it was computed at, and a
+:class:`Jet` carries a value together with its first a-derivatives.
 """
 
 from __future__ import annotations
@@ -63,6 +65,53 @@ class Real:
     def __repr__(self):
         with mp.workprec(self.precision_bits):
             return f"Real({mp.nstr(self.value, 20)}, bits={self.precision_bits})"
+
+
+class Jet:
+    """A truncated Taylor jet c[0] + c[1] t + c[2] t^2 + ... of a smooth
+    function of the gap half-width a about a point: c[0] is the value, c[1]
+    the first derivative and c[2] half the second.
+
+    Jets add, subtract, multiply and divide one another (truncating at the
+    shorter one), and multiply by a plain number.  Arithmetic rounds at the
+    ambient mpmath precision, and the c[0] of a result is the same operation
+    on the operands' c[0], so a formula run on jets yields bit for bit the
+    values it yields on plain numbers, plus exact derivatives (Griewank and
+    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = tuple(c)
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet([x + y for x, y in zip(self.c, other.c)])
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet([x - y for x, y in zip(self.c, other.c)])
+
+    def __mul__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet([x * other for x in self.c])
+        a, b = self.c, other.c
+        out = []
+        for k in range(min(len(a), len(b))):
+            acc = a[0] * b[k]
+            for i in range(1, k + 1):
+                acc += a[i] * b[k - i]
+            out.append(acc)
+        return Jet(out)
+
+    def __truediv__(self, other: "Jet") -> "Jet":
+        a, b = self.c, other.c
+        out = []
+        for k in range(min(len(a), len(b))):
+            acc = a[k]
+            for i in range(1, k + 1):
+                acc -= b[i] * out[k - i]
+            out.append(acc / b[0])
+        return Jet(out)
 
 
 def pi_const(bits: int) -> mp.mpf:

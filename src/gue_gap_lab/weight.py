@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError
-from .precision import GUARD_BITS, Real, as_mpf, sqrt_pi_const
+from .precision import GUARD_BITS, Jet, Real, as_mpf, sqrt_pi_const
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,34 @@ def moments(count: int, w: GapWeight) -> list[Real]:
     return out
 
 
+def moment_jets(count: int, w: GapWeight) -> list[Jet]:
+    """``moments`` as Taylor jets (mu_k, mu_k', mu_k''/2) in a.
+
+    Differentiating the defining integral in its limits gives, for even k,
+    mu_k' = -2 a^k e^{-a^2} and mu_k'' = -2 (k a^{k-1} - 2 a^{k+1}) e^{-a^2},
+    so every derivative is exact and needs no recurrence; odd moments are
+    zero jets.  The values are ``moments``'s, and the derivatives are
+    rounded from the same guard bits to the weight's precision.
+    """
+    bits = w.prec_bits
+    zero = as_mpf(0, bits)
+    out = []
+    with mp.workprec(bits + GUARD_BITS):
+        a = w.a.value
+        a_sq = a * a
+        edge = mp.exp(-a_sq)  # a^k e^{-a^2} at even k
+        prev = zero  # a^{k-2} e^{-a^2}, absent at k = 0
+        for k, mu in enumerate(moments(count, w)):
+            if k % 2 == 1:
+                out.append(Jet((mu.value, zero, zero)))
+                continue
+            d1 = -2 * edge
+            half_d2 = a * (2 * edge - k * prev)
+            out.append(Jet((mu.value, as_mpf(d1, bits), as_mpf(half_d2, bits))))
+            prev, edge = edge, edge * a_sq
+    return out
+
+
 def moment(k: int, w: GapWeight) -> Real:
     """k-th power moment of the weight; exactly zero for odd k."""
     if k < 0:
@@ -111,13 +139,4 @@ def seed_R0(w: GapWeight) -> Real:
     h0 = moment(0, w)
     with mp.workprec(bits):
         v = 2 * mp.exp(-(w.a.value ** 2)) / h0.value
-    return Real(v, bits)
-
-
-def seed_r1(w: GapWeight) -> Real:
-    """r_1(a) = a R_0(a), the first off-diagonal edge quantity."""
-    bits = w.prec_bits
-    r0 = seed_R0(w)
-    with mp.workprec(bits):
-        v = w.a.value * r0.value
     return Real(v, bits)

@@ -14,6 +14,8 @@ from gue_gap_lab import (
     PrecisionPolicy,
     build_recurrence_table,
     cli,
+    difference_eqs,
+    orthopoly,
     probability,
 )
 from gue_gap_lab.report import sci_str
@@ -218,8 +220,9 @@ class TestVerify:
             assert set(c) >= {"name", "n", "a", "residual", "tolerance", "pass"}
 
     def test_forced_failure_with_bare_tol(self, tmp_path):
+        # route_agreement residuals are about 1e-58, so 1e-99 fails them
         out = tmp_path / "v.json"
-        code = run_cli(["verify", "--suite", "continuous", "--n-max", "2",
+        code = run_cli(["verify", "--suite", "oracle", "--n-max", "2",
                         "--a-list", "1", "--tol", "1e-99", "--out", str(out)])
         assert code == 1
         doc = json.loads(out.read_text())
@@ -247,17 +250,58 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["checks"][0]["warning"] is True
 
-    @pytest.mark.parametrize("suite", ["all", "discrete"])
+    @pytest.mark.parametrize("suite", ["all", "identities"])
     def test_zero_degree_cell_keeps_its_identity_checks(self, tmp_path, suite):
-        # no orbit step exists below n = 1, so the discrete suite adds nothing
+        # no orbit step or derivative check exists below n = 1, but the
+        # identities at n = 0 still run
         out = tmp_path / "v.json"
         assert run_cli(["verify", "--suite", suite, "--n-max", "0",
                         "--a-list", "1", "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
         assert not any(name.startswith("cell_error") for name in names)
-        if suite == "all":
-            assert {"pair_sum", "beta_closed_form", "weighted_sum",
-                    "R_partial_sum", "subleading", "sigma_step"} <= set(names)
+        assert {"pair_sum", "beta_closed_form", "weighted_sum",
+                "R_partial_sum", "subleading", "sigma_step"} <= set(names)
+
+    def test_a_run_without_checks_does_not_pass(self, tmp_path):
+        # the CLI refuses these suites at n = 0; a direct call that makes
+        # no row must not report success
+        out = tmp_path / "v.json"
+        config = cli.RunConfig(command="verify", n_max=0, a_values=("1",),
+                               policy=PrecisionPolicy(), digits=None,
+                               suite="discrete")
+        assert cli.cmd_verify(config, str(out)) == 1
+        doc = json.loads(out.read_text())
+        assert doc["checks"] == [] and doc["all_pass"] is False
+
+    def test_one_certified_table_per_cell(self, monkeypatch, tmp_path):
+        # the continuous suite reads the cell's one table: no grid of node
+        # tables, so one certification loop per cell
+        loops = []
+        real_certify = orthopoly._certify
+
+        def counting_certify(*args, **kwargs):
+            loops.append(args[1])
+            return real_certify(*args, **kwargs)
+
+        monkeypatch.setattr(orthopoly, "_certify", counting_certify)
+        monkeypatch.setattr(difference_eqs, "_certify", counting_certify)
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--n-max", "2", "--a-list", "0.7,1.1",
+                        "--out", str(out)]) == 0
+        assert len(loops) == 2
+
+    @pytest.mark.parametrize("a", ["0.3", "1", "2.5"])
+    def test_continuous_residuals_reach_the_certified_digits(self, tmp_path, a):
+        # exact derivatives: every residual sits within 10 digits of what
+        # the cell's table certifies, far below any finite-difference error
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "continuous", "--n-max", "10",
+                        "--a-list", a, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 160
+        certified = build_recurrence_table(a, 11, jets=True).certified_digits
+        bound = mp.mpf(10) ** -(certified - 10)
+        assert all(mp.mpf(c["residual"]) <= bound for c in checks)
 
     def test_oracle_suite(self, tmp_path):
         out = tmp_path / "v.json"
@@ -392,7 +436,7 @@ class TestSubprocess:
     def test_verify_exit_code_propagates(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gue_gap_lab", "verify", "--suite",
-             "continuous", "--n-max", "1", "--a-list", "1",
+             "oracle", "--n-max", "1", "--a-list", "1",
              "--tol", "all=1e-99"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1
@@ -450,10 +494,11 @@ def test_bad_tolerance_syntax_is_an_error():
     ["verify", "--a-list", "1", "--tol=-1"],
     ["verify", "--a-list", "1", "--tol", "pair_sum=0"],
     ["verify", "--a-list", "1", "--tol", "orbit_vs_direct=1e-500"],
-    ["verify", "--a-list", "1", "--fd-h", "abc"],
-    ["verify", "--a-list", "1", "--fd-h", "0"],
-    ["verify", "--a-list", "1", "--fd-h", "inf"],
+    ["verify", "--a-list", "1", "--fd-h", "1e-8"],
     ["table", "--a-list", "1", "--fd-h", "1e-8"],
+    ["verify", "--suite", "discrete", "--n-max", "0", "--a-list", "1"],
+    ["verify", "--suite", "continuous", "--n-max", "0", "--a-list", "1"],
+    ["verify", "--suite", "oracle", "--n-max", "0", "--a-list", "1"],
     ["table", "--a-list", "1", "--tol", "1e-3"],
     ["plot", "--in", "t.csv", "--quantity", "nope", "--out", "p.svg"],
 ], ids=lambda args: " ".join(args))
@@ -507,7 +552,7 @@ def test_jobs_are_clamped_to_cells_and_cpus(monkeypatch, jobs, cpus, workers):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cells = ("0.5", "1", "2")
     config = cli.RunConfig(command="table", n_max=0, a_values=cells,
-                           policy=PrecisionPolicy(), fd_h="1e-8", digits=None,
+                           policy=PrecisionPolicy(), digits=None,
                            suite="all", jobs=jobs)
     assert cli._map_cells(config, lambda config_dict, cell: cell, cells) == list(cells)
     assert pools == ([workers] if workers > 1 else [])

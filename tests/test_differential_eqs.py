@@ -3,12 +3,13 @@
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, Real
+from gue_gap_lab import DomainError, Real, build_recurrence_table
 from gue_gap_lab.differential_eqs import (
     build_a_grid,
     continuous_suite,
     convergence_study,
     fd_derivative,
+    jet_source,
     residual_chazy,
     residual_derivative_identities,
     residual_painleve4,
@@ -147,6 +148,36 @@ class TestResiduals:
                 assert lo < hi
         coarse = [gap_probability_hankel(n, a).value for a in ("0.5", "1", "2")]
         assert coarse[0] > coarse[1] > coarse[2]
+
+
+class TestJetSource:
+    @pytest.mark.parametrize("a_text", ["0.3", "1", "2"])
+    def test_jets_match_the_finite_difference_grid(self, a_text):
+        # the grid's h^6 truncation is about 1e-46 here, so agreement to
+        # 1e-40 in every component checks value, d/da and d^2/da^2
+        grid = build_a_grid(a_text, 5)
+        source = jet_source(build_recurrence_table(a_text, 5, jets=True))
+        for name in ("h", "beta", "R", "r", "sigma", "p"):
+            for n in range(6):
+                exact = source.derivs(name, n)
+                fd = grid.derivs(name, n)
+                with mp.workprec(64):
+                    # relative, or against the jet's size where a part is 0
+                    # (h_1'' = mu_2'' vanishes at a = 1)
+                    size = max(abs(x) for x in exact)
+                    for x, y in zip(exact, fd):
+                        assert abs(x - y) <= 1e-40 * (abs(x) or size), f"{name}_{n}"
+
+    def test_full_suite_at_working_precision(self):
+        source = jet_source(build_recurrence_table("1", 6, jets=True))
+        for n in range(1, 6):
+            rep = continuous_suite(source, n)
+            assert {c.name for c in rep.checks} == ALL_CHECK_NAMES
+            assert rep.worst < mp.mpf(10) ** -300
+
+    def test_needs_a_table_with_jets(self, table_a1):
+        with pytest.raises(DomainError):
+            jet_source(table_a1)
 
 
 class TestConvergence:

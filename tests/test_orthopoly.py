@@ -19,6 +19,7 @@ from gue_gap_lab import (
     poly_values,
     subleading_coeff,
 )
+from gue_gap_lab.precision import Jet
 from gue_gap_lab.weight import GapWeight, moment
 
 
@@ -85,6 +86,29 @@ class TestCertification:
         assert bits_seen == [64, 128, 256, 512, 1024]
         assert table.escalations == 3
         assert table.certified_digits >= 40
+
+    @pytest.mark.parametrize("a_text", ["0.7", "1.1", "2.5"])
+    def test_jet_values_are_the_plain_build(self, a_text):
+        plain = build_recurrence_table(a_text, 8)
+        jets = build_recurrence_table(a_text, 8, jets=True)
+        assert plain.jets is None
+        assert jets.working_bits == plain.working_bits
+        for x, y in zip(plain.beta + plain.h, jets.beta + jets.h):
+            assert x.value._mpf_ == y.value._mpf_
+        beta_jets, h_jets = jets.jets
+        assert [j.c[0] for j in beta_jets] == [b.value for b in jets.beta]
+        assert [j.c[0] for j in h_jets] == [v.value for v in jets.h]
+
+    def test_certified_digits_cover_the_derivative_parts(self):
+        # two passes that agree on every value but differ in one second
+        # derivative at the 1e-20 level certify 20 digits, not the cap
+        lo = orthopoly._chebyshev_pass(mp.mpf(1), 3, 256, jets=True)
+        hi = orthopoly._chebyshev_pass(mp.mpf(1), 3, 512, jets=True)
+        assert orthopoly._certified_digits(lo, hi, 256) > 60
+        v, d1, d2 = hi[1][2].c
+        with mp.workprec(512):
+            hi[1][2] = Jet((v, d1, d2 * (1 + mp.mpf(10) ** -20)))
+        assert orthopoly._certified_digits(lo, hi, 256) in (19, 20)
 
     def test_unreachable_target_raises(self):
         impossible = PrecisionPolicy(base_bits=64, bits_per_n=0,

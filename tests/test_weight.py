@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gue_gap_lab import DomainError, GapWeight, Real, moment, seed_R0, seed_r1
+from gue_gap_lab import DomainError, GapWeight, Real, moment, seed_R0
 from gue_gap_lab.precision import GUARD_BITS, as_mpf
-from gue_gap_lab.weight import moments
+from gue_gap_lab.weight import moment_jets, moments
 
 R0_AT_1 = "2.63896751423479126047150115207156112883768656"
 TWO_OVER_SQRT_PI = "1.12837916709551257389615890312154517168810126"
@@ -35,6 +35,22 @@ def test_even_moments_match_incomplete_gamma_oracle():
                 ref = mp.gammainc(mp.mpf(k + 1) / 2, av * av, mp.inf)
                 rel = abs(m.value - ref) / ref
             assert rel < mp.mpf(10) ** -140
+
+
+@pytest.mark.parametrize("a_text", ["0.3", "1.7", "4"])
+def test_moment_jets_match_differentiated_incomplete_gamma(a_text):
+    # (mu_k, mu_k', mu_k''/2) against mp.diffs of Gamma((k+1)/2, a^2); the
+    # values are those of the one-sweep recurrence
+    w = make_weight(a_text)
+    jets = moment_jets(11, w)
+    assert [j.c[0] for j in jets] == [m.value for m in moments(11, w)]
+    assert all(jets[k].c == (0, 0, 0) for k in range(1, 11, 2))
+    with mp.workprec(400):
+        av = mp.mpf(a_text)
+        for k in (0, 2, 4, 10):
+            _, d1, d2 = mp.diffs(lambda x: mp.gammainc(mp.mpf(k + 1) / 2, x * x), av, 2)
+            assert abs(jets[k].c[1] - d1) / abs(d1) < mp.mpf(10) ** -100
+            assert abs(2 * jets[k].c[2] - d2) / abs(d2) < mp.mpf(10) ** -100
 
 
 def per_order_moment(k, w):
@@ -93,15 +109,6 @@ def test_seed_R0_at_zero_is_two_over_sqrt_pi():
     with mp.workprec(512):
         rel = abs(seed_R0(w).value - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
     assert rel < mp.mpf(10) ** -44
-
-
-def test_seed_r1_is_a_times_R0():
-    for a_text in ("0.2", "1", "3"):
-        w = make_weight(a_text)
-        with mp.workprec(512):
-            av = mp.mpf(a_text)
-            diff = abs(seed_r1(w).value - av * seed_R0(w).value)
-            assert diff / abs(seed_r1(w).value) < mp.mpf(10) ** -140
 
 
 def test_negative_half_width_rejected():

@@ -262,6 +262,17 @@ class TestVerify:
         assert {"pair_sum", "beta_closed_form", "weighted_sum",
                 "R_partial_sum", "subleading", "sigma_step"} <= set(names)
 
+    @pytest.mark.parametrize("suite", ["discrete", "continuous", "oracle"])
+    def test_zero_degree_cell_without_checks_is_a_usage_error(self, suite,
+                                                             capsys):
+        # these suites have no check at n = 0, so the run is refused
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", suite, "--n-max", "0",
+                      "--a-list", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "error:" in err
+
     def test_a_run_without_checks_does_not_pass(self, tmp_path):
         # the CLI refuses these suites at n = 0; a direct call that makes
         # no row must not report success
@@ -496,9 +507,6 @@ def test_bad_tolerance_syntax_is_an_error():
     ["verify", "--a-list", "1", "--tol", "orbit_vs_direct=1e-500"],
     ["verify", "--a-list", "1", "--fd-h", "1e-8"],
     ["table", "--a-list", "1", "--fd-h", "1e-8"],
-    ["verify", "--suite", "discrete", "--n-max", "0", "--a-list", "1"],
-    ["verify", "--suite", "continuous", "--n-max", "0", "--a-list", "1"],
-    ["verify", "--suite", "oracle", "--n-max", "0", "--a-list", "1"],
     ["table", "--a-list", "1", "--tol", "1e-3"],
     ["plot", "--in", "t.csv", "--quantity", "nope", "--out", "p.svg"],
 ], ids=lambda args: " ".join(args))

@@ -20,14 +20,7 @@ from .exceptions import (
 )
 from .precision import PrecisionPolicy, Real
 from .weight import GapWeight, moment, seed_R0
-from .orthopoly import (
-    RecurrenceTable,
-    build_recurrence_table,
-    hermite_norm_exact,
-    log_hankel_det,
-    poly_values,
-    subleading_coeff,
-)
+from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norm_exact
 from .ladder import (
     LadderState,
     default_z_samples,
@@ -109,10 +102,8 @@ __all__ = [
     "iterate_r_orbit",
     "jet_source",
     "ladder_states",
-    "log_hankel_det",
     "moment",
     "overlap_matrix",
-    "poly_values",
     "probability_record",
     "relative_residual",
     "residual_R_recurrence",
@@ -130,6 +121,5 @@ __all__ = [
     "sci_str",
     "seed_R0",
     "select_r_branch",
-    "subleading_coeff",
     "__version__",
 ]

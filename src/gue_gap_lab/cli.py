@@ -41,10 +41,10 @@ from .difference_eqs import (
 )
 from .differential_eqs import continuous_suite, jet_source
 from .exceptions import DomainError, EdgeZeroError, GapLabError
-from .ladder import ladder_states, residual_identities, residual_supplementary
+from .ladder import edge_quantities, ladder_states, residual_identities, residual_supplementary
 from .orthopoly import build_recurrence_table, hermite_norm_exact
 from .precision import PrecisionPolicy
-from .probability import probability_record, residual_oracle
+from .probability import hankel_probabilities, probability_record, residual_oracle
 from .report import ResidualCheck, ResidualReport, sci_str
 
 FORMAT_VERSION = "gue-gap-lab v1"
@@ -214,42 +214,31 @@ def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
             for n in range(n_max + 1)
         ]
     digits = config.digits or table.certified_digits
-    states = None
     failed_at = None
     try:
         states = ladder_states(table)
     except EdgeZeroError as exc:
         failed_at = exc.n
-        if failed_at > 0:
-            states = ladder_states(table, n_top=failed_at - 1)
-    bits = table.working_bits
-    with mp.workprec(bits):
-        prob = mp.mpf(1)
-        for n in range(n_max + 1):
-            beta = table.beta[n].value if n >= 1 else mp.mpf(0)
-            hn = table.h[n].value
-            if states is not None and (failed_at is None or n < failed_at):
-                s = states[n]
-                rows.append(_row(
-                    n, a_str, status="ok", digits=digits,
-                    beta=beta, h=hn, Pn=s.Pn_at_a.value, p=s.p.value,
-                    R=s.R.value, r=s.r.value, sigma=s.sigma.value, prob=prob,
-                ))
-            else:
-                status = "edge-zero" if n == failed_at else "skipped"
-                rows.append(_row(
-                    n, a_str, status=status, digits=digits,
-                    beta=beta, h=hn, prob=prob,
-                ))
-            prob *= hn / hermite_norm_exact(n, bits).value
+        states = ladder_states(table, n_top=failed_at - 1)
+    probs = hankel_probabilities(table, n_max)
+    for n in range(n_max + 1):
+        values = {"beta": table.beta[n].value, "h": table.h[n].value, "prob": probs[n]}
+        if failed_at is None or n < failed_at:
+            s = states[n]
+            status = "ok"
+            values.update(P=s.Pn_at_a.value, p=s.p.value, R=s.R.value, r=s.r.value,
+                          sigma=s.sigma.value)
+        else:
+            status = "edge-zero" if n == failed_at else "skipped"
+        rows.append(_row(n, a_str, status=status, digits=digits, **values))
     return rows
 
 
 def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     """Rows at a = 0: the classical weight, where the gap closes.
 
-    beta_n = n/2 and h_n = (n!/2^n) sqrt(pi) in closed form, and
-    P_{n+1}(0) = -beta_n P_{n-1}(0).  The probability is exactly 1 and r
+    beta_n = n/2 and h_n = (n!/2^n) sqrt(pi) in closed form, through
+    ``edge_quantities`` at a = 0.  The probability is exactly 1 and r
     vanishes identically; sigma carries the one-sided limit -sum R_j(0+),
     which is the slope of ln P from the right.  Odd-n rows are flagged
     edge-zero for the structural parity zero of P_n at the origin.
@@ -258,25 +247,14 @@ def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     n_max = config.n_max
     digits = config.digits or policy.target_certified_digits
     bits = policy.working_bits(n_max)
-    rows = []
-    with mp.workprec(bits):
-        sigma = mp.mpf(0)
-        p_val = mp.mpf(0)
-        P_prev, P = mp.mpf(0), mp.mpf(1)  # P_{n-1}(0), P_n(0)
-        for n in range(n_max + 1):
-            beta = mp.mpf(n) / 2
-            hn = hermite_norm_exact(n, bits).value
-            rn2 = 2 * P ** 2 / hn
-            rows.append(_row(
-                n, a_str, status="ok" if n % 2 == 0 else "edge-zero",
-                digits=digits,
-                beta=beta, h=hn, Pn=P, p=p_val,
-                R=rn2, r=mp.mpf(0), sigma=sigma, prob=mp.mpf(1),
-            ))
-            sigma -= rn2
-            p_val -= beta
-            P_prev, P = P, -beta * P_prev
-    return rows
+    beta = [mp.mpf(n) / 2 for n in range(n_max + 1)]
+    h = [hermite_norm_exact(n, bits).value for n in range(n_max + 1)]
+    edge = edge_quantities(mp.mpf(0), beta, h, bits)
+    return [
+        _row(n, a_str, status="ok" if n % 2 == 0 else "edge-zero", digits=digits,
+             beta=beta[n], h=h[n], prob=mp.mpf(1), **{k: v[n] for k, v in edge.items()})
+        for n in range(n_max + 1)
+    ]
 
 
 def _row(n: int, a_str: str, status: str, digits: int = 20, **values) -> dict[str, str]:
@@ -289,7 +267,7 @@ def _row(n: int, a_str: str, status: str, digits: int = 20, **values) -> dict[st
         "a": a_str,
         "beta": fmt("beta"),
         "h": fmt("h"),
-        "Pn_at_a": fmt("Pn"),
+        "Pn_at_a": fmt("P"),
         "p": fmt("p"),
         "R": fmt("R"),
         "r": fmt("r"),

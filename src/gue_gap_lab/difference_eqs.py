@@ -47,9 +47,6 @@ class DiscreteOrbit:
     a: Real
     r: tuple[Real, ...]
 
-    def __len__(self) -> int:
-        return len(self.r)
-
 
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     """Iterate the first-order pair of the ladder relations,

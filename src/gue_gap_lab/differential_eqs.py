@@ -26,10 +26,11 @@ d^2/da^2)``.  Log-derivatives are ratios, (ln h_n)' = h_n'/h_n and
 sources:
 
   JetSource   exact derivatives at a: the recurrence table is built on
-              Taylor jets from the exact moment derivatives, and the edge
-              quantities are formed from it with the edge x = a itself the
-              jet (a, 1, 0).  The residuals sit at working precision.
-              ``verify`` reads the cell's one table this way.
+              Taylor jets from the exact moment derivatives, and
+              ``ladder.edge_quantities`` forms the edge quantities from its
+              jets with the edge x = a itself the jet (a, 1, 0).  The
+              residuals sit at working precision.  ``verify`` reads the
+              cell's one table this way.
   AGrid       standard central differences of order h^6 on 7 nodes a0 + kh,
               each node with its own certified table at full working
               precision (at least 700 bits), so the h^6 truncation term
@@ -46,7 +47,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .exceptions import DomainError
-from .ladder import LadderState, ladder_states
+from .ladder import LadderState, edge_quantities, ladder_states
 from .orthopoly import RecurrenceTable, build_recurrence_table
 from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
@@ -112,10 +113,6 @@ class AGrid:
     @property
     def bits(self) -> int:
         return max(t.working_bits for t in self.tables)
-
-    @property
-    def center_states(self) -> tuple[LadderState, ...]:
-        return self.states[STENCIL_HALFWIDTH]
 
     def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         """(value, d/da, d^2/da^2) of ``name`` ("h", "beta", "R", "r",
@@ -186,7 +183,7 @@ class JetSource:
     a0: Real
     n_max: int
     bits: int
-    jets: dict[str, tuple[Jet, ...]]
+    jets: dict[str, Sequence[Jet]]
 
     def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         """(value, d/da, d^2/da^2) of ``name`` at degree n."""
@@ -195,12 +192,8 @@ class JetSource:
 
 
 def jet_source(table: RecurrenceTable) -> JetSource:
-    """The edge quantities of ``ladder.ladder_states`` as jets in a.
-
-    P_j(a) comes from the three-term recurrence with x = a the jet (a, 1, 0)
-    and the table's beta jets; with w0 = e^{-a^2} as a jet,
-    R_n = 2 w0 P_n^2 / h_n, r_n = 2 w0 P_n P_{n-1} / h_{n-1} (r_0 = 0),
-    sigma_n = -(R_0 + ... + R_{n-1}) and p_n = -(beta_0 + ... + beta_{n-1}).
+    """The edge quantities of ``ladder.ladder_states`` as jets in a:
+    ``ladder.edge_quantities`` run on the table's (beta, h) jets.
     ``table`` must carry jets and have a > 0.
     """
     if table.jets is None:
@@ -208,28 +201,12 @@ def jet_source(table: RecurrenceTable) -> JetSource:
     if not table.a.value > 0:
         raise DomainError("ladder quantities require a > 0")
     beta, h = table.jets
-    bits = table.working_bits
-    with mp.workprec(bits):
-        a = table.a.value
-        e = mp.exp(-a * a)
-        two_w0 = Jet((2 * e, -4 * a * e, 2 * (2 * a * a - 1) * e))
-        zero = Jet([mp.mpf(0)] * 3)
-        x = Jet((a, mp.mpf(1), mp.mpf(0)))
-        P = [Jet((mp.mpf(1), mp.mpf(0), mp.mpf(0))), x]
-        for j in range(1, table.n_max):
-            P.append(x * P[j] - beta[j] * P[j - 1])
-        R, r, sigma, p = [], [], [zero], [zero]
-        for n in range(table.n_max + 1):
-            R.append(two_w0 * P[n] * P[n] / h[n])
-            r.append(two_w0 * P[n] * P[n - 1] / h[n - 1] if n else zero)
-            sigma.append(sigma[n] - R[n])
-            p.append(p[n] - beta[n])
+    edge = edge_quantities(table.a.value, beta, h, table.working_bits)
     return JetSource(
         a0=table.a,
         n_max=table.n_max,
-        bits=bits,
-        jets={"h": h, "beta": beta, "R": tuple(R), "r": tuple(r),
-              "sigma": tuple(sigma[:-1]), "p": tuple(p[:-1])},
+        bits=table.working_bits,
+        jets={"h": h, "beta": beta, **{k: edge[k] for k in ("R", "r", "sigma", "p")}},
     )
 
 

@@ -7,6 +7,12 @@ the monic polynomials P_j, the edge quantities are
     R_n = 2 w0 P_n(a)^2 / h_n
     r_n = 2 w0 P_n(a) P_{n-1}(a) / h_{n-1}        (r_0 = 0)
     sigma_n = -(R_0 + ... + R_{n-1})
+    p_n = -(beta_0 + ... + beta_{n-1})            (subleading coefficient)
+
+``edge_quantities`` is the one place these are formed, with P_j(a) from
+the three-term recurrence: on plain values for ``ladder_states``, on
+Taylor jets in a for ``differential_eqs.jet_source``, and at a = 0 for the
+closed-form rows of ``table``.
 
 sigma_n is simultaneously the logarithmic derivative d/da ln D_n of the
 moment determinant, which ties these ladder quantities to the gap
@@ -25,8 +31,8 @@ from typing import Sequence
 import mpmath as mp
 
 from .exceptions import DomainError, EdgeZeroError
-from .orthopoly import RecurrenceTable, poly_values
-from .precision import Real, as_mpf
+from .orthopoly import RecurrenceTable
+from .precision import Jet, Real, as_mpf
 from .report import ResidualReport, make_check
 
 IDENTITY_TOL = 1e-30
@@ -56,6 +62,40 @@ class LadderState:
         return self.R.precision_bits
 
 
+def edge_quantities(a, beta, h, bits: int) -> dict[str, list]:
+    """Lists P_n(a), R_n, r_n, sigma_n and p_n for n = 0..N, under the keys
+    "P", "R", "r", "sigma" and "p", from beta_0..beta_N and h_0..h_N.
+
+    P_j(a) comes from the three-term recurrence at x = a, the rest from the
+    formulas of the module docstring.  When ``h[0]`` is a ``Jet`` the inputs
+    are jets in a, x is the jet (a, 1, 0) and 2 w0 the jet of 2 e^{-a^2};
+    a jet's value part is the same mpf operation as the plain one, so the
+    values agree bit for bit.  R is 2 w0 (P_n P_n) / h_n, which rounds as
+    2 w0 P_n^2 / h_n.  No check on a: the a = 0 rows use it too.
+    """
+    top = len(h) - 1
+    with mp.workprec(bits):
+        e = mp.exp(-a * a)
+        if isinstance(h[0], Jet):
+            two_w0 = Jet((2 * e, -4 * a * e, 2 * (2 * a * a - 1) * e))
+            x = Jet((a, mp.mpf(1), mp.mpf(0)))
+            one, zero = Jet((mp.mpf(1), mp.mpf(0), mp.mpf(0))), Jet([mp.mpf(0)] * 3)
+        else:
+            two_w0, x, one, zero = 2 * e, a, mp.mpf(1), mp.mpf(0)
+        P = [one, x][:top + 1]
+        for j in range(1, top):
+            P.append(x * P[j] - beta[j] * P[j - 1])
+        R, r, sigma, p = [], [zero], [zero], [zero]
+        for n in range(top + 1):
+            R.append(two_w0 * (P[n] * P[n]) / h[n])
+            if n:
+                r.append(two_w0 * P[n] * P[n - 1] / h[n - 1])
+            if n < top:
+                sigma.append(sigma[n] - R[n])
+                p.append(p[n] - beta[n])
+    return {"P": P, "R": R, "r": r, "sigma": sigma, "p": p}
+
+
 def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[LadderState]:
     """LadderState for n = 0..n_top from one certified recurrence table.
 
@@ -74,41 +114,26 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
     t = table.certified_digits // 2
     bits = table.working_bits
     a = table.a.value
-    pvals = [v.value for v in poly_values(table, n_top, table.a)]
+    beta = [b.value for b in table.beta[:n_top + 1]]
+    edge = edge_quantities(a, beta, [v.value for v in table.h[:n_top + 1]], bits)
+    P = edge["P"]
     with mp.workprec(bits):
         thresh = mp.mpf(10) ** (-t)
         for n in range(1, n_top + 1):
             # scale of the two recurrence terms whose difference is P_n(a)
-            scale = abs(a * pvals[n - 1])
+            scale = abs(a * P[n - 1])
             if n >= 2:
-                scale = max(scale, abs(table.beta[n - 1].value * pvals[n - 2]))
-            if abs(pvals[n]) < thresh * scale:
+                scale = max(scale, abs(beta[n - 1] * P[n - 2]))
+            if abs(P[n]) < thresh * scale:
                 raise EdgeZeroError(
                     f"P_{n}(a) is below the certification threshold at a={mp.nstr(a, 8)}",
                     n=n,
                 )
-        two_w0 = 2 * mp.exp(-a * a)
-        states = []
-        sigma_acc = mp.mpf(0)
-        p_acc = mp.mpf(0)
-        for n in range(n_top + 1):
-            R_n = two_w0 * pvals[n] ** 2 / table.h[n].value
-            r_n = mp.mpf(0) if n == 0 else two_w0 * pvals[n] * pvals[n - 1] / table.h[n - 1].value
-            states.append(
-                LadderState(
-                    n=n,
-                    a=Real(a, bits),
-                    R=Real(R_n, bits),
-                    r=Real(r_n, bits),
-                    beta=table.beta[n],
-                    sigma=Real(sigma_acc, bits),
-                    p=Real(p_acc, bits),
-                    Pn_at_a=Real(pvals[n], bits),
-                )
-            )
-            sigma_acc -= R_n
-            p_acc -= table.beta[n].value
-    return states
+    return [
+        LadderState(n=n, a=Real(a, bits), beta=table.beta[n], Pn_at_a=Real(P[n], bits),
+                    **{k: Real(edge[k][n], bits) for k in ("R", "r", "sigma", "p")})
+        for n in range(n_top + 1)
+    ]
 
 
 def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:

@@ -25,8 +25,9 @@ derivative parts too, so the certified digit count covers them.  ``verify``
 builds its one table per cell this way and takes every derivative of the
 continuous suite from it.
 
-Conventions: beta_0 = 0 and P_{-1} = 0, so h_0 = mu_0 and p(0) = p(1) = 0
-for the subleading coefficient p(n) = -(beta_0 + ... + beta_{n-1}).
+The polynomials themselves are evaluated only at the edge x = a, by
+``ladder.edge_quantities``.  Conventions: beta_0 = 0 and P_{-1} = 0, so
+h_0 = mu_0.
 """
 
 from __future__ import annotations
@@ -256,45 +257,6 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     policy, a_value = _parse_inputs(a, n_max, policy)
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
     return _certify(pass_fn, a_value, n_max, policy.working_bits(n_max), policy)
-
-
-def poly_values(table: RecurrenceTable, n: int, x) -> list[Real]:
-    """[P_0(x), ..., P_n(x)] by the forward recurrence at working precision."""
-    if not 0 <= n <= table.n_max:
-        raise DomainError(f"degree {n} outside table range 0..{table.n_max}")
-    bits = table.working_bits
-    xv = as_mpf(x, bits)
-    with mp.workprec(bits):
-        vals = [mp.mpf(1)]
-        if n >= 1:
-            vals.append(xv)
-        for j in range(1, n):
-            vals.append(xv * vals[j] - table.beta[j].value * vals[j - 1])
-    return [Real(v, bits) for v in vals]
-
-
-def subleading_coeff(table: RecurrenceTable, n: int) -> Real:
-    """p(n) = -(beta_0 + ... + beta_{n-1}), the x^{n-2} coefficient of P_n."""
-    if not 0 <= n <= table.n_max:
-        raise DomainError(f"degree {n} outside table range 0..{table.n_max}")
-    bits = table.working_bits
-    with mp.workprec(bits):
-        total = mp.mpf(0)
-        for j in range(n):
-            total += table.beta[j].value
-        return Real(-total, bits)
-
-
-def log_hankel_det(table: RecurrenceTable, n: int) -> Real:
-    """ln D_n as a sum of ln h_j, safe from overflow for large n."""
-    if not 0 <= n <= table.n_max + 1:
-        raise DomainError(f"size {n} outside table range 0..{table.n_max + 1}")
-    bits = table.working_bits
-    with mp.workprec(bits):
-        total = mp.mpf(0)
-        for j in range(n):
-            total += mp.log(table.h[j].value)
-        return Real(total, bits)
 
 
 def hermite_norm_exact(k: int, bits: int) -> Real:

@@ -218,17 +218,30 @@ def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
         return minors
 
 
+def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
+    """[P(0, a), ..., P(n, a)] in one running product of h_j(a) / h_j(0)
+    over the table.  Each factor lies in (0, 1], so the product is monotone
+    and free of overflow."""
+    if table.n_max < n - 1:
+        raise DomainError(f"table covers degrees 0..{table.n_max}, need {n - 1}")
+    bits = table.working_bits
+    with mp.workprec(bits):
+        probs = [mp.mpf(1)]
+        for j in range(n):
+            probs.append(probs[j] * (table.h[j].value / hermite_norm_exact(j, bits).value))
+    return probs
+
+
 def gap_probability_hankel(
     n: int,
     a=None,
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
 ) -> Real:
-    """P(n, a) as prod_{j<n} h_j(a) / h_j(0).
+    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``).
 
     Either pass a prebuilt certified table (preferred when one exists) or
-    a value for ``a``.  Each factor lies in (0, 1], so the running product
-    is monotone and free of overflow.
+    a value for ``a``.
     """
     if n < 0:
         raise DomainError(f"matrix size must be >= 0, got {n}")
@@ -236,14 +249,7 @@ def gap_probability_hankel(
         if a is None:
             raise DomainError("need either a or a prebuilt table")
         table = build_recurrence_table(a, max(n - 1, 0), policy)
-    if table.n_max < n - 1:
-        raise DomainError(f"table covers degrees 0..{table.n_max}, need {n - 1}")
-    bits = table.working_bits
-    with mp.workprec(bits):
-        prob = mp.mpf(1)
-        for j in range(n):
-            prob *= table.h[j].value / hermite_norm_exact(j, bits).value
-    return Real(prob, bits)
+    return Real(hankel_probabilities(table, n)[n], table.working_bits)
 
 
 def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
@@ -348,11 +354,11 @@ def residual_oracle(
         table = build_recurrence_table(a, max(n - 1, 0), policy)
     bits = table.working_bits
     a_val = a if a is not None else table.a
-    p_h = [gap_probability_hankel(k, table=table) for k in range(1, n + 1)]
+    p_h = hankel_probabilities(table, n)[1:]
     f_bits = fredholm_bits(n, p_h[-1], policy.target_certified_digits)
     p_f = gap_probability_fredholm(n, a_val, prec_bits=f_bits)
     rep = ResidualReport(a=mp.nstr(as_mpf(a_val, bits), 12), n=n)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
-            rep.add(make_check("route_agreement", k, [h.value, -f.value], ORACLE_TOL, bits))
+            rep.add(make_check("route_agreement", k, [h, -f.value], ORACLE_TOL, bits))
     return rep

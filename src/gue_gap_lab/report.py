@@ -18,8 +18,9 @@ from .precision import Real
 
 
 def sci_str(x, digits: int) -> str:
-    """Deterministic scientific-notation string with ``digits`` significant digits."""
-    v = x.value if isinstance(x, Real) else mp.mpf(x)
+    """Deterministic scientific-notation string with ``digits`` significant
+    digits.  A Real or mpf prints as given, whatever the ambient precision."""
+    v = x.value if isinstance(x, Real) else mp.mpmathify(x)
     return mp.nstr(v, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 

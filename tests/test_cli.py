@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from gue_gap_lab import (
+    EdgeZeroError,
     PrecisionPolicy,
     build_recurrence_table,
     cli,
@@ -78,6 +79,40 @@ class TestTable:
         table = build_recurrence_table("0", 12)
         assert [r["beta"] for r in rows] == [sci_str(b, 40) for b in table.beta]
         assert [r["h"] for r in rows] == [sci_str(h, 40) for h in table.h]
+
+    @pytest.mark.parametrize("digits, digest", [
+        (["--digits", "30"],
+         "bcc4f42463babe699eba936271685fc5206ea8b6b8ae700a067ecc28ae233015"),
+        ([], "15738dc4c31e375871fb0dba9caf759277665c2296d9ac03183824f65e5bdcec"),
+    ])
+    def test_zero_rows_are_pinned(self, capsys, digits, digest):
+        # stdout of the closed-form a = 0 rows, frozen when they had their
+        # own recurrence; they now come from ladder.edge_quantities
+        assert run_cli(["table", "--n-max", "60", "--a-list", "0", *digits]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_edge_zero_row_and_the_rows_after_it(self, tmp_path, monkeypatch):
+        # P_2(a) forced below the certification threshold: the rows before
+        # it are whole, it is edge-zero, and later rows keep beta, h, prob
+        real_states = cli.ladder_states
+
+        def failing_states(table, n_top=None):
+            if n_top is None:
+                raise EdgeZeroError("forced", n=2)
+            return real_states(table, n_top)
+
+        args = ["table", "--n-max", "4", "--a-list", "1", "--digits", "20"]
+        assert run_cli([*args, "--out", str(tmp_path / "ok.csv")]) == 0
+        monkeypatch.setattr(cli, "ladder_states", failing_states)
+        assert run_cli([*args, "--out", str(tmp_path / "ez.csv")]) == 0
+        _, whole = read_table(str(tmp_path / "ok.csv"))
+        _, rows = read_table(str(tmp_path / "ez.csv"))
+        assert [r["status"] for r in rows] == ["ok", "ok", "edge-zero", "skipped", "skipped"]
+        assert rows[:2] == whole[:2]
+        for row, ref in zip(rows[2:], whole[2:]):
+            assert {k: v for k, v in row.items() if v} == {
+                k: ref[k] for k in ("n", "a", "beta", "h", "prob")} | {"status": row["status"]}
 
     def test_tiny_half_width_rows_are_unchanged(self, tmp_path):
         # the orbit builds these rows; the pin is the Chebyshev route's

@@ -5,6 +5,7 @@ import pytest
 
 from gue_gap_lab import DomainError, Real, build_recurrence_table
 from gue_gap_lab.differential_eqs import (
+    STENCIL_HALFWIDTH,
     build_a_grid,
     continuous_suite,
     convergence_study,
@@ -131,7 +132,7 @@ class TestResiduals:
         bits = grid_a1.bits
         with mp.workprec(bits):
             for n in range(1, grid_a1.n_max + 1):
-                s = grid_a1.center_states[n]
+                s = grid_a1.states[STENCIL_HALFWIDTH][n]
                 r, R = s.r.value, s.R.value
                 dr = 2 * r * r / R - (n + r) * R
                 disc = dr * dr + 8 * r * r * (n + r)
@@ -142,7 +143,7 @@ class TestResiduals:
         # across the grid nodes and globally across separated half-widths
         n = 4
         with mp.workprec(grid_a1.bits):
-            assert grid_a1.center_states[n].sigma.value < 0
+            assert grid_a1.states[STENCIL_HALFWIDTH][n].sigma.value < 0
             probs = [gap_probability_hankel(n, table=t).value for t in grid_a1.tables]
             for lo, hi in zip(probs[1:], probs[:-1]):
                 assert lo < hi

@@ -10,6 +10,7 @@ from gue_gap_lab import (
     residual_identities,
     residual_supplementary,
 )
+from gue_gap_lab.ladder import edge_quantities
 from gue_gap_lab.report import all_pass
 from gue_gap_lab.weight import GapWeight, seed_R0
 
@@ -115,3 +116,53 @@ def test_states_consistent_across_half_widths():
                 diff = abs(states[n].sigma.value - acc)
                 assert diff <= mp.mpf(2) ** (10 - table.working_bits)
                 acc -= states[n].R.value
+
+
+@pytest.mark.parametrize("a_text", ["0.3", "1", "2.5"])
+def test_edge_quantities_plain_and_jet_values_agree_bit_for_bit(a_text):
+    table = build_recurrence_table(a_text, 12, jets=True)
+    bits = table.working_bits
+    a = table.a.value
+    plain = edge_quantities(a, [b.value for b in table.beta], [v.value for v in table.h], bits)
+    jets = edge_quantities(a, *table.jets, bits)
+    for key in ("P", "R", "r", "sigma", "p"):
+        assert len(plain[key]) == len(jets[key]) == 13
+        assert [v._mpf_ for v in plain[key]] == [j.c[0]._mpf_ for j in jets[key]], key
+
+
+@pytest.mark.parametrize("a_text", ["0.3", "1", "2.5"])
+def test_ladder_states_round_as_the_textbook_formulas(a_text):
+    # P_n(a) by the forward recurrence and R_n = 2 w0 P_n^2 / h_n written
+    # out here; the states must equal them mpf for mpf
+    table = build_recurrence_table(a_text, 30)
+    states = ladder_states(table)
+    with mp.workprec(table.working_bits):
+        a = table.a.value
+        two_w0 = 2 * mp.exp(-a * a)
+        P = [mp.mpf(1), a]
+        for j in range(1, 30):
+            P.append(a * P[j] - table.beta[j].value * P[j - 1])
+        for n, s in enumerate(states):
+            h = table.h[n].value
+            assert s.Pn_at_a.value._mpf_ == P[n]._mpf_
+            assert s.R.value._mpf_ == (two_w0 * P[n] ** 2 / h)._mpf_, n
+            if n:
+                r = two_w0 * P[n] * P[n - 1] / table.h[n - 1].value
+                assert s.r.value._mpf_ == r._mpf_, n
+
+
+def test_edge_quantities_at_zero_half_width():
+    # the closed forms of the a = 0 rows: P_n(0) vanishes for odd n, so r
+    # does too, and R_n = 2 P_n(0)^2 / h_n
+    bits = 256
+    with mp.workprec(bits):
+        beta = [mp.mpf(j) / 2 for j in range(7)]
+        h = [mp.factorial(j) / 2**j * mp.sqrt(mp.pi) for j in range(7)]
+    edge = edge_quantities(mp.mpf(0), beta, h, bits)
+    assert [v == 0 for v in edge["P"]] == [n % 2 == 1 for n in range(7)]
+    assert all(v == 0 for v in edge["r"])
+    with mp.workprec(bits):
+        assert edge["R"][2] == 2 * (edge["P"][2] * edge["P"][2]) / h[2]
+        assert edge["P"][4] == mp.mpf(3) / 4
+        assert edge["p"][4] == -(beta[1] + beta[2] + beta[3])
+        assert edge["sigma"][3] == -(edge["R"][0] + edge["R"][2])

@@ -14,10 +14,8 @@ from gue_gap_lab import (
     PrecisionPolicy,
     build_recurrence_table,
     hermite_norm_exact,
-    log_hankel_det,
+    ladder_states,
     orthopoly,
-    poly_values,
-    subleading_coeff,
 )
 from gue_gap_lab.precision import Jet
 from gue_gap_lab.weight import GapWeight, moment
@@ -151,7 +149,7 @@ class TestOrthogonality:
         with mp.workprec(table.working_bits):
             for n in range(2, 7):
                 direct = rows[n][n - 2]
-                p_n = subleading_coeff(table, n).value
+                p_n = ladder_states(table)[n].p.value
                 assert abs(direct - p_n) / abs(p_n) < mp.mpf(10) ** -140
 
 
@@ -177,32 +175,16 @@ class TestHankelDeterminant:
                 got = hankel_product(table, n)
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -120
 
-    def test_log_route_consistent(self, table_a1):
-        with mp.workprec(table_a1.working_bits):
-            for n in (1, 4, 9):
-                lhs = log_hankel_det(table_a1, n).value
-                rhs = mp.log(hankel_product(table_a1, n))
-                assert abs(lhs - rhs) < mp.mpf(10) ** -140
-
 
 class TestEdgeValues:
-    def test_forward_recurrence_consistency(self, table_a1):
-        vals = poly_values(table_a1, 5, "0.37")
-        with mp.workprec(table_a1.working_bits):
-            x = mp.mpf("0.37")
-            for j in range(1, 5):
-                res = vals[j + 1].value - (x * vals[j].value
-                                           - table_a1.beta[j].value * vals[j - 1].value)
-                assert abs(res) == 0
-
     def test_edge_signs_follow_period_four_pattern(self, table_a1):
         # at a = 1: P_n(a) signs go +, +, -, -, +, +, -, - ...
-        signs = [1 if v.value > 0 else -1 for v in poly_values(table_a1, 8, table_a1.a)]
+        signs = [1 if s.Pn_at_a.value > 0 else -1 for s in ladder_states(table_a1)[:9]]
         expected = [1, 1, -1, -1, 1, 1, -1, -1, 1]
         assert signs == expected
 
     def test_degree_bounds(self, table_a1):
         with pytest.raises(DomainError):
-            poly_values(table_a1, table_a1.n_max + 1, "1")
+            ladder_states(table_a1, table_a1.n_max + 1)
         with pytest.raises(DomainError):
-            subleading_coeff(table_a1, -1)
+            ladder_states(table_a1, -1)

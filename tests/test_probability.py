@@ -14,6 +14,7 @@ from gue_gap_lab.probability import (
     gap_probability_fredholm,
     gap_probability_hankel,
     gauss_legendre_rule,
+    hankel_probabilities,
     hermite_function_values,
     overlap_matrix,
     probability_record,
@@ -252,6 +253,25 @@ class TestRoutes:
         p = gap_probability_hankel(5, "0")
         with mp.workprec(p.precision_bits):
             assert abs(p.value - 1) < mp.mpf(10) ** -150
+
+    def test_one_running_product_serves_every_size(self):
+        # each P(k, a) is the product prod_{j<k} h_j / h_j(0), formed in
+        # order at the table's bits, whichever size asks for it
+        from gue_gap_lab import build_recurrence_table, hermite_norm_exact
+
+        table = build_recurrence_table("0.9", 8)
+        bits = table.working_bits
+        probs = hankel_probabilities(table, 9)
+        assert len(probs) == 10
+        with mp.workprec(bits):
+            for k in range(10):
+                ref = mp.mpf(1)
+                for j in range(k):
+                    ref *= table.h[j].value / hermite_norm_exact(j, bits).value
+                assert probs[k]._mpf_ == ref._mpf_
+                assert gap_probability_hankel(k, table=table).value._mpf_ == ref._mpf_
+        with pytest.raises(DomainError):
+            hankel_probabilities(table, 10)
 
     def test_table_reuse_matches_fresh_build(self):
         from gue_gap_lab import build_recurrence_table

@@ -4,6 +4,7 @@ import mpmath as mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gue_gap_lab.precision import Real, sqrt_pi_const
 from gue_gap_lab.report import (
     ResidualReport,
     make_check,
@@ -55,6 +56,15 @@ def test_rows_serialize_tiny_residuals_without_underflow():
     assert isinstance(row["residual"], str)
     assert float(mp.mpf(row["residual"])) != 0 or "e-" in row["residual"]
     assert "e-800" in row["residual"]
+
+
+def test_sci_str_prints_an_mpf_as_given():
+    # outside any workprec block the ambient precision is 53 bits; a
+    # 1024-bit value must not be re-rounded to it
+    v = sqrt_pi_const(1024)
+    assert mp.mp.prec == 53
+    assert sci_str(v, 30) == "1.77245385090551602729816748334"
+    assert sci_str(Real(v, 1024), 30) == sci_str(v, 30)
 
 
 def test_sci_str_deterministic_and_fixed_digits():

@@ -56,7 +56,6 @@ from .probability import (
     ProbabilityRecord,
     gap_probability_fredholm,
     gap_probability_hankel,
-    gauss_legendre_rule,
     hermite_function_values,
     overlap_matrix,
     probability_record,
@@ -96,7 +95,6 @@ __all__ = [
     "fd_derivative",
     "gap_probability_fredholm",
     "gap_probability_hankel",
-    "gauss_legendre_rule",
     "hermite_function_values",
     "hermite_norm_exact",
     "iterate_r_orbit",

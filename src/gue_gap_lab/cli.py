@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -283,6 +282,8 @@ def _map_cells(config: RunConfig, worker, cells):
     config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
     workers = min(config.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, config_dict, cell) for cell in cells]
             return [f.result() for f in futures]

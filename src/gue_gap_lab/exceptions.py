@@ -72,7 +72,13 @@ class DegenerateDenominatorError(GapLabError):
 
 
 class QuadratureConvergenceError(GapLabError):
-    """Two successive quadrature orders disagree beyond tolerance."""
+    """The Fredholm determinant of the overlap matrix cannot be certified.
+
+    Raised when a pivot of the LDL^T factorization of I - G is not positive,
+    or when the minors formed at two precisions disagree by more than the
+    loss the route budgets.  The name dates from when G came from
+    quadrature.
+    """
 
 
 class BranchSelectionError(GapLabError):

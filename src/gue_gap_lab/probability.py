@@ -9,14 +9,16 @@ in (-a, a).  Two independent routes compute it:
   h_j(0) = (j!/2^j) sqrt(pi);
 
 * fredholm route: P(n, a) = det(I - G) where G is the n x n matrix of
-  overlaps of the first n orthonormal Hermite functions over (-a, a),
-  integrated by arbitrary-precision Gauss-Legendre quadrature.  G_k is
-  the leading k x k block of G_n on the same nodes, so one unpivoted
-  LDL^T factorization of I - G_n gives P(k, a) for every k <= n as its
-  leading principal minors, and one pair of rules (order and twice the
-  order) serves a whole verify cell.  Its precision comes from the digits
-  asked for plus the bits I - G_n can lose, bounded through the Hankel
-  value of P(n, a) (``fredholm_bits``), not from the Hankel table's bits.
+  overlaps of the first n orthonormal Hermite functions over (-a, a).
+  Its entries follow exactly, with no quadrature, from erf(a) and the
+  Hermite functions at x = a, by a recurrence from the derivative and
+  x phi relations of DLMF 18.9 (``overlap_matrix``).  G_k is the leading
+  k x k block of G_n, so one unpivoted LDL^T factorization of I - G_n
+  gives P(k, a) for every k <= n as its leading principal minors.  Its
+  precision comes from the digits asked for plus the bits I - G_n can
+  lose, bounded through the Hankel value of P(n, a) (``fredholm_bits``),
+  not from the Hankel table's bits.  It is certified across precisions:
+  the minors formed again at 64 more bits must agree within that loss.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -24,13 +26,10 @@ since they share no code beyond the scalar kernel.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath import libmp
 
 from .exceptions import DomainError, QuadratureConvergenceError
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norm_exact
@@ -39,150 +38,51 @@ from .report import ResidualReport, make_check
 
 ORACLE_TOL = 1e-12
 ANCHOR_TOL = 1e-30
-QUAD_CONVERGENCE_TOL = 1e-25
-
-_GL_LOCK = threading.Lock()
-_GL_CACHE: dict[tuple[int, int], tuple[tuple[mp.mpf, ...], tuple[mp.mpf, ...]]] = {}
-
-
-def default_quad_order(n: int, a) -> int:
-    """Quadrature order used for the n x n overlap matrix at half-width a.
-
-    Mapped onto (-1, 1), the integrands phi_l(a t) phi_m(a t) vary on a
-    scale of 1/a, so beyond a = 2 the order gains 16 nodes per unit of a
-    (at 400 bits, n = 1 needs 36, 48, 60 and 76 nodes at a = 3, 4, 5, 6).
-    """
-    return 40 + 4 * n + 16 * max(0, int(mp.ceil(as_mpf(a, 64))) - 2)
-
-
-def _initial_guess(k: int, order: int) -> float:
-    """Chebyshev-type guess for the k-th largest root of P_order."""
-    return math.cos(math.pi * (4 * k - 1) / (4 * order + 2))
-
-
-def _legendre_newton(order: int, X: int, F: int) -> tuple[int, int, int]:
-    """(dX, D, S) at x = X / 2^F from the recurrence in integers scaled by
-    2^F: the Newton correction dX = -P_order / P_order' scaled by 2^F,
-    D = (x P_order - P_order-1) 2^F and S = (1 - x^2) 2^(2F), so that the
-    Gauss-Legendre weight at x is 2 S / (order D)^2."""
-    p_prev, p = 1 << F, X
-    for j in range(1, order):
-        p_prev, p = p, ((2 * j + 1) * (X * p >> F) - j * p_prev) // (j + 1)
-    d = (X * p >> F) - p_prev
-    s = (1 << 2 * F) - X * X
-    return p * s // (order * d << F), d, s
-
-
-def gauss_legendre_rule(order: int, bits: int):
-    """Nodes and weights of the Gauss-Legendre rule on (-1, 1).
-
-    Newton iteration on the degree-``order`` Legendre polynomial from
-    Chebyshev initial guesses, in fixed-point integers x = X / 2^F: each
-    node converges at a low F, then F about doubles with every step up to
-    bits + GUARD_BITS + 32 (Brent & Zimmermann, Modern Computer Arithmetic,
-    2010, sec. 4.2).  One repeated step at full F must move the node by less
-    than 2^-(bits + GUARD_BITS/2), else QuadratureConvergenceError; it also
-    gives the weight.  Rounded to nearest at ``bits`` and cached per
-    (order, bits).  Nodes come in exact +- pairs so odd integrands cancel.
-    """
-    if order < 1:
-        raise DomainError(f"quadrature order must be >= 1, got {order}")
-    key = (order, bits)
-    with _GL_LOCK:
-        hit = _GL_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    F = bits + GUARD_BITS + 32
-    # near the ends the Newton constant costs up to loss bits: a step at
-    # precision f from f // 2 + loss accurate bits is accurate to f - loss
-    loss = 2 * order.bit_length()
-    start = 2 * loss + 32
-    schedule = [F]
-    while schedule[-1] > start:
-        schedule.append(schedule[-1] // 2 + loss)
-    rnd = libmp.round_nearest
-    pos_nodes, pos_weights = [], []
-    for k in range(1, order // 2 + 1):
-        f = start
-        X = round(math.ldexp(_initial_guess(k, order), f))
-        for _ in range(100):
-            dX = _legendre_newton(order, X, f)[0]
-            X += dX
-            if abs(dX) < 1 << loss:
-                break
-        for f_next in schedule[-2::-1]:
-            X <<= f_next - f
-            f = f_next
-            X += _legendre_newton(order, X, f)[0]
-        dX, d, s = _legendre_newton(order, X, F)
-        if not abs(dX) < 1 << (F - bits - GUARD_BITS // 2):
-            raise QuadratureConvergenceError(
-                f"Newton did not converge to root {k} of P_{order} at {bits} bits"
-            )
-        pos_nodes.append(libmp.from_man_exp(X + dX, -F, bits, rnd))
-        pos_weights.append(libmp.from_rational(2 * s, (order * d) ** 2, bits, rnd))
-    nodes = [libmp.mpf_neg(x) for x in pos_nodes]
-    weights = list(pos_weights)
-    if order % 2 == 1:
-        _, d, s = _legendre_newton(order, 0, F)
-        nodes.append(libmp.fzero)
-        weights.append(libmp.from_rational(2 * s, (order * d) ** 2, bits, rnd))
-    nodes += reversed(pos_nodes)
-    weights += reversed(pos_weights)
-    result = (tuple(map(mp.make_mpf, nodes)), tuple(map(mp.make_mpf, weights)))
-    with _GL_LOCK:
-        _GL_CACHE[key] = result
-    return result
-
-
-@functools.lru_cache(maxsize=16)
-def _hermite_coefficients(count: int, bits: int) -> tuple:
-    """(sqrt(2/(l+1)), sqrt(l/(l+1))) for l < count - 1, at ``bits``."""
-    with mp.workprec(bits):
-        return tuple((mp.sqrt(mp.mpf(2) / (l + 1)), mp.sqrt(mp.mpf(l) / (l + 1)))
-                     for l in range(count - 1))
 
 
 def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
     """[phi_0(x), ..., phi_{count-1}(x)] for the orthonormal Hermite
     functions phi_l(x) = (2^l l! sqrt(pi))^{-1/2} H_l(x) e^{-x^2/2}."""
-    coefficients = _hermite_coefficients(count, bits)
     with mp.workprec(bits):
-        phi0 = mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(pi_const(bits)))
-        vals = [phi0]
-        if count > 1:
-            vals.append(coefficients[0][0] * x * phi0)
-        for l in range(1, count - 1):
-            c_up, c_down = coefficients[l]
+        vals = [mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(pi_const(bits)))]
+        for l in range(count - 1):
+            # at l = 0, c_down is exactly 0 and vals[l - 1] is only a placeholder
+            c_up, c_down = mp.sqrt(mp.mpf(2) / (l + 1)), mp.sqrt(mp.mpf(l) / (l + 1))
             vals.append(c_up * x * vals[l] - c_down * vals[l - 1])
         return vals
 
 
-def overlap_matrix(n: int, a, order: int, bits: int) -> list[list[mp.mpf]]:
-    """G[l][m] = integral_{-a}^{a} phi_l phi_m dx for l, m < n.
+def overlap_matrix(n: int, a, bits: int) -> list[list[mp.mpf]]:
+    """G[j][k] = integral_{-a}^{a} phi_j phi_k dx for j, k < n, exactly.
 
-    phi_l(-x) = (-1)^l phi_l(x) holds exactly in floating point and the
-    rule's nodes come in exact +- pairs, so only the nonnegative nodes are
-    evaluated: an entry with l + m even is the sum of twice each positive
-    node's term plus the middle node's (one rounding, as over all nodes),
-    and an entry with l + m odd is exactly 0.
+    Integrating (phi_j phi_k)' over (-a, a) with the relations
+    phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} and
+    x phi_k = sqrt(k/2) phi_{k-1} + sqrt((k+1)/2) phi_{k+1} (DLMF 18.9)
+    gives, for j + k even,
+
+        G[j][k] = (sqrt(j) G[j-1][k-1] - sqrt(2) phi_j(a) phi_{k-1}(a)) / sqrt(k)
+
+    from G[0][0] = erf(a); the first row is the boundary term alone.  An
+    entry with j + k odd is exactly 0, since phi_j phi_k is then odd.  Only
+    k >= j is walked, so each factor sqrt(j / k) is at most 1 and rounding
+    errors add up along a band instead of growing.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     av = as_mpf(a, bits)
     if av < 0:
         raise DomainError("gap half-width must be >= 0")
-    nodes, weights = gauss_legendre_rule(order, bits)
-    half = order // 2
+    phi = hermite_function_values(n, av, bits)
     with mp.workprec(bits):
-        phi_rows = [hermite_function_values(n, av * t, bits) for t in nodes[half:]]
-        folded = [w if t == 0 else 2 * w for t, w in zip(nodes[half:], weights[half:])]
+        roots = [mp.sqrt(j) for j in range(n)]
+        sqrt2 = mp.sqrt(2)
         G = [[mp.mpf(0)] * n for _ in range(n)]
-        for l in range(n):
-            w_l = [w * row[l] for w, row in zip(folded, phi_rows)]
-            for m in range(l, n, 2):
-                G[l][m] = G[m][l] = av * mp.fsum(wl * row[m] for wl, row in zip(w_l, phi_rows))
+        G[0][0] = mp.erf(av)
+        for j in range(n):
+            for k in range(j or 2, n, 2):
+                edge = sqrt2 * phi[j] * phi[k - 1]
+                inner = roots[j] * G[j - 1][k - 1] - edge if j else -edge
+                G[j][k] = G[k][j] = inner / roots[k]
         return G
 
 
@@ -193,7 +93,7 @@ def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
     matrix of orthonormal functions restricted to (-a, a).  Unpivoted
     elimination is therefore stable, and the k-th minor is the product of
     the first k pivots.  Only the lower triangle of the Schur complement is
-    updated.  A pivot that is not positive means the quadrature lost that
+    updated.  A pivot that is not positive means rounding lost that
     property, and raises QuadratureConvergenceError.
     """
     n = len(G)
@@ -256,24 +156,25 @@ def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
     of the Hermite-function overlap matrix G_n.
 
-    One rule pair serves every k: the minors are computed at the default
-    quadrature order and at twice that order; a relative disagreement beyond
-    QUAD_CONVERGENCE_TOL at any k raises QuadratureConvergenceError,
-    otherwise the doubled-order values are returned.
+    G_n and its minors are formed at prec_bits + GUARD_BITS and again at 64
+    more bits.  At prec_bits the k-th minor may lose up to log2(k / P(k, a))
+    bits (``fredholm_bits``), so the two must agree to a relative
+    2^-prec_bits k / P(k, a); a larger disagreement, or a pivot that is not
+    positive, raises QuadratureConvergenceError.  The minors of the second
+    pass are returned, rounded to prec_bits.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    order = default_quad_order(n, a)
     bits = prec_bits + GUARD_BITS
-    dets_lo = det_identity_minus(overlap_matrix(n, a, order, bits), bits)
-    dets_hi = det_identity_minus(overlap_matrix(n, a, 2 * order, bits), bits)
+    dets_lo, dets_hi = (det_identity_minus(overlap_matrix(n, a, b), b) for b in (bits, bits + 64))
     with mp.workprec(bits):
         for k, (det_lo, det_hi) in enumerate(zip(dets_lo, dets_hi), start=1):
-            rel = abs(det_hi - det_lo) / max(det_lo, det_hi)
-            if not rel < QUAD_CONVERGENCE_TOL:
+            rel = abs(det_hi - det_lo) / det_hi
+            bound = mp.ldexp(k, -prec_bits) / det_hi
+            if not rel <= bound:
                 raise QuadratureConvergenceError(
-                    f"orders {order} and {2 * order} disagree by {mp.nstr(rel, 5)} "
-                    f"(tolerance {QUAD_CONVERGENCE_TOL}) at n={k}"
+                    f"minors at {bits} and {bits + 64} bits disagree by {mp.nstr(rel, 5)} "
+                    f"(bound {mp.nstr(bound, 5)}) at n={k}"
                 )
     return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
 
@@ -287,8 +188,7 @@ def fredholm_bits(n: int, p_hankel, digits: int) -> int:
     most about log2(n / P(n, a)) bits (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, ch. 10), and GUARD_BITS absorb the constant.
     A wrong P(n, a) would show as route disagreement, so it cannot make the
-    check pass falsely.  Rounded up to a multiple of 64 bits so that nearby
-    cells share one cached rule pair.
+    check pass falsely.  Rounded up to a multiple of 64 bits.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")

@@ -9,18 +9,31 @@ fairly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
-from .precision import Real
+from .precision import GUARD_BITS, Real
 
 
 def sci_str(x, digits: int) -> str:
     """Deterministic scientific-notation string with ``digits`` significant
-    digits.  A Real or mpf prints as given, whatever the ambient precision."""
+    digits.  A Real or mpf prints as given, whatever the ambient precision.
+
+    nstr reads only the leading (digits + 3) log2(10) + 10 bits, truncated,
+    but scales a tiny or huge value by a power of ten taken from the raw
+    binary exponent, so a mantissa tens of thousands of bits wide would
+    become an integer past Python's int-str limit.  A wider mantissa is
+    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
+    which leaves every bit nstr reads as it was.
+    """
     v = x.value if isinstance(x, Real) else mp.mpmathify(x)
+    bits = int((digits + 3) * math.log2(10)) + GUARD_BITS
+    if isinstance(v, mp.mpf) and v._mpf_[3] > bits:
+        v = mp.make_mpf(libmp.mpf_pos(v._mpf_, bits, libmp.round_down))
     return mp.nstr(v, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes, plots."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -172,6 +173,17 @@ class TestTable:
             assert all(r["status"] == "ok" for r in rows)
             bodies.append(out.read_text().split("\n", 1)[1])
         assert bodies[0] == bodies[1]
+
+    def test_huge_precision_prints_tiny_probabilities(self, tmp_path):
+        # P(20, 30) is about 1e-7818, held in a mantissa of tens of
+        # thousands of bits: printing it must not hit the int-str limit
+        out = tmp_path / "huge.csv"
+        assert run_cli(["table", "--n-max", "20", "--a-list", "30",
+                        "--prec-bits", "16384", "--max-bits", "65536",
+                        "--digits", "30", "--out", str(out)]) == 0
+        _, rows = read_table(str(out))
+        assert len(rows) == 21 and all(r["status"] == "ok" for r in rows)
+        assert rows[-1]["prob"].endswith("e-7818")
 
     def test_byte_identical_reruns_and_jobs_merge(self, tmp_path):
         args = ["table", "--n-max", "3", "--a-list", "0.5,1.5",
@@ -489,6 +501,15 @@ class TestSubprocess:
         doc = json.loads(proc.stdout)
         assert doc["all_pass"] is False
 
+    def test_import_leaves_the_process_pool_out(self):
+        # the pool and multiprocessing load only when --jobs makes a pool
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gue_gap_lab.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_help_screens(self):
         for args in ([], ["table"], ["verify"], ["prob"], ["plot"]):
             proc = subprocess.run(
@@ -555,9 +576,17 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys):
 
 
 def test_prob_failure_is_one_line_and_exit_one(capsys, monkeypatch):
-    # a quadrature order far too low for a = 5 cannot converge
-    monkeypatch.setattr(probability, "default_quad_order", lambda n, a: 4)
-    monkeypatch.setattr(probability, "QUAD_CONVERGENCE_TOL", 1e-60)
+    # an overlap matrix 16 units off in the last bit the route budgets
+    # fails the cross-precision check of the Fredholm minors
+    exact = probability.overlap_matrix
+
+    def perturbed(n, a, bits):
+        G = exact(n, a, bits)
+        with mp.workprec(bits):
+            G[0][0] += mp.mpf(2) ** (4 + probability.GUARD_BITS - bits)
+        return G
+
+    monkeypatch.setattr(probability, "overlap_matrix", perturbed)
     assert cli.main(["prob", "1", "5"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "QuadratureConvergenceError" in err
@@ -591,7 +620,7 @@ def test_jobs_are_clamped_to_cells_and_cpus(monkeypatch, jobs, cpus, workers):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cells = ("0.5", "1", "2")
     config = cli.RunConfig(command="table", n_max=0, a_values=cells,

@@ -1,19 +1,14 @@
-"""Gap probability routes: quadrature, determinants, anchors, agreement."""
-
-import hashlib
+"""Gap probability routes: overlap matrix, determinants, anchors, agreement."""
 
 import mpmath as mp
-from mpmath.calculus.quadrature import GaussLegendre
 import pytest
 
 from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError, probability
 from gue_gap_lab.probability import (
-    default_quad_order,
     det_identity_minus,
     fredholm_bits,
     gap_probability_fredholm,
     gap_probability_hankel,
-    gauss_legendre_rule,
     hankel_probabilities,
     hermite_function_values,
     overlap_matrix,
@@ -22,78 +17,6 @@ from gue_gap_lab.probability import (
 )
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
-
-
-class TestQuadrature:
-    def test_weights_sum_to_two(self):
-        nodes, weights = gauss_legendre_rule(24, 512)
-        with mp.workprec(512):
-            total = mp.fsum(weights)
-            assert abs(total - 2) < mp.mpf(10) ** -140
-
-    def test_nodes_antisymmetric(self):
-        nodes, _ = gauss_legendre_rule(24, 512)
-        with mp.workprec(512):
-            for k in range(len(nodes)):
-                assert abs(nodes[k] + nodes[-1 - k]) < mp.mpf(10) ** -140
-
-    def test_polynomial_exactness(self):
-        # an order-m rule integrates monomials up to degree 2m - 1
-        order = 12
-        nodes, weights = gauss_legendre_rule(order, 512)
-        with mp.workprec(512):
-            for k in (0, 2, 10, 22):
-                got = mp.fsum(w * x ** k for x, w in zip(nodes, weights))
-                exact = mp.mpf(2) / (k + 1)
-                assert abs(got - exact) / exact < mp.mpf(10) ** -130
-            # one degree past the guarantee must fail clearly
-            got = mp.fsum(w * x ** 24 for x, w in zip(nodes, weights))
-            exact = mp.mpf(2) / 25
-            assert abs(got - exact) / exact > mp.mpf(10) ** -10
-
-    def test_rule_is_cached(self):
-        r1 = gauss_legendre_rule(16, 256)
-        r2 = gauss_legendre_rule(16, 256)
-        assert r1 is r2
-
-    def test_against_mpmath_rule(self):
-        # mpmath's degree-5 Gauss-Legendre rule has 3 * 2^4 = 48 nodes
-        nodes, weights = gauss_legendre_rule(48, 512)
-        ref = sorted(GaussLegendre(mp.mp).calc_nodes(5, 512))
-        assert len(ref) == len(nodes) == 48
-        with mp.workprec(512):
-            for x, w, (x_ref, w_ref) in zip(nodes, weights, ref):
-                assert abs(x - x_ref) < mp.mpf(10) ** -140
-                assert abs(w - w_ref) < mp.mpf(10) ** -140
-
-    @pytest.mark.parametrize("order, digest", [
-        (52, "510cf593c42d283c9a0f3de792c1dae4f09c4a04bfcd83e23dcd929e638bc23f"),
-        (104, "498906c63952bcd15c3676369bc49532231d19ed29126706aac012d38904c7b4"),
-    ])
-    def test_verify_cell_rules_are_pinned(self, order, digest):
-        # the rule pair of orders 52 and 104 (n = 3, a <= 2) at 1328 bits:
-        # its rounded nodes and weights, byte for byte
-        def raw(values):
-            return [(s, int(m), e, bc) for s, m, e, bc in (v._mpf_ for v in values)]
-
-        nodes, weights = gauss_legendre_rule(order, 1328)
-        text = repr((raw(nodes), raw(weights)))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-    def test_newton_failure_is_an_error(self, monkeypatch):
-        # from x = 5 Newton creeps towards the largest root by about x / order
-        # per step, far too slowly to converge within its step budget
-        monkeypatch.setattr(probability, "_GL_CACHE", {})
-        monkeypatch.setattr(probability, "_initial_guess", lambda k, order: 5.0)
-        with pytest.raises(QuadratureConvergenceError, match="did not converge"):
-            gauss_legendre_rule(48, 256)
-        assert probability._GL_CACHE == {}
-
-    def test_order_grows_with_n(self):
-        assert default_quad_order(10, "1") > default_quad_order(1, "1")
-        # unchanged up to a = 2, then growing with a
-        assert default_quad_order(3, "0.5") == default_quad_order(3, "2") == 52
-        assert default_quad_order(1, "6") > default_quad_order(1, "5") > default_quad_order(1, "2.5")
 
 
 class TestHermiteFunctions:
@@ -108,7 +31,7 @@ class TestHermiteFunctions:
             assert abs(vals[1] - phi1) / phi1 < mp.mpf(10) ** -140
 
     def test_matches_the_uncached_recurrence(self):
-        # the cached coefficients are the same roundings in the same order
+        # the textbook recurrence, rounding for rounding
         bits = 384
         with mp.workprec(bits):
             x = mp.mpf("-1.3")
@@ -123,30 +46,56 @@ class TestHermiteFunctions:
         assert [v._mpf_ for v in vals] == [r._mpf_ for r in ref]
 
     def test_orthonormality_via_quadrature(self):
-        # integrate phi_i phi_j over [-12, 12]: the tail beyond is < 1e-31,
-        # and a 256-node rule resolves the Gaussian to far below that
-        bits = 448
+        # integrate phi_i phi_j over [-12, 12]: the tail beyond is < 1e-31
+        bits = 160
         half = 12
-        nodes, weights = gauss_legendre_rule(256, bits)
         with mp.workprec(bits):
-            acc = [[mp.mpf(0)] * 3 for _ in range(3)]
-            for node, w in zip(nodes, weights):
-                x = node * half
-                vals = hermite_function_values(3, x, bits)
-                for i in range(3):
-                    for j in range(3):
-                        acc[i][j] += w * half * vals[i] * vals[j]
             for i in range(3):
-                for j in range(3):
+                for j in range(i, 3):
+                    got = mp.quad(lambda x: (lambda v: v[i] * v[j])(
+                        hermite_function_values(3, x, bits)), [-half, 0, half])
                     target = 1 if i == j else 0
-                    assert abs(acc[i][j] - target) < mp.mpf(10) ** -25
+                    assert abs(got - target) < mp.mpf(10) ** -25
+
+
+class TestOverlapMatrix:
+    @pytest.mark.parametrize("n, a_text", [(6, "0.5"), (12, "2.5"), (8, "4")])
+    def test_entries_against_mpmath_quad(self, n, a_text):
+        # the recurrence against direct quadrature of phi_j phi_k over (-a, a)
+        bits = 256
+        G = overlap_matrix(n, a_text, bits)
+        with mp.workprec(bits):
+            av = mp.mpf(a_text)
+            for j, k in ((0, 0), (1, 3), (n - 1, n - 1), (n - 4, n - 2), (0, n - 2)):
+                ref = mp.quad(lambda x: (lambda v: v[j] * v[k])(
+                    hermite_function_values(k + 1, x, bits)), [-av, 0, av])
+                assert abs(G[j][k] - ref) < mp.mpf(2) ** -240
+
+    @pytest.mark.parametrize("a_text", ["0.1", "1.3", "6"])
+    def test_doubling_the_bits_moves_no_entry(self, a_text):
+        n, bits = 20, 320
+        lo, hi = overlap_matrix(n, a_text, bits), overlap_matrix(n, a_text, 2 * bits)
+        with mp.workprec(2 * bits):
+            worst = max(abs(x - y) for row_lo, row_hi in zip(lo, hi)
+                        for x, y in zip(row_lo, row_hi))
+        assert worst < mp.mpf(2) ** (8 - bits)
+
+    def test_odd_entries_are_exact_zeros(self):
+        G = overlap_matrix(9, "1.7", 192)
+        for j in range(9):
+            for k in range(9):
+                assert (G[j][k] == 0) == ((j + k) % 2 == 1)
+
+    def test_zero_gap_is_the_zero_matrix(self):
+        G = overlap_matrix(6, "0", 128)
+        assert all(v == 0 for row in G for v in row)
 
 
 class TestDeterminant:
     def test_against_mpmath_lu(self):
         # every leading principal minor against mpmath's LU of the block
         bits = 512
-        G = overlap_matrix(4, "0.9", 40, bits)
+        G = overlap_matrix(4, "0.9", bits)
         minors = det_identity_minus(G, bits)
         assert len(minors) == 4
         with mp.workprec(bits):
@@ -166,28 +115,9 @@ class TestDeterminant:
         with pytest.raises(QuadratureConvergenceError):
             det_identity_minus(G, bits)
 
-    @pytest.mark.parametrize("n, a_text, order, bits", [
-        (1, "0.5", 40, 256), (6, "1.1", 45, 384), (9, "2.5", 76, 800),
-        (4, "5", 129, 1328), (5, "0.7", 52, 1328),
-    ])
-    def test_parity_fold_matches_the_full_node_sum(self, n, a_text, order, bits):
-        # reference: every node, every entry with m >= l, one fsum each
-        nodes, weights = gauss_legendre_rule(order, bits)
-        ref = [[None] * n for _ in range(n)]
-        with mp.workprec(bits):
-            av = mp.mpf(a_text)
-            rows = [hermite_function_values(n, av * t, bits) for t in nodes]
-            for l in range(n):
-                for m in range(l, n):
-                    ref[l][m] = ref[m][l] = av * mp.fsum(
-                        w * row[l] * row[m] for w, row in zip(weights, rows))
-        G = overlap_matrix(n, a_text, order, bits)
-        assert [[v._mpf_ for v in row] for row in G] == [[v._mpf_ for v in row] for row in ref]
-        assert all(G[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
-
     def test_overlap_matrix_symmetric(self):
         bits = 384
-        G = overlap_matrix(5, "1.1", 44, bits)
+        G = overlap_matrix(5, "1.1", bits)
         with mp.workprec(bits):
             for i in range(5):
                 for j in range(5):
@@ -229,17 +159,24 @@ class TestRoutes:
         assert rep.all_pass
         assert rep.worst < 1e-12
 
-    def test_oracle_builds_one_rule_pair_for_every_n(self):
-        probability._GL_CACHE.clear()
-        rep = residual_oracle(4, "0.9")
-        assert len(rep.checks) == 4 and rep.all_pass
-        assert len(probability._GL_CACHE) == 2
-
     def test_fredholm_convergence_guard(self, monkeypatch):
-        monkeypatch.setattr(probability, "default_quad_order", lambda n, a: 6)
-        monkeypatch.setattr(probability, "QUAD_CONVERGENCE_TOL", 1e-60)
-        with pytest.raises(QuadratureConvergenceError):
-            gap_probability_fredholm(4, "1", prec_bits=64)
+        # an error of 16 units in the last certified bit of the low pass's
+        # G[0][0] must fail the cross-precision check
+        prec_bits = 128
+        exact = probability.overlap_matrix
+
+        def perturbed(n, a, bits):
+            G = exact(n, a, bits)
+            if bits == prec_bits + probability.GUARD_BITS:
+                with mp.workprec(bits):
+                    G[0][0] += mp.mpf(2) ** (4 - prec_bits)
+            return G
+
+        monkeypatch.setattr(probability, "overlap_matrix", perturbed)
+        with pytest.raises(QuadratureConvergenceError, match="disagree"):
+            gap_probability_fredholm(4, "0.5", prec_bits=prec_bits)
+        monkeypatch.setattr(probability, "overlap_matrix", exact)
+        assert len(gap_probability_fredholm(4, "0.5", prec_bits=prec_bits)) == 4
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -304,10 +241,3 @@ class TestPrecisionRule:
         assert p_f.precision_bits == bits
         with mp.workprec(p_h.precision_bits):
             assert abs(p_h.value - p_f.value) / p_h.value < mp.mpf(10) ** -40
-
-    def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
-        # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192
-        monkeypatch.setattr(probability, "_GL_CACHE", {})
-        assert residual_oracle(3, "0.7").all_pass
-        assert residual_oracle(3, "1.1").all_pass
-        assert len(probability._GL_CACHE) == 2

@@ -1,6 +1,10 @@
 """Residual bookkeeping: normalization, verdicts, serialization."""
 
+import math
+import random
+
 import mpmath as mp
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +69,44 @@ def test_sci_str_prints_an_mpf_as_given():
     assert mp.mp.prec == 53
     assert sci_str(v, 30) == "1.77245385090551602729816748334"
     assert sci_str(Real(v, 1024), 30) == sci_str(v, 30)
+
+
+def test_sci_str_prints_a_wide_tiny_mantissa():
+    # a 60000-bit mantissa near 1e-7000: nstr alone turns it into an
+    # integer of about 18000 digits, past Python's int-str limit
+    man = 3 ** 37855 | 1
+    v = mp.make_mpf((0, man, -23255 - man.bit_length(), man.bit_length()))
+    with mp.workprec(200):
+        ref = mp.nstr(+v, 30, min_fixed=1, max_fixed=0, strip_zeros=False)
+    assert sci_str(v, 30) == ref
+    assert ref.endswith("e-7001")
+
+
+@pytest.mark.parametrize("exp_shift", [-4000, -400, 0, 400, 4000])
+def test_sci_str_truncation_keeps_every_digit_nstr_prints(exp_shift):
+    # nstr reads the leading bits of the mantissa truncated, so cutting a
+    # wide one down first changes no printed digit
+    rng = random.Random(exp_shift)
+    for _ in range(200):
+        bc = rng.randrange(200, 3000)
+        man = rng.getrandbits(bc) | 1 << (bc - 1) | 1
+        v = mp.make_mpf((rng.getrandbits(1), man, exp_shift - bc, bc))
+        for digits in (8, 12, 30, 40):
+            assert sci_str(v, digits) == mp.nstr(
+                v, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+
+
+@pytest.mark.parametrize("digits", [8, 12, 30, 40])
+def test_sci_str_keeps_the_digit_at_a_rounding_boundary(digits):
+    # just below and just above a halfway decimal 1 + 5 10^-digits, where
+    # rounding the mantissa to nearest, or cutting it shorter than nstr
+    # reads, would move the last printed digit
+    with mp.workprec(600):
+        half = 1 + 5 * mp.mpf(10) ** -digits
+        nstr_bits = int((digits + 3) * math.log2(10)) + 10
+        for v in (half - mp.mpf(2) ** -500, half + mp.mpf(2) ** (4 - nstr_bits)):
+            assert sci_str(v, digits) == mp.nstr(
+                v, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
 def test_sci_str_deterministic_and_fixed_digits():

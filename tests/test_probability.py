@@ -19,6 +19,41 @@ from gue_gap_lab.probability import (
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
 
 
+def gauss_legendre(order, bits):
+    """Nodes and weights of the order-point Gauss-Legendre rule on (-1, 1):
+    Newton on the Legendre three-term recurrence from the Tricomi guess."""
+    nodes, weights = [], []
+    with mp.workprec(bits + 32):
+        tol = mp.mpf(2) ** -(bits + 16)
+        for k in range(1, order + 1):
+            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
+            for _ in range(64):
+                p_prev, p = mp.mpf(1), x
+                for l in range(2, order + 1):
+                    p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
+                dp = order * (x * p - p_prev) / (x * x - 1)
+                step = p / dp
+                x -= step
+                if abs(step) < tol:
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+def watch_overlap_builds(monkeypatch):
+    """Record (n, a, bits) of every overlap_matrix call the routes make."""
+    built = []
+    exact = probability.overlap_matrix
+
+    def watched(n, a, bits):
+        built.append((n, a, bits))
+        return exact(n, a, bits)
+
+    monkeypatch.setattr(probability, "overlap_matrix", watched)
+    return built
+
+
 class TestHermiteFunctions:
     def test_first_two_against_closed_forms(self):
         bits = 512
@@ -123,6 +158,28 @@ class TestDeterminant:
                 for j in range(5):
                     assert abs(G[i][j] - G[j][i]) < mp.mpf(10) ** -100
 
+    @pytest.mark.parametrize("n, a_text, order, bits", [
+        (1, "0.5", 40, 256), (6, "1.1", 45, 384), (9, "2.5", 76, 800),
+        (4, "5", 129, 1328), (5, "0.7", 52, 1328),
+    ])
+    def test_parity_fold_matches_the_full_node_sum(self, n, a_text, order, bits):
+        # the recurrence, which folds parity into exact zeros, against the
+        # order-point Gauss-Legendre sum over every node and every entry; the
+        # sum's own truncation error is at most 2e-72 at these orders
+        nodes, weights = gauss_legendre(order, bits)
+        ref = [[None] * n for _ in range(n)]
+        with mp.workprec(bits):
+            av = mp.mpf(a_text)
+            rows = [hermite_function_values(n, av * t, bits) for t in nodes]
+            for l in range(n):
+                for m in range(l, n):
+                    ref[l][m] = ref[m][l] = av * mp.fsum(
+                        w * row[l] * row[m] for w, row in zip(weights, rows))
+        G = overlap_matrix(n, a_text, bits)
+        with mp.workprec(bits):
+            assert max(abs(G[l][m] - ref[l][m]) for l in range(n) for m in range(n)) < mp.mpf(10) ** -60
+        assert all(G[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
+
 
 class TestRoutes:
     def test_erfc_anchor(self):
@@ -158,6 +215,16 @@ class TestRoutes:
         assert [(c.name, c.n) for c in rep.checks] == [("route_agreement", k) for k in (1, 2, 3)]
         assert rep.all_pass
         assert rep.worst < 1e-12
+
+    def test_oracle_builds_one_rule_pair_for_every_n(self, monkeypatch):
+        # one G_n at each precision of the cross-precision pair serves
+        # every k <= n through its leading minors
+        built = watch_overlap_builds(monkeypatch)
+        rep = residual_oracle(4, "0.9")
+        assert len(rep.checks) == 4 and rep.all_pass
+        assert len(built) == 2
+        assert built[1][2] == built[0][2] + 64
+        assert all(b[:2] == (4, "0.9") for b in built)
 
     def test_fredholm_convergence_guard(self, monkeypatch):
         # an error of 16 units in the last certified bit of the low pass's
@@ -241,3 +308,12 @@ class TestPrecisionRule:
         assert p_f.precision_bits == bits
         with mp.workprec(p_h.precision_bits):
             assert abs(p_h.value - p_f.value) / p_h.value < mp.mpf(10) ** -40
+
+    def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
+        # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192, so both
+        # cells build G at the same pair of precisions
+        built = watch_overlap_builds(monkeypatch)
+        assert residual_oracle(3, "0.7").all_pass
+        assert residual_oracle(3, "1.1").all_pass
+        assert len(built) == 4
+        assert {b[2] for b in built} == {192 + probability.GUARD_BITS, 256 + probability.GUARD_BITS}

@@ -20,7 +20,7 @@ from .exceptions import (
 )
 from .precision import PrecisionPolicy, Real
 from .weight import GapWeight, moment, seed_R0
-from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norm_exact
+from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
     LadderState,
     default_z_samples,
@@ -96,7 +96,7 @@ __all__ = [
     "gap_probability_fredholm",
     "gap_probability_hankel",
     "hermite_function_values",
-    "hermite_norm_exact",
+    "hermite_norms_exact",
     "iterate_r_orbit",
     "jet_source",
     "ladder_states",

@@ -41,7 +41,7 @@ from .difference_eqs import (
 from .differential_eqs import continuous_suite, jet_source
 from .exceptions import DomainError, EdgeZeroError, GapLabError
 from .ladder import edge_quantities, ladder_states, residual_identities, residual_supplementary
-from .orthopoly import build_recurrence_table, hermite_norm_exact
+from .orthopoly import build_recurrence_table, hermite_norms_exact
 from .precision import PrecisionPolicy
 from .probability import hankel_probabilities, probability_record, residual_oracle
 from .report import ResidualCheck, ResidualReport, sci_str
@@ -117,6 +117,12 @@ def _half_width_list(text: str) -> tuple[str, ...]:
     return vals
 
 
+def _is_zero(a_str: str) -> bool:
+    """Whether a half-width accepted by ``_half_width`` is exactly 0."""
+    with mp.workprec(200):
+        return mp.mpf(a_str) == 0
+
+
 def _int_at_least(lo: int):
     """argparse type for an integer flag with lower bound ``lo``."""
 
@@ -190,20 +196,17 @@ def _parse_a_values(args, parser) -> tuple[str, ...]:
 # table
 
 
-def _table_rows_for_a(config_dict: dict, a_str: str) -> list[dict[str, str]]:
+def _table_rows_for_a(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     """All rows for one grid value a, as plain string dicts.
 
-    Module-level and plain-typed so a process pool can ship it; errors are
-    folded into the status column rather than raised, keeping the sweep
-    alive across bad cells.
+    Module-level so a process pool can ship it; errors are folded into the
+    status column rather than raised, keeping the sweep alive across bad
+    cells.
     """
-    config = RunConfig(**config_dict)
     policy = config.policy
     n_max = config.n_max
     rows: list[dict[str, str]] = []
-    with mp.workprec(200):
-        a_is_zero = mp.mpf(a_str) == 0
-    if a_is_zero:
+    if _is_zero(a_str):
         return _table_rows_zero(config, a_str)
     try:
         table = orbit_recurrence_table(a_str, n_max, policy)
@@ -247,7 +250,7 @@ def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     digits = config.digits or policy.target_certified_digits
     bits = policy.working_bits(n_max)
     beta = [mp.mpf(n) / 2 for n in range(n_max + 1)]
-    h = [hermite_norm_exact(n, bits).value for n in range(n_max + 1)]
+    h = hermite_norms_exact(n_max + 1, bits)
     edge = edge_quantities(mp.mpf(0), beta, h, bits)
     return [
         _row(n, a_str, status="ok" if n % 2 == 0 else "edge-zero", digits=digits,
@@ -279,15 +282,14 @@ def _row(n: int, a_str: str, status: str, digits: int = 20, **values) -> dict[st
 def _map_cells(config: RunConfig, worker, cells):
     """Ordered map over grid cells, through a process pool when more than
     one worker is useful: no more workers than cells or CPUs."""
-    config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
     workers = min(config.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, config_dict, cell) for cell in cells]
+            futures = [pool.submit(worker, config, cell) for cell in cells]
             return [f.result() for f in futures]
-    return [worker(config_dict, cell) for cell in cells]
+    return [worker(config, cell) for cell in cells]
 
 
 def cmd_table(config: RunConfig, out_path: str | None, plot_path: str | None = None) -> int:
@@ -361,15 +363,13 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     return reports
 
 
-def _verify_rows_for_a(config_dict: dict, a_str: str) -> list[dict]:
-    config = RunConfig(**config_dict)
-    with mp.workprec(200):
-        if not mp.mpf(a_str) > 0:
-            return [{
-                "name": "cell_skipped", "n": -1, "a": a_str, "residual": "0.0e+0",
-                "tolerance": 0.0, "pass": True, "warning": True,
-                "note": "verify suites require a > 0",
-            }]
+def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
+    if _is_zero(a_str):
+        return [{
+            "name": "cell_skipped", "n": -1, "a": a_str, "residual": "0.0e+0",
+            "tolerance": 0.0, "pass": True, "warning": True,
+            "note": "verify suites require a > 0",
+        }]
     try:
         reports = _suite_reports(config, a_str)
     except GapLabError as exc:
@@ -418,9 +418,7 @@ def cmd_verify(config: RunConfig, out_path: str | None) -> int:
 def cmd_prob(policy: PrecisionPolicy, digits: int | None, n: int, a_str: str,
              out_path: str | None) -> int:
     digits = digits or policy.target_certified_digits
-    with mp.workprec(200):
-        a_is_zero = mp.mpf(a_str) == 0
-    if a_is_zero:
+    if _is_zero(a_str):
         doc = {
             "n": n, "a": a_str, "prob_hankel": "1.0", "prob_fredholm": None,
             "rel_discrepancy": None,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
-from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf, sqrt_pi_const
+from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
 from .weight import GapWeight, moment_jets, moments
 
 _LOG10_2 = 0.30102999566398120
@@ -259,11 +259,10 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     return _certify(pass_fn, a_value, n_max, policy.working_bits(n_max), policy)
 
 
-def hermite_norm_exact(k: int, bits: int) -> Real:
-    """h_k at a = 0 in closed form: (k! / 2^k) sqrt(pi)."""
-    if k < 0:
-        raise DomainError(f"index must be >= 0, got {k}")
+def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:
+    """[h_0, ..., h_{count-1}] at a = 0 in closed form: h_k = (k! / 2^k) sqrt(pi)."""
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
     with mp.workprec(bits):
-        v = mp.mpf(math.factorial(k)) / mp.mpf(2) ** k * sqrt_pi_const(bits)
-    return Real(v, bits)
-
+        s = mp.sqrt(mp.pi)
+        return [mp.mpf(math.factorial(k)) / mp.mpf(2) ** k * s for k in range(count)]

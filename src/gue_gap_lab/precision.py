@@ -12,7 +12,6 @@ A :class:`Real` remembers the precision it was computed at, and a
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -21,9 +20,6 @@ from .exceptions import DomainError
 
 # Extra bits carried by internal evaluations before final rounding.
 GUARD_BITS = 48
-
-_CONST_LOCK = threading.Lock()
-_CONST_CACHE: dict[tuple[str, int], mp.mpf] = {}
 
 
 def as_mpf(x, bits: int) -> mp.mpf:
@@ -72,7 +68,7 @@ class Jet:
     function of the gap half-width a about a point: c[0] is the value, c[1]
     the first derivative and c[2] half the second.
 
-    Jets add, subtract, multiply and divide one another (truncating at the
+    Jets subtract, multiply and divide one another (truncating at the
     shorter one), and multiply by a plain number.  Arithmetic rounds at the
     ambient mpmath precision, and the c[0] of a result is the same operation
     on the operands' c[0], so a formula run on jets yields bit for bit the
@@ -84,9 +80,6 @@ class Jet:
 
     def __init__(self, c):
         self.c = tuple(c)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet([x + y for x, y in zip(self.c, other.c)])
 
     def __sub__(self, other: "Jet") -> "Jet":
         return Jet([x - y for x, y in zip(self.c, other.c)])
@@ -112,30 +105,6 @@ class Jet:
                 acc -= b[i] * out[k - i]
             out.append(acc / b[0])
         return Jet(out)
-
-
-def pi_const(bits: int) -> mp.mpf:
-    """pi at the given precision, cached."""
-    key = ("pi", bits)
-    with _CONST_LOCK:
-        v = _CONST_CACHE.get(key)
-        if v is None:
-            with mp.workprec(bits):
-                v = +mp.pi
-            _CONST_CACHE[key] = v
-        return v
-
-
-def sqrt_pi_const(bits: int) -> mp.mpf:
-    """sqrt(pi) at the given precision, cached."""
-    key = ("sqrt_pi", bits)
-    with _CONST_LOCK:
-        v = _CONST_CACHE.get(key)
-        if v is None:
-            with mp.workprec(bits):
-                v = mp.sqrt(mp.pi)
-            _CONST_CACHE[key] = v
-        return v
 
 
 @dataclass(frozen=True)

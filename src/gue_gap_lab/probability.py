@@ -32,19 +32,18 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError, QuadratureConvergenceError
-from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norm_exact
-from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf, pi_const
+from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
+from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
 
 ORACLE_TOL = 1e-12
-ANCHOR_TOL = 1e-30
 
 
 def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
     """[phi_0(x), ..., phi_{count-1}(x)] for the orthonormal Hermite
     functions phi_l(x) = (2^l l! sqrt(pi))^{-1/2} H_l(x) e^{-x^2/2}."""
     with mp.workprec(bits):
-        vals = [mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(pi_const(bits)))]
+        vals = [mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(mp.pi))]
         for l in range(count - 1):
             # at l = 0, c_down is exactly 0 and vals[l - 1] is only a placeholder
             c_up, c_down = mp.sqrt(mp.mpf(2) / (l + 1)), mp.sqrt(mp.mpf(l) / (l + 1))
@@ -95,6 +94,10 @@ def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
     the first k pivots.  Only the lower triangle of the Schur complement is
     updated.  A pivot that is not positive means rounding lost that
     property, and raises QuadratureConvergenceError.
+
+    G must vanish wherever j + k is odd, as ``overlap_matrix``'s does; the
+    updates keep that pattern, so only the rows and columns of the pivot's
+    parity are updated (the others would subtract exact zeros).
     """
     n = len(G)
     with mp.workprec(bits):
@@ -109,12 +112,11 @@ def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
                 )
             det *= pivot
             minors.append(det)
-            for i in range(k + 1, n):
+            for i in range(k + 2, n, 2):
                 f = M[i][k] / pivot
-                if f != 0:
-                    Mi = M[i]
-                    for j in range(k + 1, i + 1):
-                        Mi[j] -= f * M[j][k]
+                Mi = M[i]
+                for j in range(k + 2, i + 1, 2):
+                    Mi[j] -= f * M[j][k]
         return minors
 
 
@@ -127,8 +129,8 @@ def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
     bits = table.working_bits
     with mp.workprec(bits):
         probs = [mp.mpf(1)]
-        for j in range(n):
-            probs.append(probs[j] * (table.h[j].value / hermite_norm_exact(j, bits).value))
+        for j, h0 in enumerate(hermite_norms_exact(n, bits)):
+            probs.append(probs[j] * (table.h[j].value / h0))
     return probs
 
 
@@ -198,6 +200,25 @@ def fredholm_bits(n: int, p_hankel, digits: int) -> int:
     return -(-bits // 64) * 64
 
 
+def _both_routes(n: int, a, policy: PrecisionPolicy | None,
+                 table: RecurrenceTable | None, digits: int | None):
+    """(a, bits, Hankel [P(1, a), ..., P(n, a)], Fredholm [P(1, a), ..., P(n, a)]).
+    bits is the table's, built at degree n - 1 unless given, and so is a if None."""
+    if n < 1:
+        raise DomainError(f"matrix size must be >= 1, got {n}")
+    if policy is None:
+        policy = PrecisionPolicy()
+    if table is None:
+        if a is None:
+            raise DomainError("need either a or a prebuilt table")
+        table = build_recurrence_table(a, n - 1, policy)
+    if a is None:
+        a = table.a
+    p_h = hankel_probabilities(table, n)[1:]
+    f_bits = fredholm_bits(n, p_h[-1], digits or policy.target_certified_digits)
+    return a, table.working_bits, p_h, gap_probability_fredholm(n, a, prec_bits=f_bits)
+
+
 @dataclass(frozen=True)
 class ProbabilityRecord:
     """P(n, a) by both routes, with their relative discrepancy."""
@@ -221,19 +242,11 @@ def probability_record(
     The Fredholm route runs at ``fredholm_bits`` for ``digits``, by default
     ``policy.target_certified_digits``.
     """
-    if policy is None:
-        policy = PrecisionPolicy()
-    p_h = gap_probability_hankel(n, a, policy, table=table)
-    bits = p_h.precision_bits
-    a_val = a if a is not None else table.a
-    f_bits = fredholm_bits(n, p_h, digits or policy.target_certified_digits)
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=f_bits)[-1]
+    a, bits, p_h, p_f = _both_routes(n, a, policy, table, digits)
     with mp.workprec(bits):
-        rel = abs(p_h.value - p_f.value) / p_h.value
-        av = as_mpf(a_val, bits)
-    return ProbabilityRecord(
-        n=n, a=Real(av, bits), prob_hankel=p_h, prob_fredholm=p_f, rel_discrepancy=rel
-    )
+        rel = abs(p_h[-1] - p_f[-1].value) / p_h[-1]
+    return ProbabilityRecord(n=n, a=Real(as_mpf(a, bits), bits), prob_hankel=Real(p_h[-1], bits),
+                             prob_fredholm=p_f[-1], rel_discrepancy=rel)
 
 
 def residual_oracle(
@@ -246,18 +259,8 @@ def residual_oracle(
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
     P(k, a), k = 1..n, from one recurrence table and one Fredholm call at
     ``fredholm_bits`` for ``policy.target_certified_digits``."""
-    if n < 1:
-        raise DomainError(f"matrix size must be >= 1, got {n}")
-    if policy is None:
-        policy = PrecisionPolicy()
-    if table is None:
-        table = build_recurrence_table(a, max(n - 1, 0), policy)
-    bits = table.working_bits
-    a_val = a if a is not None else table.a
-    p_h = hankel_probabilities(table, n)[1:]
-    f_bits = fredholm_bits(n, p_h[-1], policy.target_certified_digits)
-    p_f = gap_probability_fredholm(n, a_val, prec_bits=f_bits)
-    rep = ResidualReport(a=mp.nstr(as_mpf(a_val, bits), 12), n=n)
+    a, bits, p_h, p_f = _both_routes(n, a, policy, table, None)
+    rep = ResidualReport(a=mp.nstr(as_mpf(a, bits), 12), n=n)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
             rep.add(make_check("route_agreement", k, [h, -f.value], ORACLE_TOL, bits))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError
-from .precision import GUARD_BITS, Jet, Real, as_mpf, sqrt_pi_const
+from .precision import GUARD_BITS, Jet, Real, as_mpf
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _mu0(a: mp.mpf, work: int) -> mp.mpf:
     """sqrt(pi) erfc(a) at ``work`` bits, cached per (a, work): an orbit pass
     needs it twice, for the seed r_1 and for h_0, from two weights."""
     with mp.workprec(work):
-        return sqrt_pi_const(work) * mp.erfc(a)
+        return mp.sqrt(mp.pi) * mp.erfc(a)
 
 
 def moments(count: int, w: GapWeight) -> list[Real]:

@@ -4,9 +4,11 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -23,6 +25,7 @@ from gue_gap_lab import (
 from gue_gap_lab.report import sci_str
 
 ERFC_1 = "0.157299207050285130658779364917390740703933002"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -412,6 +415,19 @@ class TestProb:
         assert len(mantissa) == 100
         assert doc["prob_fredholm"] == doc["prob_hankel"]
 
+    @pytest.mark.parametrize("args, digest", [
+        ("prob 10 3", "7d0c5e5e54303508237e9292a3e881b6597598bf6b1bbab8672950cbf08aa2da"),
+        ("prob 60 1", "d81e5a195a16898731147b68e4013cd331be807c7a28126e51e292c05ac2b670"),
+        ("verify --suite oracle --n-max 6 --a-list 0.7,3",
+         "26489c376ae8831e0a825163dd0a815d90d16675e949c5db7edf2c2ed5304477"),
+    ])
+    def test_both_route_outputs_are_pinned(self, capsys, args, digest):
+        # every byte the two routes print is pinned, so a change to how they
+        # are run together cannot move a digit
+        assert run_cli(args.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_zero_width_notice(self, capsys):
         assert run_cli(["prob", "5", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -626,5 +642,20 @@ def test_jobs_are_clamped_to_cells_and_cpus(monkeypatch, jobs, cpus, workers):
     config = cli.RunConfig(command="table", n_max=0, a_values=cells,
                            policy=PrecisionPolicy(), digits=None,
                            suite="all", jobs=jobs)
-    assert cli._map_cells(config, lambda config_dict, cell: cell, cells) == list(cells)
+    assert cli._map_cells(config, lambda _, cell: cell, cells) == list(cells)
     assert pools == ([workers] if workers > 1 else [])
+
+
+@pytest.mark.parametrize("command", [
+    "table --n-max 3 --a-list 1 --digits 12",
+    "prob 2 1 --digits 20",
+])
+def test_readme_example_prints_its_fenced_output(command, capsys):
+    # the README shows each command in an sh block and its stdout in the
+    # fenced block right after it; the two must agree verbatim
+    pattern = (r"```sh\ngue-gap-lab " + re.escape(command)
+               + r"\n```\n\n```\w*\n(.*?)```")
+    shown = re.search(pattern, README.read_text(), re.S)
+    assert shown, f"no example of {command!r} in README.md"
+    assert run_cli(command.split()) == 0
+    assert capsys.readouterr().out == shown.group(1)

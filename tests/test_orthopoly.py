@@ -5,6 +5,8 @@ orthogonality sums, an LU determinant of the raw moment matrix via mpmath,
 and the closed-form Hermite data at a = 0.
 """
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -13,7 +15,7 @@ from gue_gap_lab import (
     PrecisionExhaustedError,
     PrecisionPolicy,
     build_recurrence_table,
-    hermite_norm_exact,
+    hermite_norms_exact,
     ladder_states,
     orthopoly,
 )
@@ -37,13 +39,24 @@ def monic_coefficient_rows(table, n_top, bits):
 class TestHermiteLimit:
     def test_matches_closed_forms_at_zero(self):
         table = build_recurrence_table("0", 12)
+        h0 = hermite_norms_exact(table.n_max + 1, table.working_bits)
         with mp.workprec(table.working_bits):
             for j in range(table.n_max + 1):
                 b_ref = mp.mpf(j) / 2
-                h_ref = hermite_norm_exact(j, table.working_bits).value
+                h_ref = h0[j]
                 assert abs(table.h[j].value - h_ref) / h_ref < mp.mpf(10) ** -150
                 if j >= 1:
                     assert abs(table.beta[j].value - b_ref) / b_ref < mp.mpf(10) ** -150
+
+    @pytest.mark.parametrize("bits", [64, 577, 1664])
+    def test_norms_list_matches_the_closed_form(self, bits):
+        norms = hermite_norms_exact(20, bits)
+        with mp.workprec(bits):
+            ref = [mp.mpf(math.factorial(k)) / mp.mpf(2) ** k * mp.sqrt(mp.pi) for k in range(20)]
+        assert [v._mpf_ for v in norms] == [v._mpf_ for v in ref]
+        assert hermite_norms_exact(0, bits) == []
+        with pytest.raises(DomainError):
+            hermite_norms_exact(-1, bits)
 
     def test_beta0_is_zero_by_convention(self):
         table = build_recurrence_table("0.6", 3)

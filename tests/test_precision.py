@@ -1,4 +1,4 @@
-"""Arbitrary-precision scaffolding: Real, policy, cached constants."""
+"""Arbitrary-precision scaffolding: Real, policy, parsing."""
 
 import mpmath as mp
 import pytest
@@ -8,7 +8,7 @@ from gue_gap_lab import (
     PrecisionPolicy,
     Real,
 )
-from gue_gap_lab.precision import as_mpf, pi_const, sqrt_pi_const
+from gue_gap_lab.precision import as_mpf
 
 
 class TestReal:
@@ -38,12 +38,6 @@ class TestPolicy:
             PrecisionPolicy(base_bits=16)
         with pytest.raises(DomainError):
             PrecisionPolicy(max_bits=256)
-
-
-def test_cached_constants_match_mpmath():
-    with mp.workprec(700):
-        assert abs(pi_const(640) - mp.pi) < mp.mpf(2) ** (-600)
-        assert abs(sqrt_pi_const(640) - mp.sqrt(mp.pi)) < mp.mpf(2) ** (-600)
 
 
 def test_as_mpf_rejects_garbage():

@@ -1,5 +1,7 @@
 """Gap probability routes: overlap matrix, determinants, anchors, agreement."""
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -142,6 +144,25 @@ class TestDeterminant:
                 ref = mp.det(mp.eye(k) - M)
                 assert abs(minors[k - 1] - ref) / abs(ref) < mp.mpf(10) ** -120
 
+    @pytest.mark.parametrize("n, a_text", [(12, "2.5"), (9, "0.7")])
+    def test_parity_skip_matches_dense_elimination(self, n, a_text):
+        # the same lower-triangle LDL^T update, over every row i > k and
+        # column j <= i: the updates the parity skip leaves out subtract
+        # exact zeros, so every minor is bit for bit the same
+        bits = 256
+        G = overlap_matrix(n, a_text, bits)
+        with mp.workprec(bits):
+            M = [[(1 if i == j else 0) - G[i][j] for j in range(n)] for i in range(n)]
+            ref, det = [], mp.mpf(1)
+            for k in range(n):
+                det *= M[k][k]
+                ref.append(det)
+                for i in range(k + 1, n):
+                    f = M[i][k] / M[k][k]
+                    for j in range(k + 1, i + 1):
+                        M[i][j] -= f * M[j][k]
+        assert [m._mpf_ for m in det_identity_minus(G, bits)] == [r._mpf_ for r in ref]
+
     def test_non_positive_pivot_is_a_quadrature_failure(self):
         # I - G with an overlap of 1 on the diagonal is not positive definite
         bits = 128
@@ -261,7 +282,7 @@ class TestRoutes:
     def test_one_running_product_serves_every_size(self):
         # each P(k, a) is the product prod_{j<k} h_j / h_j(0), formed in
         # order at the table's bits, whichever size asks for it
-        from gue_gap_lab import build_recurrence_table, hermite_norm_exact
+        from gue_gap_lab import build_recurrence_table
 
         table = build_recurrence_table("0.9", 8)
         bits = table.working_bits
@@ -271,7 +292,8 @@ class TestRoutes:
             for k in range(10):
                 ref = mp.mpf(1)
                 for j in range(k):
-                    ref *= table.h[j].value / hermite_norm_exact(j, bits).value
+                    h0 = mp.mpf(math.factorial(j)) / mp.mpf(2) ** j * mp.sqrt(mp.pi)
+                    ref *= table.h[j].value / h0
                 assert probs[k]._mpf_ == ref._mpf_
                 assert gap_probability_hankel(k, table=table).value._mpf_ == ref._mpf_
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gue_gap_lab.precision import Real, sqrt_pi_const
+from gue_gap_lab.precision import Real
 from gue_gap_lab.report import (
     ResidualReport,
     make_check,
@@ -65,7 +65,8 @@ def test_rows_serialize_tiny_residuals_without_underflow():
 def test_sci_str_prints_an_mpf_as_given():
     # outside any workprec block the ambient precision is 53 bits; a
     # 1024-bit value must not be re-rounded to it
-    v = sqrt_pi_const(1024)
+    with mp.workprec(1024):
+        v = mp.sqrt(mp.pi)
     assert mp.mp.prec == 53
     assert sci_str(v, 30) == "1.77245385090551602729816748334"
     assert sci_str(Real(v, 1024), 30) == sci_str(v, 30)

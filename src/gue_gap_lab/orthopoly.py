@@ -10,12 +10,14 @@ Chebyshev algorithm on mixed moments S_k[l] = integral P_k(x) x^l w(x) dx:
 
 That map is notoriously ill conditioned (about half a digit lost per
 degree), which is the point of running it in arbitrary precision: a build
-is accepted only after two passes at different precisions agree to the
-policy's target number of digits, and the working precision escalates until
-they do or a ceiling is hit.  That loop, ``_certify``, also certifies the
-second route to the same table, ``difference_eqs.orbit_recurrence_table``,
-from which ``table`` builds every a > 0 cell; ``verify``, ``prob``, the
-continuous grid and the acceptance gate use this module's Chebyshev route.
+is accepted only after a pass at W bits and a check pass at W + CHECK_BITS
+agree to the policy's target number of digits, and W escalates until they
+do or the check pass reaches the ceiling.  That loop, ``_certify``, also
+certifies the second route to the same table,
+``difference_eqs.orbit_recurrence_table``, from which ``table`` builds every
+a > 0 cell; ``verify``, ``prob``, the continuous grid and the acceptance gate
+use this module's Chebyshev route.  The table keeps the check pass, so its
+working bits are W + CHECK_BITS.
 
 Every moment has an exact a-derivative (``weight.moment_jets``), so the same
 pass run on Taylor jets (``build_recurrence_table(..., jets=True)``) carries
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
-from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
 from .weight import GapWeight, moment_jets, moments
 
 _LOG10_2 = 0.30102999566398120
@@ -157,73 +159,80 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
 
 def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
              policy: PrecisionPolicy) -> RecurrenceTable:
-    """Run ``pass_fn(a_value, n_max, bits) -> (beta, h)`` up the precision
-    ladder until two consecutive levels agree to the policy target.
+    """Run ``pass_fn(a_value, n_max, bits) -> (beta, h)`` at pairs of
+    precisions until a pair agrees to the policy target.
 
-    The loop runs one pass per precision level W, 2W, 4W, ... from
-    ``start_bits`` (capped at the ceiling), takes the worst cross-precision
-    agreement of two consecutive passes over all beta_j and h_j as the
-    certified digit count, and stops when it meets the policy target.  A
-    pass raises _NonPositiveNorm when its precision cannot keep positive
-    what must be; that level then certifies nothing.  Raises
-    PrecisionExhaustedError when the ceiling is reached first, and
-    IllConditioningError if norms cannot even be kept positive there.
-    Both recurrence builders certify through this one loop.
+    Each level runs a pass at W bits and a check pass at W + CHECK_BITS,
+    and takes their worst relative agreement over all beta_j and h_j,
+    capped at W's digits, as the certified digit count; the table keeps the
+    upper pass.  A pass loses about the same digits at any precision, so
+    the pass 64 bits up measures W's error as well as one at 2W would.  W
+    starts at ``start_bits`` and escalates through ``policy.escalate``,
+    capped at max_bits - CHECK_BITS so that the top level is
+    (max_bits - CHECK_BITS, max_bits) and no pass is ever compared with one
+    at the same bits.  A pass raises _NonPositiveNorm when its precision
+    cannot keep positive what must be; its level then certifies nothing.
+    Raises PrecisionExhaustedError when the top level falls short of the
+    target, or when start_bits + CHECK_BITS is already above the ceiling,
+    and IllConditioningError if norms cannot even be kept positive at the
+    ceiling.  Both recurrence builders certify through this one loop.
     """
-    bits = min(start_bits, policy.max_bits)
-    if bits >= policy.max_bits:
-        # Nothing above the starting precision to compare against, so the
-        # build cannot be certified.
+    top = policy.max_bits - CHECK_BITS
+    if start_bits > top:
         raise PrecisionExhaustedError(
-            f"cannot certify: starting precision {bits} bits already at ceiling",
+            f"cannot certify: starting precision {start_bits} bits leaves no room "
+            f"for a check pass {CHECK_BITS} bits up under the ceiling",
             certified_digits=0,
             ceiling_bits=policy.max_bits,
         )
-    # One pass per precision level; each pass is compared with the one
-    # below it, or is None when its norms did not stay positive.
-    prev = prev_bits = None
-    levels = 0
-    best_certified = 0
-    while True:
+
+    def run(bits):
+        """The pass at ``bits``, or None when its norms did not stay positive."""
         try:
-            cur = pass_fn(a_value, n_max, bits)
+            return pass_fn(a_value, n_max, bits)
         except _NonPositiveNorm as exc:
             if bits >= policy.max_bits:
                 raise IllConditioningError(
                     f"norm h_{exc.index} not positive at ceiling precision "
                     f"{policy.max_bits} bits (a={mp.nstr(a_value, 8)}, n_max={n_max})"
                 ) from exc
-            cur = None
+            return None
+
+    bits = start_bits
+    levels = 0
+    best_certified = 0
+    while True:
+        lo, hi = run(bits), run(bits + CHECK_BITS)
         levels += 1
-        if prev is not None and cur is not None:
-            certified = _certified_digits(prev, cur, prev_bits)
+        if lo is not None and hi is not None:
+            certified = _certified_digits(lo, hi, bits)
             best_certified = max(best_certified, certified)
             if certified >= policy.target_certified_digits:
-                beta, h = cur
+                beta, h = hi
                 jets = None
                 if isinstance(h[0], Jet):
                     jets = (tuple(beta), tuple(h))
                     beta = [b.c[0] for b in beta]
                     h = [v.c[0] for v in h]
+                kept = bits + CHECK_BITS
                 return RecurrenceTable(
-                    a=Real(as_mpf(a_value, bits), bits),
+                    a=Real(as_mpf(a_value, kept), kept),
                     n_max=n_max,
-                    beta=tuple(Real(b, bits) for b in beta),
-                    h=tuple(Real(v, bits) for v in h),
+                    beta=tuple(Real(b, kept) for b in beta),
+                    h=tuple(Real(v, kept) for v in h),
                     certified_digits=certified,
-                    working_bits=bits,
-                    escalations=levels - 2,
+                    working_bits=kept,
+                    escalations=levels - 1,
                     jets=jets,
                 )
-        if bits >= policy.max_bits:
+        if bits >= top:
             raise PrecisionExhaustedError(
                 f"certified only {best_certified} digits of "
                 f"{policy.target_certified_digits} at ceiling {policy.max_bits} bits",
                 certified_digits=best_certified,
                 ceiling_bits=policy.max_bits,
             )
-        prev, prev_bits = cur, bits
-        bits = min(policy.escalate(bits), policy.max_bits)
+        bits = min(policy.escalate(bits), top)
 
 
 def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):

@@ -21,6 +21,11 @@ from .exceptions import DomainError
 # Extra bits carried by internal evaluations before final rounding.
 GUARD_BITS = 48
 
+# How far above a pass's precision the pass that checks it runs.  One pass
+# at W bits loses about the same digits at any W, so a second pass this
+# much higher measures W's error as well as one at 2W would.
+CHECK_BITS = 64
+
 
 def as_mpf(x, bits: int) -> mp.mpf:
     """Coerce x to an mpf rounded at ``bits`` of precision.
@@ -111,10 +116,11 @@ class Jet:
 class PrecisionPolicy:
     """How much precision to start with and how to escalate.
 
-    ``working_bits(n_max)`` gives the starting precision for a recurrence
-    build up to degree ``n_max``.  When two-level certification falls short
-    of ``target_certified_digits``, precision doubles until it certifies or
-    hits ``max_bits``.
+    ``working_bits(n_max)`` gives the starting precision W for a recurrence
+    build up to degree ``n_max``; certification compares a pass at W with
+    one at W + CHECK_BITS.  When that falls short of
+    ``target_certified_digits``, W doubles until it certifies or the upper
+    pass reaches ``max_bits``.
     """
 
     base_bits: int = 512

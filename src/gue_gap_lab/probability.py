@@ -18,7 +18,8 @@ in (-a, a).  Two independent routes compute it:
   precision comes from the digits asked for plus the bits I - G_n can
   lose, bounded through the Hankel value of P(n, a) (``fredholm_bits``),
   not from the Hankel table's bits.  It is certified across precisions:
-  the minors formed again at 64 more bits must agree within that loss.
+  the minors formed again at CHECK_BITS more bits must agree within that
+  loss.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -33,7 +34,7 @@ import mpmath as mp
 
 from .exceptions import DomainError, QuadratureConvergenceError
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
-from .precision import GUARD_BITS, PrecisionPolicy, Real, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, PrecisionPolicy, Real, as_mpf
 from .report import ResidualReport, make_check
 
 ORACLE_TOL = 1e-12
@@ -158,25 +159,26 @@ def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
     of the Hermite-function overlap matrix G_n.
 
-    G_n and its minors are formed at prec_bits + GUARD_BITS and again at 64
-    more bits.  At prec_bits the k-th minor may lose up to log2(k / P(k, a))
-    bits (``fredholm_bits``), so the two must agree to a relative
-    2^-prec_bits k / P(k, a); a larger disagreement, or a pivot that is not
-    positive, raises QuadratureConvergenceError.  The minors of the second
-    pass are returned, rounded to prec_bits.
+    G_n and its minors are formed at prec_bits + GUARD_BITS and again at
+    CHECK_BITS more bits.  At prec_bits the k-th minor may lose up to
+    log2(k / P(k, a)) bits (``fredholm_bits``), so the two must agree to a
+    relative 2^-prec_bits k / P(k, a); a larger disagreement, or a pivot
+    that is not positive, raises QuadratureConvergenceError.  The minors of
+    the second pass are returned, rounded to prec_bits.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     bits = prec_bits + GUARD_BITS
-    dets_lo, dets_hi = (det_identity_minus(overlap_matrix(n, a, b), b) for b in (bits, bits + 64))
+    dets_lo, dets_hi = (det_identity_minus(overlap_matrix(n, a, b), b)
+                        for b in (bits, bits + CHECK_BITS))
     with mp.workprec(bits):
         for k, (det_lo, det_hi) in enumerate(zip(dets_lo, dets_hi), start=1):
             rel = abs(det_hi - det_lo) / det_hi
             bound = mp.ldexp(k, -prec_bits) / det_hi
             if not rel <= bound:
                 raise QuadratureConvergenceError(
-                    f"minors at {bits} and {bits + 64} bits disagree by {mp.nstr(rel, 5)} "
-                    f"(bound {mp.nstr(bound, 5)}) at n={k}"
+                    f"minors at {bits} and {bits + CHECK_BITS} bits disagree by "
+                    f"{mp.nstr(rel, 5)} (bound {mp.nstr(bound, 5)}) at n={k}"
                 )
     return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
 

@@ -38,14 +38,31 @@ def sci_str(x, digits: int) -> str:
 
 
 def relative_residual(terms: Sequence, bits: int) -> mp.mpf:
-    """|sum of terms| / max |term|, or exact 0 when every term vanishes."""
-    with mp.workprec(bits):
-        vals = [t.value if isinstance(t, Real) else mp.mpf(t) for t in terms]
-        scale = max(abs(v) for v in vals)
-        if scale == 0:
-            return mp.mpf(0)
-        total = mp.fsum(vals)
-        return abs(total) / scale
+    """|sum of terms| / max |term|, or exact 0 when every term vanishes.
+
+    Runs on the raw mpf tuples, at ``bits`` with round-nearest: an mpf or
+    int term is first rounded to ``bits`` and a Real's value enters the sum
+    as it is, so the result is bit for bit that of |fsum(terms)| / max|term|
+    under ``mp.workprec(bits)``.
+    """
+    rnd = libmp.round_nearest
+    vals = []
+    for t in terms:
+        if isinstance(t, Real):
+            vals.append(t.value._mpf_)
+        elif isinstance(t, mp.mpf):
+            vals.append(libmp.mpf_pos(t._mpf_, bits, rnd))
+        else:
+            vals.append(mp.mpf(t, prec=bits, rounding=rnd)._mpf_)
+    scale = libmp.fzero
+    for v in vals:
+        m = libmp.mpf_abs(v, bits, rnd)
+        if libmp.mpf_cmp(m, scale) > 0:
+            scale = m
+    if scale == libmp.fzero:
+        return mp.mpf(0)
+    total = libmp.mpf_abs(libmp.mpf_sum(vals, bits, rnd), bits, rnd)
+    return mp.make_mpf(libmp.mpf_div(total, scale, bits, rnd))
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,8 @@ def moments(count: int, w: GapWeight) -> list[Real]:
     with mp.workprec(bits + GUARD_BITS):
         a = w.a.value
         a_sq = a * a
-        edge = a * mp.exp(-a_sq)  # a^{k-1} e^{-a^2} at the step to even k
+        # a^{k-1} e^{-a^2} at the step to even k >= 2, which mu_0 alone skips
+        edge = a * mp.exp(-a_sq) if count > 2 else None
         for k in range(count):
             if k % 2 == 1:
                 out.append(zero)

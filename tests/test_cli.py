@@ -96,6 +96,14 @@ class TestTable:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_default_digits_orbit_rows_are_pinned(self, capsys):
+        # stdout frozen when each table was kept from a pass at twice the
+        # bits it was certified at; a check pass 64 bits up prints the same
+        assert run_cli(["table", "--n-max", "40", "--a-list", "0.1,0.5,1,2,3.5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5ae6ea7cdeaea0d74e3a92511cad605d6af0d7b75150a86939a91465634c0cd9")
+
     def test_edge_zero_row_and_the_rows_after_it(self, tmp_path, monkeypatch):
         # P_2(a) forced below the certification threshold: the rows before
         # it are whole, it is edge-zero, and later rows keep beta, h, prob
@@ -281,15 +289,17 @@ class TestVerify:
 
     def test_named_tolerance_override(self, tmp_path):
         out = tmp_path / "v.json"
+        # every residual of this cell is below 2^-(working bits - 16)
+        bits = build_recurrence_table("1", 4, jets=True).working_bits
+        tol = 2.0 ** -(bits - 16)
         code = run_cli(["verify", "--suite", "discrete", "--n-max", "3",
-                        "--a-list", "1", "--tol", "orbit_vs_direct=1e-300",
+                        "--a-list", "1", "--tol", f"orbit_vs_direct={tol!r}",
                         "--out", str(out)])
-        # every residual of this cell is below 1e-308
         assert code == 0
         doc = json.loads(out.read_text())
         tolerances = {c["name"]: c["tolerance"] for c in doc["checks"]}
-        assert tolerances.pop("orbit_vs_direct") == 1e-300
-        assert tolerances and 1e-300 not in tolerances.values()
+        assert tolerances.pop("orbit_vs_direct") == tol
+        assert tolerances and tol not in tolerances.values()
         assert all(c["pass"] for c in doc["checks"])
 
     def test_zero_cell_warns_but_does_not_fail(self, tmp_path):

@@ -80,7 +80,8 @@ def test_orbit_table_agrees_with_chebyshev_table(a_text):
 
 
 def test_orbit_table_certifies_from_base_bits(monkeypatch):
-    # one orbit pass per precision level from base_bits, not working_bits(n_max)
+    # one pair of orbit passes (W, W + 64) per precision level, W from
+    # base_bits, not working_bits(n_max)
     bits_seen = []
     real_pass = difference_eqs._orbit_pass
 
@@ -90,15 +91,15 @@ def test_orbit_table_certifies_from_base_bits(monkeypatch):
 
     monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
     table = orbit_recurrence_table("1", 12, PrecisionPolicy(base_bits=64))
-    assert bits_seen == [64, 128, 256, 512]
-    assert table.working_bits == 512
+    assert bits_seen == [64, 128, 128, 192, 256, 320]
+    assert table.working_bits == 320
     assert table.escalations == 2
     assert table.certified_digits >= 40
 
 
 def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
-    # at a = 30 the orbit loses beta_n > 0 at 512 bits; that level certifies
-    # nothing and the loop goes on to 1024 and 2048 bits
+    # at a = 30 the orbit loses beta_n > 0 at 512 bits; that level
+    # certifies nothing and the loop goes on to the level (1024, 1088)
     bits_seen = []
     real_pass = difference_eqs._orbit_pass
 
@@ -108,8 +109,18 @@ def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
 
     monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
     table = orbit_recurrence_table("30", 100)
-    assert bits_seen == [512, 1024, 2048]
+    assert bits_seen == [512, 576, 1024, 1088]
+    assert table.working_bits == 1088
     assert table.certified_digits >= 40
+
+
+@pytest.mark.parametrize("a_text, n_max, digits", [
+    ("1", 1000, 118), ("6", 1000, 93), ("30", 100, 140), ("30", 20, 107),
+    ("1e-40", 200, 152), ("3", 200, 108),
+])
+def test_orbit_table_certified_digits_are_pinned(a_text, n_max, digits):
+    # the counts a comparison with a pass at twice the bits gave
+    assert orbit_recurrence_table(a_text, n_max).certified_digits == digits
 
 
 def test_closure_residuals_pass(states_a1):

@@ -174,7 +174,7 @@ class TestJetSource:
         for n in range(1, 6):
             rep = continuous_suite(source, n)
             assert {c.name for c in rep.checks} == ALL_CHECK_NAMES
-            assert rep.worst < mp.mpf(10) ** -300
+            assert rep.worst < mp.ldexp(1, -(source.bits - 16))
 
     def test_needs_a_table_with_jets(self, table_a1):
         with pytest.raises(DomainError):

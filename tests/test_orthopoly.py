@@ -15,11 +15,12 @@ from gue_gap_lab import (
     PrecisionExhaustedError,
     PrecisionPolicy,
     build_recurrence_table,
+    difference_eqs,
     hermite_norms_exact,
     ladder_states,
     orthopoly,
 )
-from gue_gap_lab.precision import Jet
+from gue_gap_lab.precision import CHECK_BITS, Jet
 from gue_gap_lab.weight import GapWeight, moment
 
 
@@ -82,8 +83,9 @@ class TestCertification:
         assert table.certified_digits >= 40
 
     def test_one_pass_per_precision_level(self, monkeypatch):
-        # at a = 3 the 64- and 128-bit passes lose positivity; each level
-        # runs once: 64, 128, 256, 512, 1024
+        # each level runs its pair (W, W + 64) once; at a = 3 the 64- and
+        # 128-bit passes lose positivity, so the first two levels certify
+        # nothing and W goes 64, 128, 256, 512
         bits_seen = []
         real_pass = orthopoly._chebyshev_pass
 
@@ -94,9 +96,58 @@ class TestCertification:
         monkeypatch.setattr(orthopoly, "_chebyshev_pass", counting_pass)
         starved = PrecisionPolicy(base_bits=64, bits_per_n=0)
         table = build_recurrence_table("3", 80, starved)
-        assert bits_seen == [64, 128, 256, 512, 1024]
+        assert bits_seen == [64, 128, 128, 192, 256, 320, 512, 576]
         assert table.escalations == 3
+        assert table.working_bits == 576
         assert table.certified_digits >= 40
+
+    @pytest.mark.parametrize("route", ["chebyshev", "orbit"])
+    @pytest.mark.parametrize("a_text, n_max, max_bits", [
+        ("3", 80, 16384), ("3", 40, 256), ("1", 30, 200),
+    ])
+    def test_each_level_is_a_pass_and_one_64_bits_up(self, monkeypatch, route,
+                                                     a_text, n_max, max_bits):
+        # no pass is compared with one at its own bits: under a ceiling of
+        # 256 or 200 bits the top level is (ceiling - 64, ceiling), which
+        # falls short of 40 digits, so the build gives up
+        module, name, build = {
+            "chebyshev": (orthopoly, "_chebyshev_pass", build_recurrence_table),
+            "orbit": (difference_eqs, "_orbit_pass", difference_eqs.orbit_recurrence_table),
+        }[route]
+        bits_seen = []
+        real_pass = getattr(module, name)
+
+        def recording_pass(a_value, n, bits):
+            bits_seen.append(bits)
+            return real_pass(a_value, n, bits)
+
+        monkeypatch.setattr(module, name, recording_pass)
+        policy = PrecisionPolicy(base_bits=64, bits_per_n=0, max_bits=max_bits)
+        exhausted = max_bits < 1000
+        if exhausted:
+            with pytest.raises(PrecisionExhaustedError):
+                build(a_text, n_max, policy)
+        else:
+            table = build(a_text, n_max, policy)
+            assert table.working_bits == bits_seen[-1]
+            assert table.escalations == len(bits_seen) // 2 - 1
+        lows, highs = bits_seen[0::2], bits_seen[1::2]
+        assert len(lows) == len(highs)
+        assert all(lo + CHECK_BITS == hi <= max_bits for lo, hi in zip(lows, highs))
+        ladder = [64]
+        while len(ladder) < len(lows):
+            ladder.append(min(2 * ladder[-1], max_bits - CHECK_BITS))
+        assert lows == ladder
+        if exhausted:
+            assert highs[-1] == max_bits
+
+    @pytest.mark.parametrize("a_text, n_max, digits", [
+        ("0.7", 26, 391), ("3", 26, 383), ("1", 61, 711), ("8", 61, 670),
+    ])
+    def test_certified_digits_are_pinned(self, a_text, n_max, digits):
+        # the counts a comparison with a pass at twice the bits gave
+        table = build_recurrence_table(a_text, n_max, jets=True)
+        assert table.certified_digits == digits
 
     @pytest.mark.parametrize("a_text", ["0.7", "1.1", "2.5"])
     def test_jet_values_are_the_plain_build(self, a_text):

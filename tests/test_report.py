@@ -44,6 +44,46 @@ def test_relative_residual_invariant_under_binary_scaling(k):
     assert relative_residual(terms, bits) == relative_residual(scaled, bits)
 
 
+def _workprec_relative_residual(terms, bits):
+    """The residual as mpmath computes it under workprec, for comparison."""
+    with mp.workprec(bits):
+        vals = [t.value if isinstance(t, Real) else mp.mpf(t) for t in terms]
+        scale = max(abs(v) for v in vals)
+        if scale == 0:
+            return mp.mpf(0)
+        return abs(mp.fsum(vals)) / scale
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256, 701])
+def test_relative_residual_is_bit_identical_to_the_workprec_formula(bits):
+    # mpf terms wider than ``bits`` round first, a Real's value enters the
+    # sum unrounded, and an int above 2^53 rounds at ``bits``, not at 53
+    with mp.workprec(1000):
+        third, root2, big = mp.mpf(1) / 3, mp.sqrt(2), mp.pi * mp.mpf(2) ** 190
+    cases = [
+        [third, -root2, 1],
+        [Real(third, 1000), -third, 3],
+        [big, -(2 ** 200 + 1), 2 ** 53 + 1],
+        [Real(big, 1000), 2 ** 64 + 1, -(2 ** 64)],
+        [7, -7],
+        [0, mp.mpf(0)],
+    ]
+    rng = random.Random(bits)
+    with mp.workprec(1000):
+        for _ in range(40):
+            terms = []
+            for kind in rng.choices(["mpf", "real", "int"], k=rng.randint(1, 5)):
+                x = mp.mpf(rng.random()) ** rng.randint(1, 9) * mp.mpf(2) ** rng.randint(-80, 80)
+                x = x * (-1) ** rng.randint(0, 1)
+                if kind == "int":
+                    terms.append(rng.randint(-2 ** rng.randint(1, 300), 2 ** 300))
+                else:
+                    terms.append(Real(x, 1000) if kind == "real" else x)
+            cases.append(terms)
+    for terms in cases:
+        assert relative_residual(terms, bits)._mpf_ == _workprec_relative_residual(terms, bits)._mpf_
+
+
 def test_make_check_verdict():
     good = make_check("x", 1, [mp.mpf(1), mp.mpf(-1)], 1e-30, 256)
     assert good.passed and good.residual == 0

@@ -224,12 +224,11 @@ def _table_rows_for_a(config: RunConfig, a_str: str) -> list[dict[str, str]]:
         states = ladder_states(table, n_top=failed_at - 1)
     probs = hankel_probabilities(table, n_max)
     for n in range(n_max + 1):
-        values = {"beta": table.beta[n].value, "h": table.h[n].value, "prob": probs[n]}
+        values = {"beta": table.beta[n], "h": table.h[n], "prob": probs[n]}
         if failed_at is None or n < failed_at:
             s = states[n]
             status = "ok"
-            values.update(P=s.Pn_at_a.value, p=s.p.value, R=s.R.value, r=s.r.value,
-                          sigma=s.sigma.value)
+            values.update(P=s.Pn_at_a, p=s.p, R=s.R, r=s.r, sigma=s.sigma)
         else:
             status = "edge-zero" if n == failed_at else "skipped"
         rows.append(_row(n, a_str, status=status, digits=digits, **values))
@@ -393,9 +392,16 @@ def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
 
 def cmd_verify(config: RunConfig, out_path: str | None) -> int:
     """Write the verify report; exit status 0 exactly when at least one row
-    was made and every row passes."""
+    was made and every row passes; exit status 2, with no report, when a
+    --tol name matches no check while some cell ran its checks."""
     blocks = _map_cells(config, _verify_rows_for_a, config.a_values)
     rows = [row for block in blocks for row in block]
+    checked = {row["name"] for row in rows if row["n"] >= 0}  # n = -1: cell skipped or errored
+    unknown = [name for name, _ in config.tolerances if checked and name not in checked | {"all"}]
+    if unknown:
+        print(f"gue-gap-lab: error: --tol names no check of this run: {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
     ok = bool(rows) and all(row["pass"] for row in rows)
     payload = json.dumps(
         {
@@ -429,8 +435,8 @@ def cmd_prob(policy: PrecisionPolicy, digits: int | None, n: int, a_str: str,
             n, a_str, policy, digits=max(digits, policy.target_certified_digits))
         doc = {
             "n": n, "a": a_str,
-            "prob_hankel": sci_str(rec.prob_hankel, digits),
-            "prob_fredholm": sci_str(rec.prob_fredholm, digits),
+            "prob_hankel": sci_str(rec.prob_hankel.value, digits),
+            "prob_fredholm": sci_str(rec.prob_fredholm.value, digits),
             "rel_discrepancy": sci_str(rec.rel_discrepancy, 8),
         }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)

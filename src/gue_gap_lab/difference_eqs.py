@@ -30,7 +30,7 @@ import mpmath as mp
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
 from .orthopoly import RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs
-from .precision import PrecisionPolicy, Real, as_mpf
+from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport, make_check
 from .weight import GapWeight, moment, seed_R0
 
@@ -42,10 +42,12 @@ BRANCH_MATCH_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DiscreteOrbit:
-    """r_0..r_N obtained by iterating the rational recurrence in n."""
+    """r_0..r_N obtained by iterating the rational recurrence in n, as
+    plain mpf values at ``bits``."""
 
-    a: Real
-    r: tuple[Real, ...]
+    a: mp.mpf
+    r: tuple[mp.mpf, ...]
+    bits: int
 
 
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
@@ -66,8 +68,7 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     av = as_mpf(a, prec_bits)
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
-    w = GapWeight(Real(av, prec_bits), prec_bits)
-    R = seed_R0(w).value
+    R = seed_R0(GapWeight(av, prec_bits))
     with mp.workprec(prec_bits):
         r = [mp.mpf(0), av * R]
         for n in range(1, n_top + 1):
@@ -76,7 +77,7 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
                 raise _NonPositiveNorm(n)
             R = 2 * r[n] * r[n] / den
             r.append(av * R - r[n])
-    return DiscreteOrbit(a=Real(av, prec_bits), r=tuple(Real(v, prec_bits) for v in r[:-1]))
+    return DiscreteOrbit(a=av, r=tuple(r[:-1]), bits=prec_bits)
 
 
 def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
@@ -87,12 +88,12 @@ def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
     Returns (beta, h) as lists of mpf.
     """
     r = iterate_r_orbit(a_value, max(n_max, 1), bits).r
-    h0 = moment(0, GapWeight(Real(as_mpf(a_value, bits), bits), bits)).value
+    h0 = moment(0, GapWeight(as_mpf(a_value, bits), bits))
     with mp.workprec(bits):
         beta = [mp.mpf(0)]
         h = [h0]
         for n in range(1, n_max + 1):
-            beta.append((n + r[n].value) / 2)
+            beta.append((n + r[n]) / 2)
             h.append(beta[n] * h[n - 1])
     return beta, h
 
@@ -117,15 +118,15 @@ def residual_orbit_vs_direct(
 ) -> list[ResidualReport]:
     """Relative disagreement between the iterated and the direct r_n."""
     n_top = min(len(orbit.r), len(states)) - 1
-    bits = orbit.r[0].precision_bits
-    a_str = mp.nstr(orbit.a.value, 12)
+    bits = orbit.bits
+    a_str = mp.nstr(orbit.a, 12)
     reports = []
     with mp.workprec(bits):
         for n in range(1, n_top + 1):
             rep = ResidualReport(a=a_str, n=n)
             rep.add(make_check(
                 "orbit_vs_direct", n,
-                [orbit.r[n].value, -states[n].r.value],
+                [orbit.r[n], -states[n].r],
                 ORBIT_TOL, bits))
             reports.append(rep)
     return reports
@@ -144,12 +145,12 @@ def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualRepor
     if n < 1 or n + 1 >= len(states):
         raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
     bits = states[0].bits
-    a = states[0].a.value
+    a = states[0].a
     with mp.workprec(bits):
         scale = -2 / (a * a)
-        y_prev = scale * states[n - 1].r.value
-        y = scale * states[n].r.value
-        y_next = scale * states[n + 1].r.value
+        y_prev = scale * states[n - 1].r
+        y = scale * states[n].r
+        y_next = scale * states[n + 1].r
         z_n = scale * n
         den = y + z_n
         if abs(den) < mp.mpf(10) ** (-DEGENERACY_DIGITS) * (abs(y) + abs(z_n)):
@@ -179,11 +180,11 @@ def residual_sigma_recurrence(states: Sequence[LadderState], n: int) -> Residual
     if n < 1 or n + 1 >= len(states):
         raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
     bits = states[0].bits
-    a = states[0].a.value
+    a = states[0].a
     with mp.workprec(bits):
-        s_prev = states[n - 1].sigma.value
-        s = states[n].sigma.value
-        s_next = states[n + 1].sigma.value
+        s_prev = states[n - 1].sigma
+        s = states[n].sigma
+        s_next = states[n + 1].sigma
         u = s - s_next
         v = s_prev - s
         big_n = 2 * a * s + n * (2 * a * (u + v) - u * v)
@@ -206,11 +207,11 @@ def residual_R_recurrence(states: Sequence[LadderState], n: int) -> ResidualRepo
     if n < 1 or n + 1 >= len(states):
         raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
     bits = states[0].bits
-    a = states[0].a.value
+    a = states[0].a
     with mp.workprec(bits):
-        Rm = states[n - 1].R.value
-        R = states[n].R.value
-        Rp = states[n + 1].R.value
+        Rm = states[n - 1].R
+        R = states[n].R
+        Rp = states[n + 1].R
         lhs = Rm * Rp * (R * Rm + 8 * n) * (Rp * R + 8 * n + 8)
         inner = (
             8 * R * a * a
@@ -229,7 +230,7 @@ class BranchChoice:
 
     n: int
     sign: str
-    value: Real
+    value: mp.mpf
     rel_err: mp.mpf
     rel_err_other: mp.mpf
 
@@ -250,11 +251,11 @@ def select_r_branch(states: Sequence[LadderState], n: int) -> BranchChoice:
         raise DomainError(f"need 1 <= n <= {len(states) - 1}, got {n}")
     bits = states[0].bits
     with mp.workprec(bits):
-        Q = states[n].R.value * states[n - 1].R.value
+        Q = states[n].R * states[n - 1].R
         disc = mp.sqrt(Q) * mp.sqrt(8 * n + Q)
         root_plus = (Q + disc) / 4
         root_minus = (Q - disc) / 4
-        ref = states[n].r.value
+        ref = states[n].r
         scale = max(abs(ref), abs(root_plus), abs(root_minus))
         err_plus = abs(root_plus - ref) / scale
         err_minus = abs(root_minus - ref) / scale
@@ -266,6 +267,4 @@ def select_r_branch(states: Sequence[LadderState], n: int) -> BranchChoice:
             raise BranchSelectionError(
                 f"neither quadratic root matches r_{n} within {BRANCH_MATCH_TOL}"
             )
-        return BranchChoice(
-            n=n, sign=sign, value=Real(value, bits), rel_err=err, rel_err_other=other
-        )
+        return BranchChoice(n=n, sign=sign, value=value, rel_err=err, rel_err_other=other)

@@ -49,7 +49,7 @@ import mpmath as mp
 from .exceptions import DomainError
 from .ladder import LadderState, edge_quantities, ladder_states
 from .orthopoly import RecurrenceTable, build_recurrence_table
-from .precision import GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
+from .precision import GUARD_BITS, Jet, PrecisionPolicy, as_mpf
 from .report import ResidualReport, make_check
 
 CONTINUOUS_TOL = 1e-20
@@ -68,19 +68,15 @@ _D2_W7 = (
 )
 
 
-def fd_derivative(values: Sequence, order: int, h) -> Real:
+def fd_derivative(values: Sequence, order: int, h, bits: int) -> mp.mpf:
     """Central finite-difference derivative of ``order`` 1 or 2 on 7 equally
-    spaced samples."""
+    spaced samples, at ``bits``."""
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     if len(values) != 7:
         raise DomainError(f"need exactly 7 samples, got {len(values)}")
-    bits = max(
-        (v.precision_bits for v in values if isinstance(v, Real)),
-        default=mp.mp.prec,
-    )
     with mp.workprec(bits):
-        vals = [v.value if isinstance(v, Real) else mp.mpf(v) for v in values]
+        vals = [mp.mpf(v) for v in values]
         hv = as_mpf(h, bits)
         if not hv > 0:
             raise DomainError("step h must be positive")
@@ -89,8 +85,7 @@ def fd_derivative(values: Sequence, order: int, h) -> Real:
             for i, c in enumerate(_D1_W7 if order == 1 else _D2_W7)
             if c != 0
         )
-        deriv = acc / hv**order
-    return Real(deriv, bits)
+        return acc / hv**order
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,10 @@ class AGrid:
     amplification at h = 1e-8) cannot eat into the h^6 truncation signal.
     """
 
-    a0: Real
-    h: Real
+    a0: mp.mpf
+    h: mp.mpf
     n_max: int
-    nodes: tuple[Real, ...]
+    nodes: tuple[mp.mpf, ...]
     tables: tuple[RecurrenceTable, ...]
     states: tuple[tuple[LadderState, ...], ...]
 
@@ -119,15 +114,14 @@ class AGrid:
         "sigma" or "p") at degree n: the centre node's value and the 7-node
         central differences."""
         if name in ("h", "beta"):
-            samples = [getattr(t, name)[n].value for t in self.tables]
+            samples = [getattr(t, name)[n] for t in self.tables]
         else:
-            samples = [getattr(s[n], name).value for s in self.states]
-        with mp.workprec(self.bits):
-            return (
-                samples[STENCIL_HALFWIDTH],
-                fd_derivative(samples, 1, self.h).value,
-                fd_derivative(samples, 2, self.h).value,
-            )
+            samples = [getattr(s[n], name) for s in self.states]
+        return (
+            samples[STENCIL_HALFWIDTH],
+            fd_derivative(samples, 1, self.h, self.bits),
+            fd_derivative(samples, 2, self.h, self.bits),
+        )
 
 
 def build_a_grid(
@@ -165,10 +159,10 @@ def build_a_grid(
     states = tuple(ladder_states(t) for t in tables)
     bits = max(t.working_bits for t in tables)
     return AGrid(
-        a0=Real(as_mpf(a0v, bits), bits),
-        h=Real(as_mpf(hv, bits), bits),
+        a0=as_mpf(a0v, bits),
+        h=as_mpf(hv, bits),
         n_max=n_max,
-        nodes=tuple(Real(as_mpf(v, bits), bits) for v in node_vals),
+        nodes=tuple(as_mpf(v, bits) for v in node_vals),
         tables=tables,
         states=states,
     )
@@ -180,7 +174,7 @@ class JetSource:
     d^2/da^2 / 2) of h, beta, R, r, sigma and p for n = 0..n_max, from one
     recurrence table built with ``jets=True``."""
 
-    a0: Real
+    a0: mp.mpf
     n_max: int
     bits: int
     jets: dict[str, Sequence[Jet]]
@@ -198,10 +192,10 @@ def jet_source(table: RecurrenceTable) -> JetSource:
     """
     if table.jets is None:
         raise DomainError("table carries no jets; build it with jets=True")
-    if not table.a.value > 0:
+    if not table.a > 0:
         raise DomainError("ladder quantities require a > 0")
     beta, h = table.jets
-    edge = edge_quantities(table.a.value, beta, h, table.working_bits)
+    edge = edge_quantities(table.a, beta, h, table.working_bits)
     return JetSource(
         a0=table.a,
         n_max=table.n_max,
@@ -213,7 +207,7 @@ def jet_source(table: RecurrenceTable) -> JetSource:
 def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
     if not 0 <= n <= grid.n_max:
         raise DomainError(f"degree {n} outside grid range 0..{grid.n_max}")
-    return ResidualReport(a=mp.nstr(grid.a0.value, 12), n=n)
+    return ResidualReport(a=mp.nstr(grid.a0, 12), n=n)
 
 
 def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualReport:
@@ -233,7 +227,7 @@ def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualR
     rep = _report(grid, n)
     bits = grid.bits
     with mp.workprec(bits):
-        a = grid.a0.value
+        a = grid.a0
         hn, dh, _ = grid.derivs("h", n)
         beta, dbeta, _ = grid.derivs("beta", n)
         R = grid.derivs("R", n)[0]
@@ -282,7 +276,7 @@ def residual_riccati(grid: AGrid | JetSource, n: int) -> ResidualReport:
     rep = _report(grid, n)
     bits = grid.bits
     with mp.workprec(bits):
-        a = grid.a0.value
+        a = grid.a0
         R, dR, _ = grid.derivs("R", n)
         r, dr, _ = grid.derivs("r", n)
         if R != 0:
@@ -312,7 +306,7 @@ def residual_painleve4(grid: AGrid | JetSource, n: int) -> ResidualReport:
     rep = _report(grid, n)
     bits = grid.bits
     with mp.workprec(bits):
-        a = grid.a0.value
+        a = grid.a0
         R, dR, d2R = grid.derivs("R", n)
         rep.add(make_check(
             "painleve4_R", n,
@@ -354,7 +348,7 @@ def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
     rep = _report(grid, n)
     bits = grid.bits
     with mp.workprec(bits):
-        a = grid.a0.value
+        a = grid.a0
         R = grid.derivs("R", n)[0]
         r, dr, _ = grid.derivs("r", n)
         sigma, ds, d2s = grid.derivs("sigma", n)
@@ -426,7 +420,7 @@ def residual_chazy(grid: AGrid | JetSource, n: int) -> ResidualReport:
     rep = _report(grid, n)
     bits = grid.bits
     with mp.workprec(bits):
-        a = grid.a0.value
+        a = grid.a0
         n3 = mp.mpf(n)
         r, dr, d2r = grid.derivs("r", n)
         rep.add(make_check(

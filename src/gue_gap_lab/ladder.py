@@ -32,7 +32,7 @@ import mpmath as mp
 
 from .exceptions import DomainError, EdgeZeroError
 from .orthopoly import RecurrenceTable
-from .precision import Jet, Real, as_mpf
+from .precision import Jet, as_mpf
 from .report import ResidualReport, make_check
 
 IDENTITY_TOL = 1e-30
@@ -46,20 +46,18 @@ POLE_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class LadderState:
-    """All edge quantities for one degree n at one gap half-width a."""
+    """All edge quantities for one degree n at one gap half-width a, as
+    plain mpf values at the ``bits`` of the table they came from."""
 
     n: int
-    a: Real
-    R: Real
-    r: Real
-    beta: Real
-    sigma: Real
-    p: Real
-    Pn_at_a: Real
-
-    @property
-    def bits(self) -> int:
-        return self.R.precision_bits
+    a: mp.mpf
+    R: mp.mpf
+    r: mp.mpf
+    beta: mp.mpf
+    sigma: mp.mpf
+    p: mp.mpf
+    Pn_at_a: mp.mpf
+    bits: int
 
 
 def edge_quantities(a, beta, h, bits: int) -> dict[str, list]:
@@ -109,13 +107,13 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
         n_top = table.n_max
     if not 0 <= n_top <= table.n_max:
         raise DomainError(f"n_top {n_top} outside table range 0..{table.n_max}")
-    if not table.a.value > 0:
+    if not table.a > 0:
         raise DomainError("ladder quantities require a > 0")
     t = table.certified_digits // 2
     bits = table.working_bits
-    a = table.a.value
-    beta = [b.value for b in table.beta[:n_top + 1]]
-    edge = edge_quantities(a, beta, [v.value for v in table.h[:n_top + 1]], bits)
+    a = table.a
+    beta = table.beta[:n_top + 1]
+    edge = edge_quantities(a, beta, table.h[:n_top + 1], bits)
     P = edge["P"]
     with mp.workprec(bits):
         thresh = mp.mpf(10) ** (-t)
@@ -130,8 +128,8 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
                     n=n,
                 )
     return [
-        LadderState(n=n, a=Real(a, bits), beta=table.beta[n], Pn_at_a=Real(P[n], bits),
-                    **{k: Real(edge[k][n], bits) for k in ("R", "r", "sigma", "p")})
+        LadderState(n=n, a=a, beta=beta[n], Pn_at_a=P[n], bits=bits,
+                    **{k: edge[k][n] for k in ("R", "r", "sigma", "p")})
         for n in range(n_top + 1)
     ]
 
@@ -161,7 +159,7 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
     if len(states) < 2:
         raise DomainError("need at least two consecutive states")
     bits = states[0].bits
-    a = states[0].a.value
+    a = states[0].a
     a_str = mp.nstr(a, 12)
     reports = []
     with mp.workprec(bits):
@@ -170,14 +168,14 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
         for n in range(len(states) - 1):
             s = states[n]
             s1 = states[n + 1]
-            R, r, beta, sigma, p = s.R.value, s.r.value, s.beta.value, s.sigma.value, s.p.value
+            R, r, beta, sigma, p = s.R, s.r, s.beta, s.sigma, s.p
             rep = ResidualReport(a=a_str, n=n)
             rep.add(make_check(
-                "pair_sum", n, [s1.r.value, r, -a * R], IDENTITY_TOL, bits))
+                "pair_sum", n, [s1.r, r, -a * R], IDENTITY_TOL, bits))
             rep.add(make_check(
                 "beta_closed_form", n, [beta, -mp.mpf(n) / 2, -r / 2], IDENTITY_TOL, bits))
             if n >= 1:
-                Rm = states[n - 1].R.value
+                Rm = states[n - 1].R
                 rep.add(make_check(
                     "r_squared", n, [r * r, -beta * R * Rm], IDENTITY_TOL, bits))
             rep.add(make_check(
@@ -199,7 +197,7 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
                     ],
                     IDENTITY_TOL, bits))
             rep.add(make_check(
-                "sigma_step", n, [R, -sigma, s1.sigma.value], IDENTITY_TOL, bits))
+                "sigma_step", n, [R, -sigma, s1.sigma], IDENTITY_TOL, bits))
             reports.append(rep)
             sum_R += R
             sum_r += r
@@ -209,10 +207,10 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
 def _spectral_AB(state: LadderState, z: mp.mpf, a: mp.mpf):
     """A_n(z) = 2 + R_n a/(z^2 - a^2), B_n(z) = r_n z/(z^2 - a^2)."""
     d = z * z - a * a
-    return 2 + state.R.value * a / d, state.r.value * z / d
+    return 2 + state.R * a / d, state.r * z / d
 
 
-def default_z_samples(a, bits: int) -> list[Real]:
+def default_z_samples(a, bits: int) -> list[mp.mpf]:
     """The default spectral sample points, nudged away from z^2 = a^2."""
     av = as_mpf(a, bits)
     out = []
@@ -221,7 +219,7 @@ def default_z_samples(a, bits: int) -> list[Real]:
             z = mp.mpf(text)
             while abs(z * z - av * av) <= POLE_MARGIN:
                 z *= mp.mpf("1.5")
-            out.append(Real(z, bits))
+            out.append(z)
     return out
 
 
@@ -241,11 +239,10 @@ def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualRep
     if n < 0 or n + 1 >= len(states):
         raise DomainError(f"need states 0..{n + 1}, have {len(states)}")
     bits = states[0].bits
-    a = states[0].a.value
+    a = states[0].a
     rep = ResidualReport(a=mp.nstr(a, 12), n=n)
     with mp.workprec(bits):
-        for z_real in default_z_samples(a, bits):
-            z = z_real.value
+        for z in default_z_samples(a, bits):
             ztag = mp.nstr(z, 8)
             A_n, B_n = _spectral_AB(states[n], z, a)
             A_np1, B_np1 = _spectral_AB(states[n + 1], z, a)
@@ -255,13 +252,13 @@ def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualRep
                 SUPPLEMENTARY_TOL, bits))
             if n >= 1:
                 A_nm1, _ = _spectral_AB(states[n - 1], z, a)
-                beta_n = states[n].beta.value
-                beta_np1 = states[n + 1].beta.value
+                beta_n = states[n].beta
+                beta_np1 = states[n + 1].beta
                 rep.add(make_check(
                     f"s2@{ztag}", n,
                     [1, z * B_np1, -z * B_n, -beta_np1 * A_np1, beta_n * A_nm1],
                     SUPPLEMENTARY_TOL, bits))
-                sum_A = 2 * mp.mpf(n) - a * states[n].sigma.value / (z * z - a * a)
+                sum_A = 2 * mp.mpf(n) - a * states[n].sigma / (z * z - a * a)
                 rep.add(make_check(
                     f"s2sum@{ztag}", n,
                     [B_n * B_n, 2 * z * B_n, sum_A, -beta_n * A_n * A_nm1],

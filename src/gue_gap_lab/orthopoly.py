@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
-from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, Real, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, as_mpf
 from .weight import GapWeight, moment_jets, moments
 
 _LOG10_2 = 0.30102999566398120
@@ -51,18 +51,19 @@ _LOG10_2 = 0.30102999566398120
 class RecurrenceTable:
     """Certified recurrence data for one gap half-width.
 
-    ``beta[j]`` and ``h[j]`` are available for j = 0..n_max, computed at
-    ``working_bits`` and certified to ``certified_digits`` decimal digits by
-    cross-precision agreement.  ``escalations`` counts how many times the
+    ``a``, ``beta[j]`` and ``h[j]`` (j = 0..n_max) are plain mpf values at
+    ``working_bits``, the one precision of the table; beta and h are
+    certified to ``certified_digits`` decimal digits by cross-precision
+    agreement.  ``escalations`` counts how many times the
     precision had to be raised beyond the policy's starting level.  A table
     built with ``jets=True`` also holds ``jets``, the (beta, h) Taylor jets
     in a whose value parts are ``beta`` and ``h``; otherwise it is None.
     """
 
-    a: Real
+    a: mp.mpf
     n_max: int
-    beta: tuple[Real, ...]
-    h: tuple[Real, ...]
+    beta: tuple[mp.mpf, ...]
+    h: tuple[mp.mpf, ...]
     certified_digits: int
     working_bits: int
     escalations: int = 0
@@ -91,11 +92,8 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int, jets: bool = False):
     same formulas then run on the moment jets.  Raises _NonPositiveNorm if
     the precision was insufficient to keep the norms positive.
     """
-    w = GapWeight(Real(as_mpf(a_value, bits), bits), bits)
-    if jets:
-        mu = moment_jets(2 * n_max + 1, w)
-    else:
-        mu = [m.value for m in moments(2 * n_max + 1, w)]
+    w = GapWeight(as_mpf(a_value, bits), bits)
+    mu = (moment_jets if jets else moments)(2 * n_max + 1, w)
 
     def value(x):
         return x.c[0] if jets else x
@@ -216,10 +214,10 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
                     h = [v.c[0] for v in h]
                 kept = bits + CHECK_BITS
                 return RecurrenceTable(
-                    a=Real(as_mpf(a_value, kept), kept),
+                    a=as_mpf(a_value, kept),
                     n_max=n_max,
-                    beta=tuple(Real(b, kept) for b in beta),
-                    h=tuple(Real(v, kept) for v in h),
+                    beta=tuple(beta),
+                    h=tuple(h),
                     certified_digits=certified,
                     working_bits=kept,
                     escalations=levels - 1,
@@ -253,7 +251,7 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
                            jets: bool = False) -> RecurrenceTable:
     """Build beta_j, h_j for j <= n_max with certified accuracy.
 
-    ``a`` may be a Real, an mpf, an int, or a decimal string (preferred for
+    ``a`` may be an mpf, an int, or a decimal string (preferred for
     CLI input: the string parses exactly once at the ceiling precision, so
     every pass sees the same real number).
 

@@ -6,7 +6,9 @@ and every operation in this module runs inside an explicit ``mp.workprec``
 block so results never silently round to the ambient global precision
 (``Jet`` arithmetic runs inside its callers' blocks).
 
-A :class:`Real` remembers the precision it was computed at, and a
+Values travel as plain mpf, and each container states their bits once.  A
+:class:`Real` pairs a value with its bits only where the caller cannot know
+them (the Hankel probability and the probability record), and a
 :class:`Jet` carries a value together with its first a-derivatives.
 """
 
@@ -58,10 +60,6 @@ class Real:
             raise DomainError("precision_bits must be a positive integer")
         if not mp.isfinite(self.value):
             raise DomainError(f"Real must be finite, got {self.value}")
-
-    @classmethod
-    def from_str(cls, text: str, bits: int) -> "Real":
-        return cls(as_mpf(text, bits), bits)
 
     def __repr__(self):
         with mp.workprec(self.precision_bits):

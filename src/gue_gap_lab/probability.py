@@ -131,7 +131,7 @@ def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
     with mp.workprec(bits):
         probs = [mp.mpf(1)]
         for j, h0 in enumerate(hermite_norms_exact(n, bits)):
-            probs.append(probs[j] * (table.h[j].value / h0))
+            probs.append(probs[j] * (table.h[j] / h0))
     return probs
 
 
@@ -141,7 +141,8 @@ def gap_probability_hankel(
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
 ) -> Real:
-    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``).
+    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``),
+    with the bits of the table it came from.
 
     Either pass a prebuilt certified table (preferred when one exists) or
     a value for ``a``.
@@ -155,7 +156,7 @@ def gap_probability_hankel(
     return Real(hankel_probabilities(table, n)[n], table.working_bits)
 
 
-def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
+def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[mp.mpf]:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
     of the Hermite-function overlap matrix G_n.
 
@@ -180,7 +181,7 @@ def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[Real]:
                     f"minors at {bits} and {bits + CHECK_BITS} bits disagree by "
                     f"{mp.nstr(rel, 5)} (bound {mp.nstr(bound, 5)}) at n={k}"
                 )
-    return [Real(as_mpf(d, prec_bits), prec_bits) for d in dets_hi]
+    return [as_mpf(d, prec_bits) for d in dets_hi]
 
 
 def fredholm_bits(n: int, p_hankel, digits: int) -> int:
@@ -204,8 +205,9 @@ def fredholm_bits(n: int, p_hankel, digits: int) -> int:
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None,
                  table: RecurrenceTable | None, digits: int | None):
-    """(a, bits, Hankel [P(1, a), ..., P(n, a)], Fredholm [P(1, a), ..., P(n, a)]).
-    bits is the table's, built at degree n - 1 unless given, and so is a if None."""
+    """(a, bits, Hankel [P(1, a), ..., P(n, a)], Fredholm bits, Fredholm
+    [P(1, a), ..., P(n, a)]).  bits is the table's, built at degree n - 1
+    unless given, and so is a if None."""
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     if policy is None:
@@ -218,7 +220,7 @@ def _both_routes(n: int, a, policy: PrecisionPolicy | None,
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]
     f_bits = fredholm_bits(n, p_h[-1], digits or policy.target_certified_digits)
-    return a, table.working_bits, p_h, gap_probability_fredholm(n, a, prec_bits=f_bits)
+    return a, table.working_bits, p_h, f_bits, gap_probability_fredholm(n, a, prec_bits=f_bits)
 
 
 @dataclass(frozen=True)
@@ -244,11 +246,11 @@ def probability_record(
     The Fredholm route runs at ``fredholm_bits`` for ``digits``, by default
     ``policy.target_certified_digits``.
     """
-    a, bits, p_h, p_f = _both_routes(n, a, policy, table, digits)
+    a, bits, p_h, f_bits, p_f = _both_routes(n, a, policy, table, digits)
     with mp.workprec(bits):
-        rel = abs(p_h[-1] - p_f[-1].value) / p_h[-1]
+        rel = abs(p_h[-1] - p_f[-1]) / p_h[-1]
     return ProbabilityRecord(n=n, a=Real(as_mpf(a, bits), bits), prob_hankel=Real(p_h[-1], bits),
-                             prob_fredholm=p_f[-1], rel_discrepancy=rel)
+                             prob_fredholm=Real(p_f[-1], f_bits), rel_discrepancy=rel)
 
 
 def residual_oracle(
@@ -261,9 +263,9 @@ def residual_oracle(
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
     P(k, a), k = 1..n, from one recurrence table and one Fredholm call at
     ``fredholm_bits`` for ``policy.target_certified_digits``."""
-    a, bits, p_h, p_f = _both_routes(n, a, policy, table, None)
+    a, bits, p_h, _, p_f = _both_routes(n, a, policy, table, None)
     rep = ResidualReport(a=mp.nstr(as_mpf(a, bits), 12), n=n)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
-            rep.add(make_check("route_agreement", k, [h, -f.value], ORACLE_TOL, bits))
+            rep.add(make_check("route_agreement", k, [h, -f], ORACLE_TOL, bits))
     return rep

@@ -16,12 +16,12 @@ from typing import Iterable, Sequence
 import mpmath as mp
 from mpmath import libmp
 
-from .precision import GUARD_BITS, Real
+from .precision import GUARD_BITS
 
 
 def sci_str(x, digits: int) -> str:
     """Deterministic scientific-notation string with ``digits`` significant
-    digits.  A Real or mpf prints as given, whatever the ambient precision.
+    digits.  An mpf prints as given, whatever the ambient precision.
 
     nstr reads only the leading (digits + 3) log2(10) + 10 bits, truncated,
     but scales a tiny or huge value by a power of ten taken from the raw
@@ -30,7 +30,7 @@ def sci_str(x, digits: int) -> str:
     therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
     which leaves every bit nstr reads as it was.
     """
-    v = x.value if isinstance(x, Real) else mp.mpmathify(x)
+    v = mp.mpmathify(x)
     bits = int((digits + 3) * math.log2(10)) + GUARD_BITS
     if isinstance(v, mp.mpf) and v._mpf_[3] > bits:
         v = mp.make_mpf(libmp.mpf_pos(v._mpf_, bits, libmp.round_down))
@@ -40,17 +40,14 @@ def sci_str(x, digits: int) -> str:
 def relative_residual(terms: Sequence, bits: int) -> mp.mpf:
     """|sum of terms| / max |term|, or exact 0 when every term vanishes.
 
-    Runs on the raw mpf tuples, at ``bits`` with round-nearest: an mpf or
-    int term is first rounded to ``bits`` and a Real's value enters the sum
-    as it is, so the result is bit for bit that of |fsum(terms)| / max|term|
-    under ``mp.workprec(bits)``.
+    Runs on the raw mpf tuples, at ``bits`` with round-nearest: every term
+    is first rounded to ``bits``, so the result is bit for bit that of
+    |fsum(terms)| / max|term| under ``mp.workprec(bits)``.
     """
     rnd = libmp.round_nearest
     vals = []
     for t in terms:
-        if isinstance(t, Real):
-            vals.append(t.value._mpf_)
-        elif isinstance(t, mp.mpf):
+        if isinstance(t, mp.mpf):
             vals.append(libmp.mpf_pos(t._mpf_, bits, rnd))
         else:
             vals.append(mp.mpf(t, prec=bits, rounding=rnd)._mpf_)

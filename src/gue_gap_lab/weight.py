@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .exceptions import DomainError
-from .precision import GUARD_BITS, Jet, Real, as_mpf
+from .precision import GUARD_BITS, Jet, as_mpf
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,27 @@ class GapWeight:
 
     a = 0 is allowed and recovers the classical Hermite weight; the
     eigenvalue-gap quantities that divide by edge values restrict to a > 0
-    at their own boundaries.
+    at their own boundaries.  Every route builds one of these before its
+    first pass, so a half-width that is not finite and >= 0 fails here.
     """
 
-    a: Real
+    a: mp.mpf
     prec_bits: int
 
     def __post_init__(self):
-        if self.a.value < 0:
-            raise DomainError(f"gap half-width must be >= 0, got {self.a.value}")
+        if not (mp.isfinite(self.a) and self.a >= 0):
+            raise DomainError(f"gap half-width must be a finite number >= 0, got {self.a}")
         if self.prec_bits <= 0:
             raise DomainError("prec_bits must be positive")
 
     @classmethod
     def from_str(cls, a_text: str, prec_bits: int) -> "GapWeight":
-        return cls(Real.from_str(a_text, prec_bits), prec_bits)
+        return cls(as_mpf(a_text, prec_bits), prec_bits)
 
     @property
     def _mu0_guarded(self) -> mp.mpf:
         """mu_0 = sqrt(pi) erfc(a) at prec_bits + GUARD_BITS, the recurrence start."""
-        return _mu0(self.a.value, self.prec_bits + GUARD_BITS)
+        return _mu0(self.a, self.prec_bits + GUARD_BITS)
 
 
 @functools.lru_cache(maxsize=16)
@@ -69,21 +70,20 @@ def _mu0(a: mp.mpf, work: int) -> mp.mpf:
         return mp.sqrt(mp.pi) * mp.erfc(a)
 
 
-def moments(count: int, w: GapWeight) -> list[Real]:
-    """[mu_0, ..., mu_{count-1}] from one upward sweep of the recurrence in
-    the module docstring, started at mu_0 = sqrt(pi) erfc(a); odd moments
-    are exactly zero."""
+def _moment_sweep(count: int, w: GapWeight, exp_a_sq: mp.mpf | None) -> list[mp.mpf]:
+    """``moments``, given e^{-a^2} at the sweep's prec_bits + GUARD_BITS
+    (None when count <= 2, which never reads it)."""
     if count < 0:
         raise DomainError(f"moment count must be >= 0, got {count}")
     bits = w.prec_bits
-    zero = Real(as_mpf(0, bits), bits)
+    zero = as_mpf(0, bits)
     out = []
     mu = w._mu0_guarded
     with mp.workprec(bits + GUARD_BITS):
-        a = w.a.value
+        a = w.a
         a_sq = a * a
         # a^{k-1} e^{-a^2} at the step to even k >= 2, which mu_0 alone skips
-        edge = a * mp.exp(-a_sq) if count > 2 else None
+        edge = a * exp_a_sq if count > 2 else None
         for k in range(count):
             if k % 2 == 1:
                 out.append(zero)
@@ -91,8 +91,16 @@ def moments(count: int, w: GapWeight) -> list[Real]:
             if k > 0:
                 mu = (k - 1) * mu / 2 + edge
                 edge *= a_sq
-            out.append(Real(as_mpf(mu, bits), bits))
+            out.append(as_mpf(mu, bits))
     return out
+
+
+def moments(count: int, w: GapWeight) -> list[mp.mpf]:
+    """[mu_0, ..., mu_{count-1}] from one upward sweep of the recurrence in
+    the module docstring, started at mu_0 = sqrt(pi) erfc(a); odd moments
+    are exactly zero."""
+    with mp.workprec(w.prec_bits + GUARD_BITS):
+        return _moment_sweep(count, w, mp.exp(-(w.a * w.a)) if count > 2 else None)
 
 
 def moment_jets(count: int, w: GapWeight) -> list[Jet]:
@@ -101,43 +109,42 @@ def moment_jets(count: int, w: GapWeight) -> list[Jet]:
     Differentiating the defining integral in its limits gives, for even k,
     mu_k' = -2 a^k e^{-a^2} and mu_k'' = -2 (k a^{k-1} - 2 a^{k+1}) e^{-a^2},
     so every derivative is exact and needs no recurrence; odd moments are
-    zero jets.  The values are ``moments``'s, and the derivatives are
-    rounded from the same guard bits to the weight's precision.
+    zero jets.  The values are ``moments``'s, from the same e^{-a^2}, and
+    the derivatives are rounded from the same guard bits to the weight's
+    precision.
     """
     bits = w.prec_bits
     zero = as_mpf(0, bits)
     out = []
     with mp.workprec(bits + GUARD_BITS):
-        a = w.a.value
+        a = w.a
         a_sq = a * a
         edge = mp.exp(-a_sq)  # a^k e^{-a^2} at even k
         prev = zero  # a^{k-2} e^{-a^2}, absent at k = 0
-        for k, mu in enumerate(moments(count, w)):
+        for k, mu in enumerate(_moment_sweep(count, w, edge)):
             if k % 2 == 1:
-                out.append(Jet((mu.value, zero, zero)))
+                out.append(Jet((mu, zero, zero)))
                 continue
             d1 = -2 * edge
             half_d2 = a * (2 * edge - k * prev)
-            out.append(Jet((mu.value, as_mpf(d1, bits), as_mpf(half_d2, bits))))
+            out.append(Jet((mu, as_mpf(d1, bits), as_mpf(half_d2, bits))))
             prev, edge = edge, edge * a_sq
     return out
 
 
-def moment(k: int, w: GapWeight) -> Real:
+def moment(k: int, w: GapWeight) -> mp.mpf:
     """k-th power moment of the weight; exactly zero for odd k."""
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
     return moments(k + 1, w)[k]
 
 
-def seed_R0(w: GapWeight) -> Real:
+def seed_R0(w: GapWeight) -> mp.mpf:
     """R_0(a) = 2 e^{-a^2} / (sqrt(pi) erfc(a)).
 
     This is 2 w(a) P_0(a)^2 / h_0(a) with P_0 = 1, the base of the ladder
     of edge quantities.
     """
-    bits = w.prec_bits
     h0 = moment(0, w)
-    with mp.workprec(bits):
-        v = 2 * mp.exp(-(w.a.value ** 2)) / h0.value
-    return Real(v, bits)
+    with mp.workprec(w.prec_bits):
+        return 2 * mp.exp(-(w.a ** 2)) / h0

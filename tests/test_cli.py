@@ -302,6 +302,25 @@ class TestVerify:
         assert tolerances and tol not in tolerances.values()
         assert all(c["pass"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("a_list, name, code", [
+        ("1", "pair_summ", 2),  # a typo matches no check
+        ("1", "pair_sum", 0),
+        ("0", "pair_summ", 0),  # no cell ran a check, so no name is known
+    ])
+    def test_tolerance_name_must_match_a_check(self, tmp_path, capsys, a_list, name, code):
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "identities", "--n-max", "2",
+                        "--a-list", a_list, "--tol", f"{name}=1e-5",
+                        "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.count("\n") == 1 and name in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            rows = json.loads(out.read_text())["checks"]
+            assert any(c["name"] == name and c["tolerance"] == 1e-5 for c in rows) == (a_list == "1")
+
     def test_zero_cell_warns_but_does_not_fail(self, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--suite", "identities", "--n-max", "2",
@@ -669,3 +688,43 @@ def test_readme_example_prints_its_fenced_output(command, capsys):
     assert shown, f"no example of {command!r} in README.md"
     assert run_cli(command.split()) == 0
     assert capsys.readouterr().out == shown.group(1)
+
+
+def _stated_values(comment):
+    """The leading tokens of a README comment that state a printed value."""
+    stated = []
+    for token in comment.split():
+        token = token.rstrip(":,")
+        if token not in ("True", "False"):
+            try:
+                float(token)
+            except ValueError:
+                break
+        stated.append(token)
+    return stated
+
+
+def test_readme_python_blocks_print_what_their_comments_state(capsys):
+    # the three python blocks run in order in one namespace; every value a
+    # print line's comment states leads the line it prints, to the digits
+    # the comment gives
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.partition("#")[2] for block in blocks
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 5
+    checked = 0
+    for line, comment in zip(printed, comments):
+        stated = _stated_values(comment)
+        assert len(stated) <= len(line.split()), (line, comment)
+        for got, want in zip(line.split(), stated):
+            got_mantissa, _, got_exponent = got.partition("e")
+            want_mantissa, _, want_exponent = want.partition("e")
+            assert got_mantissa.startswith(want_mantissa), (line, comment)
+            assert got_exponent == want_exponent, (line, comment)
+            checked += 1
+    assert checked == 7

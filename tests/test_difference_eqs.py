@@ -21,9 +21,9 @@ from gue_gap_lab.report import all_pass
 
 def test_orbit_seeds(states_a1):
     orbit = iterate_r_orbit("1", 6, states_a1[0].bits)
-    assert orbit.r[0].value == 0
+    assert orbit.r[0] == 0
     with mp.workprec(states_a1[0].bits):
-        rel = abs(orbit.r[1].value - states_a1[1].r.value) / abs(states_a1[1].r.value)
+        rel = abs(orbit.r[1] - states_a1[1].r) / abs(states_a1[1].r)
     assert rel < mp.mpf(10) ** -140
 
 
@@ -39,8 +39,8 @@ def test_orbit_stable_under_extra_precision():
     hi = iterate_r_orbit("0.7", 6, 640)
     with mp.workprec(320):
         for n in range(7):
-            diff = abs(lo.r[n].value - hi.r[n].value)
-            scale = max(abs(hi.r[n].value), mp.mpf(1))
+            diff = abs(lo.r[n] - hi.r[n])
+            scale = max(abs(hi.r[n]), mp.mpf(1))
             assert diff / scale < mp.mpf(10) ** -80
 
 
@@ -60,7 +60,7 @@ def test_orbit_iterates_at_tiny_half_width():
     hi = iterate_r_orbit("1e-12", 6, 512)
     with mp.workprec(512):
         for n in range(1, 7):
-            rel = abs(lo.r[n].value - hi.r[n].value) / abs(hi.r[n].value)
+            rel = abs(lo.r[n] - hi.r[n]) / abs(hi.r[n])
             assert rel < mp.mpf(10) ** -35, n
 
 
@@ -76,7 +76,7 @@ def test_orbit_table_agrees_with_chebyshev_table(a_text):
             tol = mp.mpf(10) ** (1 - digits)
             for j in range(n_max + 1):
                 for x, y in ((orbit.beta[j], cheb.beta[j]), (orbit.h[j], cheb.h[j])):
-                    assert abs(x.value - y.value) <= tol * abs(y.value), (n_max, j)
+                    assert abs(x - y) <= tol * abs(y), (n_max, j)
 
 
 def test_orbit_table_certifies_from_base_bits(monkeypatch):
@@ -152,17 +152,17 @@ def test_branch_selection_alternates_with_parity(states_a1):
         expected = "+" if n % 2 == 1 else "-"
         assert choice.sign == expected
         with mp.workprec(64):
-            assert mp.sign(choice.value.value) == mp.sign(states_a1[n].r.value)
+            assert mp.sign(choice.value) == mp.sign(states_a1[n].r)
 
 
 def test_branch_selection_rejects_corrupted_data(states_a1):
     import dataclasses
 
-    from gue_gap_lab.precision import Real
+    from gue_gap_lab.precision import as_mpf
 
     bad = list(states_a1)
     bits = states_a1[2].bits
-    bad[2] = dataclasses.replace(bad[2], r=Real.from_str("100", bits))
+    bad[2] = dataclasses.replace(bad[2], r=as_mpf("100", bits))
     with pytest.raises(BranchSelectionError):
         select_r_branch(bad, 2)
 

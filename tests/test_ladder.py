@@ -28,13 +28,13 @@ R_REFERENCE = {
 def test_seed_rows(states_a1):
     w = GapWeight.from_str("1", states_a1[0].bits)
     with mp.workprec(states_a1[0].bits):
-        assert states_a1[0].r.value == 0
-        assert states_a1[0].sigma.value == 0
-        assert states_a1[0].p.value == 0
-        r0 = seed_R0(w).value
-        assert abs(states_a1[0].R.value - r0) / r0 < mp.mpf(10) ** -140
-        r1 = w.a.value * r0  # r_1 = a R_0
-        assert abs(states_a1[1].r.value - r1) / r1 < mp.mpf(10) ** -140
+        assert states_a1[0].r == 0
+        assert states_a1[0].sigma == 0
+        assert states_a1[0].p == 0
+        r0 = seed_R0(w)
+        assert abs(states_a1[0].R - r0) / r0 < mp.mpf(10) ** -140
+        r1 = w.a * r0  # r_1 = a R_0
+        assert abs(states_a1[1].r - r1) / r1 < mp.mpf(10) ** -140
 
 
 def test_r_sign_alternation_at_reference_cell(states_a1):
@@ -42,7 +42,7 @@ def test_r_sign_alternation_at_reference_cell(states_a1):
     with mp.workprec(64):
         for n, ref in R_REFERENCE.items():
             ref_v = mp.mpf(ref)
-            got = states_a1[n].r.value
+            got = states_a1[n].r
             assert mp.sign(got) == mp.sign(ref_v)
             assert abs(got - ref_v) / abs(ref_v) < 1e-9
 
@@ -51,18 +51,18 @@ def test_beta_positive_and_above_lower_bound(states_a1):
     # beta_n = (n + r_n)/2 > 0 even where r_n < 0, i.e. r_n > -n
     for n in range(1, len(states_a1)):
         s = states_a1[n]
-        assert s.beta.value > 0
-        assert s.r.value > -n
+        assert s.beta > 0
+        assert s.r > -n
 
 
 def test_R_positive_sigma_strictly_decreasing(states_a1):
     prev = None
     for n, s in enumerate(states_a1):
-        assert s.R.value > 0
+        assert s.R > 0
         if prev is not None:
-            assert s.sigma.value < prev
-        prev = s.sigma.value
-    assert states_a1[1].sigma.value < 0
+            assert s.sigma < prev
+        prev = s.sigma
+    assert states_a1[1].sigma < 0
 
 
 def test_identity_suite_all_pass(states_a1):
@@ -102,7 +102,7 @@ def test_partial_ladder_via_n_top(table_a1):
     part = ladder_states(table_a1, n_top=3)
     assert len(part) == 4
     full = ladder_states(table_a1)
-    assert part[3].r.value == full[3].r.value
+    assert part[3].r == full[3].r
 
 
 def test_states_consistent_across_half_widths():
@@ -113,17 +113,17 @@ def test_states_consistent_across_half_widths():
         with mp.workprec(table.working_bits):
             acc = mp.mpf(0)
             for n in range(len(states)):
-                diff = abs(states[n].sigma.value - acc)
+                diff = abs(states[n].sigma - acc)
                 assert diff <= mp.mpf(2) ** (10 - table.working_bits)
-                acc -= states[n].R.value
+                acc -= states[n].R
 
 
 @pytest.mark.parametrize("a_text", ["0.3", "1", "2.5"])
 def test_edge_quantities_plain_and_jet_values_agree_bit_for_bit(a_text):
     table = build_recurrence_table(a_text, 12, jets=True)
     bits = table.working_bits
-    a = table.a.value
-    plain = edge_quantities(a, [b.value for b in table.beta], [v.value for v in table.h], bits)
+    a = table.a
+    plain = edge_quantities(a, table.beta, table.h, bits)
     jets = edge_quantities(a, *table.jets, bits)
     for key in ("P", "R", "r", "sigma", "p"):
         assert len(plain[key]) == len(jets[key]) == 13
@@ -137,18 +137,18 @@ def test_ladder_states_round_as_the_textbook_formulas(a_text):
     table = build_recurrence_table(a_text, 30)
     states = ladder_states(table)
     with mp.workprec(table.working_bits):
-        a = table.a.value
+        a = table.a
         two_w0 = 2 * mp.exp(-a * a)
         P = [mp.mpf(1), a]
         for j in range(1, 30):
-            P.append(a * P[j] - table.beta[j].value * P[j - 1])
+            P.append(a * P[j] - table.beta[j] * P[j - 1])
         for n, s in enumerate(states):
-            h = table.h[n].value
-            assert s.Pn_at_a.value._mpf_ == P[n]._mpf_
-            assert s.R.value._mpf_ == (two_w0 * P[n] ** 2 / h)._mpf_, n
+            h = table.h[n]
+            assert s.Pn_at_a._mpf_ == P[n]._mpf_
+            assert s.R._mpf_ == (two_w0 * P[n] ** 2 / h)._mpf_, n
             if n:
-                r = two_w0 * P[n] * P[n - 1] / table.h[n - 1].value
-                assert s.r.value._mpf_ == r._mpf_, n
+                r = two_w0 * P[n] * P[n - 1] / table.h[n - 1]
+                assert s.r._mpf_ == r._mpf_, n
 
 
 def test_edge_quantities_at_zero_half_width():

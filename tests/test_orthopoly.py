@@ -32,7 +32,7 @@ def monic_coefficient_rows(table, n_top, bits):
             prev, cur = rows[j - 1], rows[j]
             nxt = [mp.mpf(0)] + list(cur)
             for i, c in enumerate(prev):
-                nxt[i] -= table.beta[j].value * c
+                nxt[i] -= table.beta[j] * c
             rows.append(nxt)
     return rows
 
@@ -45,9 +45,9 @@ class TestHermiteLimit:
             for j in range(table.n_max + 1):
                 b_ref = mp.mpf(j) / 2
                 h_ref = h0[j]
-                assert abs(table.h[j].value - h_ref) / h_ref < mp.mpf(10) ** -150
+                assert abs(table.h[j] - h_ref) / h_ref < mp.mpf(10) ** -150
                 if j >= 1:
-                    assert abs(table.beta[j].value - b_ref) / b_ref < mp.mpf(10) ** -150
+                    assert abs(table.beta[j] - b_ref) / b_ref < mp.mpf(10) ** -150
 
     @pytest.mark.parametrize("bits", [64, 577, 1664])
     def test_norms_list_matches_the_closed_form(self, bits):
@@ -61,7 +61,7 @@ class TestHermiteLimit:
 
     def test_beta0_is_zero_by_convention(self):
         table = build_recurrence_table("0.6", 3)
-        assert table.beta[0].value == 0
+        assert table.beta[0] == 0
 
 
 class TestCertification:
@@ -71,9 +71,9 @@ class TestCertification:
 
     def test_positive_coefficients(self, table_a1):
         for j in range(1, table_a1.n_max + 1):
-            assert table_a1.beta[j].value > 0
+            assert table_a1.beta[j] > 0
         for j in range(table_a1.n_max + 1):
-            assert table_a1.h[j].value > 0
+            assert table_a1.h[j] > 0
 
     def test_starved_policy_escalates_and_still_certifies(self):
         starved = PrecisionPolicy(base_bits=64, bits_per_n=1,
@@ -156,10 +156,10 @@ class TestCertification:
         assert plain.jets is None
         assert jets.working_bits == plain.working_bits
         for x, y in zip(plain.beta + plain.h, jets.beta + jets.h):
-            assert x.value._mpf_ == y.value._mpf_
+            assert x._mpf_ == y._mpf_
         beta_jets, h_jets = jets.jets
-        assert [j.c[0] for j in beta_jets] == [b.value for b in jets.beta]
-        assert [j.c[0] for j in h_jets] == [v.value for v in jets.h]
+        assert [j.c[0] for j in beta_jets] == list(jets.beta)
+        assert [j.c[0] for j in h_jets] == list(jets.h)
 
     def test_certified_digits_cover_the_derivative_parts(self):
         # two passes that agree on every value but differ in one second
@@ -193,13 +193,13 @@ class TestOrthogonality:
         with mp.workprec(bits):
             for n in range(1, 7):
                 coeffs = rows[n]
-                h_n = table.h[n].value
+                h_n = table.h[n]
                 for k in range(n + 1):
                     inner = mp.mpf(0)
                     scale = h_n
                     for j, c in enumerate(coeffs):
                         if c != 0:
-                            term = c * moment(j + k, w).value
+                            term = c * moment(j + k, w)
                             inner += term
                             scale = max(scale, abs(term))
                     if k < n:
@@ -213,14 +213,14 @@ class TestOrthogonality:
         with mp.workprec(table.working_bits):
             for n in range(2, 7):
                 direct = rows[n][n - 2]
-                p_n = ladder_states(table)[n].p.value
+                p_n = ladder_states(table)[n].p
                 assert abs(direct - p_n) / abs(p_n) < mp.mpf(10) ** -140
 
 
 def hankel_product(table, n):
     """D_n = h_0 h_1 ... h_{n-1}, the n x n moment determinant."""
     with mp.workprec(table.working_bits):
-        return mp.fprod(table.h[j].value for j in range(n))
+        return mp.fprod(table.h[j] for j in range(n))
 
 
 class TestHankelDeterminant:
@@ -234,7 +234,7 @@ class TestHankelDeterminant:
                 M = mp.matrix(n, n)
                 for i in range(n):
                     for j in range(n):
-                        M[i, j] = moment(i + j, w).value
+                        M[i, j] = moment(i + j, w)
                 ref = mp.det(M)
                 got = hankel_product(table, n)
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -120
@@ -243,7 +243,7 @@ class TestHankelDeterminant:
 class TestEdgeValues:
     def test_edge_signs_follow_period_four_pattern(self, table_a1):
         # at a = 1: P_n(a) signs go +, +, -, -, +, +, -, - ...
-        signs = [1 if s.Pn_at_a.value > 0 else -1 for s in ladder_states(table_a1)[:9]]
+        signs = [1 if s.Pn_at_a > 0 else -1 for s in ladder_states(table_a1)[:9]]
         expected = [1, 1, -1, -1, 1, 1, -1, -1, 1]
         assert signs == expected
 

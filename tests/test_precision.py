@@ -13,7 +13,7 @@ from gue_gap_lab.precision import as_mpf
 
 class TestReal:
     def test_string_parse_is_exact_at_bits(self):
-        r = Real.from_str("0.1", 256)
+        r = Real(as_mpf("0.1", 256), 256)
         with mp.workprec(256):
             assert r.value == mp.mpf("0.1")
         assert r.precision_bits == 256

@@ -293,7 +293,7 @@ class TestRoutes:
                 ref = mp.mpf(1)
                 for j in range(k):
                     h0 = mp.mpf(math.factorial(j)) / mp.mpf(2) ** j * mp.sqrt(mp.pi)
-                    ref *= table.h[j].value / h0
+                    ref *= table.h[j] / h0
                 assert probs[k]._mpf_ == ref._mpf_
                 assert gap_probability_hankel(k, table=table).value._mpf_ == ref._mpf_
         with pytest.raises(DomainError):
@@ -327,9 +327,9 @@ class TestPrecisionRule:
         p_h = gap_probability_hankel(n, a_text)
         bits = fredholm_bits(n, p_h, 40)
         p_f = gap_probability_fredholm(n, a_text, prec_bits=bits)[-1]
-        assert p_f.precision_bits == bits
+        assert p_f._mpf_[3] <= bits  # mantissa rounded to prec_bits
         with mp.workprec(p_h.precision_bits):
-            assert abs(p_h.value - p_f.value) / p_h.value < mp.mpf(10) ** -40
+            assert abs(p_h.value - p_f) / p_h.value < mp.mpf(10) ** -40
 
     def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
         # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192, so both

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gue_gap_lab import DomainError, GapWeight, Real, moment, seed_R0
+from gue_gap_lab import (
+    DomainError,
+    GapWeight,
+    build_a_grid,
+    build_recurrence_table,
+    iterate_r_orbit,
+    moment,
+    probability_record,
+    seed_R0,
+)
+from gue_gap_lab.difference_eqs import orbit_recurrence_table
 from gue_gap_lab.precision import GUARD_BITS, as_mpf
 from gue_gap_lab.weight import moment_jets, moments
 
@@ -20,7 +30,7 @@ def make_weight(a_text, bits=512):
 def test_odd_moments_vanish_exactly():
     w = make_weight("0.8")
     for k in (1, 3, 5, 11):
-        assert moment(k, w).value == 0
+        assert moment(k, w) == 0
 
 
 def test_even_moments_match_incomplete_gamma_oracle():
@@ -33,7 +43,7 @@ def test_even_moments_match_incomplete_gamma_oracle():
             with mp.workprec(560):
                 av = mp.mpf(a_text)
                 ref = mp.gammainc(mp.mpf(k + 1) / 2, av * av, mp.inf)
-                rel = abs(m.value - ref) / ref
+                rel = abs(m - ref) / ref
             assert rel < mp.mpf(10) ** -140
 
 
@@ -43,7 +53,7 @@ def test_moment_jets_match_differentiated_incomplete_gamma(a_text):
     # values are those of the one-sweep recurrence
     w = make_weight(a_text)
     jets = moment_jets(11, w)
-    assert [j.c[0] for j in jets] == [m.value for m in moments(11, w)]
+    assert [j.c[0] for j in jets] == moments(11, w)
     assert all(jets[k].c == (0, 0, 0) for k in range(1, 11, 2))
     with mp.workprec(400):
         av = mp.mpf(a_text)
@@ -60,7 +70,7 @@ def per_order_moment(k, w):
         return as_mpf(0, bits)
     mu = w._mu0_guarded
     with mp.workprec(bits + GUARD_BITS):
-        a = w.a.value
+        a = w.a
         edge = a * mp.exp(-a * a)
         for j in range(0, k, 2):
             mu = (j + 1) * mu / 2 + edge
@@ -75,8 +85,8 @@ def test_one_sweep_matches_per_order_recurrence(a_text):
     swept = moments(121, w)
     assert len(swept) == 121
     for k in range(121):
-        assert swept[k].value._mpf_ == per_order_moment(k, w)._mpf_, k
-        assert moment(k, w).value._mpf_ == swept[k].value._mpf_
+        assert swept[k]._mpf_ == per_order_moment(k, w)._mpf_, k
+        assert moment(k, w)._mpf_ == swept[k]._mpf_
     assert moments(0, w) == []
     with pytest.raises(DomainError):
         moments(-1, w)
@@ -86,28 +96,28 @@ def test_zeroth_moment_is_sqrt_pi_erfc():
     w = make_weight("1.3")
     with mp.workprec(560):
         ref = mp.sqrt(mp.pi) * mp.erfc(mp.mpf("1.3"))
-        rel = abs(moment(0, w).value - ref) / ref
+        rel = abs(moment(0, w) - ref) / ref
     assert rel < mp.mpf(10) ** -140
 
 
 def test_moments_at_zero_reduce_to_gaussian():
     w = make_weight("0")
     with mp.workprec(560):
-        assert abs(moment(0, w).value - mp.sqrt(mp.pi)) < mp.mpf(10) ** -140
-        assert abs(moment(2, w).value - mp.sqrt(mp.pi) / 2) < mp.mpf(10) ** -140
+        assert abs(moment(0, w) - mp.sqrt(mp.pi)) < mp.mpf(10) ** -140
+        assert abs(moment(2, w) - mp.sqrt(mp.pi) / 2) < mp.mpf(10) ** -140
 
 
 def test_seed_R0_frozen_value_at_one():
     w = make_weight("1")
     with mp.workprec(512):
-        rel = abs(seed_R0(w).value - mp.mpf(R0_AT_1)) / mp.mpf(R0_AT_1)
+        rel = abs(seed_R0(w) - mp.mpf(R0_AT_1)) / mp.mpf(R0_AT_1)
     assert rel < mp.mpf(10) ** -44
 
 
 def test_seed_R0_at_zero_is_two_over_sqrt_pi():
     w = make_weight("0")
     with mp.workprec(512):
-        rel = abs(seed_R0(w).value - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
+        rel = abs(seed_R0(w) - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
     assert rel < mp.mpf(10) ** -44
 
 
@@ -116,21 +126,34 @@ def test_negative_half_width_rejected():
         make_weight("-0.5")
 
 
+@pytest.mark.parametrize("route, args", [
+    (build_recurrence_table, ("inf", 5)),
+    (orbit_recurrence_table, ("nan", 5)),
+    (iterate_r_orbit, ("inf", 5, 256)),
+    (build_a_grid, ("inf", 3)),
+    (probability_record, (3, "inf")),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_non_finite_half_width_fails_at_the_boundary(route, args):
+    # every route builds a GapWeight, which rejects a that is not finite
+    with pytest.raises(DomainError):
+        route(*args)
+
+
 @given(st.integers(min_value=0, max_value=6).map(lambda k: 2 * k))
 @settings(max_examples=10, deadline=None)
 def test_even_moments_decrease_as_gap_widens(k):
     # removing more of the axis can only shrink the integral
     w_narrow = make_weight("0.4", 320)
     w_wide = make_weight("1.7", 320)
-    assert moment(k, w_wide).value < moment(k, w_narrow).value
+    assert moment(k, w_wide) < moment(k, w_narrow)
 
 
 @given(st.floats(min_value=0.05, max_value=3.0))
 @settings(max_examples=20, deadline=None)
 def test_moment_ordering_in_k(a):
     # mu_{k+2} > a^2 mu_k since x^2 > a^2 on the support
-    w = GapWeight(Real(mp.mpf(a), 320), 320)
+    w = GapWeight(mp.mpf(a), 320)
     with mp.workprec(320):
         av = mp.mpf(a)
         for k in (0, 2, 4):
-            assert moment(k + 2, w).value > av * av * moment(k, w).value
+            assert moment(k + 2, w) > av * av * moment(k, w)

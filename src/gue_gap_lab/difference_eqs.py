@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import round_nearest as RN
 
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
@@ -61,40 +63,45 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     r_n + r_{n-1} = a R_{n-1} cancels to O(a^3) at small a.  The pair only
     divides by 2 beta_n R_{n-1}, positive in exact arithmetic, so a value
     <= 0 at some n <= n_top means this precision lost the orbit: that raises
-    _NonPositiveNorm(n), and the certification loop escalates.
+    _NonPositiveNorm(n), and the certification loop escalates.  The loop
+    runs on raw mpf tuples (see ``precision``); doubling and halving a
+    value already rounded to prec_bits are exact shifts.
     """
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
     av = as_mpf(a, prec_bits)
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
-    R = seed_R0(GapWeight(av, prec_bits))
-    with mp.workprec(prec_bits):
-        r = [mp.mpf(0), av * R]
-        for n in range(1, n_top + 1):
-            den = (n + r[n]) * R
-            if not den > 0:
-                raise _NonPositiveNorm(n)
-            R = 2 * r[n] * r[n] / den
-            r.append(av * R - r[n])
-    return DiscreteOrbit(a=av, r=tuple(r[:-1]), bits=prec_bits)
+    b = prec_bits
+    a_t = av._mpf_
+    R = seed_R0(GapWeight(av, b))._mpf_
+    r = [fzero, mpf_mul(a_t, R, b, RN)]
+    for n in range(1, n_top + 1):
+        rn = r[n]
+        den = mpf_mul(mpf_add(rn, from_int(n), b, RN), R, b, RN)
+        if den[0] or not den[1]:  # den <= 0: a sign bit, or a zero mantissa
+            raise _NonPositiveNorm(n)
+        R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, b, RN), den, b, RN)
+        r.append(mpf_sub(mpf_mul(a_t, R, b, RN), rn, b, RN))
+    return DiscreteOrbit(a=av, r=tuple(mp.make_mpf(x) for x in r[:-1]), bits=prec_bits)
 
 
 def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
     """One orbit-to-recurrence pass at a fixed precision.
 
     beta_n = (n + r_n)/2 from the orbit, which has already checked that each
-    is positive, h_0 = mu_0 = sqrt(pi) erfc(a) and h_n = beta_n h_{n-1}.
-    Returns (beta, h) as lists of mpf.
+    is positive, h_0 = mu_0 = sqrt(pi) erfc(a) and h_n = beta_n h_{n-1}, on
+    raw mpf tuples like the orbit.  Returns (beta, h) as lists of mpf.
     """
     r = iterate_r_orbit(a_value, max(n_max, 1), bits).r
     h0 = moment(0, GapWeight(as_mpf(a_value, bits), bits))
-    with mp.workprec(bits):
-        beta = [mp.mpf(0)]
-        h = [h0]
-        for n in range(1, n_max + 1):
-            beta.append((n + r[n]) / 2)
-            h.append(beta[n] * h[n - 1])
+    beta, h = [mp.mpf(0)], [h0]
+    hn = h0._mpf_
+    for n in range(1, n_max + 1):
+        bn = mpf_shift(mpf_add(r[n]._mpf_, from_int(n), bits, RN), -1)
+        hn = mpf_mul(bn, hn, bits, RN)
+        beta.append(mp.make_mpf(bn))
+        h.append(mp.make_mpf(hn))
     return beta, h
 
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_abs, mpf_cmp, mpf_mul
+from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, EdgeZeroError
 from .orthopoly import RecurrenceTable
@@ -115,18 +117,22 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
     beta = table.beta[:n_top + 1]
     edge = edge_quantities(a, beta, table.h[:n_top + 1], bits)
     P = edge["P"]
+    pt = [x._mpf_ for x in P]
     with mp.workprec(bits):
-        thresh = mp.mpf(10) ** (-t)
-        for n in range(1, n_top + 1):
-            # scale of the two recurrence terms whose difference is P_n(a)
-            scale = abs(a * P[n - 1])
-            if n >= 2:
-                scale = max(scale, abs(beta[n - 1] * P[n - 2]))
-            if abs(P[n]) < thresh * scale:
-                raise EdgeZeroError(
-                    f"P_{n}(a) is below the certification threshold at a={mp.nstr(a, 8)}",
-                    n=n,
-                )
+        thresh = (mp.mpf(10) ** (-t))._mpf_
+    a_t = a._mpf_
+    for n in range(1, n_top + 1):
+        # scale of the two recurrence terms whose difference is P_n(a)
+        scale = mpf_abs(mpf_mul(a_t, pt[n - 1], bits, RN), bits, RN)
+        if n >= 2:
+            other = mpf_abs(mpf_mul(beta[n - 1]._mpf_, pt[n - 2], bits, RN), bits, RN)
+            if mpf_cmp(other, scale) > 0:
+                scale = other
+        if mpf_cmp(mpf_abs(pt[n], bits, RN), mpf_mul(thresh, scale, bits, RN)) < 0:
+            raise EdgeZeroError(
+                f"P_{n}(a) is below the certification threshold at a={mp.nstr(a, 8)}",
+                n=n,
+            )
     return [
         LadderState(n=n, a=a, beta=beta[n], Pn_at_a=P[n], bits=bits,
                     **{k: edge[k][n] for k in ("R", "r", "sigma", "p")})

@@ -35,10 +35,11 @@ h_0 = mu_0.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_int, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
 from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, as_mpf
@@ -137,22 +138,27 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
     disagreement over all recurrence coefficients (over each jet
     coefficient, for a pass on jets), capped at the lower pass's precision.
     One logarithm, of the worst disagreement, since floor(-log10(rel))
-    falls as rel grows."""
+    falls as rel grows.  The compare runs at 64 bits on raw mpf tuples."""
     beta_lo, h_lo = lo
     beta_hi, h_hi = hi
     cap = int(lo_bits * _LOG10_2)
     pairs = (list(zip(_numbers(beta_lo[1:]), _numbers(beta_hi[1:])))
              + list(zip(_numbers(h_lo), _numbers(h_hi))))
-    worst = 0
+    worst = fzero
+    for x, y in pairs:
+        x, y = x._mpf_, y._mpf_
+        if x != y:  # normalized tuples are equal exactly when the values are
+            ax, ay = mpf_abs(x, 64, RN), mpf_abs(y, 64, RN)
+            den = ax if mpf_cmp(ax, ay) >= 0 else ay
+            rel = mpf_div(mpf_abs(mpf_sub(x, y, 64, RN)), den, 64, RN)
+            if mpf_cmp(rel, worst) > 0:
+                worst = rel
+    if worst == fzero:
+        return cap
+    if mpf_cmp(worst, fone) >= 0:
+        return 0
     with mp.workprec(64):
-        for x, y in pairs:
-            if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-        if worst == 0:
-            return cap
-        if worst >= 1:
-            return 0
-        return min(cap, int(mp.floor(-mp.log10(worst))))
+        return min(cap, int(mp.floor(-mp.log10(mp.make_mpf(worst)))))
 
 
 def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
@@ -236,15 +242,14 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
 def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
     """(policy, a) for a recurrence build: the default policy when None, and
     a parsed once at the ceiling precision so every pass sees the same
-    real number.  Rejects n_max < 0 and a < 0."""
+    real number.  Rejects n_max < 0, and through ``GapWeight`` an a that is
+    not a finite number >= 0."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if policy is None:
         policy = PrecisionPolicy()
-    a_value = as_mpf(a, policy.max_bits + GUARD_BITS)
-    if a_value < 0:
-        raise DomainError(f"gap half-width must be >= 0, got {a_value}")
-    return policy, a_value
+    bits = policy.max_bits + GUARD_BITS
+    return policy, GapWeight(as_mpf(a, bits), bits).a
 
 
 def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
@@ -267,9 +272,14 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
 
 
 def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:
-    """[h_0, ..., h_{count-1}] at a = 0 in closed form: h_k = (k! / 2^k) sqrt(pi)."""
+    """[h_0, ..., h_{count-1}] at a = 0 in closed form: h_k = (k! / 2^k) sqrt(pi),
+    on raw mpf tuples: k! rounded to ``bits``, shifted by -k, times sqrt(pi)."""
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
     with mp.workprec(bits):
-        s = mp.sqrt(mp.pi)
-        return [mp.mpf(math.factorial(k)) / mp.mpf(2) ** k * s for k in range(count)]
+        s = mp.sqrt(mp.pi)._mpf_
+    out, fact = [], 1
+    for k in range(count):
+        fact *= k or 1
+        out.append(mp.make_mpf(mpf_mul(mpf_shift(from_int(fact, bits, RN), -k), s, bits, RN)))
+    return out

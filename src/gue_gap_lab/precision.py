@@ -2,14 +2,22 @@
 
 Everything downstream (moments, recurrences, residuals) manipulates values
 produced here.  The kernel wraps mpmath: mpf numbers carry their own bits,
-and every operation in this module runs inside an explicit ``mp.workprec``
-block so results never silently round to the ambient global precision
-(``Jet`` arithmetic runs inside its callers' blocks).
+and mpf arithmetic runs inside an explicit ``mp.workprec`` block so results
+never silently round to the ambient global precision (``Jet`` arithmetic
+runs inside its callers' blocks).
 
 Values travel as plain mpf, and each container states their bits once.  A
 :class:`Real` pairs a value with its bits only where the caller cannot know
 them (the Hankel probability and the probability record), and a
 :class:`Jet` carries a value together with its first a-derivatives.
+
+Loops of O(n) steps at one precision (the r_n orbit and its pass, the
+certification compare, the edge-zero check, the Hankel product,
+``report.relative_residual``) run on raw ``_mpf_`` tuples through
+``mpmath.libmp`` instead, skipping the mpf operators' dispatch.  Each call
+takes the stated bits and ``round_nearest``, as an operator does under
+``mp.workprec``, so every value is bit for bit the same; tuples never leave
+the function, which returns plain mpf.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import fone, mpf_div, mpf_mul
+from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, QuadratureConvergenceError
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
@@ -123,15 +125,16 @@ def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
 
 def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
     """[P(0, a), ..., P(n, a)] in one running product of h_j(a) / h_j(0)
-    over the table.  Each factor lies in (0, 1], so the product is monotone
-    and free of overflow."""
+    over the table, on raw mpf tuples at the table's bits.  Each factor lies
+    in (0, 1], so the product is monotone and free of overflow."""
     if table.n_max < n - 1:
         raise DomainError(f"table covers degrees 0..{table.n_max}, need {n - 1}")
     bits = table.working_bits
-    with mp.workprec(bits):
-        probs = [mp.mpf(1)]
-        for j, h0 in enumerate(hermite_norms_exact(n, bits)):
-            probs.append(probs[j] * (table.h[j] / h0))
+    p = fone
+    probs = [mp.make_mpf(p)]
+    for hj, h0 in zip(table.h, hermite_norms_exact(n, bits)):
+        p = mpf_mul(p, mpf_div(hj._mpf_, h0._mpf_, bits, RN), bits, RN)
+        probs.append(mp.make_mpf(p))
     return probs
 
 

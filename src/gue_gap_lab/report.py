@@ -28,13 +28,18 @@ def sci_str(x, digits: int) -> str:
     binary exponent, so a mantissa tens of thousands of bits wide would
     become an integer past Python's int-str limit.  A wider mantissa is
     therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
-    which leaves every bit nstr reads as it was.
+    which leaves every bit nstr reads as it was.  The truncation shifts the
+    raw tuple's mantissa right, moving its exponent by as much, and strips
+    the trailing zero bits, so the tuple handed to ``libmp.to_str`` (what
+    nstr calls) is the one ``mpf_pos(..., round_down)`` would give.
     """
-    v = mp.mpmathify(x)
-    bits = int((digits + 3) * math.log2(10)) + GUARD_BITS
-    if isinstance(v, mp.mpf) and v._mpf_[3] > bits:
-        v = mp.make_mpf(libmp.mpf_pos(v._mpf_, bits, libmp.round_down))
-    return mp.nstr(v, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+    sign, man, exp, bc = t = mp.mpmathify(x)._mpf_
+    cut = bc - int((digits + 3) * math.log2(10)) - GUARD_BITS
+    if cut > 0:
+        man >>= cut
+        zeros = (man & -man).bit_length() - 1
+        t = (sign, man >> zeros, exp + cut + zeros, bc - cut - zeros)
+    return libmp.to_str(t, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
 def relative_residual(terms: Sequence, bits: int) -> mp.mpf:

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 from gue_gap_lab import (
     EdgeZeroError,
@@ -185,9 +187,16 @@ class TestTable:
             bodies.append(out.read_text().split("\n", 1)[1])
         assert bodies[0] == bodies[1]
 
-    def test_huge_precision_prints_tiny_probabilities(self, tmp_path):
+    def test_huge_precision_prints_tiny_probabilities(self, tmp_path, monkeypatch):
         # P(20, 30) is about 1e-7818, held in a mantissa of tens of
         # thousands of bits: printing it must not hit the int-str limit
+        printed = []
+
+        def spy(x, digits):
+            printed.append((x, digits, sci_str(x, digits)))
+            return printed[-1][2]
+
+        monkeypatch.setattr(cli, "sci_str", spy)
         out = tmp_path / "huge.csv"
         assert run_cli(["table", "--n-max", "20", "--a-list", "30",
                         "--prec-bits", "16384", "--max-bits", "65536",
@@ -195,6 +204,13 @@ class TestTable:
         _, rows = read_table(str(out))
         assert len(rows) == 21 and all(r["status"] == "ok" for r in rows)
         assert rows[-1]["prob"].endswith("e-7818")
+        # and every value prints as the mantissa cut by round-down to the
+        # bits nstr reads (plus GUARD_BITS) and then handed to nstr
+        assert len(printed) == 21 * 8
+        for x, digits, text in printed:
+            bits = int((digits + 3) * math.log2(10)) + probability.GUARD_BITS
+            cut = mp.make_mpf(libmp.mpf_pos(x._mpf_, bits, libmp.round_down))
+            assert text == mp.nstr(cut, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
     def test_byte_identical_reruns_and_jobs_merge(self, tmp_path):
         args = ["table", "--n-max", "3", "--a-list", "0.5,1.5",

@@ -182,6 +182,28 @@ class TestCertification:
         with pytest.raises(DomainError):
             build_recurrence_table("-1", 4)
 
+    @pytest.mark.parametrize("a_text, route, message", [
+        ("nan", "build_recurrence_table", "must be a finite number >= 0"),
+        ("inf", "build_recurrence_table", "must be a finite number >= 0"),
+        ("-1", "build_recurrence_table", "must be a finite number >= 0"),
+        ("0", "build_recurrence_table", None),
+        ("nan", "orbit_recurrence_table", "must be a finite number >= 0"),
+        ("inf", "orbit_recurrence_table", "must be a finite number >= 0"),
+        ("-1", "orbit_recurrence_table", "must be a finite number >= 0"),
+        ("0", "orbit_recurrence_table", "orbit iteration requires a > 0"),
+    ])
+    def test_both_builders_check_the_half_width_with_one_message(self, a_text, route,
+                                                                 message):
+        # both parse a once, and a value that is not finite and >= 0 fails
+        # there with GapWeight's message; a = 0 is the Hermite weight, which
+        # only the orbit, dividing by R_{n-1}, cannot take
+        build = getattr(difference_eqs if route.startswith("orbit") else orthopoly, route)
+        if message is None:
+            assert build(a_text, 4).a == 0
+        else:
+            with pytest.raises(DomainError, match=message):
+                build(a_text, 4)
+
 
 class TestOrthogonality:
     def test_moment_space_orthogonality(self):

@@ -247,7 +247,7 @@ def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     policy = config.policy
     n_max = config.n_max
     digits = config.digits or policy.target_certified_digits
-    bits = policy.working_bits(n_max)
+    bits = policy.start_bits("orbit", 0, n_max)
     beta = [mp.mpf(n) / 2 for n in range(n_max + 1)]
     h = hermite_norms_exact(n_max + 1, bits)
     edge = edge_quantities(mp.mpf(0), beta, h, bits)
@@ -431,8 +431,7 @@ def cmd_prob(policy: PrecisionPolicy, digits: int | None, n: int, a_str: str,
             "note": "gap of zero width; determinant route skipped",
         }
     else:
-        rec = probability_record(
-            n, a_str, policy, digits=max(digits, policy.target_certified_digits))
+        rec = probability_record(n, a_str, policy)
         doc = {
             "n": n, "a": a_str,
             "prob_hankel": sci_str(rec.prob_hankel.value, digits),
@@ -547,8 +546,9 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 def _add_precision(sub):
     """Flags of every computing subcommand: precision policy and output."""
-    sub.add_argument("--prec-bits", type=int, default=512,
-                     help="base working precision in bits")
+    sub.add_argument("--prec-bits", type=int, default=None,
+                     help="starting precision of every certified build, in bits "
+                          "(default: target digits plus each route's measured loss)")
     sub.add_argument("--max-bits", type=int, default=16384)
     sub.add_argument("--target-digits", type=int, default=40)
     sub.add_argument("--digits", type=_int_at_least(1), default=None,
@@ -630,9 +630,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         policy = PrecisionPolicy(
             base_bits=args.prec_bits,
-            bits_per_n=32,
             max_bits=args.max_bits,
-            target_certified_digits=args.target_digits,
+            target_certified_digits=max(args.target_digits, args.digits or 0),
         )
     except DomainError as exc:
         parser.error(f"precision flags (--prec-bits, --max-bits, --target-digits): {exc}")

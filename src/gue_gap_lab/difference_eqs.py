@@ -110,14 +110,14 @@ def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
 
     The same table as ``orthopoly.build_recurrence_table`` by another route:
     O(n_max) steps of the difference equation instead of moments and the
-    Chebyshev pass, certified by the same loop (``orthopoly._certify``).
-    The orbit loses digits slowly (tens at n = 1000 for a <= 3), so the
-    loop starts at ``policy.base_bits`` rather than at the Chebyshev
-    route's ``policy.working_bits(n_max)``.  Requires a > 0 (DomainError);
-    raises the Chebyshev route's exceptions otherwise.
+    Chebyshev pass, certified by the same loop (``orthopoly._certify``)
+    from ``policy.start_bits("orbit", a, n_max)``.  The orbit loses digits
+    slowly while a is below sqrt(n_max) (tens at n = 1000 for a <= 3), and
+    by default that start covers its measured loss.  Requires a > 0
+    (DomainError); raises the Chebyshev route's exceptions otherwise.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
-    return _certify(_orbit_pass, a_value, n_max, policy.base_bits, policy)
+    return _certify(_orbit_pass, a_value, n_max, policy.start_bits("orbit", a_value, n_max), policy)
 
 
 def residual_orbit_vs_direct(

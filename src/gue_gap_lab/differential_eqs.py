@@ -137,7 +137,7 @@ def build_a_grid(
     """
     if policy is None:
         policy = PrecisionPolicy()
-    floor_bits = max(policy.working_bits(n_max), MIN_GRID_BITS)
+    floor_bits = max(policy.start_bits("chebyshev", as_mpf(a0, 64), n_max), MIN_GRID_BITS)
     grid_policy = replace(
         policy,
         base_bits=floor_bits,

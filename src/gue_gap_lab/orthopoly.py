@@ -12,7 +12,9 @@ That map is notoriously ill conditioned (about half a digit lost per
 degree), which is the point of running it in arbitrary precision: a build
 is accepted only after a pass at W bits and a check pass at W + CHECK_BITS
 agree to the policy's target number of digits, and W escalates until they
-do or the check pass reaches the ceiling.  That loop, ``_certify``, also
+do or the check pass reaches the ceiling.  W starts at the target plus the
+route's measured loss (``PrecisionPolicy.start_bits``), so the first level
+normally certifies.  That loop, ``_certify``, also
 certifies the second route to the same table,
 ``difference_eqs.orbit_recurrence_table``, from which ``table`` builds every
 a > 0 cell; ``verify``, ``prob``, the continuous grid and the acceptance gate
@@ -38,7 +40,8 @@ import functools
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_int, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import (from_int, from_man_exp, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul,
+                          mpf_shift, mpf_sub, str_to_man_exp)
 from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
@@ -175,7 +178,8 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
     capped at max_bits - CHECK_BITS so that the top level is
     (max_bits - CHECK_BITS, max_bits) and no pass is ever compared with one
     at the same bits.  A pass raises _NonPositiveNorm when its precision
-    cannot keep positive what must be; its level then certifies nothing.
+    cannot keep positive what must be; its level then certifies nothing,
+    and below the top level its check pass is skipped.
     Raises PrecisionExhaustedError when the top level falls short of the
     target, or when start_bits + CHECK_BITS is already above the ceiling,
     and IllConditioningError if norms cannot even be kept positive at the
@@ -206,7 +210,10 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
     levels = 0
     best_certified = 0
     while True:
-        lo, hi = run(bits), run(bits + CHECK_BITS)
+        lo = run(bits)
+        # a level whose lower pass lost positivity certifies nothing, so its
+        # check pass runs only at the top, where it may raise
+        hi = run(bits + CHECK_BITS) if lo is not None or bits >= top else None
         levels += 1
         if lo is not None and hi is not None:
             certified = _certified_digits(lo, hi, bits)
@@ -239,6 +246,24 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
         bits = min(policy.escalate(bits), top)
 
 
+def _parse_half_width(a, bits: int) -> mp.mpf:
+    """``as_mpf(a, bits)``, faster for a decimal string whose value is
+    dyadic (1.5, 0.25, 2.500): its mantissa is divisible by 5^k, where k is
+    the number of decimals, and the quotient times 2^-k is the exact value,
+    which mpmath's parse (from_rational, for 0 < k <= 400) reaches only
+    after stripping thousands of trailing zero bits.  Any other input goes
+    through ``as_mpf``.  Both round the same real number to nearest at
+    ``bits``, so the result is the same mpf."""
+    if isinstance(a, str):
+        try:  # mpmath's own split of a decimal literal into man * 10^exp
+            man, exp = str_to_man_exp(a.lower().strip())
+        except ValueError:  # inf, nan, p/q or no number: as_mpf decides
+            man, exp = 0, 0
+        if -400 <= exp < 0 and man % 5 ** -exp == 0:
+            return mp.make_mpf(from_man_exp(man // 5 ** -exp, exp, bits, RN))
+    return as_mpf(a, bits)
+
+
 def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
     """(policy, a) for a recurrence build: the default policy when None, and
     a parsed once at the ceiling precision so every pass sees the same
@@ -249,7 +274,7 @@ def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
     if policy is None:
         policy = PrecisionPolicy()
     bits = policy.max_bits + GUARD_BITS
-    return policy, GapWeight(as_mpf(a, bits), bits).a
+    return policy, GapWeight(_parse_half_width(a, bits), bits).a
 
 
 def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
@@ -261,14 +286,16 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     every pass sees the same real number).
 
     Chebyshev passes from the moments, certified by ``_certify`` from
-    ``policy.working_bits(n_max)``: the map loses about half a digit per
-    degree, which that starting precision budgets for.  With ``jets`` the
-    passes run on Taylor jets, and the table also carries them (see
+    ``policy.start_bits("chebyshev", a, n_max)``: the map loses about half
+    a digit per degree, more as a grows, and by default that start covers
+    the loss measured for the pass on jets.  With ``jets`` the passes run
+    on Taylor jets, and the table also carries them (see
     ``RecurrenceTable``); its values are those of the plain build.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
-    return _certify(pass_fn, a_value, n_max, policy.working_bits(n_max), policy)
+    return _certify(pass_fn, a_value, n_max,
+                    policy.start_bits("chebyshev", a_value, n_max), policy)
 
 
 def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:

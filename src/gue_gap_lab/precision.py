@@ -22,6 +22,7 @@ the function, which returns plain mpf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -35,6 +36,44 @@ GUARD_BITS = 48
 # at W bits loses about the same digits at any W, so a second pass this
 # much higher measures W's error as well as one at 2W would.
 CHECK_BITS = 64
+
+# Decimal digits one certified build loses, per route: (c, s, p, q) in
+#
+#     loss(a, n) = c + s n + n log10(1 + p t + q t^2),   t = a / sqrt(n),
+#
+# a minimax fit to the losses measured over (a, n) in
+# tests/data/loss_table.json, which ``tools/loss_table.py`` writes and, with
+# --check, re-measures.  The loss grows about linearly in n with a slope
+# that depends on a (Gautschi, *Orthogonal Polynomials: Computation and
+# Approximation*, OUP 2004, sec. 2.1.7): s is the Chebyshev map's own loss
+# per degree at a = 0, which the orbit does not have, and the logarithm is
+# the gap's, about (p t + q t^2) / ln 10 per degree while t is small and
+# log10(q t^2) once a is well past sqrt(n).  The Chebyshev losses are those
+# of the pass on jets, whose derivative parts certification also compares.
+LOSS_FIT = {
+    "chebyshev": (1.47, 0.45, 0.0, 3.94),
+    "orbit": (-0.29, 0.0, 2.53, 4.21),
+}
+
+# Digits a default start adds to the fitted loss: the smallest margin at
+# which every cell of the committed table certifies without escalation.
+LOSS_MARGIN_DIGITS = 4
+
+_LOG2_10 = math.log2(10)
+
+
+def loss_digits(route: str, a, n: int) -> float:
+    """The fitted digit loss (``LOSS_FIT``) of a ``route`` build
+    ("chebyshev" or "orbit") at half-width a (a number) up to degree n.  An
+    a that is not below 1e100 (huge, infinite or not a number) counts as
+    1e100, so that no float overflows; the builders reject the last two
+    before a pass runs."""
+    c, s, p, q = LOSS_FIT[route]
+    x = float(a) if a < 1e100 else 1e100
+    if n == 0:
+        return c
+    t = x / math.sqrt(n)
+    return c + s * n + n * math.log10(1 + p * t + q * t * t)
 
 
 def as_mpf(x, bits: int) -> mp.mpf:
@@ -122,31 +161,41 @@ class Jet:
 class PrecisionPolicy:
     """How much precision to start with and how to escalate.
 
-    ``working_bits(n_max)`` gives the starting precision W for a recurrence
-    build up to degree ``n_max``; certification compares a pass at W with
-    one at W + CHECK_BITS.  When that falls short of
-    ``target_certified_digits``, W doubles until it certifies or the upper
-    pass reaches ``max_bits``.
+    ``start_bits(route, a, n_max)`` gives the starting precision W of a
+    recurrence build; certification compares a pass at W with one at
+    W + CHECK_BITS.  By default W is (target + loss + margin) log2(10)
+    rounded up, the loss from ``loss_digits`` and the margin
+    ``LOSS_MARGIN_DIGITS``, so a build certifies at its first level.  An
+    explicit ``base_bits`` sets W exactly: base_bits + bits_per_n n_max on
+    the Chebyshev route and base_bits on the orbit.  When a level falls
+    short of ``target_certified_digits``, W doubles until it certifies or
+    the upper pass reaches ``max_bits``.
     """
 
-    base_bits: int = 512
-    bits_per_n: int = 32
+    base_bits: int | None = None
+    bits_per_n: int = 0
     target_certified_digits: int = 40
     max_bits: int = 16384
 
     def __post_init__(self):
-        if self.base_bits < 64:
+        if self.base_bits is not None and self.base_bits < 64:
             raise DomainError("base_bits must be at least 64")
         if self.bits_per_n < 0:
             raise DomainError("bits_per_n must be nonnegative")
+        if self.bits_per_n and self.base_bits is None:
+            raise DomainError("bits_per_n needs base_bits")
         if self.target_certified_digits < 1:
             raise DomainError("target_certified_digits must be positive")
-        if self.max_bits < self.base_bits:
-            raise DomainError("max_bits must be at least base_bits")
+        if self.max_bits < (self.base_bits or 64):
+            raise DomainError("max_bits must be at least base_bits (64 without it)")
 
-    def working_bits(self, n_max: int) -> int:
-        return self.base_bits + self.bits_per_n * n_max
+    def start_bits(self, route: str, a, n_max: int) -> int:
+        """W for a ``route`` build ("chebyshev" or "orbit") at half-width a
+        up to degree n_max."""
+        if self.base_bits is not None:
+            return self.base_bits + (self.bits_per_n * n_max if route == "chebyshev" else 0)
+        digits = self.target_certified_digits + loss_digits(route, a, n_max) + LOSS_MARGIN_DIGITS
+        return math.ceil(digits * _LOG2_10)
 
     def escalate(self, bits: int) -> int:
         return 2 * bits
-

@@ -206,8 +206,7 @@ def fredholm_bits(n: int, p_hankel, digits: int) -> int:
     return -(-bits // 64) * 64
 
 
-def _both_routes(n: int, a, policy: PrecisionPolicy | None,
-                 table: RecurrenceTable | None, digits: int | None):
+def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):
     """(a, bits, Hankel [P(1, a), ..., P(n, a)], Fredholm bits, Fredholm
     [P(1, a), ..., P(n, a)]).  bits is the table's, built at degree n - 1
     unless given, and so is a if None."""
@@ -222,7 +221,7 @@ def _both_routes(n: int, a, policy: PrecisionPolicy | None,
     if a is None:
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]
-    f_bits = fredholm_bits(n, p_h[-1], digits or policy.target_certified_digits)
+    f_bits = fredholm_bits(n, p_h[-1], policy.target_certified_digits)
     return a, table.working_bits, p_h, f_bits, gap_probability_fredholm(n, a, prec_bits=f_bits)
 
 
@@ -242,14 +241,13 @@ def probability_record(
     a,
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
-    digits: int | None = None,
 ) -> ProbabilityRecord:
     """Compute both routes and their relative discrepancy |h - f| / h.
 
-    The Fredholm route runs at ``fredholm_bits`` for ``digits``, by default
+    The Fredholm route runs at ``fredholm_bits`` for
     ``policy.target_certified_digits``.
     """
-    a, bits, p_h, f_bits, p_f = _both_routes(n, a, policy, table, digits)
+    a, bits, p_h, f_bits, p_f = _both_routes(n, a, policy, table)
     with mp.workprec(bits):
         rel = abs(p_h[-1] - p_f[-1]) / p_h[-1]
     return ProbabilityRecord(n=n, a=Real(as_mpf(a, bits), bits), prob_hankel=Real(p_h[-1], bits),
@@ -266,7 +264,7 @@ def residual_oracle(
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
     P(k, a), k = 1..n, from one recurrence table and one Fredholm call at
     ``fredholm_bits`` for ``policy.target_certified_digits``."""
-    a, bits, p_h, _, p_f = _both_routes(n, a, policy, table, None)
+    a, bits, p_h, _, p_f = _both_routes(n, a, policy, table)
     rep = ResidualReport(a=mp.nstr(as_mpf(a, bits), 12), n=n)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):

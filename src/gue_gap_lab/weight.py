@@ -52,10 +52,6 @@ class GapWeight:
         if self.prec_bits <= 0:
             raise DomainError("prec_bits must be positive")
 
-    @classmethod
-    def from_str(cls, a_text: str, prec_bits: int) -> "GapWeight":
-        return cls(as_mpf(a_text, prec_bits), prec_bits)
-
     @property
     def _mu0_guarded(self) -> mp.mpf:
         """mu_0 = sqrt(pi) erfc(a) at prec_bits + GUARD_BITS, the recurrence start."""

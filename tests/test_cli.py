@@ -88,8 +88,8 @@ class TestTable:
 
     @pytest.mark.parametrize("digits, digest", [
         (["--digits", "30"],
-         "bcc4f42463babe699eba936271685fc5206ea8b6b8ae700a067ecc28ae233015"),
-        ([], "15738dc4c31e375871fb0dba9caf759277665c2296d9ac03183824f65e5bdcec"),
+         "01c82baa546a81717a35433ad3950e59b03a98865b811f6b85a5e856e9b019f6"),
+        ([], "3f815bf035f1efea872f696cdbd2f28dfeac77ce7eb2aefc5e5772d0cf180ee9"),
     ])
     def test_zero_rows_are_pinned(self, capsys, digits, digest):
         # stdout of the closed-form a = 0 rows, frozen when they had their
@@ -99,12 +99,12 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_default_digits_orbit_rows_are_pinned(self, capsys):
-        # stdout frozen when each table was kept from a pass at twice the
-        # bits it was certified at; a check pass 64 bits up prints the same
+        # stdout at the orbit's measured-loss start: 44-46 certified digits
+        # per row, each the rounding of the 150-odd the 512-bit start printed
         assert run_cli(["table", "--n-max", "40", "--a-list", "0.1,0.5,1,2,3.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5ae6ea7cdeaea0d74e3a92511cad605d6af0d7b75150a86939a91465634c0cd9")
+            "dc0a819c00c8f49f658cf9491d97f90b69e5f73c8ae1de9b8e587a3bcc7ef89e")
 
     def test_edge_zero_row_and_the_rows_after_it(self, tmp_path, monkeypatch):
         # P_2(a) forced below the certification threshold: the rows before
@@ -461,10 +461,10 @@ class TestProb:
         assert doc["prob_fredholm"] == doc["prob_hankel"]
 
     @pytest.mark.parametrize("args, digest", [
-        ("prob 10 3", "7d0c5e5e54303508237e9292a3e881b6597598bf6b1bbab8672950cbf08aa2da"),
-        ("prob 60 1", "d81e5a195a16898731147b68e4013cd331be807c7a28126e51e292c05ac2b670"),
+        ("prob 10 3", "662a0cb1142f48e948716095e60238268bc3b1733eb992d2753e83f5e02670b2"),
+        ("prob 60 1", "a748b59be045390fbc919df213de6670ec7eb34a65c2387ad384332fd2bd313a"),
         ("verify --suite oracle --n-max 6 --a-list 0.7,3",
-         "26489c376ae8831e0a825163dd0a815d90d16675e949c5db7edf2c2ed5304477"),
+         "d960ab8578e38a953a0f3c03b1f81b6e3f8b5c5bff1dc962bf765ad0e42ee78e"),
     ])
     def test_both_route_outputs_are_pinned(self, capsys, args, digest):
         # every byte the two routes print is pinned, so a change to how they
@@ -479,6 +479,39 @@ class TestProb:
         assert doc["prob_hankel"] == "1.0"
         assert doc["prob_fredholm"] is None
         assert "skipped" in doc["note"]
+
+
+def _printed_numbers(out):
+    """Every number a table or prob prints, in order, as strings;
+    rel_discrepancy and the config line depend on the working bits."""
+    lines = [ln for ln in out.splitlines()
+             if not ln.startswith("#") and "rel_discrepancy" not in ln]
+    return re.findall(r"-?\d\.\d+(?:e[+-]\d+)?", "\n".join(lines))
+
+
+class TestPrintedDigitsAreCertified:
+    @pytest.mark.parametrize("args", [
+        "table --n-max 12 --a-list 1e-9,0.5,3,12 --digits 100",
+        "prob 2 1 --digits 100",
+    ])
+    def test_every_printed_digit_matches_a_4096_bit_build(self, capsys, args):
+        # both certify to max(--target-digits, --digits), so every number
+        # is within one unit of its last printed digit of the same number
+        # from a build started at 4096 bits
+        assert run_cli(args.split()) == 0
+        shown = _printed_numbers(capsys.readouterr().out)
+        assert run_cli([*args.split(), "--prec-bits", "4096"]) == 0
+        ref = _printed_numbers(capsys.readouterr().out)
+        assert len(shown) == len(ref) > 0
+        with mp.workprec(512):
+            for x, y in zip(shown, ref):
+                if x == y:
+                    continue
+                mantissa, _, exp = x.partition("e")
+                digits = len(mantissa.lstrip("-").replace(".", ""))
+                assert digits == 100, x
+                unit = mp.mpf(10) ** (int(exp or 0) - digits + 1)
+                assert abs(mp.mpf(x) - mp.mpf(y)) <= unit, (x, y)
 
 
 class TestPlot:

@@ -81,7 +81,7 @@ def test_orbit_table_agrees_with_chebyshev_table(a_text):
 
 def test_orbit_table_certifies_from_base_bits(monkeypatch):
     # one pair of orbit passes (W, W + 64) per precision level, W from
-    # base_bits, not working_bits(n_max)
+    # base_bits, without the Chebyshev route's bits_per_n
     bits_seen = []
     real_pass = difference_eqs._orbit_pass
 
@@ -90,7 +90,7 @@ def test_orbit_table_certifies_from_base_bits(monkeypatch):
         return real_pass(a_value, n_max, bits)
 
     monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
-    table = orbit_recurrence_table("1", 12, PrecisionPolicy(base_bits=64))
+    table = orbit_recurrence_table("1", 12, PrecisionPolicy(base_bits=64, bits_per_n=32))
     assert bits_seen == [64, 128, 128, 192, 256, 320]
     assert table.working_bits == 320
     assert table.escalations == 2
@@ -98,8 +98,9 @@ def test_orbit_table_certifies_from_base_bits(monkeypatch):
 
 
 def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
-    # at a = 30 the orbit loses beta_n > 0 at 512 bits; that level
-    # certifies nothing and the loop goes on to the level (1024, 1088)
+    # started at 512 bits, the orbit at a = 30 loses beta_n > 0; that level
+    # certifies nothing, skips its check pass, and the loop goes on to the
+    # level (1024, 1088)
     bits_seen = []
     real_pass = difference_eqs._orbit_pass
 
@@ -108,8 +109,8 @@ def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
         return real_pass(a_value, n_max, bits)
 
     monkeypatch.setattr(difference_eqs, "_orbit_pass", counting_pass)
-    table = orbit_recurrence_table("30", 100)
-    assert bits_seen == [512, 576, 1024, 1088]
+    table = orbit_recurrence_table("30", 100, PrecisionPolicy(base_bits=512))
+    assert bits_seen == [512, 1024, 1088]
     assert table.working_bits == 1088
     assert table.certified_digits >= 40
 
@@ -119,8 +120,21 @@ def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
     ("1e-40", 200, 152), ("3", 200, 108),
 ])
 def test_orbit_table_certified_digits_are_pinned(a_text, n_max, digits):
-    # the counts a comparison with a pass at twice the bits gave
-    assert orbit_recurrence_table(a_text, n_max).certified_digits == digits
+    # an explicit start sets W exactly: from 512 bits the counts are those a
+    # comparison with a pass at twice the bits gave
+    table = orbit_recurrence_table(a_text, n_max, PrecisionPolicy(base_bits=512))
+    assert table.certified_digits == digits
+
+
+@pytest.mark.parametrize("a_text, n_max, digits, bits", [
+    ("1", 1000, 43, 326), ("6", 1000, 41, 916), ("30", 100, 42, 764), ("30", 20, 44, 364),
+    ("1e-40", 200, 43, 210), ("3", 200, 45, 367),
+])
+def test_orbit_default_start_certified_digits_are_pinned(a_text, n_max, digits, bits):
+    # the default start's first level, which the measured loss puts just
+    # above the 40-digit target
+    table = orbit_recurrence_table(a_text, n_max)
+    assert (table.certified_digits, table.working_bits, table.escalations) == (digits, bits, 0)
 
 
 def test_closure_residuals_pass(states_a1):

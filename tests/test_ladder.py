@@ -11,6 +11,7 @@ from gue_gap_lab import (
     residual_supplementary,
 )
 from gue_gap_lab.ladder import edge_quantities
+from gue_gap_lab.precision import as_mpf
 from gue_gap_lab.report import all_pass
 from gue_gap_lab.weight import GapWeight, seed_R0
 
@@ -26,7 +27,8 @@ R_REFERENCE = {
 
 
 def test_seed_rows(states_a1):
-    w = GapWeight.from_str("1", states_a1[0].bits)
+    bits = states_a1[0].bits
+    w = GapWeight(as_mpf("1", bits), bits)
     with mp.workprec(states_a1[0].bits):
         assert states_a1[0].r == 0
         assert states_a1[0].sigma == 0

@@ -20,8 +20,13 @@ from gue_gap_lab import (
     ladder_states,
     orthopoly,
 )
-from gue_gap_lab.precision import CHECK_BITS, Jet
+from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, Jet, as_mpf
 from gue_gap_lab.weight import GapWeight, moment
+
+
+# The start before the loss model; the bounds of the tests that pass it
+# assume its 150-odd certified digits.
+WIDE_POLICY = PrecisionPolicy(base_bits=512, bits_per_n=32)
 
 
 def monic_coefficient_rows(table, n_top, bits):
@@ -39,7 +44,7 @@ def monic_coefficient_rows(table, n_top, bits):
 
 class TestHermiteLimit:
     def test_matches_closed_forms_at_zero(self):
-        table = build_recurrence_table("0", 12)
+        table = build_recurrence_table("0", 12, WIDE_POLICY)
         h0 = hermite_norms_exact(table.n_max + 1, table.working_bits)
         with mp.workprec(table.working_bits):
             for j in range(table.n_max + 1):
@@ -67,7 +72,8 @@ class TestHermiteLimit:
 class TestCertification:
     def test_default_policy_meets_target(self, table_a1, policy):
         assert table_a1.certified_digits >= policy.target_certified_digits
-        assert table_a1.working_bits >= policy.working_bits(table_a1.n_max)
+        start = policy.start_bits("chebyshev", table_a1.a, table_a1.n_max)
+        assert table_a1.working_bits == start + CHECK_BITS
 
     def test_positive_coefficients(self, table_a1):
         for j in range(1, table_a1.n_max + 1):
@@ -85,7 +91,7 @@ class TestCertification:
     def test_one_pass_per_precision_level(self, monkeypatch):
         # each level runs its pair (W, W + 64) once; at a = 3 the 64- and
         # 128-bit passes lose positivity, so the first two levels certify
-        # nothing and W goes 64, 128, 256, 512
+        # nothing and skip their check passes, and W goes 64, 128, 256, 512
         bits_seen = []
         real_pass = orthopoly._chebyshev_pass
 
@@ -96,7 +102,7 @@ class TestCertification:
         monkeypatch.setattr(orthopoly, "_chebyshev_pass", counting_pass)
         starved = PrecisionPolicy(base_bits=64, bits_per_n=0)
         table = build_recurrence_table("3", 80, starved)
-        assert bits_seen == [64, 128, 128, 192, 256, 320, 512, 576]
+        assert bits_seen == [64, 128, 256, 320, 512, 576]
         assert table.escalations == 3
         assert table.working_bits == 576
         assert table.certified_digits >= 40
@@ -109,17 +115,23 @@ class TestCertification:
                                                      a_text, n_max, max_bits):
         # no pass is compared with one at its own bits: under a ceiling of
         # 256 or 200 bits the top level is (ceiling - 64, ceiling), which
-        # falls short of 40 digits, so the build gives up
+        # falls short of 40 digits, so the build gives up; a level whose
+        # lower pass lost positivity below the top skips its check pass
         module, name, build = {
             "chebyshev": (orthopoly, "_chebyshev_pass", build_recurrence_table),
             "orbit": (difference_eqs, "_orbit_pass", difference_eqs.orbit_recurrence_table),
         }[route]
-        bits_seen = []
+        passes = []  # (bits, kept positivity)
         real_pass = getattr(module, name)
 
         def recording_pass(a_value, n, bits):
-            bits_seen.append(bits)
-            return real_pass(a_value, n, bits)
+            try:
+                out = real_pass(a_value, n, bits)
+            except orthopoly._NonPositiveNorm:
+                passes.append((bits, False))
+                raise
+            passes.append((bits, True))
+            return out
 
         monkeypatch.setattr(module, name, recording_pass)
         policy = PrecisionPolicy(base_bits=64, bits_per_n=0, max_bits=max_bits)
@@ -129,25 +141,43 @@ class TestCertification:
                 build(a_text, n_max, policy)
         else:
             table = build(a_text, n_max, policy)
-            assert table.working_bits == bits_seen[-1]
-            assert table.escalations == len(bits_seen) // 2 - 1
-        lows, highs = bits_seen[0::2], bits_seen[1::2]
-        assert len(lows) == len(highs)
-        assert all(lo + CHECK_BITS == hi <= max_bits for lo, hi in zip(lows, highs))
+        top = max_bits - CHECK_BITS
+        lows, i = [], 0
+        while i < len(passes):
+            lo, kept = passes[i]
+            lows.append(lo)
+            if kept or lo >= top:
+                assert passes[i + 1][0] == lo + CHECK_BITS <= max_bits
+                i += 2
+            else:
+                i += 1
         ladder = [64]
         while len(ladder) < len(lows):
-            ladder.append(min(2 * ladder[-1], max_bits - CHECK_BITS))
+            ladder.append(min(2 * ladder[-1], top))
         assert lows == ladder
         if exhausted:
-            assert highs[-1] == max_bits
+            assert passes[-1][0] == max_bits
+        else:
+            assert table.working_bits == passes[-1][0]
+            assert table.escalations == len(lows) - 1
 
     @pytest.mark.parametrize("a_text, n_max, digits", [
         ("0.7", 26, 391), ("3", 26, 383), ("1", 61, 711), ("8", 61, 670),
     ])
     def test_certified_digits_are_pinned(self, a_text, n_max, digits):
-        # the counts a comparison with a pass at twice the bits gave
-        table = build_recurrence_table(a_text, n_max, jets=True)
+        # an explicit start sets W exactly: from 512 + 32 n bits the counts
+        # are those a comparison with a pass at twice the bits gave
+        table = build_recurrence_table(a_text, n_max, WIDE_POLICY, jets=True)
         assert table.certified_digits == digits
+
+    @pytest.mark.parametrize("a_text, n_max, digits, bits", [
+        ("0.7", 26, 44, 257), ("3", 26, 45, 287), ("1", 61, 43, 312), ("8", 61, 45, 451),
+    ])
+    def test_default_start_certified_digits_are_pinned(self, a_text, n_max, digits, bits):
+        # the default start's first level, which the measured loss puts just
+        # above the 40-digit target, at a sixth to a half of those bits
+        table = build_recurrence_table(a_text, n_max, jets=True)
+        assert (table.certified_digits, table.working_bits, table.escalations) == (digits, bits, 0)
 
     @pytest.mark.parametrize("a_text", ["0.7", "1.1", "2.5"])
     def test_jet_values_are_the_plain_build(self, a_text):
@@ -177,6 +207,18 @@ class TestCertification:
                                      target_certified_digits=40, max_bits=128)
         with pytest.raises(PrecisionExhaustedError):
             build_recurrence_table("1", 12, impossible)
+
+    @pytest.mark.parametrize("text", [
+        "1.5", "0.25", "2.500", "1.625", "-0.75", "1.7", "0.1", "1", "30", "1e-300", "1e-40",
+        "12.5e-1", "5e-401",
+    ])
+    def test_half_width_parses_to_the_mpf_of_as_mpf(self, text):
+        # a dyadic decimal skips mpmath's parse, an inexact one does not;
+        # both give every pass the same mpf as before
+        bits = PrecisionPolicy().max_bits + GUARD_BITS
+        assert orthopoly._parse_half_width(text, bits)._mpf_ == as_mpf(text, bits)._mpf_
+        if not text.startswith("-"):  # a builder rejects a < 0
+            assert orthopoly._parse_inputs(text, 4, None)[1]._mpf_ == as_mpf(text, bits)._mpf_
 
     def test_negative_a_rejected(self):
         with pytest.raises(DomainError):
@@ -208,9 +250,9 @@ class TestCertification:
 class TestOrthogonality:
     def test_moment_space_orthogonality(self):
         # <P_n, x^k> = sum_j c_j mu_{j+k}: zero for k < n, h_n at k = n
-        table = build_recurrence_table("0.7", 6)
+        table = build_recurrence_table("0.7", 6, WIDE_POLICY)
         bits = table.working_bits
-        w = GapWeight.from_str("0.7", bits)
+        w = GapWeight(as_mpf("0.7", bits), bits)
         rows = monic_coefficient_rows(table, 6, bits)
         with mp.workprec(bits):
             for n in range(1, 7):
@@ -248,9 +290,9 @@ def hankel_product(table, n):
 class TestHankelDeterminant:
     def test_against_lu_of_moment_matrix(self):
         # independent route: det of the raw (mu_{i+j}) matrix via mpmath LU
-        table = build_recurrence_table("0.7", 5)
+        table = build_recurrence_table("0.7", 5, WIDE_POLICY)
         bits = table.working_bits
-        w = GapWeight.from_str("0.7", bits)
+        w = GapWeight(as_mpf("0.7", bits), bits)
         for n in (2, 3, 5):
             with mp.workprec(bits):
                 M = mp.matrix(n, n)

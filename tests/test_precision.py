@@ -21,9 +21,12 @@ class TestReal:
 
 class TestPolicy:
     def test_working_bits_is_affine_in_n(self):
+        # an explicit start is exact: affine in n on the Chebyshev route,
+        # base_bits alone on the orbit
         p = PrecisionPolicy(base_bits=512, bits_per_n=32)
-        assert p.working_bits(0) == 512
-        assert p.working_bits(25) == 512 + 32 * 25
+        assert p.start_bits("chebyshev", 1, 0) == 512
+        assert p.start_bits("chebyshev", 1, 25) == 512 + 32 * 25
+        assert p.start_bits("orbit", 1, 25) == 512
 
     def test_escalate_grows_strictly(self):
         p = PrecisionPolicy()
@@ -37,7 +40,12 @@ class TestPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(base_bits=16)
         with pytest.raises(DomainError):
-            PrecisionPolicy(max_bits=256)
+            PrecisionPolicy(base_bits=512, max_bits=256)
+        with pytest.raises(DomainError):
+            PrecisionPolicy(max_bits=32)
+        with pytest.raises(DomainError):
+            PrecisionPolicy(bits_per_n=32)
+        assert PrecisionPolicy(max_bits=256).base_bits is None
 
 
 def test_as_mpf_rejects_garbage():

@@ -275,7 +275,7 @@ class TestRoutes:
             gap_probability_hankel(3, None)
 
     def test_zero_gap_is_certain(self):
-        p = gap_probability_hankel(5, "0")
+        p = gap_probability_hankel(5, "0", PrecisionPolicy(base_bits=512, bits_per_n=32))
         with mp.workprec(p.precision_bits):
             assert abs(p.value - 1) < mp.mpf(10) ** -150
 
@@ -302,9 +302,10 @@ class TestRoutes:
     def test_table_reuse_matches_fresh_build(self):
         from gue_gap_lab import build_recurrence_table
 
-        table = build_recurrence_table("1.2", 6)
+        wide = PrecisionPolicy(base_bits=512, bits_per_n=32)
+        table = build_recurrence_table("1.2", 6, wide)
         via_table = gap_probability_hankel(4, table=table)
-        fresh = gap_probability_hankel(4, "1.2")
+        fresh = gap_probability_hankel(4, "1.2", wide)
         with mp.workprec(min(via_table.precision_bits, fresh.precision_bits)):
             rel = abs(via_table.value - fresh.value) / fresh.value
             assert rel < mp.mpf(10) ** -100

@@ -24,7 +24,7 @@ TWO_OVER_SQRT_PI = "1.12837916709551257389615890312154517168810126"
 
 
 def make_weight(a_text, bits=512):
-    return GapWeight.from_str(a_text, bits)
+    return GapWeight(as_mpf(a_text, bits), bits)
 
 
 def test_odd_moments_vanish_exactly():

@@ -18,7 +18,7 @@ from .exceptions import (
     PrecisionExhaustedError,
     QuadratureConvergenceError,
 )
-from .precision import PrecisionPolicy, Real
+from .precision import PrecisionPolicy
 from .weight import GapWeight, moment, seed_R0
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
@@ -82,7 +82,6 @@ __all__ = [
     "PrecisionPolicy",
     "ProbabilityRecord",
     "QuadratureConvergenceError",
-    "Real",
     "RecurrenceTable",
     "ResidualCheck",
     "ResidualReport",

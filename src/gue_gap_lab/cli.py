@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
+
+try:  # the builtin SHA-256, as random.py takes _sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import mpmath as mp
 
@@ -57,8 +64,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a run depends on, hashable into the output header."""
 
     command: str
@@ -88,7 +94,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _half_width(text: str) -> str:

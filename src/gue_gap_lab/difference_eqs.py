@@ -22,8 +22,7 @@ value is part of the verification contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub
@@ -42,8 +41,7 @@ DEGENERACY_DIGITS = 20
 BRANCH_MATCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DiscreteOrbit:
+class DiscreteOrbit(NamedTuple):
     """r_0..r_N obtained by iterating the rational recurrence in n, as
     plain mpf values at ``bits``."""
 
@@ -231,8 +229,7 @@ def residual_R_recurrence(states: Sequence[LadderState], n: int) -> ResidualRepo
     return rep
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(NamedTuple):
     """Outcome of recovering r_n from (R_{n-1}, R_n) by the quadratic."""
 
     n: int

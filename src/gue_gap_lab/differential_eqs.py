@@ -40,9 +40,7 @@ sources:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
@@ -57,15 +55,10 @@ DEFAULT_FD_STEP = "1e-8"
 MIN_GRID_BITS = 700
 STENCIL_HALFWIDTH = 3
 
-# 7-node central coefficients, exact rationals; truncation error is O(h^6).
-_D1_W7 = (
-    Fraction(-1, 60), Fraction(3, 20), Fraction(-3, 4), Fraction(0),
-    Fraction(3, 4), Fraction(-3, 20), Fraction(1, 60),
-)
-_D2_W7 = (
-    Fraction(1, 90), Fraction(-3, 20), Fraction(3, 2), Fraction(-49, 18),
-    Fraction(3, 2), Fraction(-3, 20), Fraction(1, 90),
-)
+# 7-node central coefficients as exact (numerator, denominator) pairs;
+# truncation error is O(h^6).
+_D1_W7 = ((-1, 60), (3, 20), (-3, 4), (0, 1), (3, 4), (-3, 20), (1, 60))
+_D2_W7 = ((1, 90), (-3, 20), (3, 2), (-49, 18), (3, 2), (-3, 20), (1, 90))
 
 
 def fd_derivative(values: Sequence, order: int, h, bits: int) -> mp.mpf:
@@ -80,16 +73,16 @@ def fd_derivative(values: Sequence, order: int, h, bits: int) -> mp.mpf:
         hv = as_mpf(h, bits)
         if not hv > 0:
             raise DomainError("step h must be positive")
+        # an int numerator is exact: each product and quotient rounds once
         acc = mp.fsum(
-            vals[i] * mp.mpf(c.numerator) / c.denominator
-            for i, c in enumerate(_D1_W7 if order == 1 else _D2_W7)
-            if c != 0
+            vals[i] * num / den
+            for i, (num, den) in enumerate(_D1_W7 if order == 1 else _D2_W7)
+            if num
         )
         return acc / hv**order
 
 
-@dataclass(frozen=True)
-class AGrid:
+class AGrid(NamedTuple):
     """Ladder data on 7 nodes a0 + k h, k = -3..3, for derivative checks.
 
     Each node carries its own certified recurrence table and ladder states
@@ -138,10 +131,9 @@ def build_a_grid(
     if policy is None:
         policy = PrecisionPolicy()
     floor_bits = max(policy.start_bits("chebyshev", as_mpf(a0, 64), n_max), MIN_GRID_BITS)
-    grid_policy = replace(
-        policy,
+    grid_policy = PrecisionPolicy(
         base_bits=floor_bits,
-        bits_per_n=0,
+        target_certified_digits=policy.target_certified_digits,
         max_bits=max(policy.max_bits, floor_bits),
     )
     parse_bits = grid_policy.max_bits + GUARD_BITS
@@ -168,8 +160,7 @@ def build_a_grid(
     )
 
 
-@dataclass(frozen=True)
-class JetSource:
+class JetSource(NamedTuple):
     """Exact a-derivatives at one half-width: Taylor jets (value, d/da,
     d^2/da^2 / 2) of h, beta, R, r, sigma and p for n = 0..n_max, from one
     recurrence table built with ``jets=True``."""

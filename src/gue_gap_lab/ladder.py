@@ -25,8 +25,7 @@ A_n(z), B_n(z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath.libmp import mpf_abs, mpf_cmp, mpf_mul
@@ -46,8 +45,7 @@ DEFAULT_Z_SAMPLES = ("0.37", "-0.37", "2.1", "-2.1", "3.7", "10")
 POLE_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
-class LadderState:
+class LadderState(NamedTuple):
     """All edge quantities for one degree n at one gap half-width a, as
     plain mpf values at the ``bits`` of the table they came from."""
 

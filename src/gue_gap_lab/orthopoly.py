@@ -37,7 +37,7 @@ h_0 = mu_0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul,
@@ -51,8 +51,18 @@ from .weight import GapWeight, moment_jets, moments
 _LOG10_2 = 0.30102999566398120
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
+class _TableFields(NamedTuple):
+    a: mp.mpf
+    n_max: int
+    beta: tuple[mp.mpf, ...]
+    h: tuple[mp.mpf, ...]
+    certified_digits: int
+    working_bits: int
+    escalations: int = 0
+    jets: tuple[tuple[Jet, ...], tuple[Jet, ...]] | None = None
+
+
+class RecurrenceTable(_TableFields):
     """Certified recurrence data for one gap half-width.
 
     ``a``, ``beta[j]`` and ``h[j]`` (j = 0..n_max) are plain mpf values at
@@ -64,18 +74,13 @@ class RecurrenceTable:
     in a whose value parts are ``beta`` and ``h``; otherwise it is None.
     """
 
-    a: mp.mpf
-    n_max: int
-    beta: tuple[mp.mpf, ...]
-    h: tuple[mp.mpf, ...]
-    certified_digits: int
-    working_bits: int
-    escalations: int = 0
-    jets: tuple[tuple[Jet, ...], tuple[Jet, ...]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.beta) != self.n_max + 1 or len(self.h) != self.n_max + 1:
             raise DomainError("beta and h must both have n_max + 1 entries")
+        return self
 
 
 class _NonPositiveNorm(IllConditioningError):
@@ -290,9 +295,13 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     a digit per degree, more as a grows, and by default that start covers
     the loss measured for the pass on jets.  With ``jets`` the passes run
     on Taylor jets, and the table also carries them (see
-    ``RecurrenceTable``); its values are those of the plain build.
+    ``RecurrenceTable``); its values are those of the plain build.  Jets
+    require a > 0 (DomainError): at a = 0 derivative parts that vanish
+    exactly come out as rounding noise, so no level would certify.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
+    if jets and not a_value > 0:
+        raise DomainError("a table on jets requires a > 0")
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
     return _certify(pass_fn, a_value, n_max,
                     policy.start_bits("chebyshev", a_value, n_max), policy)

@@ -6,9 +6,7 @@ and mpf arithmetic runs inside an explicit ``mp.workprec`` block so results
 never silently round to the ambient global precision (``Jet`` arithmetic
 runs inside its callers' blocks).
 
-Values travel as plain mpf, and each container states their bits once.  A
-:class:`Real` pairs a value with its bits only where the caller cannot know
-them (the Hankel probability and the probability record), and a
+Values travel as plain mpf, and each container states their bits once; a
 :class:`Jet` carries a value together with its first a-derivatives.
 
 Loops of O(n) steps at one precision (the r_n orbit and its pass, the
@@ -23,7 +21,7 @@ the function, which returns plain mpf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -79,38 +77,12 @@ def loss_digits(route: str, a, n: int) -> float:
 def as_mpf(x, bits: int) -> mp.mpf:
     """Coerce x to an mpf rounded at ``bits`` of precision.
 
-    Accepts Real, mpf, int, Fraction-like rationals, str decimal literals
-    and float.  Strings are the preferred way to introduce non-integer
+    Accepts mpf, int, Fraction-like rationals, str decimal literals and
+    float.  Strings are the preferred way to introduce non-integer
     constants, since they parse exactly at the target precision.
     """
-    if isinstance(x, Real):
-        x = x.value
     with mp.workprec(bits):
         return +mp.mpf(x)
-
-
-@dataclass(frozen=True)
-class Real:
-    """An arbitrary-precision real paired with the bits it was computed at.
-
-    ``value`` is an mpmath mpf; ``precision_bits`` is the working precision
-    of the computation that produced it, not a rigorous error bound.  The
-    certification loop in the recurrence builder is what turns these nominal
-    precisions into certified digits.
-    """
-
-    value: mp.mpf
-    precision_bits: int
-
-    def __post_init__(self):
-        if not isinstance(self.precision_bits, int) or self.precision_bits <= 0:
-            raise DomainError("precision_bits must be a positive integer")
-        if not mp.isfinite(self.value):
-            raise DomainError(f"Real must be finite, got {self.value}")
-
-    def __repr__(self):
-        with mp.workprec(self.precision_bits):
-            return f"Real({mp.nstr(self.value, 20)}, bits={self.precision_bits})"
 
 
 class Jet:
@@ -157,8 +129,14 @@ class Jet:
         return Jet(out)
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class _PolicyFields(NamedTuple):
+    base_bits: int | None = None
+    bits_per_n: int = 0
+    target_certified_digits: int = 40
+    max_bits: int = 16384
+
+
+class PrecisionPolicy(_PolicyFields):
     """How much precision to start with and how to escalate.
 
     ``start_bits(route, a, n_max)`` gives the starting precision W of a
@@ -170,14 +148,15 @@ class PrecisionPolicy:
     the Chebyshev route and base_bits on the orbit.  When a level falls
     short of ``target_certified_digits``, W doubles until it certifies or
     the upper pass reaches ``max_bits``.
+
+    The constructor validates the fields; ``_replace`` does not, so build
+    a changed policy through the constructor.
     """
 
-    base_bits: int | None = None
-    bits_per_n: int = 0
-    target_certified_digits: int = 40
-    max_bits: int = 16384
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.base_bits is not None and self.base_bits < 64:
             raise DomainError("base_bits must be at least 64")
         if self.bits_per_n < 0:
@@ -188,6 +167,7 @@ class PrecisionPolicy:
             raise DomainError("target_certified_digits must be positive")
         if self.max_bits < (self.base_bits or 64):
             raise DomainError("max_bits must be at least base_bits (64 without it)")
+        return self
 
     def start_bits(self, route: str, a, n_max: int) -> int:
         """W for a ``route`` build ("chebyshev" or "orbit") at half-width a

@@ -28,7 +28,7 @@ since they share no code beyond the scalar kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fone, mpf_div, mpf_mul
@@ -36,7 +36,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, QuadratureConvergenceError
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
-from .precision import CHECK_BITS, GUARD_BITS, PrecisionPolicy, Real, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, PrecisionPolicy, as_mpf
 from .report import ResidualReport, make_check
 
 ORACLE_TOL = 1e-12
@@ -143,9 +143,9 @@ def gap_probability_hankel(
     a=None,
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
-) -> Real:
-    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``),
-    with the bits of the table it came from.
+) -> mp.mpf:
+    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``), at
+    the bits of the table it came from.
 
     Either pass a prebuilt certified table (preferred when one exists) or
     a value for ``a``.
@@ -156,7 +156,7 @@ def gap_probability_hankel(
         if a is None:
             raise DomainError("need either a or a prebuilt table")
         table = build_recurrence_table(a, max(n - 1, 0), policy)
-    return Real(hankel_probabilities(table, n)[n], table.working_bits)
+    return hankel_probabilities(table, n)[n]
 
 
 def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[mp.mpf]:
@@ -225,14 +225,21 @@ def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTab
     return a, table.working_bits, p_h, f_bits, gap_probability_fredholm(n, a, prec_bits=f_bits)
 
 
-@dataclass(frozen=True)
-class ProbabilityRecord:
-    """P(n, a) by both routes, with their relative discrepancy."""
+class RouteProbability(NamedTuple):
+    """One route's P(n, a): a plain mpf ``value`` and the ``bits`` it is at."""
+
+    value: mp.mpf
+    bits: int
+
+
+class ProbabilityRecord(NamedTuple):
+    """P(n, a) by both routes, with their relative discrepancy; ``a`` is at
+    the Hankel route's bits."""
 
     n: int
-    a: Real
-    prob_hankel: Real
-    prob_fredholm: Real
+    a: mp.mpf
+    prob_hankel: RouteProbability
+    prob_fredholm: RouteProbability
     rel_discrepancy: mp.mpf
 
 
@@ -250,8 +257,8 @@ def probability_record(
     a, bits, p_h, f_bits, p_f = _both_routes(n, a, policy, table)
     with mp.workprec(bits):
         rel = abs(p_h[-1] - p_f[-1]) / p_h[-1]
-    return ProbabilityRecord(n=n, a=Real(as_mpf(a, bits), bits), prob_hankel=Real(p_h[-1], bits),
-                             prob_fredholm=Real(p_f[-1], f_bits), rel_discrepancy=rel)
+    return ProbabilityRecord(n=n, a=as_mpf(a, bits), prob_hankel=RouteProbability(p_h[-1], bits),
+                             prob_fredholm=RouteProbability(p_f[-1], f_bits), rel_discrepancy=rel)
 
 
 def residual_oracle(

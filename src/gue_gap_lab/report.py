@@ -10,8 +10,7 @@ fairly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath import libmp
@@ -67,8 +66,7 @@ def relative_residual(terms: Sequence, bits: int) -> mp.mpf:
     return mp.make_mpf(libmp.mpf_div(total, scale, bits, rnd))
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(NamedTuple):
     """One named residual with its verdict."""
 
     name: str
@@ -85,13 +83,13 @@ def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) 
     return ResidualCheck(name=name, n=n, residual=r, tolerance=tolerance, passed=bool(r < tolerance))
 
 
-@dataclass
 class ResidualReport:
     """All residual checks attached to one (n, a) cell or one suite slice."""
 
-    a: str
-    n: int
-    checks: list[ResidualCheck] = field(default_factory=list)
+    def __init__(self, a: str, n: int, checks: list[ResidualCheck] | None = None):
+        self.a = a
+        self.n = n
+        self.checks = [] if checks is None else checks
 
     def add(self, check: ResidualCheck) -> None:
         self.checks.append(check)

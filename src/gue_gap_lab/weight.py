@@ -25,32 +25,43 @@ path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
 from .exceptions import DomainError
 from .precision import GUARD_BITS, Jet, as_mpf
 
+A_MAX = mp.mpf(10 ** 154, prec=0)  # exact; every half-width lies below it, GapWeight says why
 
-@dataclass(frozen=True)
-class GapWeight:
+
+class _GapWeightFields(NamedTuple):
+    a: mp.mpf
+    prec_bits: int
+
+
+class GapWeight(_GapWeightFields):
     """The weight e^{-x^2} on |x| > a, with its working precision.
 
     a = 0 is allowed and recovers the classical Hermite weight; the
     eigenvalue-gap quantities that divide by edge values restrict to a > 0
     at their own boundaries.  Every route builds one of these before its
-    first pass, so a half-width that is not finite and >= 0 fails here.
+    first pass, so a half-width that is not finite and >= 0 fails here, and
+    so does one not below ``A_MAX`` = 1e154: mpmath's erfc, which starts
+    every moment sweep, squares int(a) into a float, which overflows once
+    a passes about 1.34e154.
     """
 
-    a: mp.mpf
-    prec_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (mp.isfinite(self.a) and self.a >= 0):
-            raise DomainError(f"gap half-width must be a finite number >= 0, got {self.a}")
-        if self.prec_bits <= 0:
+    def __new__(cls, a: mp.mpf, prec_bits: int):
+        if not (mp.isfinite(a) and a >= 0):
+            raise DomainError(f"gap half-width must be a finite number >= 0, got {a}")
+        if not a < A_MAX:
+            raise DomainError(f"gap half-width must be below 1e154, where erfc overflows, got {a}")
+        if prec_bits <= 0:
             raise DomainError("prec_bits must be positive")
+        return super().__new__(cls, a, prec_bits)
 
     @property
     def _mu0_guarded(self) -> mp.mpf:

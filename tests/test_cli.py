@@ -238,6 +238,23 @@ class TestTable:
         assert h[0] == h[1]
         assert h[0] != h[2]
 
+    @pytest.mark.parametrize("command, suite, tolerances", [
+        ("table", "all", ()),
+        ("verify", "discrete", (("all", 1e-20), ("pair_sum", 1e-25))),
+    ])
+    def test_config_hash_is_the_sha256_of_the_canonical_json(self, command, suite, tolerances):
+        config = cli.RunConfig(command=command, n_max=3, a_values=("1", "2.5"),
+                               policy=PrecisionPolicy(max_bits=4096), digits=30, suite=suite,
+                               tolerances=tolerances)
+        blob = json.dumps(config.canonical(), sort_keys=True, separators=(",", ":")).encode()
+        assert config.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
+
+    def test_half_width_past_the_erfc_bound_gives_error_rows(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        assert run_cli(["table", "--n-max", "2", "--a-list", "1,1e400", "--out", str(out)]) == 1
+        _, rows = read_table(str(out))
+        assert [r["status"] for r in rows] == ["ok"] * 3 + ["error:DomainError"] * 3
+
     def test_csv_roundtrip_at_printed_precision(self, tmp_path):
         out = tmp_path / "rt.csv"
         run_cli(["table", "--n-max", "3", "--a-list", "0.7",
@@ -336,6 +353,13 @@ class TestVerify:
             assert err == ""
             rows = json.loads(out.read_text())["checks"]
             assert any(c["name"] == name and c["tolerance"] == 1e-5 for c in rows) == (a_list == "1")
+
+    def test_half_width_past_the_erfc_bound_is_a_cell_error(self, tmp_path):
+        out = tmp_path / "huge.json"
+        assert run_cli(["verify", "--n-max", "2", "--a-list", "1e400", "--out", str(out)]) == 1
+        [row] = json.loads(out.read_text())["checks"]
+        assert row["name"] == "cell_error:DomainError" and row["pass"] is False
+        assert "1e154" in row["note"]
 
     def test_zero_cell_warns_but_does_not_fail(self, tmp_path):
         out = tmp_path / "v.json"
@@ -604,6 +628,20 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_loads_no_openssl_dataclasses_or_fractions(self):
+        # beyond mpmath and the stdlib modules the CLI itself uses, importing
+        # it loads nothing heavy: hashlib would load OpenSSL's libcrypto,
+        # dataclasses inspect and ast, and fractions decimal
+        code = ("import sys, json, mpmath, argparse, csv; base = set(sys.modules); "
+                "import gue_gap_lab.cli; print(json.dumps(sorted(set(sys.modules) - base)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "gue_gap_lab.cli" in loaded
+        heavy = {"hashlib", "_hashlib", "dataclasses", "inspect", "fractions", "decimal"}
+        assert not loaded & heavy
+
     def test_help_screens(self):
         for args in ([], ["table"], ["verify"], ["prob"], ["plot"]):
             proc = subprocess.run(
@@ -667,6 +705,14 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
+
+
+def test_prob_past_the_erfc_bound_is_one_line_and_exit_one(capsys):
+    assert cli.main(["prob", "2", "1e400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "DomainError" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_prob_failure_is_one_line_and_exit_one(capsys, monkeypatch):

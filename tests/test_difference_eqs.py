@@ -170,13 +170,11 @@ def test_branch_selection_alternates_with_parity(states_a1):
 
 
 def test_branch_selection_rejects_corrupted_data(states_a1):
-    import dataclasses
-
     from gue_gap_lab.precision import as_mpf
 
     bad = list(states_a1)
     bits = states_a1[2].bits
-    bad[2] = dataclasses.replace(bad[2], r=as_mpf("100", bits))
+    bad[2] = bad[2]._replace(r=as_mpf("100", bits))
     with pytest.raises(BranchSelectionError):
         select_r_branch(bad, 2)
 

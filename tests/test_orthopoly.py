@@ -191,6 +191,16 @@ class TestCertification:
         assert [j.c[0] for j in beta_jets] == list(jets.beta)
         assert [j.c[0] for j in h_jets] == list(jets.h)
 
+    def test_jets_at_zero_half_width_fail_before_any_pass(self, monkeypatch):
+        # at a = 0 the derivative parts that vanish exactly come out as
+        # rounding noise, so escalation would run to the ceiling in vain
+        passes = []
+        monkeypatch.setattr(orthopoly, "_chebyshev_pass", lambda *args, **kw: passes.append(args))
+        for a in ("0", "0.000", mp.mpf(0)):
+            with pytest.raises(DomainError, match="a > 0"):
+                build_recurrence_table(a, 61, PrecisionPolicy(max_bits=4096), jets=True)
+        assert passes == []
+
     def test_certified_digits_cover_the_derivative_parts(self):
         # two passes that agree on every value but differ in one second
         # derivative at the 1e-20 level certify 20 digits, not the cap

@@ -1,22 +1,17 @@
-"""Arbitrary-precision scaffolding: Real, policy, parsing."""
+"""Arbitrary-precision scaffolding: policy, parsing."""
 
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import (
-    DomainError,
-    PrecisionPolicy,
-    Real,
-)
+from gue_gap_lab import DomainError, PrecisionPolicy
 from gue_gap_lab.precision import as_mpf
 
 
-class TestReal:
-    def test_string_parse_is_exact_at_bits(self):
-        r = Real(as_mpf("0.1", 256), 256)
-        with mp.workprec(256):
-            assert r.value == mp.mpf("0.1")
-        assert r.precision_bits == 256
+def test_as_mpf_string_parse_is_exact_at_bits():
+    x = as_mpf("0.1", 256)
+    with mp.workprec(256):
+        assert x == mp.mpf("0.1")
+    assert x != as_mpf("0.1", 512)
 
 
 class TestPolicy:

@@ -5,7 +5,13 @@ import math
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, PrecisionPolicy, QuadratureConvergenceError, probability
+from gue_gap_lab import (
+    DomainError,
+    PrecisionPolicy,
+    QuadratureConvergenceError,
+    build_recurrence_table,
+    probability,
+)
 from gue_gap_lab.probability import (
     det_identity_minus,
     fredholm_bits,
@@ -205,26 +211,25 @@ class TestDeterminant:
 class TestRoutes:
     def test_erfc_anchor(self):
         for a_text in ("0.1", "0.5", "1", "2"):
-            p = gap_probability_hankel(1, a_text)
-            with mp.workprec(p.precision_bits):
+            table = build_recurrence_table(a_text, 0)
+            p = gap_probability_hankel(1, table=table)
+            with mp.workprec(table.working_bits):
                 ref = mp.erfc(mp.mpf(a_text))
-                assert abs(p.value - ref) / ref < mp.mpf(10) ** -30
+                assert abs(p - ref) / ref < mp.mpf(10) ** -30
 
     def test_erfc_anchor_frozen_digits(self):
         p = gap_probability_hankel(1, "1")
         with mp.workprec(512):
-            assert abs(p.value - mp.mpf(ERFC_1)) / mp.mpf(ERFC_1) < mp.mpf(10) ** -44
+            assert abs(p - mp.mpf(ERFC_1)) / mp.mpf(ERFC_1) < mp.mpf(10) ** -44
 
     def test_probability_in_unit_interval_and_decreasing_in_n(self):
-        from gue_gap_lab import build_recurrence_table
-
         table = build_recurrence_table("0.8", 7)
         prev = mp.mpf(1)
         for n in range(1, 8):
             p = gap_probability_hankel(n, table=table)
-            assert 0 < p.value < 1
-            assert p.value < prev
-            prev = p.value
+            assert 0 < p < 1
+            assert p < prev
+            prev = p
 
     def test_routes_agree(self):
         for n, a_text in ((2, "0.5"), (4, "1"), (6, "1.5")):
@@ -275,15 +280,14 @@ class TestRoutes:
             gap_probability_hankel(3, None)
 
     def test_zero_gap_is_certain(self):
-        p = gap_probability_hankel(5, "0", PrecisionPolicy(base_bits=512, bits_per_n=32))
-        with mp.workprec(p.precision_bits):
-            assert abs(p.value - 1) < mp.mpf(10) ** -150
+        table = build_recurrence_table("0", 4, PrecisionPolicy(base_bits=512, bits_per_n=32))
+        p = gap_probability_hankel(5, table=table)
+        with mp.workprec(table.working_bits):
+            assert abs(p - 1) < mp.mpf(10) ** -150
 
     def test_one_running_product_serves_every_size(self):
         # each P(k, a) is the product prod_{j<k} h_j / h_j(0), formed in
         # order at the table's bits, whichever size asks for it
-        from gue_gap_lab import build_recurrence_table
-
         table = build_recurrence_table("0.9", 8)
         bits = table.working_bits
         probs = hankel_probabilities(table, 9)
@@ -295,19 +299,18 @@ class TestRoutes:
                     h0 = mp.mpf(math.factorial(j)) / mp.mpf(2) ** j * mp.sqrt(mp.pi)
                     ref *= table.h[j] / h0
                 assert probs[k]._mpf_ == ref._mpf_
-                assert gap_probability_hankel(k, table=table).value._mpf_ == ref._mpf_
+                assert gap_probability_hankel(k, table=table)._mpf_ == ref._mpf_
         with pytest.raises(DomainError):
             hankel_probabilities(table, 10)
 
     def test_table_reuse_matches_fresh_build(self):
-        from gue_gap_lab import build_recurrence_table
-
         wide = PrecisionPolicy(base_bits=512, bits_per_n=32)
         table = build_recurrence_table("1.2", 6, wide)
+        fresh_table = build_recurrence_table("1.2", 3, wide)
         via_table = gap_probability_hankel(4, table=table)
-        fresh = gap_probability_hankel(4, "1.2", wide)
-        with mp.workprec(min(via_table.precision_bits, fresh.precision_bits)):
-            rel = abs(via_table.value - fresh.value) / fresh.value
+        fresh = gap_probability_hankel(4, table=fresh_table)
+        with mp.workprec(min(table.working_bits, fresh_table.working_bits)):
+            rel = abs(via_table - fresh) / fresh
             assert rel < mp.mpf(10) ** -100
 
 
@@ -325,12 +328,13 @@ class TestPrecisionRule:
     @pytest.mark.parametrize("a_text, n", [("3", 10), ("6", 4), ("5", 1), ("2", 25)])
     def test_hard_cells_agree_with_the_hankel_route(self, a_text, n):
         # wide gaps and large n, where I - G_n loses the most bits
-        p_h = gap_probability_hankel(n, a_text)
+        table = build_recurrence_table(a_text, n - 1)
+        p_h = gap_probability_hankel(n, table=table)
         bits = fredholm_bits(n, p_h, 40)
         p_f = gap_probability_fredholm(n, a_text, prec_bits=bits)[-1]
         assert p_f._mpf_[3] <= bits  # mantissa rounded to prec_bits
-        with mp.workprec(p_h.precision_bits):
-            assert abs(p_h.value - p_f) / p_h.value < mp.mpf(10) ** -40
+        with mp.workprec(table.working_bits):
+            assert abs(p_h - p_f) / p_h < mp.mpf(10) ** -40
 
     def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
         # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192, so both

@@ -8,7 +8,6 @@ truncation in ``sci_str``.  The two must agree bit for bit.  (The strings of
 the 16384-bit table at a = 30 are checked in ``test_cli``, which builds it.)
 """
 
-import dataclasses
 import math
 import random
 
@@ -162,7 +161,7 @@ def test_orbit_pass_compare_edge_check_and_hankel_match_the_operators(a_text):
         # thresholds 10^0, 10^-3 and 10^-40 against the ratios |P_n| / scale
         P = edge_quantities(table.a, table.beta, table.h, bits)["P"]
         for certified in (0, 6, 80):
-            t = dataclasses.replace(table, certified_digits=certified)
+            t = table._replace(certified_digits=certified)
             assert _edge_zero(t) == _edge_zero_ref(t, P)
 
 

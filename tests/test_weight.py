@@ -139,6 +139,26 @@ def test_non_finite_half_width_fails_at_the_boundary(route, args):
         route(*args)
 
 
+@pytest.mark.parametrize("route, args", [
+    (build_recurrence_table, ("1e400", 5)),
+    (orbit_recurrence_table, ("1e155", 5)),
+    (iterate_r_orbit, ("1e400", 5, 256)),
+    (build_a_grid, ("1e400", 3)),
+    (probability_record, (3, "1e400")),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_half_width_past_the_erfc_bound_fails_at_the_boundary(route, args):
+    # mpmath's erfc squares int(a) into a float, which overflows past about
+    # 1.34e154; GapWeight rejects a >= 1e154 before any pass reaches it
+    with pytest.raises(DomainError, match="below 1e154"):
+        route(*args)
+
+
+def test_erfc_bound_is_exclusive_and_just_below_it_evaluates():
+    with pytest.raises(DomainError, match="below 1e154"):
+        make_weight("1e154")
+    assert moment(0, make_weight("9.9e153")) > 0
+
+
 @given(st.integers(min_value=0, max_value=6).map(lambda k: 2 * k))
 @settings(max_examples=10, deadline=None)
 def test_even_moments_decrease_as_gap_widens(k):

@@ -16,7 +16,6 @@ from .exceptions import (
     GapLabError,
     IllConditioningError,
     PrecisionExhaustedError,
-    QuadratureConvergenceError,
 )
 from .precision import PrecisionPolicy
 from .weight import GapWeight, moment, seed_R0
@@ -81,7 +80,6 @@ __all__ = [
     "PrecisionExhaustedError",
     "PrecisionPolicy",
     "ProbabilityRecord",
-    "QuadratureConvergenceError",
     "RecurrenceTable",
     "ResidualCheck",
     "ResidualReport",

@@ -30,7 +30,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
-from .orthopoly import RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs
+from .orthopoly import RecurrenceTable, _certified_table, _NonPositiveNorm, _parse_inputs
 from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport, make_check
 from .weight import GapWeight, moment, seed_R0
@@ -115,7 +115,7 @@ def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
     (DomainError); raises the Chebyshev route's exceptions otherwise.
     """
     policy, a_value = _parse_inputs(a, n_max, policy)
-    return _certify(_orbit_pass, a_value, n_max, policy.start_bits("orbit", a_value, n_max), policy)
+    return _certified_table("orbit", _orbit_pass, a_value, n_max, policy)
 
 
 def residual_orbit_vs_direct(

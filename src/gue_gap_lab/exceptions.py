@@ -17,11 +17,11 @@ class DomainError(GapLabError, ValueError):
 
 
 class IllConditioningError(GapLabError):
-    """The moment-to-recurrence map lost all significant digits.
+    """A certified computation lost all significant digits.
 
-    Raised when a norm that must be positive comes out zero or negative, or
-    when two precision levels fail to agree on any leading digit, at the
-    highest precision the policy allows.
+    Raised when a quantity that must be positive (a norm h_n, the orbit's
+    2 beta_n R_{n-1}, or a pivot of I - G_n) comes out zero or negative at
+    the highest precision the policy allows.
     """
 
 
@@ -69,16 +69,6 @@ class DegenerateDenominatorError(GapLabError):
     def __init__(self, message: str, *, n: int = -1):
         super().__init__(message)
         self.n = n
-
-
-class QuadratureConvergenceError(GapLabError):
-    """The Fredholm determinant of the overlap matrix cannot be certified.
-
-    Raised when a pivot of the LDL^T factorization of I - G is not positive,
-    or when the minors formed at two precisions disagree by more than the
-    loss the route budgets.  The name dates from when G came from
-    quadrature.
-    """
 
 
 class BranchSelectionError(GapLabError):

@@ -14,12 +14,12 @@ is accepted only after a pass at W bits and a check pass at W + CHECK_BITS
 agree to the policy's target number of digits, and W escalates until they
 do or the check pass reaches the ceiling.  W starts at the target plus the
 route's measured loss (``PrecisionPolicy.start_bits``), so the first level
-normally certifies.  That loop, ``_certify``, also
-certifies the second route to the same table,
-``difference_eqs.orbit_recurrence_table``, from which ``table`` builds every
-a > 0 cell; ``verify``, ``prob``, the continuous grid and the acceptance gate
-use this module's Chebyshev route.  The table keeps the check pass, so its
-working bits are W + CHECK_BITS.
+normally certifies.  That loop, ``_certify``, certifies every route: the
+second route to the same table, ``difference_eqs.orbit_recurrence_table``,
+from which ``table`` builds every a > 0 cell, and the Fredholm minors of
+``probability``; ``verify``, ``prob``, the continuous grid and the
+acceptance gate use this module's Chebyshev route.  The table keeps the
+check pass, so its working bits are W + CHECK_BITS.
 
 Every moment has an exact a-derivative (``weight.moment_jets``), so the same
 pass run on Taylor jets (``build_recurrence_table(..., jets=True)``) carries
@@ -84,14 +84,25 @@ class RecurrenceTable(_TableFields):
 
 
 class _NonPositiveNorm(IllConditioningError):
-    """A quantity that is positive in exact arithmetic (h_n, or the orbit's
-    2 beta_n R_{n-1}) came out <= 0 at the current precision.  ``_certify``
-    treats that level as certifying nothing; outside the loop it is an
-    IllConditioningError."""
+    """A quantity that is positive in exact arithmetic (h_n, the orbit's
+    2 beta_n R_{n-1}, or a pivot of I - G_n) came out <= 0 at the current
+    precision.  ``_certify`` treats that level as certifying nothing;
+    outside the loop it is an IllConditioningError."""
 
-    def __init__(self, index: int):
-        super().__init__(f"norm {index} not positive")
+    def __init__(self, index: int, what: str = "norm"):
+        super().__init__(f"{what} {index} not positive")
         self.index = index
+
+
+class Certified(NamedTuple):
+    """What ``_certify`` keeps: the upper pass of the level that reached the
+    target (``value``, numbers at ``working_bits``), the digits its pair
+    agreed on, and how many times the precision was raised to get there."""
+
+    value: object
+    certified_digits: int
+    working_bits: int
+    escalations: int
 
 
 def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int, jets: bool = False):
@@ -133,27 +144,26 @@ def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int, jets: bool = False):
 
 
 def _numbers(values):
-    """Every number of a pass's list: its values, or its jets' coefficients."""
+    """Every number of a pass, in order: nested sequences are flattened, and
+    a jet gives its coefficients."""
     for v in values:
         if isinstance(v, Jet):
             yield from v.c
+        elif isinstance(v, (list, tuple)):
+            yield from _numbers(v)
         else:
             yield v
 
 
 def _certified_digits(lo, hi, lo_bits: int) -> int:
     """Decimal digits on which two passes agree: the worst relative
-    disagreement over all recurrence coefficients (over each jet
-    coefficient, for a pass on jets), capped at the lower pass's precision.
-    One logarithm, of the worst disagreement, since floor(-log10(rel))
-    falls as rel grows.  The compare runs at 64 bits on raw mpf tuples."""
-    beta_lo, h_lo = lo
-    beta_hi, h_hi = hi
+    disagreement over all their numbers (over each jet coefficient, for a
+    pass on jets), capped at the lower pass's precision.  One logarithm, of
+    the worst disagreement, since floor(-log10(rel)) falls as rel grows.
+    The compare runs at 64 bits on raw mpf tuples."""
     cap = int(lo_bits * _LOG10_2)
-    pairs = (list(zip(_numbers(beta_lo[1:]), _numbers(beta_hi[1:])))
-             + list(zip(_numbers(h_lo), _numbers(h_hi))))
     worst = fzero
-    for x, y in pairs:
+    for x, y in zip(_numbers(lo), _numbers(hi)):
         x, y = x._mpf_, y._mpf_
         if x != y:  # normalized tuples are equal exactly when the values are
             ax, ay = mpf_abs(x, 64, RN), mpf_abs(y, 64, RN)
@@ -169,26 +179,26 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
         return min(cap, int(mp.floor(-mp.log10(mp.make_mpf(worst)))))
 
 
-def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
-             policy: PrecisionPolicy) -> RecurrenceTable:
-    """Run ``pass_fn(a_value, n_max, bits) -> (beta, h)`` at pairs of
-    precisions until a pair agrees to the policy target.
+def _certify(run, start_bits: int, policy: PrecisionPolicy) -> Certified:
+    """Run the pass ``run(bits)``, which returns a nested sequence of mpf or
+    Jet, at pairs of precisions until a pair agrees to the policy target.
 
     Each level runs a pass at W bits and a check pass at W + CHECK_BITS,
-    and takes their worst relative agreement over all beta_j and h_j,
-    capped at W's digits, as the certified digit count; the table keeps the
-    upper pass.  A pass loses about the same digits at any precision, so
-    the pass 64 bits up measures W's error as well as one at 2W would.  W
-    starts at ``start_bits`` and escalates through ``policy.escalate``,
-    capped at max_bits - CHECK_BITS so that the top level is
+    and takes their worst relative agreement over all their numbers, capped
+    at W's digits, as the certified digit count; the upper pass is kept.  A
+    pass loses about the same digits at any precision, so the pass 64 bits
+    up measures W's error as well as one at 2W would.  W starts at
+    ``start_bits`` and escalates through ``policy.escalate``, capped at
+    max_bits - CHECK_BITS so that the top level is
     (max_bits - CHECK_BITS, max_bits) and no pass is ever compared with one
     at the same bits.  A pass raises _NonPositiveNorm when its precision
     cannot keep positive what must be; its level then certifies nothing,
     and below the top level its check pass is skipped.
     Raises PrecisionExhaustedError when the top level falls short of the
     target, or when start_bits + CHECK_BITS is already above the ceiling,
-    and IllConditioningError if norms cannot even be kept positive at the
-    ceiling.  Both recurrence builders certify through this one loop.
+    and IllConditioningError if positivity fails even at the ceiling.  Every
+    certified route runs through this one loop: the Chebyshev and orbit
+    tables (``_certified_table``) and the Fredholm minors.
     """
     top = policy.max_bits - CHECK_BITS
     if start_bits > top:
@@ -199,48 +209,30 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
             ceiling_bits=policy.max_bits,
         )
 
-    def run(bits):
-        """The pass at ``bits``, or None when its norms did not stay positive."""
+    def attempt(bits):
+        """The pass at ``bits``, or None when it did not stay positive."""
         try:
-            return pass_fn(a_value, n_max, bits)
+            return run(bits)
         except _NonPositiveNorm as exc:
             if bits >= policy.max_bits:
                 raise IllConditioningError(
-                    f"norm h_{exc.index} not positive at ceiling precision "
-                    f"{policy.max_bits} bits (a={mp.nstr(a_value, 8)}, n_max={n_max})"
-                ) from exc
+                    f"{exc} at ceiling precision {policy.max_bits} bits") from exc
             return None
 
     bits = start_bits
     levels = 0
     best_certified = 0
     while True:
-        lo = run(bits)
+        lo = attempt(bits)
         # a level whose lower pass lost positivity certifies nothing, so its
         # check pass runs only at the top, where it may raise
-        hi = run(bits + CHECK_BITS) if lo is not None or bits >= top else None
+        hi = attempt(bits + CHECK_BITS) if lo is not None or bits >= top else None
         levels += 1
         if lo is not None and hi is not None:
             certified = _certified_digits(lo, hi, bits)
             best_certified = max(best_certified, certified)
             if certified >= policy.target_certified_digits:
-                beta, h = hi
-                jets = None
-                if isinstance(h[0], Jet):
-                    jets = (tuple(beta), tuple(h))
-                    beta = [b.c[0] for b in beta]
-                    h = [v.c[0] for v in h]
-                kept = bits + CHECK_BITS
-                return RecurrenceTable(
-                    a=as_mpf(a_value, kept),
-                    n_max=n_max,
-                    beta=tuple(beta),
-                    h=tuple(h),
-                    certified_digits=certified,
-                    working_bits=kept,
-                    escalations=levels - 1,
-                    jets=jets,
-                )
+                return Certified(hi, certified, bits + CHECK_BITS, levels - 1)
         if bits >= top:
             raise PrecisionExhaustedError(
                 f"certified only {best_certified} digits of "
@@ -249,6 +241,24 @@ def _certify(pass_fn, a_value: mp.mpf, n_max: int, start_bits: int,
                 ceiling_bits=policy.max_bits,
             )
         bits = min(policy.escalate(bits), top)
+
+
+def _certified_table(route: str, pass_fn, a_value: mp.mpf, n_max: int,
+                     policy: PrecisionPolicy) -> RecurrenceTable:
+    """The table of ``pass_fn(a_value, n_max, bits) -> (beta, h)``,
+    certified by ``_certify`` from ``policy.start_bits(route, a, n_max)``;
+    a pass on jets also gives the table its ``jets``."""
+    (beta, h), certified, kept, escalations = _certify(
+        lambda bits: pass_fn(a_value, n_max, bits),
+        policy.start_bits(route, a_value, n_max), policy)
+    jets = None
+    if isinstance(h[0], Jet):
+        jets = (tuple(beta), tuple(h))
+        beta = [b.c[0] for b in beta]
+        h = [v.c[0] for v in h]
+    return RecurrenceTable(a=as_mpf(a_value, kept), n_max=n_max, beta=tuple(beta), h=tuple(h),
+                           certified_digits=certified, working_bits=kept,
+                           escalations=escalations, jets=jets)
 
 
 def _parse_half_width(a, bits: int) -> mp.mpf:
@@ -303,8 +313,7 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     if jets and not a_value > 0:
         raise DomainError("a table on jets requires a > 0")
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
-    return _certify(pass_fn, a_value, n_max,
-                    policy.start_bits("chebyshev", a_value, n_max), policy)
+    return _certified_table("chebyshev", pass_fn, a_value, n_max, policy)
 
 
 def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:

@@ -41,16 +41,19 @@ CHECK_BITS = 64
 #
 # a minimax fit to the losses measured over (a, n) in
 # tests/data/loss_table.json, which ``tools/loss_table.py`` writes and, with
-# --check, re-measures.  The loss grows about linearly in n with a slope
-# that depends on a (Gautschi, *Orthogonal Polynomials: Computation and
-# Approximation*, OUP 2004, sec. 2.1.7): s is the Chebyshev map's own loss
-# per degree at a = 0, which the orbit does not have, and the logarithm is
-# the gap's, about (p t + q t^2) / ln 10 per degree while t is small and
-# log10(q t^2) once a is well past sqrt(n).  The Chebyshev losses are those
-# of the pass on jets, whose derivative parts certification also compares.
+# --check, re-measures.  n is the table's top degree on the Chebyshev and
+# orbit routes and the order of the Fredholm matrix C_n.  The loss grows
+# about linearly in n with a slope that depends on a (Gautschi, *Orthogonal
+# Polynomials: Computation and Approximation*, OUP 2004, sec. 2.1.7): s is
+# the Chebyshev map's own loss per degree at a = 0, which neither the orbit
+# nor C_n (exactly I at a = 0) has, and the logarithm is the gap's, about
+# (p t + q t^2) / ln 10 per degree while t is small and log10(q t^2) once a
+# is well past sqrt(n).  The Chebyshev losses are those of the pass on jets,
+# whose derivative parts certification also compares.
 LOSS_FIT = {
     "chebyshev": (1.47, 0.45, 0.0, 3.94),
     "orbit": (-0.29, 0.0, 2.53, 4.21),
+    "fredholm": (-1.13, 0.0, 3.52, 6.01),
 }
 
 # Digits a default start adds to the fitted loss: the smallest margin at
@@ -62,7 +65,8 @@ _LOG2_10 = math.log2(10)
 
 def loss_digits(route: str, a, n: int) -> float:
     """The fitted digit loss (``LOSS_FIT``) of a ``route`` build
-    ("chebyshev" or "orbit") at half-width a (a number) up to degree n.  An
+    ("chebyshev", "orbit" or "fredholm") at half-width a (a number) and
+    size n, as ``LOSS_FIT`` defines it.  An
     a that is not below 1e100 (huge, infinite or not a number) counts as
     1e100, so that no float overflows; the builders reject the last two
     before a pass runs."""
@@ -140,12 +144,12 @@ class PrecisionPolicy(_PolicyFields):
     """How much precision to start with and how to escalate.
 
     ``start_bits(route, a, n_max)`` gives the starting precision W of a
-    recurrence build; certification compares a pass at W with one at
+    certified build; certification compares a pass at W with one at
     W + CHECK_BITS.  By default W is (target + loss + margin) log2(10)
     rounded up, the loss from ``loss_digits`` and the margin
     ``LOSS_MARGIN_DIGITS``, so a build certifies at its first level.  An
     explicit ``base_bits`` sets W exactly: base_bits + bits_per_n n_max on
-    the Chebyshev route and base_bits on the orbit.  When a level falls
+    the Chebyshev route and base_bits on the others.  When a level falls
     short of ``target_certified_digits``, W doubles until it certifies or
     the upper pass reaches ``max_bits``.
 
@@ -170,8 +174,8 @@ class PrecisionPolicy(_PolicyFields):
         return self
 
     def start_bits(self, route: str, a, n_max: int) -> int:
-        """W for a ``route`` build ("chebyshev" or "orbit") at half-width a
-        up to degree n_max."""
+        """W for a ``route`` build ("chebyshev", "orbit" or "fredholm") at
+        half-width a and size n_max (see ``LOSS_FIT``)."""
         if self.base_bits is not None:
             return self.base_bits + (self.bits_per_n * n_max if route == "chebyshev" else 0)
         digits = self.target_certified_digits + loss_digits(route, a, n_max) + LOSS_MARGIN_DIGITS

@@ -8,18 +8,19 @@ in (-a, a).  Two independent routes compute it:
   as prod_{j<n} h_j(a) / h_j(0) with the closed form
   h_j(0) = (j!/2^j) sqrt(pi);
 
-* fredholm route: P(n, a) = det(I - G) where G is the n x n matrix of
+* fredholm route: P(n, a) = det(I - G_n) where G_n is the n x n matrix of
   overlaps of the first n orthonormal Hermite functions over (-a, a).
-  Its entries follow exactly, with no quadrature, from erf(a) and the
-  Hermite functions at x = a, by a recurrence from the derivative and
-  x phi relations of DLMF 18.9 (``overlap_matrix``).  G_k is the leading
-  k x k block of G_n, so one unpivoted LDL^T factorization of I - G_n
-  gives P(k, a) for every k <= n as its leading principal minors.  Its
-  precision comes from the digits asked for plus the bits I - G_n can
-  lose, bounded through the Hankel value of P(n, a) (``fredholm_bits``),
-  not from the Hankel table's bits.  It is certified across precisions:
-  the minors formed again at CHECK_BITS more bits must agree within that
-  loss.
+  I - G_n is their Gram matrix C over |x| > a, whose entries follow
+  exactly, with no quadrature and no subtraction from the identity, from
+  erfc(a) and the Hermite functions at x = a, by a recurrence from the
+  derivative and x phi relations of DLMF 18.9 (``overlap_matrix``).  C_k
+  is the leading k x k block of C_n, so one unpivoted LDL^T factorization
+  of C_n gives P(k, a) for every k <= n as its leading principal minors
+  (Bornemann, "On the numerical evaluation of Fredholm determinants",
+  Math. Comp. 79, 2010).  The minors are certified by the loop that
+  certifies the recurrence tables (``orthopoly._certify``), from the start
+  bits of the route's own measured loss, so the route reads no number of
+  the Hankel route.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -27,16 +28,16 @@ since they share no code beyond the scalar kernel.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fone, mpf_div, mpf_mul
 from mpmath.libmp import round_nearest as RN
 
-from .exceptions import DomainError, QuadratureConvergenceError
-from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
-from .precision import CHECK_BITS, GUARD_BITS, PrecisionPolicy, as_mpf
+from .exceptions import DomainError
+from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs,
+                        build_recurrence_table, hermite_norms_exact)
+from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport, make_check
 
 ORACLE_TOL = 1e-12
@@ -55,19 +56,22 @@ def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
 
 
 def overlap_matrix(n: int, a, bits: int) -> list[list[mp.mpf]]:
-    """G[j][k] = integral_{-a}^{a} phi_j phi_k dx for j, k < n, exactly.
+    """C[j][k] = integral_{|x| > a} phi_j phi_k dx for j, k < n, exactly:
+    C = I - G_n itself, whose minors are those of I - G_n.
 
-    Integrating (phi_j phi_k)' over (-a, a) with the relations
+    Integrating (phi_j phi_k)' over |x| > a with the relations
     phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} and
     x phi_k = sqrt(k/2) phi_{k-1} + sqrt((k+1)/2) phi_{k+1} (DLMF 18.9)
-    gives, for j + k even,
+    gives, for j + k even and j <= k,
 
-        G[j][k] = (sqrt(j) G[j-1][k-1] - sqrt(2) phi_j(a) phi_{k-1}(a)) / sqrt(k)
+        C[j][k] = (sqrt(j) C[j-1][k-1] + sqrt(2) phi_j(a) phi_{k-1}(a)) / sqrt(k)
 
-    from G[0][0] = erf(a); the first row is the boundary term alone.  An
-    entry with j + k odd is exactly 0, since phi_j phi_k is then odd.  Only
-    k >= j is walked, so each factor sqrt(j / k) is at most 1 and rounding
-    errors add up along a band instead of growing.
+    from C[0][0] = erfc(a); the first row is the boundary term alone, and
+    on the diagonal this is C[k-1][k-1] + sqrt(2/k) phi_k(a) phi_{k-1}(a).
+    An entry with j + k odd is exactly 0, since phi_j phi_k is then odd.
+    Only k >= j is walked, so each factor sqrt(j / k) is at most 1 and
+    rounding errors add up along a band instead of growing.  At a = 0 every
+    boundary term holds a factor phi_odd(0) = 0, so C is exactly I.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
@@ -78,41 +82,41 @@ def overlap_matrix(n: int, a, bits: int) -> list[list[mp.mpf]]:
     with mp.workprec(bits):
         roots = [mp.sqrt(j) for j in range(n)]
         sqrt2 = mp.sqrt(2)
-        G = [[mp.mpf(0)] * n for _ in range(n)]
-        G[0][0] = mp.erf(av)
+        C = [[mp.mpf(0)] * n for _ in range(n)]
+        C[0][0] = mp.erfc(av)
         for j in range(n):
             for k in range(j or 2, n, 2):
                 edge = sqrt2 * phi[j] * phi[k - 1]
-                inner = roots[j] * G[j - 1][k - 1] - edge if j else -edge
-                G[j][k] = G[k][j] = inner / roots[k]
-        return G
+                inner = roots[j] * C[j - 1][k - 1] + edge if j else edge
+                C[j][k] = C[k][j] = inner / roots[k]
+        return C
 
 
-def det_identity_minus(G: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
-    """Leading principal minors det(I - G)[:k, :k] for k = 1..n, by LDL^T.
+def det_identity_minus(C: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
+    """Leading principal minors det(I - G_n)[:k, :k] for k = 1..n, by LDL^T:
+    the minors of I - G_n, from C = I - G_n itself (``overlap_matrix``).
 
-    I - G is symmetric positive definite, since 0 <= G < I is the Gram
-    matrix of orthonormal functions restricted to (-a, a).  Unpivoted
-    elimination is therefore stable, and the k-th minor is the product of
-    the first k pivots.  Only the lower triangle of the Schur complement is
-    updated.  A pivot that is not positive means rounding lost that
-    property, and raises QuadratureConvergenceError.
+    C is symmetric positive definite, the Gram matrix of orthonormal
+    functions restricted to |x| > a.  Unpivoted elimination is therefore
+    stable, and the k-th minor is the product of the first k pivots.  Only
+    the lower triangle of the Schur complement is updated.  A pivot that is
+    not positive means rounding lost that property, and raises
+    ``orthopoly._NonPositiveNorm``, on which the certification loop
+    escalates.
 
-    G must vanish wherever j + k is odd, as ``overlap_matrix``'s does; the
+    C must vanish wherever j + k is odd, as ``overlap_matrix``'s does; the
     updates keep that pattern, so only the rows and columns of the pivot's
     parity are updated (the others would subtract exact zeros).
     """
-    n = len(G)
+    n = len(C)
     with mp.workprec(bits):
-        M = [[(mp.mpf(1) if i == j else mp.mpf(0)) - G[i][j] for j in range(n)] for i in range(n)]
+        M = [list(row) for row in C]
         minors = []
         det = mp.mpf(1)
         for k in range(n):
             pivot = M[k][k]
             if not pivot > 0:
-                raise QuadratureConvergenceError(
-                    f"pivot {k + 1} of I - G is {mp.nstr(pivot, 5)}, not positive"
-                )
+                raise _NonPositiveNorm(k + 1, "pivot")
             det *= pivot
             minors.append(det)
             for i in range(k + 2, n, 2):
@@ -159,61 +163,35 @@ def gap_probability_hankel(
     return hankel_probabilities(table, n)[n]
 
 
-def gap_probability_fredholm(n: int, a, prec_bits: int = 512) -> list[mp.mpf]:
+def _fredholm_pass(a_value: mp.mpf, n: int, bits: int) -> list[mp.mpf]:
+    """[P(1, a), ..., P(n, a)] at ``bits``: the minors of one C_n."""
+    return det_identity_minus(overlap_matrix(n, a_value, bits), bits)
+
+
+def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -> Certified:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
-    of the Hermite-function overlap matrix G_n.
+    of the Hermite-function overlap matrix G_n: the minors of I - G_n, from
+    C = I - G_n itself.
 
-    G_n and its minors are formed at prec_bits + GUARD_BITS and again at
-    CHECK_BITS more bits.  At prec_bits the k-th minor may lose up to
-    log2(k / P(k, a)) bits (``fredholm_bits``), so the two must agree to a
-    relative 2^-prec_bits k / P(k, a); a larger disagreement, or a pivot
-    that is not positive, raises QuadratureConvergenceError.  The minors of
-    the second pass are returned, rounded to prec_bits.
+    Certified by ``orthopoly._certify`` to ``policy.target_certified_digits``
+    from ``policy.start_bits("fredholm", a, n)``, the target plus the
+    route's measured loss unless ``base_bits`` sets W exactly.  Returns the
+    loop's record: the minors of the upper pass in ``value``, their
+    certified digits, bits and escalations.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    bits = prec_bits + GUARD_BITS
-    dets_lo, dets_hi = (det_identity_minus(overlap_matrix(n, a, b), b)
-                        for b in (bits, bits + CHECK_BITS))
-    with mp.workprec(bits):
-        for k, (det_lo, det_hi) in enumerate(zip(dets_lo, dets_hi), start=1):
-            rel = abs(det_hi - det_lo) / det_hi
-            bound = mp.ldexp(k, -prec_bits) / det_hi
-            if not rel <= bound:
-                raise QuadratureConvergenceError(
-                    f"minors at {bits} and {bits + CHECK_BITS} bits disagree by "
-                    f"{mp.nstr(rel, 5)} (bound {mp.nstr(bound, 5)}) at n={k}"
-                )
-    return [as_mpf(d, prec_bits) for d in dets_hi]
-
-
-def fredholm_bits(n: int, p_hankel, digits: int) -> int:
-    """Precision at which ``gap_probability_fredholm`` gives ``digits`` digits
-    of P(k, a) for every k <= n, from the Hankel route's P(n, a).
-
-    0 <= G_n < I, so every eigenvalue of I - G_n lies in (0, 1] and the
-    smallest is at least det(I - G_n) = P(n, a): the LDL^T minors lose at
-    most about log2(n / P(n, a)) bits (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 10), and GUARD_BITS absorb the constant.
-    A wrong P(n, a) would show as route disagreement, so it cannot make the
-    check pass falsely.  Rounded up to a multiple of 64 bits.
-    """
-    if n < 1:
-        raise DomainError(f"matrix size must be >= 1, got {n}")
-    with mp.workprec(64):
-        loss = max(0, int(mp.ceil(mp.log(n / as_mpf(p_hankel, 64), 2))))
-    bits = math.ceil(digits * math.log2(10)) + loss
-    return -(-bits // 64) * 64
+    policy, a_value = _parse_inputs(a, n, policy)
+    return _certify(lambda bits: _fredholm_pass(a_value, n, bits),
+                    policy.start_bits("fredholm", a_value, n), policy)
 
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):
-    """(a, bits, Hankel [P(1, a), ..., P(n, a)], Fredholm bits, Fredholm
-    [P(1, a), ..., P(n, a)]).  bits is the table's, built at degree n - 1
-    unless given, and so is a if None."""
+    """(a, bits, Hankel [P(1, a), ..., P(n, a)], certified Fredholm minors).
+    bits is the table's, built at degree n - 1 unless given, and so is a if
+    None.  The routes share no number: the Fredholm route starts from a."""
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    if policy is None:
-        policy = PrecisionPolicy()
     if table is None:
         if a is None:
             raise DomainError("need either a or a prebuilt table")
@@ -221,8 +199,7 @@ def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTab
     if a is None:
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]
-    f_bits = fredholm_bits(n, p_h[-1], policy.target_certified_digits)
-    return a, table.working_bits, p_h, f_bits, gap_probability_fredholm(n, a, prec_bits=f_bits)
+    return a, table.working_bits, p_h, gap_probability_fredholm(n, a, policy)
 
 
 class RouteProbability(NamedTuple):
@@ -249,16 +226,15 @@ def probability_record(
     policy: PrecisionPolicy | None = None,
     table: RecurrenceTable | None = None,
 ) -> ProbabilityRecord:
-    """Compute both routes and their relative discrepancy |h - f| / h.
-
-    The Fredholm route runs at ``fredholm_bits`` for
-    ``policy.target_certified_digits``.
-    """
-    a, bits, p_h, f_bits, p_f = _both_routes(n, a, policy, table)
+    """Compute both routes and their relative discrepancy |h - f| / h, each
+    certified to ``policy.target_certified_digits``."""
+    a, bits, p_h, fredholm = _both_routes(n, a, policy, table)
+    p_f = fredholm.value[-1]
     with mp.workprec(bits):
-        rel = abs(p_h[-1] - p_f[-1]) / p_h[-1]
+        rel = abs(p_h[-1] - p_f) / p_h[-1]
     return ProbabilityRecord(n=n, a=as_mpf(a, bits), prob_hankel=RouteProbability(p_h[-1], bits),
-                             prob_fredholm=RouteProbability(p_f[-1], f_bits), rel_discrepancy=rel)
+                             prob_fredholm=RouteProbability(p_f, fredholm.working_bits),
+                             rel_discrepancy=rel)
 
 
 def residual_oracle(
@@ -269,9 +245,10 @@ def residual_oracle(
     table: RecurrenceTable | None = None,
 ) -> ResidualReport:
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
-    P(k, a), k = 1..n, from one recurrence table and one Fredholm call at
-    ``fredholm_bits`` for ``policy.target_certified_digits``."""
-    a, bits, p_h, _, p_f = _both_routes(n, a, policy, table)
+    P(k, a), k = 1..n, from one recurrence table and one Fredholm call, each
+    certified to ``policy.target_certified_digits``."""
+    a, bits, p_h, fredholm = _both_routes(n, a, policy, table)
+    p_f = fredholm.value
     rep = ResidualReport(a=mp.nstr(as_mpf(a, bits), 12), n=n)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):

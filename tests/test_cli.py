@@ -22,6 +22,7 @@ from gue_gap_lab import (
     cli,
     difference_eqs,
     orthopoly,
+    precision,
     probability,
 )
 from gue_gap_lab.report import sci_str
@@ -208,7 +209,7 @@ class TestTable:
         # bits nstr reads (plus GUARD_BITS) and then handed to nstr
         assert len(printed) == 21 * 8
         for x, digits, text in printed:
-            bits = int((digits + 3) * math.log2(10)) + probability.GUARD_BITS
+            bits = int((digits + 3) * math.log2(10)) + precision.GUARD_BITS
             cut = mp.make_mpf(libmp.mpf_pos(x._mpf_, bits, libmp.round_down))
             assert text == mp.nstr(cut, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
@@ -405,16 +406,16 @@ class TestVerify:
 
     def test_one_certified_table_per_cell(self, monkeypatch, tmp_path):
         # the continuous suite reads the cell's one table: no grid of node
-        # tables, so one certification loop per cell
+        # tables, so one certified table per cell
         loops = []
-        real_certify = orthopoly._certify
+        real_table = orthopoly._certified_table
 
-        def counting_certify(*args, **kwargs):
-            loops.append(args[1])
-            return real_certify(*args, **kwargs)
+        def counting_table(*args, **kwargs):
+            loops.append(args[2])
+            return real_table(*args, **kwargs)
 
-        monkeypatch.setattr(orthopoly, "_certify", counting_certify)
-        monkeypatch.setattr(difference_eqs, "_certify", counting_certify)
+        monkeypatch.setattr(orthopoly, "_certified_table", counting_table)
+        monkeypatch.setattr(difference_eqs, "_certified_table", counting_table)
         out = tmp_path / "v.json"
         assert run_cli(["verify", "--n-max", "2", "--a-list", "0.7,1.1",
                         "--out", str(out)]) == 0
@@ -485,10 +486,10 @@ class TestProb:
         assert doc["prob_fredholm"] == doc["prob_hankel"]
 
     @pytest.mark.parametrize("args, digest", [
-        ("prob 10 3", "662a0cb1142f48e948716095e60238268bc3b1733eb992d2753e83f5e02670b2"),
-        ("prob 60 1", "a748b59be045390fbc919df213de6670ec7eb34a65c2387ad384332fd2bd313a"),
+        ("prob 10 3", "702355bedcec5ce31a82f51582d721ebec33a496141eee6f873edf6916c5cab6"),
+        ("prob 60 1", "0b082d02a76f6808db21189ff9a3ce5db95528fcc58b5af812f4d6b20241027e"),
         ("verify --suite oracle --n-max 6 --a-list 0.7,3",
-         "d960ab8578e38a953a0f3c03b1f81b6e3f8b5c5bff1dc962bf765ad0e42ee78e"),
+         "c0098525157e51964260c6b542f3cd07ca534d66e841d2a92a6b0049f6a424af"),
     ])
     def test_both_route_outputs_are_pinned(self, capsys, args, digest):
         # every byte the two routes print is pinned, so a change to how they
@@ -716,21 +717,31 @@ def test_prob_past_the_erfc_bound_is_one_line_and_exit_one(capsys):
 
 
 def test_prob_failure_is_one_line_and_exit_one(capsys, monkeypatch):
-    # an overlap matrix 16 units off in the last bit the route budgets
-    # fails the cross-precision check of the Fredholm minors
+    # a C that is off by about 1e-28 at every precision keeps every level
+    # of the Fredholm certification below 40 digits, up to the ceiling
     exact = probability.overlap_matrix
 
     def perturbed(n, a, bits):
-        G = exact(n, a, bits)
+        C = exact(n, a, bits)
         with mp.workprec(bits):
-            G[0][0] += mp.mpf(2) ** (4 + probability.GUARD_BITS - bits)
-        return G
+            C[0][0] += mp.ldexp(bits, -100) * C[0][0]
+        return C
 
     monkeypatch.setattr(probability, "overlap_matrix", perturbed)
     assert cli.main(["prob", "1", "5"]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "QuadratureConvergenceError" in err
+    assert len(err.splitlines()) == 1 and "PrecisionExhaustedError" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a", ["1e100", "1e153"])
+def test_prob_at_huge_half_widths_certifies_both_routes(capsys, a):
+    # the Fredholm route starts from its own fitted loss, not from
+    # log2(1 / P(n, a)), which is about 1e200 bits here
+    assert cli.main(["prob", "2", a]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert mp.mpf(doc["rel_discrepancy"]) < 1e-12
+    assert doc["prob_fredholm"] == doc["prob_hankel"]
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [

@@ -1,5 +1,6 @@
 """Gap probability routes: overlap matrix, determinants, anchors, agreement."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -7,14 +8,16 @@ import pytest
 
 from gue_gap_lab import (
     DomainError,
+    PrecisionExhaustedError,
     PrecisionPolicy,
-    QuadratureConvergenceError,
     build_recurrence_table,
+    precision,
     probability,
 )
+from gue_gap_lab.difference_eqs import orbit_recurrence_table
+from gue_gap_lab.orthopoly import _NonPositiveNorm, _parse_inputs
 from gue_gap_lab.probability import (
     det_identity_minus,
-    fredholm_bits,
     gap_probability_fredholm,
     gap_probability_hankel,
     hankel_probabilities,
@@ -104,15 +107,18 @@ class TestHermiteFunctions:
 class TestOverlapMatrix:
     @pytest.mark.parametrize("n, a_text", [(6, "0.5"), (12, "2.5"), (8, "4")])
     def test_entries_against_mpmath_quad(self, n, a_text):
-        # the recurrence against direct quadrature of phi_j phi_k over (-a, a)
+        # the recurrence against direct quadrature of phi_j phi_k over
+        # (-inf, -a] and [a, inf); every entry's quadrature meets the same
+        # nodes, so the Hermite functions are formed once per node
         bits = 256
-        G = overlap_matrix(n, a_text, bits)
+        C = overlap_matrix(n, a_text, bits)
+        phi = functools.lru_cache(maxsize=None)(lambda x: hermite_function_values(n, x, bits))
         with mp.workprec(bits):
             av = mp.mpf(a_text)
             for j, k in ((0, 0), (1, 3), (n - 1, n - 1), (n - 4, n - 2), (0, n - 2)):
-                ref = mp.quad(lambda x: (lambda v: v[j] * v[k])(
-                    hermite_function_values(k + 1, x, bits)), [-av, 0, av])
-                assert abs(G[j][k] - ref) < mp.mpf(2) ** -240
+                ref = sum(mp.quad(lambda x: phi(x)[j] * phi(x)[k], span)
+                          for span in ([-mp.inf, -av], [av, mp.inf]))
+                assert abs(C[j][k] - ref) < mp.mpf(2) ** -240
 
     @pytest.mark.parametrize("a_text", ["0.1", "1.3", "6"])
     def test_doubling_the_bits_moves_no_entry(self, a_text):
@@ -124,30 +130,32 @@ class TestOverlapMatrix:
         assert worst < mp.mpf(2) ** (8 - bits)
 
     def test_odd_entries_are_exact_zeros(self):
-        G = overlap_matrix(9, "1.7", 192)
+        C = overlap_matrix(9, "1.7", 192)
         for j in range(9):
             for k in range(9):
-                assert (G[j][k] == 0) == ((j + k) % 2 == 1)
+                assert (C[j][k] == 0) == ((j + k) % 2 == 1)
 
     def test_zero_gap_is_the_zero_matrix(self):
-        G = overlap_matrix(6, "0", 128)
-        assert all(v == 0 for row in G for v in row)
+        # the overlaps over a gap of zero width, I - C, are exactly zero:
+        # every boundary term holds a factor phi_odd(0) = 0, so C is I
+        C = overlap_matrix(6, "0", 128)
+        assert all(v == (j == k) for j, row in enumerate(C) for k, v in enumerate(row))
 
 
 class TestDeterminant:
     def test_against_mpmath_lu(self):
         # every leading principal minor against mpmath's LU of the block
         bits = 512
-        G = overlap_matrix(4, "0.9", bits)
-        minors = det_identity_minus(G, bits)
+        C = overlap_matrix(4, "0.9", bits)
+        minors = det_identity_minus(C, bits)
         assert len(minors) == 4
         with mp.workprec(bits):
             for k in range(1, 5):
                 M = mp.matrix(k, k)
                 for i in range(k):
                     for j in range(k):
-                        M[i, j] = G[i][j]
-                ref = mp.det(mp.eye(k) - M)
+                        M[i, j] = C[i][j]
+                ref = mp.det(M)
                 assert abs(minors[k - 1] - ref) / abs(ref) < mp.mpf(10) ** -120
 
     @pytest.mark.parametrize("n, a_text", [(12, "2.5"), (9, "0.7")])
@@ -156,9 +164,9 @@ class TestDeterminant:
         # column j <= i: the updates the parity skip leaves out subtract
         # exact zeros, so every minor is bit for bit the same
         bits = 256
-        G = overlap_matrix(n, a_text, bits)
+        C = overlap_matrix(n, a_text, bits)
         with mp.workprec(bits):
-            M = [[(1 if i == j else 0) - G[i][j] for j in range(n)] for i in range(n)]
+            M = [list(row) for row in C]
             ref, det = [], mp.mpf(1)
             for k in range(n):
                 det *= M[k][k]
@@ -167,32 +175,35 @@ class TestDeterminant:
                     f = M[i][k] / M[k][k]
                     for j in range(k + 1, i + 1):
                         M[i][j] -= f * M[j][k]
-        assert [m._mpf_ for m in det_identity_minus(G, bits)] == [r._mpf_ for r in ref]
+        assert [m._mpf_ for m in det_identity_minus(C, bits)] == [r._mpf_ for r in ref]
 
     def test_non_positive_pivot_is_a_quadrature_failure(self):
-        # I - G with an overlap of 1 on the diagonal is not positive definite
+        # a C with a zero on the diagonal is not positive definite: its
+        # pivot raises the _NonPositiveNorm on which the loop escalates
         bits = 128
         with mp.workprec(bits):
-            G = [[mp.mpf("0.5"), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
-        with pytest.raises(QuadratureConvergenceError):
-            det_identity_minus(G, bits)
+            C = [[mp.mpf("0.5"), mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]]
+        with pytest.raises(_NonPositiveNorm, match="pivot 2") as exc:
+            det_identity_minus(C, bits)
+        assert exc.value.index == 2
 
     def test_overlap_matrix_symmetric(self):
         bits = 384
-        G = overlap_matrix(5, "1.1", bits)
+        C = overlap_matrix(5, "1.1", bits)
         with mp.workprec(bits):
             for i in range(5):
                 for j in range(5):
-                    assert abs(G[i][j] - G[j][i]) < mp.mpf(10) ** -100
+                    assert abs(C[i][j] - C[j][i]) < mp.mpf(10) ** -100
 
     @pytest.mark.parametrize("n, a_text, order, bits", [
         (1, "0.5", 40, 256), (6, "1.1", 45, 384), (9, "2.5", 76, 800),
         (4, "5", 129, 1328), (5, "0.7", 52, 1328),
     ])
     def test_parity_fold_matches_the_full_node_sum(self, n, a_text, order, bits):
-        # the recurrence, which folds parity into exact zeros, against the
-        # order-point Gauss-Legendre sum over every node and every entry; the
-        # sum's own truncation error is at most 2e-72 at these orders
+        # the recurrence, which folds parity into exact zeros, against I minus
+        # the order-point Gauss-Legendre sum over (-a, a), over every node and
+        # every entry; the sum's own truncation error is at most 2e-72 at
+        # these orders
         nodes, weights = gauss_legendre(order, bits)
         ref = [[None] * n for _ in range(n)]
         with mp.workprec(bits):
@@ -200,12 +211,12 @@ class TestDeterminant:
             rows = [hermite_function_values(n, av * t, bits) for t in nodes]
             for l in range(n):
                 for m in range(l, n):
-                    ref[l][m] = ref[m][l] = av * mp.fsum(
+                    ref[l][m] = ref[m][l] = (l == m) - av * mp.fsum(
                         w * row[l] * row[m] for w, row in zip(weights, rows))
-        G = overlap_matrix(n, a_text, bits)
+        C = overlap_matrix(n, a_text, bits)
         with mp.workprec(bits):
-            assert max(abs(G[l][m] - ref[l][m]) for l in range(n) for m in range(n)) < mp.mpf(10) ** -60
-        assert all(G[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
+            assert max(abs(C[l][m] - ref[l][m]) for l in range(n) for m in range(n)) < mp.mpf(10) ** -60
+        assert all(C[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
 
 
 class TestRoutes:
@@ -243,33 +254,35 @@ class TestRoutes:
         assert rep.worst < 1e-12
 
     def test_oracle_builds_one_rule_pair_for_every_n(self, monkeypatch):
-        # one G_n at each precision of the cross-precision pair serves
-        # every k <= n through its leading minors
+        # one C_n at each precision of the cross-precision pair serves
+        # every k <= n through its leading minors, from the route's own start
         built = watch_overlap_builds(monkeypatch)
         rep = residual_oracle(4, "0.9")
         assert len(rep.checks) == 4 and rep.all_pass
         assert len(built) == 2
-        assert built[1][2] == built[0][2] + 64
-        assert all(b[:2] == (4, "0.9") for b in built)
+        start = PrecisionPolicy().start_bits("fredholm", 0.9, 4)
+        assert [b[2] for b in built] == [start, start + 64]
+        assert all(b[:2] == (4, _parse_inputs("0.9", 4, None)[1]) for b in built)
 
     def test_fredholm_convergence_guard(self, monkeypatch):
-        # an error of 16 units in the last certified bit of the low pass's
-        # G[0][0] must fail the cross-precision check
-        prec_bits = 128
+        # an error in C[0][0] that does not shrink as the bits grow, about
+        # 1e-28 between the passes of a level, keeps every level below 40
+        # digits, so the loop ends at the ceiling
         exact = probability.overlap_matrix
 
         def perturbed(n, a, bits):
-            G = exact(n, a, bits)
-            if bits == prec_bits + probability.GUARD_BITS:
-                with mp.workprec(bits):
-                    G[0][0] += mp.mpf(2) ** (4 - prec_bits)
-            return G
+            C = exact(n, a, bits)
+            with mp.workprec(bits):
+                C[0][0] += mp.ldexp(bits, -100)
+            return C
 
+        policy = PrecisionPolicy(max_bits=2048)
         monkeypatch.setattr(probability, "overlap_matrix", perturbed)
-        with pytest.raises(QuadratureConvergenceError, match="disagree"):
-            gap_probability_fredholm(4, "0.5", prec_bits=prec_bits)
+        with pytest.raises(PrecisionExhaustedError, match="certified only 2[78] digits"):
+            gap_probability_fredholm(4, "0.5", policy)
         monkeypatch.setattr(probability, "overlap_matrix", exact)
-        assert len(gap_probability_fredholm(4, "0.5", prec_bits=prec_bits)) == 4
+        fredholm = gap_probability_fredholm(4, "0.5", policy)
+        assert len(fredholm.value) == 4 and fredholm.certified_digits >= 40
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -315,32 +328,41 @@ class TestRoutes:
 
 
 class TestPrecisionRule:
-    def test_digits_plus_loss_rounded_to_64_bits(self):
-        # 40 digits are 133 bits; P = 2^-100 at n = 1 adds 100 bits of loss
-        assert fredholm_bits(1, 1, 40) == 192
-        assert fredholm_bits(1, mp.mpf(2) ** -100, 40) == 256
-        assert fredholm_bits(4, mp.mpf(2) ** -100, 40) == 256
-        assert fredholm_bits(4, mp.mpf(2) ** -124, 40) == 320
-        assert fredholm_bits(1, 1, 1) == 64
-        with pytest.raises(DomainError):
-            fredholm_bits(0, 1, 40)
+    def test_start_is_target_plus_fredholm_loss(self, monkeypatch):
+        # the route starts at the target plus its own fitted loss, or at
+        # --prec-bits exactly, and keeps the upper pass of its first level
+        policy = PrecisionPolicy()
+        for a, n in ((0.7, 3), (8, 60), (1e100, 2)):
+            digits = 40 + precision.loss_digits("fredholm", a, n) + precision.LOSS_MARGIN_DIGITS
+            assert policy.start_bits("fredholm", a, n) == math.ceil(digits * math.log2(10))
+        assert precision.loss_digits("fredholm", 1, 10) < precision.loss_digits("fredholm", 1, 40)
+        assert precision.loss_digits("fredholm", 1, 40) < precision.loss_digits("fredholm", 8, 40)
+        explicit = PrecisionPolicy(base_bits=200, bits_per_n=8)
+        assert explicit.start_bits("fredholm", 8, 60) == 200
+        built = watch_overlap_builds(monkeypatch)
+        fredholm = gap_probability_fredholm(3, "1.1", explicit)
+        assert [b[2] for b in built] == [200, 264]
+        assert (fredholm.working_bits, fredholm.escalations) == (264, 0)
 
-    @pytest.mark.parametrize("a_text, n", [("3", 10), ("6", 4), ("5", 1), ("2", 25)])
+    @pytest.mark.parametrize("a_text, n", [
+        ("3", 10), ("6", 4), ("5", 1), ("2", 25), ("8", 60), ("12", 30),
+    ])
     def test_hard_cells_agree_with_the_hankel_route(self, a_text, n):
-        # wide gaps and large n, where I - G_n loses the most bits
-        table = build_recurrence_table(a_text, n - 1)
-        p_h = gap_probability_hankel(n, table=table)
-        bits = fredholm_bits(n, p_h, 40)
-        p_f = gap_probability_fredholm(n, a_text, prec_bits=bits)[-1]
-        assert p_f._mpf_[3] <= bits  # mantissa rounded to prec_bits
+        # wide gaps and large n, where C_n loses the most digits: every
+        # minor against the Hankel product over a 4096-bit orbit table
+        table = orbit_recurrence_table(a_text, n - 1, PrecisionPolicy(base_bits=4096))
+        p_h = hankel_probabilities(table, n)[1:]
+        fredholm = gap_probability_fredholm(n, a_text)
+        assert fredholm.certified_digits >= 40
         with mp.workprec(table.working_bits):
-            assert abs(p_h - p_f) / p_h < mp.mpf(10) ** -40
+            for h, f in zip(p_h, fredholm.value, strict=True):
+                assert abs(h - f) / h < mp.mpf(10) ** -40
 
     def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
-        # a = 0.7 and 1.1 need 138 and 142 bits, both rounded to 192, so both
-        # cells build G at the same pair of precisions
+        # each cell builds C at one pair of precisions: its start bits and
+        # CHECK_BITS more, with no escalation
         built = watch_overlap_builds(monkeypatch)
         assert residual_oracle(3, "0.7").all_pass
         assert residual_oracle(3, "1.1").all_pass
-        assert len(built) == 4
-        assert {b[2] for b in built} == {192 + probability.GUARD_BITS, 256 + probability.GUARD_BITS}
+        starts = [PrecisionPolicy().start_bits("fredholm", a, 3) for a in (0.7, 1.1)]
+        assert [b[2] for b in built] == [starts[0], starts[0] + 64, starts[1], starts[1] + 64]

@@ -65,8 +65,7 @@ def _orbit_pass_ref(a, n_max, bits):
 
 def _certified_digits_ref(lo, hi, lo_bits):
     cap = int(lo_bits * 0.30102999566398120)
-    pairs = (list(zip(_numbers(lo[0][1:]), _numbers(hi[0][1:])))
-             + list(zip(_numbers(lo[1]), _numbers(hi[1]))))
+    pairs = list(zip(_numbers(lo), _numbers(hi)))
     worst = 0
     with mp.workprec(64):
         for x, y in pairs:
@@ -183,16 +182,17 @@ def test_certified_digits_compare_matches_near_decade_boundaries():
     # each magnitude to 64 bits decides the count; and jets, identical
     # passes, and passes that disagree completely
     rng = random.Random(7)
+    zero = mp.mpf(0)  # beta_0 of a pass, which the compare reads like any number
     with mp.workprec(400):
         for k in range(1, 41):
             for nudge in (-2 ** -50, -2 ** -62, -2 ** -66, 0, 2 ** -66, 2 ** -62, 2 ** -50):
                 x = [mp.mpf(rng.random()) * 10 ** rng.randint(-30, 30) for _ in range(4)]
                 y = [v * (1 + mp.mpf(10) ** -k * (1 + nudge)) for v in x]
-                lo, hi = ([0] + x[:2], x[2:]), ([0] + y[:2], y[2:])
+                lo, hi = ([zero] + x[:2], x[2:]), ([zero] + y[:2], y[2:])
                 assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
-        same = ([0, mp.mpf(1)], [mp.mpf(2)])
+        same = ([zero, mp.mpf(1)], [mp.mpf(2)])
         assert _certified_digits(same, same, 512) == _certified_digits_ref(same, same, 512) == 154
-        far = ([0, mp.mpf(1)], [mp.mpf(2)]), ([0, mp.mpf(-1)], [mp.mpf(2)])
+        far = ([zero, mp.mpf(1)], [mp.mpf(2)]), ([zero, mp.mpf(-1)], [mp.mpf(2)])
         assert _certified_digits(*far, 512) == _certified_digits_ref(*far, 512) == 0
     a = as_mpf("0.7", 1024)
     lo, hi = _chebyshev_pass(a, 6, 512, jets=True), _chebyshev_pass(a, 6, 576, jets=True)

@@ -1,4 +1,4 @@
-"""Measure how many digits each certified recurrence build loses, fit the
+"""Measure how many digits each certified build loses, fit the
 start-precision model to it, and check both.
 
     python tools/loss_table.py            # measure every cell, write tests/data/loss_table.json
@@ -9,7 +9,9 @@ at W bits and its check pass at W + CHECK_BITS agree (``_certify``'s own
 compare, uncapped), at the first W = 256, 512, 1024, ... where they agree
 to at least 30 digits.  The Chebyshev route is measured on the pass on
 jets, whose derivative parts certification also compares; the orbit on
-``difference_eqs._orbit_pass``.
+``difference_eqs._orbit_pass``; the Fredholm route on the minors of C_n
+(``probability._fredholm_pass``), over the Chebyshev route's cells with n
+the matrix order.
 
 The write mode then fits ``precision.LOSS_FIT`` to the table (minimax,
 rounded to 2 decimals) and finds the smallest margin in digits at which a
@@ -37,32 +39,40 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import mpmath as mp  # noqa: E402
 
-from gue_gap_lab import difference_eqs, orthopoly, precision  # noqa: E402
+from gue_gap_lab import difference_eqs, orthopoly, precision, probability  # noqa: E402
 from gue_gap_lab.precision import CHECK_BITS, PrecisionPolicy  # noqa: E402
 
 TABLE = ROOT / "tests" / "data" / "loss_table.json"
 MIN_AGREEMENT = 30
 CHECK_EVERY = 4
+CHEBYSHEV_CELLS = list(itertools.product(
+    ("0.01", "0.1", "0.3", "0.7", "1", "1.5", "2", "3", "5", "8", "12"),
+    (1, 2, 4, 8, 16, 32, 61)))
 CELLS = {
-    "chebyshev": list(itertools.product(
-        ("0.01", "0.1", "0.3", "0.7", "1", "1.5", "2", "3", "5", "8", "12"),
-        (1, 2, 4, 8, 16, 32, 61))),
+    "chebyshev": CHEBYSHEV_CELLS,
     "orbit": list(itertools.product(
         ("1e-300", "1e-40", "1e-9", "0.01", "0.1", "0.5", "1", "2", "3", "6", "12", "20", "30"),
         (1, 4, 20, 100, 300))) + [("1", 1000), ("6", 1000), ("30", 1000)],
+    "fredholm": CHEBYSHEV_CELLS,
 }
 
 
 def _pass(route: str):
-    if route == "chebyshev":
-        return functools.partial(orthopoly._chebyshev_pass, jets=True)
-    return difference_eqs._orbit_pass
+    """The pass ``(a, n, bits) -> nested numbers`` that ``route`` certifies."""
+    return {
+        "chebyshev": functools.partial(orthopoly._chebyshev_pass, jets=True),
+        "orbit": difference_eqs._orbit_pass,
+        "fredholm": probability._fredholm_pass,
+    }[route]
 
 
 def build(route: str, a: str, n: int):
-    """The default-policy certified table of ``route`` at (a, n)."""
+    """The default-policy certified build of ``route`` at (a, n): a table,
+    or the Fredholm route's ``Certified`` minors."""
     if route == "chebyshev":
         return orthopoly.build_recurrence_table(a, n, jets=True)
+    if route == "fredholm":
+        return probability.gap_probability_fredholm(n, a)
     return difference_eqs.orbit_recurrence_table(a, n)
 
 
@@ -88,7 +98,7 @@ def fit(route: str, cells: list) -> list[float]:
     cells [a, n, bits, loss], rounded to 2 decimals: c is the midrange of
     the residuals at each (s, p, q) of an 11-point grid per axis, and the
     grid shrinks 5-fold around the best point three times.  s stays 0 on
-    the orbit, which loses nothing at a = 0."""
+    the orbit and the Fredholm route, which lose nothing at a = 0."""
     pts = [(float(a), n, loss) for a, n, _, loss in cells]
 
     def spread(s, p, q):
@@ -96,9 +106,9 @@ def fit(route: str, cells: list) -> list[float]:
                if n else loss for a, n, loss in pts]
         return (max(res) - min(res)) / 2, (max(res) + min(res)) / 2
 
-    centre, step = [0.0 if route == "orbit" else 0.45, 2.5, 5.0], [0.05, 0.5, 1.0]
-    if route == "orbit":
-        step[0] = 0.0
+    centre, step = [0.45, 2.5, 5.0], [0.05, 0.5, 1.0]
+    if route != "chebyshev":
+        centre[0] = step[0] = 0.0
     best = None
     for _ in range(4):
         axes = [sorted({max(0.0, x + d * h) for d in range(-5, 6)}) for x, h in zip(centre, step)]

@@ -344,21 +344,15 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
         for n in range(0, n_max + 1):
             reports.append(residual_supplementary(states, n))
     if suite in ("discrete", "all") and n_max >= 1:
-        orbit = iterate_r_orbit(a_str, n_max, table.working_bits)
+        orbit = iterate_r_orbit(table.a, n_max, table.working_bits)
         reports.extend(residual_orbit_vs_direct(orbit, states))
         for n in range(1, n_max + 1):
-            rep = ResidualReport(a=a_str, n=n)
-            rep.extend(residual_alternate_r(states, n).checks)
-            rep.extend(residual_sigma_recurrence(states, n).checks)
-            rep.extend(residual_R_recurrence(states, n).checks)
+            reports += [f(states, n) for f in (
+                residual_alternate_r, residual_sigma_recurrence, residual_R_recurrence)]
             choice = select_r_branch(states, n)
-            rep.add(ResidualCheck(
-                name="branch_select", n=n, residual=choice.rel_err,
-                tolerance=BRANCH_MATCH_TOL,
-                passed=bool(choice.rel_err < BRANCH_MATCH_TOL),
-                note=f"sign {choice.sign}",
-            ))
-            reports.append(rep)
+            branch = ResidualCheck("branch_select", n, choice.rel_err, BRANCH_MATCH_TOL,
+                                   bool(choice.rel_err < BRANCH_MATCH_TOL), f"sign {choice.sign}")
+            reports.append(ResidualReport(a_str, n, table.working_bits, [branch]))
     if suite in ("continuous", "all"):
         source = jet_source(table)
         for n in range(1, n_max + 1):
@@ -369,6 +363,8 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
 
 
 def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
+    """The rows of one cell, each labelled with its grid text ``a_str``; a
+    --tol override judges a check's residual itself."""
     if _is_zero(a_str):
         return [{
             "name": "cell_skipped", "n": -1, "a": a_str, "residual": "0.0e+0",
@@ -385,14 +381,11 @@ def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
         }]
     overrides = dict(config.tolerances)
     rows = []
-    for rep in reports:
-        for row in rep.rows():
-            tol = overrides.get(row["name"], overrides.get("all"))
-            if tol is not None:
-                row["tolerance"] = tol
-                with mp.workprec(64):
-                    row["pass"] = bool(mp.mpf(row["residual"]) < tol)
-            rows.append(row)
+    for check in (c for rep in reports for c in rep.checks):
+        tol = overrides.get(check.name, overrides.get("all"))
+        if tol is not None:
+            check = check._replace(tolerance=tol, passed=bool(check.residual < tol))
+        rows.append(check.row(a_str))
     return rows
 
 

@@ -32,7 +32,7 @@ from .exceptions import BranchSelectionError, DegenerateDenominatorError, Domain
 from .ladder import LadderState
 from .orthopoly import RecurrenceTable, _certified_table, _NonPositiveNorm, _parse_inputs
 from .precision import PrecisionPolicy, as_mpf
-from .report import ResidualReport, make_check
+from .report import ResidualReport
 from .weight import GapWeight, moment, seed_R0
 
 DISCRETE_TOL = 1e-30
@@ -123,18 +123,22 @@ def residual_orbit_vs_direct(
 ) -> list[ResidualReport]:
     """Relative disagreement between the iterated and the direct r_n."""
     n_top = min(len(orbit.r), len(states)) - 1
-    bits = orbit.bits
     a_str = mp.nstr(orbit.a, 12)
     reports = []
-    with mp.workprec(bits):
+    with mp.workprec(orbit.bits):
         for n in range(1, n_top + 1):
-            rep = ResidualReport(a=a_str, n=n)
-            rep.add(make_check(
-                "orbit_vs_direct", n,
-                [orbit.r[n], -states[n].r],
-                ORBIT_TOL, bits))
+            rep = ResidualReport(a_str, n, orbit.bits)
+            rep.check("orbit_vs_direct", [orbit.r[n], -states[n].r], ORBIT_TOL)
             reports.append(rep)
     return reports
+
+
+def _inner_report(states: Sequence[LadderState], n: int) -> ResidualReport:
+    """The empty report of a three-term family at degree n, which reads
+    states n - 1, n and n + 1."""
+    if n < 1 or n + 1 >= len(states):
+        raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
+    return ResidualReport(mp.nstr(states[0].a, 12), n, states[0].bits)
 
 
 def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualReport:
@@ -147,11 +151,9 @@ def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualRepor
     parameter; its degenerate cells (y_n + z_n near zero) raise
     DegenerateDenominatorError.
     """
-    if n < 1 or n + 1 >= len(states):
-        raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
-    bits = states[0].bits
+    rep = _inner_report(states, n)
     a = states[0].a
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         scale = -2 / (a * a)
         y_prev = scale * states[n - 1].r
         y = scale * states[n].r
@@ -160,11 +162,7 @@ def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualRepor
         den = y + z_n
         if abs(den) < mp.mpf(10) ** (-DEGENERACY_DIGITS) * (abs(y) + abs(z_n)):
             raise DegenerateDenominatorError(f"y_n + z_n degenerates at n={n}", n=n)
-        rep = ResidualReport(a=mp.nstr(a, 12), n=n)
-        rep.add(make_check(
-            "alternate_r", n,
-            [(y_next + y) * (y + y_prev), 4 * y * y / den],
-            DISCRETE_TOL, bits))
+        rep.check("alternate_r", [(y_next + y) * (y + y_prev), 4 * y * y / den], DISCRETE_TOL)
     return rep
 
 
@@ -182,11 +180,9 @@ def residual_sigma_recurrence(states: Sequence[LadderState], n: int) -> Residual
 
         2 N^2 = u v N D + n u v D^2.
     """
-    if n < 1 or n + 1 >= len(states):
-        raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
-    bits = states[0].bits
+    rep = _inner_report(states, n)
     a = states[0].a
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         s_prev = states[n - 1].sigma
         s = states[n].sigma
         s_next = states[n + 1].sigma
@@ -194,11 +190,9 @@ def residual_sigma_recurrence(states: Sequence[LadderState], n: int) -> Residual
         v = s_prev - s
         big_n = 2 * a * s + n * (2 * a * (u + v) - u * v)
         big_d = (2 * a - u) * (2 * a - v)
-        rep = ResidualReport(a=mp.nstr(a, 12), n=n)
-        rep.add(make_check(
-            "sigma_recurrence", n,
-            [2 * big_n * big_n, -u * v * big_n * big_d, -n * u * v * big_d * big_d],
-            DISCRETE_TOL, bits))
+        rep.check("sigma_recurrence",
+                  [2 * big_n * big_n, -u * v * big_n * big_d, -n * u * v * big_d * big_d],
+                  DISCRETE_TOL)
     return rep
 
 
@@ -209,11 +203,9 @@ def residual_R_recurrence(states: Sequence[LadderState], n: int) -> ResidualRepo
         = [8 R_n a^2 + R_n R_{n-1} R_{n+1}
            - 4 (a R_n + n + 1) R_{n+1} - 4 (a R_n + n) R_{n-1}]^2.
     """
-    if n < 1 or n + 1 >= len(states):
-        raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
-    bits = states[0].bits
+    rep = _inner_report(states, n)
     a = states[0].a
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         Rm = states[n - 1].R
         R = states[n].R
         Rp = states[n + 1].R
@@ -224,8 +216,7 @@ def residual_R_recurrence(states: Sequence[LadderState], n: int) -> ResidualRepo
             - 4 * (a * R + n + 1) * Rp
             - 4 * (a * R + n) * Rm
         )
-        rep = ResidualReport(a=mp.nstr(a, 12), n=n)
-        rep.add(make_check("R_recurrence", n, [lhs, -inner * inner], DISCRETE_TOL, bits))
+        rep.check("R_recurrence", [lhs, -inner * inner], DISCRETE_TOL)
     return rep
 
 

@@ -48,7 +48,7 @@ from .exceptions import DomainError
 from .ladder import LadderState, edge_quantities, ladder_states
 from .orthopoly import RecurrenceTable, build_recurrence_table
 from .precision import GUARD_BITS, Jet, PrecisionPolicy, as_mpf
-from .report import ResidualReport, make_check
+from .report import ResidualReport
 
 CONTINUOUS_TOL = 1e-20
 DEFAULT_FD_STEP = "1e-8"
@@ -198,7 +198,7 @@ def jet_source(table: RecurrenceTable) -> JetSource:
 def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
     if not 0 <= n <= grid.n_max:
         raise DomainError(f"degree {n} outside grid range 0..{grid.n_max}")
-    return ResidualReport(a=mp.nstr(grid.a0, 12), n=n)
+    return ResidualReport(mp.nstr(grid.a0, 12), n, grid.bits)
 
 
 def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualReport:
@@ -216,40 +216,26 @@ def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualR
     that sum is also the log-derivative of P(n, a) = D_n(a)/D_n(0).
     """
     rep = _report(grid, n)
-    bits = grid.bits
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         a = grid.a0
         hn, dh, _ = grid.derivs("h", n)
         beta, dbeta, _ = grid.derivs("beta", n)
         R = grid.derivs("R", n)[0]
         r = grid.derivs("r", n)[0]
-        rep.add(make_check("norm_log_deriv", n, [dh / hn, R], CONTINUOUS_TOL, bits))
+        rep.check("norm_log_deriv", [dh / hn, R], CONTINUOUS_TOL)
         if n >= 1:
-            rep.add(make_check(
-                "beta_log_deriv", n,
-                [dbeta / beta, -grid.derivs("R", n - 1)[0], R],
-                CONTINUOUS_TOL, bits))
+            rep.check("beta_log_deriv", [dbeta / beta, -grid.derivs("R", n - 1)[0], R],
+                      CONTINUOUS_TOL)
             dlog_d = mp.fsum(d / v for v, d, _ in (grid.derivs("h", j) for j in range(n)))
             sigma = grid.derivs("sigma", n)[0]
-            rep.add(make_check(
-                "hankel_log_deriv", n, [dlog_d, -sigma], CONTINUOUS_TOL, bits))
-            rep.add(make_check(
-                "prob_log_deriv", n, [dlog_d, -sigma], CONTINUOUS_TOL, bits))
+            rep.check("hankel_log_deriv", [dlog_d, -sigma], CONTINUOUS_TOL)
+            rep.check("prob_log_deriv", [dlog_d, -sigma], CONTINUOUS_TOL)
         dp = grid.derivs("p", n)[1]
-        rep.add(make_check(
-            "subleading_deriv", n,
-            [dp, -a * r, (n + r) * R / 2],
-            CONTINUOUS_TOL, bits))
+        rep.check("subleading_deriv", [dp, -a * r, (n + r) * R / 2], CONTINUOUS_TOL)
         if R != 0:
-            rep.add(make_check(
-                "beta_deriv", n,
-                [
-                    dbeta,
-                    -a * (2 * r - a * R),
-                    beta * R,
-                    -((a * R - r) ** 2) / R,
-                ],
-                CONTINUOUS_TOL, bits))
+            rep.check("beta_deriv",
+                      [dbeta, -a * (2 * r - a * R), beta * R, -((a * R - r) ** 2) / R],
+                      CONTINUOUS_TOL)
     return rep
 
 
@@ -265,20 +251,13 @@ def residual_riccati(grid: AGrid | JetSource, n: int) -> ResidualReport:
     closed Riccati R' = R^2 - 2aR for the seed ratio.
     """
     rep = _report(grid, n)
-    bits = grid.bits
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         a = grid.a0
         R, dR, _ = grid.derivs("R", n)
         r, dr, _ = grid.derivs("r", n)
         if R != 0:
-            rep.add(make_check(
-                "r_slope", n,
-                [dr, -2 * r * r / R, (n + r) * R],
-                CONTINUOUS_TOL, bits))
-        rep.add(make_check(
-            "R_slope", n,
-            [dR, -4 * r, -R * R, 2 * a * R, 2 * r * R / a],
-            CONTINUOUS_TOL, bits))
+            rep.check("r_slope", [dr, -2 * r * r / R, (n + r) * R], CONTINUOUS_TOL)
+        rep.check("R_slope", [dR, -4 * r, -R * R, 2 * a * R, 2 * r * R / a], CONTINUOUS_TOL)
     return rep
 
 
@@ -295,19 +274,15 @@ def residual_painleve4(grid: AGrid | JetSource, n: int) -> ResidualReport:
     polynomial, so no sign or branch choices enter the residual.
     """
     rep = _report(grid, n)
-    bits = grid.bits
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         a = grid.a0
         R, dR, d2R = grid.derivs("R", n)
-        rep.add(make_check(
-            "painleve4_R", n,
-            [
-                a * R * (2 * a - R) * d2R,
-                a * (R - a) * dR * dR,
-                -R * R * dR,
-                R * R * (R - 2 * a) ** 2 * (a * (R - a) + 2 * n + 1),
-            ],
-            CONTINUOUS_TOL, bits))
+        rep.check("painleve4_R", [
+            a * R * (2 * a - R) * d2R,
+            a * (R - a) * dR * dR,
+            -R * R * dR,
+            R * R * (R - 2 * a) ** 2 * (a * (R - a) + 2 * n + 1),
+        ], CONTINUOUS_TOL)
     return rep
 
 
@@ -337,35 +312,19 @@ def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
     partial-fraction sum rule for sum R_j combined with the r-Riccati.
     """
     rep = _report(grid, n)
-    bits = grid.bits
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         a = grid.a0
         R = grid.derivs("R", n)[0]
         r, dr, _ = grid.derivs("r", n)
         sigma, ds, d2s = grid.derivs("sigma", n)
-        rep.add(make_check(
-            "sigma_slope", n,
-            [ds, -2 * r, r * r / (a * a)],
-            CONTINUOUS_TOL, bits))
+        rep.check("sigma_slope", [ds, -2 * r, r * r / (a * a)], CONTINUOUS_TOL)
         core = 2 * a * r - sigma + r * r / a
-        rep.add(make_check(
-            "riccati_product", n,
-            [8 * (n + r) * r * r, -core * core, dr * dr],
-            CONTINUOUS_TOL, bits))
+        rep.check("riccati_product", [8 * (n + r) * r * r, -core * core, dr * dr], CONTINUOUS_TOL)
         if R != 0:
-            rep.add(make_check(
-                "R_root_plus", n,
-                [4 * r * r / R, -core, -dr],
-                CONTINUOUS_TOL, bits))
-        rep.add(make_check(
-            "R_root_minus", n,
-            [2 * (n + r) * R, -core, dr],
-            CONTINUOUS_TOL, bits))
+            rep.check("R_root_plus", [4 * r * r / R, -core, -dr], CONTINUOUS_TOL)
+        rep.check("R_root_minus", [2 * (n + r) * R, -core, dr], CONTINUOUS_TOL)
         disc = dr * dr + 8 * r * r * (r + n)
-        rep.add(make_check(
-            "discriminant", n,
-            [mp.sqrt(disc), -abs(2 * (n + r) * R + dr)],
-            CONTINUOUS_TOL, bits))
+        rep.check("discriminant", [mp.sqrt(disc), -abs(2 * (n + r) * R + dr)], CONTINUOUS_TOL)
         c0 = (
             (a * a - ds)
             * (
@@ -387,10 +346,8 @@ def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
             - a * d2s
             - 2 * ds
         )
-        rep.add(make_check(
-            "sigma_ode", n,
-            [big_p * big_p, -64 * a * a * (a * a - ds) * big_q * big_q],
-            CONTINUOUS_TOL, bits))
+        rep.check("sigma_ode", [big_p * big_p, -64 * a * a * (a * a - ds) * big_q * big_q],
+                  CONTINUOUS_TOL)
     return rep
 
 
@@ -409,20 +366,16 @@ def residual_chazy(grid: AGrid | JetSource, n: int) -> ResidualReport:
     r itself.
     """
     rep = _report(grid, n)
-    bits = grid.bits
-    with mp.workprec(bits):
+    with mp.workprec(rep.bits):
         a = grid.a0
         n3 = mp.mpf(n)
         r, dr, d2r = grid.derivs("r", n)
-        rep.add(make_check(
-            "chazy", n,
-            [
-                a * a * d2r * d2r,
-                8 * a * a * r * (2 * n3 + 3 * r) * d2r,
-                -4 * (a * a + r) ** 2 * dr * dr,
-                -16 * r * r * (a * a - 2 * (n3 + r)) * (2 * (n3 + r) * a * a - r * r),
-            ],
-            CONTINUOUS_TOL, bits))
+        rep.check("chazy", [
+            a * a * d2r * d2r,
+            8 * a * a * r * (2 * n3 + 3 * r) * d2r,
+            -4 * (a * a + r) ** 2 * dr * dr,
+            -16 * r * r * (a * a - 2 * (n3 + r)) * (2 * (n3 + r) * a * a - r * r),
+        ], CONTINUOUS_TOL)
     return rep
 
 
@@ -436,7 +389,7 @@ def continuous_suite(grid: AGrid | JetSource, n: int) -> ResidualReport:
         residual_sigma_form(grid, n),
         residual_chazy(grid, n),
     ):
-        rep.extend(part.checks)
+        rep.checks.extend(part.checks)
     return rep
 
 

@@ -34,7 +34,7 @@ from mpmath.libmp import round_nearest as RN
 from .exceptions import DomainError, EdgeZeroError
 from .orthopoly import RecurrenceTable
 from .precision import Jet, as_mpf
-from .report import ResidualReport, make_check
+from .report import ResidualReport
 
 IDENTITY_TOL = 1e-30
 SUPPLEMENTARY_TOL = 1e-30
@@ -173,35 +173,25 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
             s = states[n]
             s1 = states[n + 1]
             R, r, beta, sigma, p = s.R, s.r, s.beta, s.sigma, s.p
-            rep = ResidualReport(a=a_str, n=n)
-            rep.add(make_check(
-                "pair_sum", n, [s1.r, r, -a * R], IDENTITY_TOL, bits))
-            rep.add(make_check(
-                "beta_closed_form", n, [beta, -mp.mpf(n) / 2, -r / 2], IDENTITY_TOL, bits))
+            rep = ResidualReport(a_str, n, bits)
+            rep.check("pair_sum", [s1.r, r, -a * R], IDENTITY_TOL)
+            rep.check("beta_closed_form", [beta, -mp.mpf(n) / 2, -r / 2], IDENTITY_TOL)
             if n >= 1:
-                Rm = states[n - 1].R
-                rep.add(make_check(
-                    "r_squared", n, [r * r, -beta * R * Rm], IDENTITY_TOL, bits))
-            rep.add(make_check(
-                "weighted_sum", n, [a * sum_R, -2 * sum_r, -r], IDENTITY_TOL, bits))
+                rep.check("r_squared", [r * r, -beta * R * states[n - 1].R], IDENTITY_TOL)
+            rep.check("weighted_sum", [a * sum_R, -2 * sum_r, -r], IDENTITY_TOL)
             if R != 0:
-                rep.add(make_check(
-                    "R_partial_sum", n,
-                    [sum_R, 2 * a * r, r * r / a, -(n + r) * R, -2 * r * r / R],
-                    IDENTITY_TOL, bits))
-                rep.add(make_check(
-                    "subleading", n,
-                    [
-                        -p,
-                        -mp.mpf(n * (n - 1)) / 4,
-                        (mp.mpf(1) / 4 + a * a / 2) * r,
-                        r * r / 4,
-                        -(a / 4) * (n + r) * R,
-                        -(a / 2) * r * r / R,
-                    ],
-                    IDENTITY_TOL, bits))
-            rep.add(make_check(
-                "sigma_step", n, [R, -sigma, s1.sigma], IDENTITY_TOL, bits))
+                rep.check("R_partial_sum",
+                          [sum_R, 2 * a * r, r * r / a, -(n + r) * R, -2 * r * r / R],
+                          IDENTITY_TOL)
+                rep.check("subleading", [
+                    -p,
+                    -mp.mpf(n * (n - 1)) / 4,
+                    (mp.mpf(1) / 4 + a * a / 2) * r,
+                    r * r / 4,
+                    -(a / 4) * (n + r) * R,
+                    -(a / 2) * r * r / R,
+                ], IDENTITY_TOL)
+            rep.check("sigma_step", [R, -sigma, s1.sigma], IDENTITY_TOL)
             reports.append(rep)
             sum_R += R
             sum_r += r
@@ -244,27 +234,20 @@ def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualRep
         raise DomainError(f"need states 0..{n + 1}, have {len(states)}")
     bits = states[0].bits
     a = states[0].a
-    rep = ResidualReport(a=mp.nstr(a, 12), n=n)
+    rep = ResidualReport(mp.nstr(a, 12), n, bits)
     with mp.workprec(bits):
         for z in default_z_samples(a, bits):
             ztag = mp.nstr(z, 8)
             A_n, B_n = _spectral_AB(states[n], z, a)
             A_np1, B_np1 = _spectral_AB(states[n + 1], z, a)
-            rep.add(make_check(
-                f"s1@{ztag}", n,
-                [B_np1, B_n, -z * A_n, 2 * z],
-                SUPPLEMENTARY_TOL, bits))
+            rep.check(f"s1@{ztag}", [B_np1, B_n, -z * A_n, 2 * z], SUPPLEMENTARY_TOL)
             if n >= 1:
                 A_nm1, _ = _spectral_AB(states[n - 1], z, a)
                 beta_n = states[n].beta
-                beta_np1 = states[n + 1].beta
-                rep.add(make_check(
-                    f"s2@{ztag}", n,
-                    [1, z * B_np1, -z * B_n, -beta_np1 * A_np1, beta_n * A_nm1],
-                    SUPPLEMENTARY_TOL, bits))
+                rep.check(f"s2@{ztag}",
+                          [1, z * B_np1, -z * B_n, -states[n + 1].beta * A_np1, beta_n * A_nm1],
+                          SUPPLEMENTARY_TOL)
                 sum_A = 2 * mp.mpf(n) - a * states[n].sigma / (z * z - a * a)
-                rep.add(make_check(
-                    f"s2sum@{ztag}", n,
-                    [B_n * B_n, 2 * z * B_n, sum_A, -beta_n * A_n * A_nm1],
-                    SUPPLEMENTARY_TOL, bits))
+                rep.check(f"s2sum@{ztag}", [B_n * B_n, 2 * z * B_n, sum_A, -beta_n * A_n * A_nm1],
+                          SUPPLEMENTARY_TOL)
     return rep

@@ -38,7 +38,7 @@ from .exceptions import DomainError
 from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs,
                         build_recurrence_table, hermite_norms_exact)
 from .precision import PrecisionPolicy, as_mpf
-from .report import ResidualReport, make_check
+from .report import ResidualReport
 
 ORACLE_TOL = 1e-12
 
@@ -249,8 +249,8 @@ def residual_oracle(
     certified to ``policy.target_certified_digits``."""
     a, bits, p_h, fredholm = _both_routes(n, a, policy, table)
     p_f = fredholm.value
-    rep = ResidualReport(a=mp.nstr(as_mpf(a, bits), 12), n=n)
+    rep = ResidualReport(mp.nstr(as_mpf(a, bits), 12), n, bits)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
-            rep.add(make_check("route_agreement", k, [h, -f], ORACLE_TOL, bits))
+            rep.check("route_agreement", [h, -f], ORACLE_TOL, n=k)
     return rep

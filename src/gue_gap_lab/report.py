@@ -5,6 +5,11 @@ A residual is always evaluated the same way: collect the signed terms of
 the largest single term magnitude.  That relative form is what tolerances
 apply to, so identities with huge or tiny natural scales are judged
 fairly.
+
+Every residual family fills a ``ResidualReport`` made at its degree and
+working bits, and names each check with ``ResidualReport.check(name,
+terms, tolerance)``.  ``ResidualCheck.row`` is the one JSON form of a
+check, under whatever half-width label the caller gives it.
 """
 
 from __future__ import annotations
@@ -76,6 +81,19 @@ class ResidualCheck(NamedTuple):
     passed: bool
     note: str = ""
 
+    def row(self, a: str) -> dict:
+        """Plain-type JSON row, labelled with the half-width text ``a``.
+
+        The residual goes out as a decimal scientific-notation string
+        because residuals routinely sit far below the double-precision
+        underflow threshold and a float field would flatten them to 0.0.
+        """
+        row = {"name": self.name, "n": self.n, "a": a, "residual": sci_str(self.residual, 8),
+               "tolerance": self.tolerance, "pass": bool(self.passed)}
+        if self.note:
+            row["note"] = self.note
+        return row
+
 
 def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) -> ResidualCheck:
     """Evaluate a relative residual and compare against its tolerance."""
@@ -84,18 +102,20 @@ def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) 
 
 
 class ResidualReport:
-    """All residual checks attached to one (n, a) cell or one suite slice."""
+    """All residual checks attached to one (n, a) cell or one suite slice,
+    each evaluated at ``bits``; ``a`` is the label of its rows."""
 
-    def __init__(self, a: str, n: int, checks: list[ResidualCheck] | None = None):
+    def __init__(self, a: str, n: int, bits: int, checks: list[ResidualCheck] | None = None):
         self.a = a
         self.n = n
+        self.bits = bits
         self.checks = [] if checks is None else checks
 
-    def add(self, check: ResidualCheck) -> None:
-        self.checks.append(check)
-
-    def extend(self, checks: Iterable[ResidualCheck]) -> None:
-        self.checks.extend(checks)
+    def check(self, name: str, terms: Sequence, tolerance: float, n: int | None = None) -> None:
+        """Add the check ``name`` of ``terms`` at the report's bits, at degree
+        ``n``, by default the report's own."""
+        self.checks.append(make_check(name, self.n if n is None else n, terms, tolerance,
+                                      self.bits))
 
     @property
     def all_pass(self) -> bool:
@@ -107,26 +127,8 @@ class ResidualReport:
         return max(vals) if vals else mp.mpf(0)
 
     def rows(self) -> list[dict]:
-        """Plain-type rows for JSON serialization.
-
-        Residuals go out as decimal scientific-notation strings because
-        they routinely sit far below the double-precision underflow
-        threshold and a float field would flatten them to 0.0.
-        """
-        out = []
-        for c in self.checks:
-            row = {
-                "name": c.name,
-                "n": c.n,
-                "a": self.a,
-                "residual": sci_str(c.residual, 8),
-                "tolerance": c.tolerance,
-                "pass": bool(c.passed),
-            }
-            if c.note:
-                row["note"] = c.note
-            out.append(row)
-        return out
+        """The checks' JSON rows (``ResidualCheck.row``) under the label ``a``."""
+        return [c.row(self.a) for c in self.checks]
 
 
 def all_pass(reports: Iterable[ResidualReport]) -> bool:

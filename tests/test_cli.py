@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -336,6 +337,49 @@ class TestVerify:
         assert tolerances and tol not in tolerances.values()
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_tolerance_override_judges_the_residual_not_its_string(self, tmp_path):
+        # a check whose 8-digit residual string rounds up, with tolerances
+        # just above and just below the residual itself: the verdicts follow
+        # the residual, though the string is above both
+        config = cli.RunConfig(command="verify", n_max=3, a_values=("0.7",),
+                               policy=PrecisionPolicy(), digits=None, suite="identities")
+        for check in (c for rep in cli._suite_reports(config, "0.7") for c in rep.checks):
+            above = float(check.residual)
+            if above <= check.residual:
+                above = math.nextafter(above, math.inf)
+            if above < mp.mpf(sci_str(check.residual, 8)):
+                break
+        else:
+            pytest.fail("no residual string of this cell rounds up past a double")
+        below = math.nextafter(above, 0)
+        for tol, passed in ((above, True), (below, False)):
+            out = tmp_path / "v.json"
+            run_cli(["verify", "--suite", "identities", "--n-max", "3", "--a-list", "0.7",
+                     "--tol", f"{check.name}={tol!r}", "--out", str(out)])
+            [row] = [c for c in json.loads(out.read_text())["checks"]
+                     if (c["name"], c["n"]) == (check.name, check.n)]
+            assert row["tolerance"] == tol and mp.mpf(row["residual"]) > tol
+            assert row["pass"] is passed
+
+    def test_every_row_is_labelled_with_its_grid_text(self, tmp_path):
+        # each cell's rows form one block labelled with the text it ran: not
+        # "3.0" for "3", and two cells equal to 12 digits stay apart
+        grid = ["0.70", "1e-3", "3", "0.1234567890121", "0.1234567890122"]
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "all", "--n-max", "1",
+                        "--a-list", ",".join(grid), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["checks"]
+        assert [a for a, _ in itertools.groupby(row["a"] for row in rows)] == grid
+        assert {row["name"] for row in rows if row["a"] == "3"} >= {
+            "pair_sum", "alternate_r", "branch_select", "chazy", "route_agreement"}
+
+    def test_every_suite_on_four_cells_is_pinned(self, capsys):
+        # grid texts equal to their 12-digit renderings of a, so the digest
+        # is the same whichever of the two labels a row carries
+        assert run_cli("verify --suite all --n-max 6 --a-list 0.3,0.7,1.1,2.5".split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "102deeb7469752187c8a2604cf3e1376e7c30963ddafd01b7bcf7ef42de3da90")
+
     @pytest.mark.parametrize("a_list, name, code", [
         ("1", "pair_summ", 2),  # a typo matches no check
         ("1", "pair_sum", 0),
@@ -489,7 +533,7 @@ class TestProb:
         ("prob 10 3", "702355bedcec5ce31a82f51582d721ebec33a496141eee6f873edf6916c5cab6"),
         ("prob 60 1", "0b082d02a76f6808db21189ff9a3ce5db95528fcc58b5af812f4d6b20241027e"),
         ("verify --suite oracle --n-max 6 --a-list 0.7,3",
-         "c0098525157e51964260c6b542f3cd07ca534d66e841d2a92a6b0049f6a424af"),
+         "3fd7333421529b67c7af3781abe8376817c9a5947cf59dffd5d7ba62dee85ec8"),
     ])
     def test_both_route_outputs_are_pinned(self, capsys, args, digest):
         # every byte the two routes print is pinned, so a change to how they

@@ -91,10 +91,10 @@ def test_make_check_verdict():
 
 
 def test_rows_serialize_tiny_residuals_without_underflow():
-    rep = ResidualReport(a="1", n=2)
+    rep = ResidualReport(a="1", n=2, bits=4096)
     with mp.workprec(4096):
         tiny = mp.mpf(10) ** -800
-        rep.add(make_check("t", 2, [1 + tiny, mp.mpf(-1)], 1e-30, 4096))
+        rep.check("t", [1 + tiny, mp.mpf(-1)], 1e-30)
     row = rep.rows()[0]
     assert isinstance(row["residual"], str)
     assert float(mp.mpf(row["residual"])) != 0 or "e-" in row["residual"]

@@ -54,13 +54,12 @@ from .differential_eqs import (
 from .probability import (
     ProbabilityRecord,
     gap_probability_fredholm,
-    gap_probability_hankel,
     hermite_function_values,
     overlap_matrix,
     probability_record,
     residual_oracle,
 )
-from .report import ResidualCheck, ResidualReport, all_pass, relative_residual, sci_str
+from .report import ResidualCheck, ResidualReport, relative_residual, sci_str
 
 __version__ = "0.1.0"
 
@@ -83,7 +82,6 @@ __all__ = [
     "RecurrenceTable",
     "ResidualCheck",
     "ResidualReport",
-    "all_pass",
     "build_a_grid",
     "build_recurrence_table",
     "continuous_suite",
@@ -91,7 +89,6 @@ __all__ = [
     "default_z_samples",
     "fd_derivative",
     "gap_probability_fredholm",
-    "gap_probability_hankel",
     "hermite_function_values",
     "hermite_norms_exact",
     "iterate_r_orbit",

@@ -352,7 +352,7 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
             choice = select_r_branch(states, n)
             branch = ResidualCheck("branch_select", n, choice.rel_err, BRANCH_MATCH_TOL,
                                    bool(choice.rel_err < BRANCH_MATCH_TOL), f"sign {choice.sign}")
-            reports.append(ResidualReport(a_str, n, table.working_bits, [branch]))
+            reports.append(ResidualReport(n, table.working_bits, [branch]))
     if suite in ("continuous", "all"):
         source = jet_source(table)
         for n in range(1, n_max + 1):
@@ -366,19 +366,14 @@ def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
     """The rows of one cell, each labelled with its grid text ``a_str``; a
     --tol override judges a check's residual itself."""
     if _is_zero(a_str):
-        return [{
-            "name": "cell_skipped", "n": -1, "a": a_str, "residual": "0.0e+0",
-            "tolerance": 0.0, "pass": True, "warning": True,
-            "note": "verify suites require a > 0",
-        }]
+        skipped = ResidualCheck("cell_skipped", -1, mp.mpf(0), 0.0, True,
+                                "verify suites require a > 0")
+        return [{**skipped.row(a_str), "warning": True}]
     try:
         reports = _suite_reports(config, a_str)
     except GapLabError as exc:
-        return [{
-            "name": f"cell_error:{type(exc).__name__}", "n": -1, "a": a_str,
-            "residual": "0.0e+0", "tolerance": 0.0, "pass": False,
-            "note": str(exc),
-        }]
+        return [ResidualCheck(f"cell_error:{type(exc).__name__}", -1, mp.mpf(0), 0.0, False,
+                              str(exc)).row(a_str)]
     overrides = dict(config.tolerances)
     rows = []
     for check in (c for rep in reports for c in rep.checks):

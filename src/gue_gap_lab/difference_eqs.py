@@ -45,7 +45,6 @@ class DiscreteOrbit(NamedTuple):
     """r_0..r_N obtained by iterating the rational recurrence in n, as
     plain mpf values at ``bits``."""
 
-    a: mp.mpf
     r: tuple[mp.mpf, ...]
     bits: int
 
@@ -63,13 +62,16 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     <= 0 at some n <= n_top means this precision lost the orbit: that raises
     _NonPositiveNorm(n), and the certification loop escalates.  The loop
     runs on raw mpf tuples (see ``precision``); doubling and halving a
-    value already rounded to prec_bits are exact shifts.
+    value already rounded to prec_bits are exact shifts.  ``GapWeight``
+    judges a at 64 bits, as ``orthopoly._parse_inputs`` does, so whether a
+    is refused does not depend on prec_bits.
     """
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
     av = as_mpf(a, prec_bits)
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
+    GapWeight(as_mpf(a, 64), 64)
     b = prec_bits
     a_t = av._mpf_
     R = seed_R0(GapWeight(av, b))._mpf_
@@ -81,10 +83,10 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
             raise _NonPositiveNorm(n)
         R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, b, RN), den, b, RN)
         r.append(mpf_sub(mpf_mul(a_t, R, b, RN), rn, b, RN))
-    return DiscreteOrbit(a=av, r=tuple(mp.make_mpf(x) for x in r[:-1]), bits=prec_bits)
+    return DiscreteOrbit(r=tuple(mp.make_mpf(x) for x in r[:-1]), bits=prec_bits)
 
 
-def _orbit_pass(a_value: mp.mpf, n_max: int, bits: int):
+def _orbit_pass(a_value, n_max: int, bits: int):
     """One orbit-to-recurrence pass at a fixed precision.
 
     beta_n = (n + r_n)/2 from the orbit, which has already checked that each
@@ -114,8 +116,8 @@ def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
     by default that start covers its measured loss.  Requires a > 0
     (DomainError); raises the Chebyshev route's exceptions otherwise.
     """
-    policy, a_value = _parse_inputs(a, n_max, policy)
-    return _certified_table("orbit", _orbit_pass, a_value, n_max, policy)
+    policy, a = _parse_inputs(a, n_max, policy)
+    return _certified_table("orbit", _orbit_pass, a, n_max, policy)
 
 
 def residual_orbit_vs_direct(
@@ -123,11 +125,10 @@ def residual_orbit_vs_direct(
 ) -> list[ResidualReport]:
     """Relative disagreement between the iterated and the direct r_n."""
     n_top = min(len(orbit.r), len(states)) - 1
-    a_str = mp.nstr(orbit.a, 12)
     reports = []
     with mp.workprec(orbit.bits):
         for n in range(1, n_top + 1):
-            rep = ResidualReport(a_str, n, orbit.bits)
+            rep = ResidualReport(n, orbit.bits)
             rep.check("orbit_vs_direct", [orbit.r[n], -states[n].r], ORBIT_TOL)
             reports.append(rep)
     return reports
@@ -138,7 +139,7 @@ def _inner_report(states: Sequence[LadderState], n: int) -> ResidualReport:
     states n - 1, n and n + 1."""
     if n < 1 or n + 1 >= len(states):
         raise DomainError(f"need 1 <= n <= {len(states) - 2}, got {n}")
-    return ResidualReport(mp.nstr(states[0].a, 12), n, states[0].bits)
+    return ResidualReport(n, states[0].bits)
 
 
 def residual_alternate_r(states: Sequence[LadderState], n: int) -> ResidualReport:

@@ -198,7 +198,7 @@ def jet_source(table: RecurrenceTable) -> JetSource:
 def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
     if not 0 <= n <= grid.n_max:
         raise DomainError(f"degree {n} outside grid range 0..{grid.n_max}")
-    return ResidualReport(mp.nstr(grid.a0, 12), n, grid.bits)
+    return ResidualReport(n, grid.bits)
 
 
 def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualReport:

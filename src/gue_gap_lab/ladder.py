@@ -164,7 +164,6 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
         raise DomainError("need at least two consecutive states")
     bits = states[0].bits
     a = states[0].a
-    a_str = mp.nstr(a, 12)
     reports = []
     with mp.workprec(bits):
         sum_R = mp.mpf(0)
@@ -173,7 +172,7 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
             s = states[n]
             s1 = states[n + 1]
             R, r, beta, sigma, p = s.R, s.r, s.beta, s.sigma, s.p
-            rep = ResidualReport(a_str, n, bits)
+            rep = ResidualReport(n, bits)
             rep.check("pair_sum", [s1.r, r, -a * R], IDENTITY_TOL)
             rep.check("beta_closed_form", [beta, -mp.mpf(n) / 2, -r / 2], IDENTITY_TOL)
             if n >= 1:
@@ -234,7 +233,7 @@ def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualRep
         raise DomainError(f"need states 0..{n + 1}, have {len(states)}")
     bits = states[0].bits
     a = states[0].a
-    rep = ResidualReport(mp.nstr(a, 12), n, bits)
+    rep = ResidualReport(n, bits)
     with mp.workprec(bits):
         for z in default_z_samples(a, bits):
             ztag = mp.nstr(z, 8)

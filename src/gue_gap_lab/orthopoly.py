@@ -40,12 +40,12 @@ import functools
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul,
-                          mpf_shift, mpf_sub, str_to_man_exp)
+from mpmath.libmp import (from_int, fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_shift,
+                          mpf_sub)
 from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
-from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, as_mpf
+from .precision import CHECK_BITS, Jet, PrecisionPolicy, as_mpf
 from .weight import GapWeight, moment_jets, moments
 
 _LOG10_2 = 0.30102999566398120
@@ -105,7 +105,7 @@ class Certified(NamedTuple):
     escalations: int
 
 
-def _chebyshev_pass(a_value: mp.mpf, n_max: int, bits: int, jets: bool = False):
+def _chebyshev_pass(a_value, n_max: int, bits: int, jets: bool = False):
     """One full moment-to-recurrence pass at a fixed precision.
 
     Returns (beta, h) as lists of mpf, or of Jet when ``jets`` is set: the
@@ -243,11 +243,13 @@ def _certify(run, start_bits: int, policy: PrecisionPolicy) -> Certified:
         bits = min(policy.escalate(bits), top)
 
 
-def _certified_table(route: str, pass_fn, a_value: mp.mpf, n_max: int,
+def _certified_table(route: str, pass_fn, a_value, n_max: int,
                      policy: PrecisionPolicy) -> RecurrenceTable:
     """The table of ``pass_fn(a_value, n_max, bits) -> (beta, h)``,
     certified by ``_certify`` from ``policy.start_bits(route, a, n_max)``;
-    a pass on jets also gives the table its ``jets``."""
+    a pass on jets also gives the table its ``jets``.  ``a_value`` is the
+    half-width as the caller gave it, which the table keeps rounded at its
+    kept bits."""
     (beta, h), certified, kept, escalations = _certify(
         lambda bits: pass_fn(a_value, n_max, bits),
         policy.start_bits(route, a_value, n_max), policy)
@@ -261,35 +263,15 @@ def _certified_table(route: str, pass_fn, a_value: mp.mpf, n_max: int,
                            escalations=escalations, jets=jets)
 
 
-def _parse_half_width(a, bits: int) -> mp.mpf:
-    """``as_mpf(a, bits)``, faster for a decimal string whose value is
-    dyadic (1.5, 0.25, 2.500): its mantissa is divisible by 5^k, where k is
-    the number of decimals, and the quotient times 2^-k is the exact value,
-    which mpmath's parse (from_rational, for 0 < k <= 400) reaches only
-    after stripping thousands of trailing zero bits.  Any other input goes
-    through ``as_mpf``.  Both round the same real number to nearest at
-    ``bits``, so the result is the same mpf."""
-    if isinstance(a, str):
-        try:  # mpmath's own split of a decimal literal into man * 10^exp
-            man, exp = str_to_man_exp(a.lower().strip())
-        except ValueError:  # inf, nan, p/q or no number: as_mpf decides
-            man, exp = 0, 0
-        if -400 <= exp < 0 and man % 5 ** -exp == 0:
-            return mp.make_mpf(from_man_exp(man // 5 ** -exp, exp, bits, RN))
-    return as_mpf(a, bits)
-
-
 def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
-    """(policy, a) for a recurrence build: the default policy when None, and
-    a parsed once at the ceiling precision so every pass sees the same
-    real number.  Rejects n_max < 0, and through ``GapWeight`` an a that is
-    not a finite number >= 0."""
+    """(policy, a) for a build: the default policy when None, and a as
+    given, which each pass rounds at its own bits.  Rejects n_max < 0, and
+    through ``GapWeight`` at 64 bits, once for every pass, an a that is
+    not a finite number >= 0 below 1e154."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if policy is None:
-        policy = PrecisionPolicy()
-    bits = policy.max_bits + GUARD_BITS
-    return policy, GapWeight(_parse_half_width(a, bits), bits).a
+    GapWeight(as_mpf(a, 64), 64)
+    return policy or PrecisionPolicy(), a
 
 
 def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
@@ -297,8 +279,8 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     """Build beta_j, h_j for j <= n_max with certified accuracy.
 
     ``a`` may be an mpf, an int, or a decimal string (preferred for
-    CLI input: the string parses exactly once at the ceiling precision, so
-    every pass sees the same real number).
+    CLI input: each pass rounds the decimal itself at its own bits, and
+    the table's ``a`` is its rounding at the kept bits).
 
     Chebyshev passes from the moments, certified by ``_certify`` from
     ``policy.start_bits("chebyshev", a, n_max)``: the map loses about half
@@ -309,11 +291,11 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     require a > 0 (DomainError): at a = 0 derivative parts that vanish
     exactly come out as rounding noise, so no level would certify.
     """
-    policy, a_value = _parse_inputs(a, n_max, policy)
-    if jets and not a_value > 0:
+    policy, a = _parse_inputs(a, n_max, policy)
+    if jets and not as_mpf(a, 64) > 0:
         raise DomainError("a table on jets requires a > 0")
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
-    return _certified_table("chebyshev", pass_fn, a_value, n_max, policy)
+    return _certified_table("chebyshev", pass_fn, a, n_max, policy)
 
 
 def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:

@@ -65,13 +65,13 @@ _LOG2_10 = math.log2(10)
 
 def loss_digits(route: str, a, n: int) -> float:
     """The fitted digit loss (``LOSS_FIT``) of a ``route`` build
-    ("chebyshev", "orbit" or "fredholm") at half-width a (a number) and
-    size n, as ``LOSS_FIT`` defines it.  An
-    a that is not below 1e100 (huge, infinite or not a number) counts as
-    1e100, so that no float overflows; the builders reject the last two
-    before a pass runs."""
+    ("chebyshev", "orbit" or "fredholm") at half-width a and size n, as
+    ``LOSS_FIT`` defines it.  a is taken as given, anything ``as_mpf``
+    takes, and rounded once to a double.  An a that is not below 1e100
+    (huge, infinite or not a number) counts as 1e100, so that no float
+    overflows; the builders reject the last two before a pass runs."""
     c, s, p, q = LOSS_FIT[route]
-    x = float(a) if a < 1e100 else 1e100
+    x = min(1e100, float(as_mpf(a, 53)))  # min keeps its first argument when the float is nan
     if n == 0:
         return c
     t = x / math.sqrt(n)

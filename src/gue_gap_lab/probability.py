@@ -142,28 +142,7 @@ def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
     return probs
 
 
-def gap_probability_hankel(
-    n: int,
-    a=None,
-    policy: PrecisionPolicy | None = None,
-    table: RecurrenceTable | None = None,
-) -> mp.mpf:
-    """P(n, a) as prod_{j<n} h_j(a) / h_j(0) (``hankel_probabilities``), at
-    the bits of the table it came from.
-
-    Either pass a prebuilt certified table (preferred when one exists) or
-    a value for ``a``.
-    """
-    if n < 0:
-        raise DomainError(f"matrix size must be >= 0, got {n}")
-    if table is None:
-        if a is None:
-            raise DomainError("need either a or a prebuilt table")
-        table = build_recurrence_table(a, max(n - 1, 0), policy)
-    return hankel_probabilities(table, n)[n]
-
-
-def _fredholm_pass(a_value: mp.mpf, n: int, bits: int) -> list[mp.mpf]:
+def _fredholm_pass(a_value, n: int, bits: int) -> list[mp.mpf]:
     """[P(1, a), ..., P(n, a)] at ``bits``: the minors of one C_n."""
     return det_identity_minus(overlap_matrix(n, a_value, bits), bits)
 
@@ -181,13 +160,13 @@ def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    policy, a_value = _parse_inputs(a, n, policy)
-    return _certify(lambda bits: _fredholm_pass(a_value, n, bits),
-                    policy.start_bits("fredholm", a_value, n), policy)
+    policy, a = _parse_inputs(a, n, policy)
+    return _certify(lambda bits: _fredholm_pass(a, n, bits),
+                    policy.start_bits("fredholm", a, n), policy)
 
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):
-    """(a, bits, Hankel [P(1, a), ..., P(n, a)], certified Fredholm minors).
+    """(bits, Hankel [P(1, a), ..., P(n, a)], certified Fredholm minors).
     bits is the table's, built at degree n - 1 unless given, and so is a if
     None.  The routes share no number: the Fredholm route starts from a."""
     if n < 1:
@@ -199,7 +178,7 @@ def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTab
     if a is None:
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]
-    return a, table.working_bits, p_h, gap_probability_fredholm(n, a, policy)
+    return table.working_bits, p_h, gap_probability_fredholm(n, a, policy)
 
 
 class RouteProbability(NamedTuple):
@@ -210,11 +189,8 @@ class RouteProbability(NamedTuple):
 
 
 class ProbabilityRecord(NamedTuple):
-    """P(n, a) by both routes, with their relative discrepancy; ``a`` is at
-    the Hankel route's bits."""
+    """P(n, a) by both routes, with their relative discrepancy."""
 
-    n: int
-    a: mp.mpf
     prob_hankel: RouteProbability
     prob_fredholm: RouteProbability
     rel_discrepancy: mp.mpf
@@ -228,11 +204,11 @@ def probability_record(
 ) -> ProbabilityRecord:
     """Compute both routes and their relative discrepancy |h - f| / h, each
     certified to ``policy.target_certified_digits``."""
-    a, bits, p_h, fredholm = _both_routes(n, a, policy, table)
+    bits, p_h, fredholm = _both_routes(n, a, policy, table)
     p_f = fredholm.value[-1]
     with mp.workprec(bits):
         rel = abs(p_h[-1] - p_f) / p_h[-1]
-    return ProbabilityRecord(n=n, a=as_mpf(a, bits), prob_hankel=RouteProbability(p_h[-1], bits),
+    return ProbabilityRecord(prob_hankel=RouteProbability(p_h[-1], bits),
                              prob_fredholm=RouteProbability(p_f, fredholm.working_bits),
                              rel_discrepancy=rel)
 
@@ -247,9 +223,9 @@ def residual_oracle(
     """Route-agreement residuals |P_hankel - P_fredholm| / P_hankel for
     P(k, a), k = 1..n, from one recurrence table and one Fredholm call, each
     certified to ``policy.target_certified_digits``."""
-    a, bits, p_h, fredholm = _both_routes(n, a, policy, table)
+    bits, p_h, fredholm = _both_routes(n, a, policy, table)
     p_f = fredholm.value
-    rep = ResidualReport(mp.nstr(as_mpf(a, bits), 12), n, bits)
+    rep = ResidualReport(n, bits)
     with mp.workprec(bits):
         for k, (h, f) in enumerate(zip(p_h, p_f), start=1):
             rep.check("route_agreement", [h, -f], ORACLE_TOL, n=k)

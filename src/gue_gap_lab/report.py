@@ -8,14 +8,15 @@ fairly.
 
 Every residual family fills a ``ResidualReport`` made at its degree and
 working bits, and names each check with ``ResidualReport.check(name,
-terms, tolerance)``.  ``ResidualCheck.row`` is the one JSON form of a
-check, under whatever half-width label the caller gives it.
+terms, tolerance)``.  A report does not label its half-width:
+``ResidualCheck.row`` is the one JSON form of a check, under the
+half-width text the caller gives it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath import libmp
@@ -102,11 +103,10 @@ def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) 
 
 
 class ResidualReport:
-    """All residual checks attached to one (n, a) cell or one suite slice,
-    each evaluated at ``bits``; ``a`` is the label of its rows."""
+    """All residual checks attached to one degree n of a cell or one suite
+    slice, each evaluated at ``bits``."""
 
-    def __init__(self, a: str, n: int, bits: int, checks: list[ResidualCheck] | None = None):
-        self.a = a
+    def __init__(self, n: int, bits: int, checks: list[ResidualCheck] | None = None):
         self.n = n
         self.bits = bits
         self.checks = [] if checks is None else checks
@@ -125,11 +125,3 @@ class ResidualReport:
     def worst(self) -> mp.mpf:
         vals = [c.residual for c in self.checks]
         return max(vals) if vals else mp.mpf(0)
-
-    def rows(self) -> list[dict]:
-        """The checks' JSON rows (``ResidualCheck.row``) under the label ``a``."""
-        return [c.row(self.a) for c in self.checks]
-
-
-def all_pass(reports: Iterable[ResidualReport]) -> bool:
-    return all(r.all_pass for r in reports)

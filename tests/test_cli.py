@@ -405,6 +405,7 @@ class TestVerify:
         [row] = json.loads(out.read_text())["checks"]
         assert row["name"] == "cell_error:DomainError" and row["pass"] is False
         assert "1e154" in row["note"]
+        assert row["residual"] == "0.0"  # zero as a check writes it
 
     def test_zero_cell_warns_but_does_not_fail(self, tmp_path):
         out = tmp_path / "v.json"
@@ -413,6 +414,7 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["checks"][0]["warning"] is True
+        assert doc["checks"][0]["residual"] == "0.0"  # zero as a check writes it
 
     @pytest.mark.parametrize("suite", ["all", "identities"])
     def test_zero_degree_cell_keeps_its_identity_checks(self, tmp_path, suite):

@@ -16,7 +16,6 @@ from gue_gap_lab import (
     residual_sigma_recurrence,
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table, select_r_branch
-from gue_gap_lab.report import all_pass
 
 
 def test_orbit_seeds(states_a1):
@@ -30,7 +29,7 @@ def test_orbit_seeds(states_a1):
 def test_orbit_matches_direct_route(states_a1):
     orbit = iterate_r_orbit("1", 8, states_a1[0].bits)
     reports = residual_orbit_vs_direct(orbit, states_a1)
-    assert all_pass(reports)
+    assert all(rep.all_pass for rep in reports)
     assert max(rep.worst for rep in reports) < 1e-25
 
 

@@ -17,7 +17,7 @@ from gue_gap_lab.differential_eqs import (
     residual_riccati,
     residual_sigma_form,
 )
-from gue_gap_lab.probability import gap_probability_hankel
+from gue_gap_lab.probability import hankel_probabilities
 
 ALL_CHECK_NAMES = {
     "norm_log_deriv", "beta_log_deriv", "hankel_log_deriv", "prob_log_deriv",
@@ -144,10 +144,11 @@ class TestResiduals:
         n = 4
         with mp.workprec(grid_a1.bits):
             assert grid_a1.states[STENCIL_HALFWIDTH][n].sigma < 0
-            probs = [gap_probability_hankel(n, table=t) for t in grid_a1.tables]
+            probs = [hankel_probabilities(t, n)[n] for t in grid_a1.tables]
             for lo, hi in zip(probs[1:], probs[:-1]):
                 assert lo < hi
-        coarse = [gap_probability_hankel(n, a) for a in ("0.5", "1", "2")]
+        coarse = [hankel_probabilities(build_recurrence_table(a, n - 1), n)[n]
+                  for a in ("0.5", "1", "2")]
         assert coarse[0] > coarse[1] > coarse[2]
 
 

@@ -12,7 +12,6 @@ from gue_gap_lab import (
 )
 from gue_gap_lab.ladder import edge_quantities
 from gue_gap_lab.precision import as_mpf
-from gue_gap_lab.report import all_pass
 from gue_gap_lab.weight import GapWeight, seed_R0
 
 # regression pins at a = 1, cross-checked against the difference-equation
@@ -69,7 +68,7 @@ def test_R_positive_sigma_strictly_decreasing(states_a1):
 
 def test_identity_suite_all_pass(states_a1):
     reports = residual_identities(states_a1)
-    assert all_pass(reports)
+    assert all(rep.all_pass for rep in reports)
     worst = max(rep.worst for rep in reports)
     assert worst < 1e-30
 

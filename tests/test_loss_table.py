@@ -52,3 +52,6 @@ def test_default_start_is_target_plus_loss_plus_margin():
     assert precision.loss_digits("orbit", 1, 40) < precision.loss_digits("orbit", 3, 40)
     assert precision.loss_digits("fredholm", 1, 40) < precision.loss_digits("fredholm", 3, 40)
     assert precision.loss_digits("orbit", float("nan"), 4) == precision.loss_digits("orbit", 1e100, 4)
+    # a is taken as given: any text a builder takes, and an int past the doubles
+    assert precision.loss_digits("orbit", "1/3", 4) == precision.loss_digits("orbit", 1 / 3, 4)
+    assert precision.loss_digits("orbit", 10 ** 400, 4) == precision.loss_digits("orbit", 1e100, 4)

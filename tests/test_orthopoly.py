@@ -20,7 +20,7 @@ from gue_gap_lab import (
     ladder_states,
     orthopoly,
 )
-from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, Jet, as_mpf
+from gue_gap_lab.precision import CHECK_BITS, Jet, as_mpf
 from gue_gap_lab.weight import GapWeight, moment
 
 
@@ -223,12 +223,16 @@ class TestCertification:
         "12.5e-1", "5e-401",
     ])
     def test_half_width_parses_to_the_mpf_of_as_mpf(self, text):
-        # a dyadic decimal skips mpmath's parse, an inexact one does not;
-        # both give every pass the same mpf as before
-        bits = PrecisionPolicy().max_bits + GUARD_BITS
-        assert orthopoly._parse_half_width(text, bits)._mpf_ == as_mpf(text, bits)._mpf_
-        if not text.startswith("-"):  # a builder rejects a < 0
-            assert orthopoly._parse_inputs(text, 4, None)[1]._mpf_ == as_mpf(text, bits)._mpf_
+        # a is checked once and kept as given; each pass, and the table,
+        # round the decimal itself, never a parse at some other precision
+        if text.startswith("-"):
+            with pytest.raises(DomainError, match="must be a finite number >= 0"):
+                orthopoly._parse_inputs(text, 4, None)
+            return
+        assert orthopoly._parse_inputs(text, 4, None)[1] is text
+        orbit = difference_eqs.orbit_recurrence_table(text, 4)
+        for table in (build_recurrence_table(text, 4), orbit):
+            assert table.a._mpf_ == as_mpf(text, table.working_bits)._mpf_
 
     def test_negative_a_rejected(self):
         with pytest.raises(DomainError):

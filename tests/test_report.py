@@ -91,11 +91,11 @@ def test_make_check_verdict():
 
 
 def test_rows_serialize_tiny_residuals_without_underflow():
-    rep = ResidualReport(a="1", n=2, bits=4096)
+    rep = ResidualReport(n=2, bits=4096)
     with mp.workprec(4096):
         tiny = mp.mpf(10) ** -800
         rep.check("t", [1 + tiny, mp.mpf(-1)], 1e-30)
-    row = rep.rows()[0]
+    row = rep.checks[0].row("1")
     assert isinstance(row["residual"], str)
     assert float(mp.mpf(row["residual"])) != 0 or "e-" in row["residual"]
     assert "e-800" in row["residual"]

@@ -145,10 +145,18 @@ def test_non_finite_half_width_fails_at_the_boundary(route, args):
     (iterate_r_orbit, ("1e400", 5, 256)),
     (build_a_grid, ("1e400", 3)),
     (probability_record, (3, "1e400")),
+    (build_recurrence_table, ("1e154", 5)),
+    (orbit_recurrence_table, ("1e154", 5)),
+    (iterate_r_orbit, ("1e154", 3, 128)),
+    (iterate_r_orbit, ("1e154", 3, 256)),
+    (iterate_r_orbit, ("1e154", 3, 300)),
+    (iterate_r_orbit, ("1e154", 3, 512)),
+    (probability_record, (3, "1e154")),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_half_width_past_the_erfc_bound_fails_at_the_boundary(route, args):
     # mpmath's erfc squares int(a) into a float, which overflows past about
-    # 1.34e154; GapWeight rejects a >= 1e154 before any pass reaches it
+    # 1.34e154; GapWeight rejects a >= 1e154 before any pass reaches it, at
+    # 64 bits, so a = 1e154 fails whatever precision a pass would run at
     with pytest.raises(DomainError, match="below 1e154"):
         route(*args)
 

@@ -18,7 +18,7 @@ from .exceptions import (
     PrecisionExhaustedError,
 )
 from .precision import PrecisionPolicy
-from .weight import GapWeight, moment, seed_R0
+from .weight import GapWeight, moment
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
     LadderState,
@@ -111,7 +111,6 @@ __all__ = [
     "residual_sigma_recurrence",
     "residual_supplementary",
     "sci_str",
-    "seed_R0",
     "select_r_branch",
     "__version__",
 ]

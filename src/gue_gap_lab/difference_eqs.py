@@ -33,7 +33,7 @@ from .ladder import LadderState
 from .orthopoly import RecurrenceTable, _certified_table, _NonPositiveNorm, _parse_inputs
 from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport
-from .weight import GapWeight, moment, seed_R0
+from .weight import GapWeight, orbit_seed
 
 DISCRETE_TOL = 1e-30
 ORBIT_TOL = 1e-25
@@ -49,56 +49,59 @@ class DiscreteOrbit(NamedTuple):
     bits: int
 
 
-def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
-    """Iterate the first-order pair of the ladder relations,
+def _orbit(a, n_top: int, bits: int):
+    """(h_0, [r_0, ..., r_n_top]) at ``bits``, h_0 an mpf and each r_n a raw
+    mpf tuple (see ``precision``), from the first-order pair
 
         R_n = 2 r_n^2 / ((n + r_n) R_{n-1}),    r_{n+1} = a R_n - r_n,
 
-    from R_0 and r_1 = a R_0 (r_0 = 0).  These are r_n^2 = beta_n R_n R_{n-1}
-    with beta_n = (n + r_n)/2, and r_{n+1} + r_n = a R_n; eliminating R_n
-    gives the second-order closure in r_n alone, whose denominator
+    iterated from ``weight.orbit_seed``'s h_0 and R_0, and r_1 = a R_0.
+    These are the ladder relations r_n^2 = beta_n R_n R_{n-1}, with
+    beta_n = (n + r_n)/2, and r_{n+1} + r_n = a R_n; eliminating R_n gives
+    the second-order closure in r_n alone, whose denominator
     r_n + r_{n-1} = a R_{n-1} cancels to O(a^3) at small a.  The pair only
     divides by 2 beta_n R_{n-1}, positive in exact arithmetic, so a value
-    <= 0 at some n <= n_top means this precision lost the orbit: that raises
-    _NonPositiveNorm(n), and the certification loop escalates.  The loop
-    runs on raw mpf tuples (see ``precision``); doubling and halving a
-    value already rounded to prec_bits are exact shifts.  ``GapWeight``
-    judges a at 64 bits, as ``orthopoly._parse_inputs`` does, so whether a
-    is refused does not depend on prec_bits.
+    <= 0 at some n <= n_top means this precision lost the orbit: that
+    raises _NonPositiveNorm(n), and the certification loop escalates.  a
+    is judged once by ``GapWeight`` at 64 bits, as in
+    ``orthopoly._parse_inputs``, so that whether it is refused does not
+    depend on ``bits``, and must then be > 0 at ``bits``.
     """
-    if n_top < 1:
-        raise DomainError(f"n_top must be >= 1, got {n_top}")
-    av = as_mpf(a, prec_bits)
+    GapWeight(as_mpf(a, 64), 64)
+    av = as_mpf(a, bits)
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
-    GapWeight(as_mpf(a, 64), 64)
-    b = prec_bits
-    a_t = av._mpf_
-    R = seed_R0(GapWeight(av, b))._mpf_
-    r = [fzero, mpf_mul(a_t, R, b, RN)]
+    h0, R = orbit_seed(av, bits)
+    a_t, R = av._mpf_, R._mpf_
+    r = [fzero, mpf_mul(a_t, R, bits, RN)]
     for n in range(1, n_top + 1):
         rn = r[n]
-        den = mpf_mul(mpf_add(rn, from_int(n), b, RN), R, b, RN)
+        den = mpf_mul(mpf_add(rn, from_int(n), bits, RN), R, bits, RN)
         if den[0] or not den[1]:  # den <= 0: a sign bit, or a zero mantissa
             raise _NonPositiveNorm(n)
-        R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, b, RN), den, b, RN)
-        r.append(mpf_sub(mpf_mul(a_t, R, b, RN), rn, b, RN))
-    return DiscreteOrbit(r=tuple(mp.make_mpf(x) for x in r[:-1]), bits=prec_bits)
+        R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, bits, RN), den, bits, RN)  # exact doubling
+        r.append(mpf_sub(mpf_mul(a_t, R, bits, RN), rn, bits, RN))
+    return h0, r[:-1]
+
+
+def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
+    """r_0..r_n_top from the first-order pair of the ladder relations (see
+    ``_orbit``), at ``prec_bits``.  Requires n_top >= 1 and a > 0."""
+    if n_top < 1:
+        raise DomainError(f"n_top must be >= 1, got {n_top}")
+    r = _orbit(a, n_top, prec_bits)[1]
+    return DiscreteOrbit(r=tuple(mp.make_mpf(x) for x in r), bits=prec_bits)
 
 
 def _orbit_pass(a_value, n_max: int, bits: int):
-    """One orbit-to-recurrence pass at a fixed precision.
-
-    beta_n = (n + r_n)/2 from the orbit, which has already checked that each
-    is positive, h_0 = mu_0 = sqrt(pi) erfc(a) and h_n = beta_n h_{n-1}, on
-    raw mpf tuples like the orbit.  Returns (beta, h) as lists of mpf.
-    """
-    r = iterate_r_orbit(a_value, max(n_max, 1), bits).r
-    h0 = moment(0, GapWeight(as_mpf(a_value, bits), bits))
+    """One orbit-to-recurrence pass at ``bits``: (beta, h) as lists of mpf,
+    beta_n = (n + r_n)/2 > 0 (the orbit checked it) and h_n = beta_n h_{n-1}
+    from the orbit's h_0, formed on the orbit's raw tuples."""
+    h0, r = _orbit(a_value, max(n_max, 1), bits)
     beta, h = [mp.mpf(0)], [h0]
     hn = h0._mpf_
     for n in range(1, n_max + 1):
-        bn = mpf_shift(mpf_add(r[n]._mpf_, from_int(n), bits, RN), -1)
+        bn = mpf_shift(mpf_add(r[n], from_int(n), bits, RN), -1)  # exact halving
         hn = mpf_mul(bn, hn, bits, RN)
         beta.append(mp.make_mpf(bn))
         h.append(mp.make_mpf(hn))

@@ -24,7 +24,6 @@ path.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import mpmath as mp
@@ -69,10 +68,9 @@ class GapWeight(_GapWeightFields):
         return _mu0(self.a, self.prec_bits + GUARD_BITS)
 
 
-@functools.lru_cache(maxsize=16)
 def _mu0(a: mp.mpf, work: int) -> mp.mpf:
-    """sqrt(pi) erfc(a) at ``work`` bits, cached per (a, work): an orbit pass
-    needs it twice, for the seed r_1 and for h_0, from two weights."""
+    """sqrt(pi) erfc(a) at ``work`` bits, evaluated on every call: a moment
+    sweep and an orbit pass (``orbit_seed``) each need it once."""
     with mp.workprec(work):
         return mp.sqrt(mp.pi) * mp.erfc(a)
 
@@ -146,12 +144,11 @@ def moment(k: int, w: GapWeight) -> mp.mpf:
     return moments(k + 1, w)[k]
 
 
-def seed_R0(w: GapWeight) -> mp.mpf:
-    """R_0(a) = 2 e^{-a^2} / (sqrt(pi) erfc(a)).
-
-    This is 2 w(a) P_0(a)^2 / h_0(a) with P_0 = 1, the base of the ladder
-    of edge quantities.
-    """
-    h0 = moment(0, w)
-    with mp.workprec(w.prec_bits):
-        return 2 * mp.exp(-(w.a ** 2)) / h0
+def orbit_seed(a: mp.mpf, bits: int) -> tuple[mp.mpf, mp.mpf]:
+    """(h_0, R_0) of the orbit route at ``bits``, from one erfc and one
+    exponential: h_0 = mu_0, rounded from bits + GUARD_BITS as ``moment(0, ·)``
+    rounds it, and the ladder's base R_0 = 2 w(a) P_0(a)^2 / h_0 =
+    2 e^{-a^2} / h_0.  a is an mpf at ``bits`` that ``GapWeight`` accepts."""
+    h0 = as_mpf(_mu0(a, bits + GUARD_BITS), bits)
+    with mp.workprec(bits):
+        return h0, 2 * mp.exp(-(a ** 2)) / h0

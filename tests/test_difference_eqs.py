@@ -114,6 +114,26 @@ def test_orbit_table_escalates_past_a_nonpositive_level(monkeypatch):
     assert table.certified_digits >= 40
 
 
+def test_each_orbit_pass_evaluates_erfc_and_exp_once(monkeypatch):
+    # the seed R_0 and h_0 come from one erfc and one exponential per pass,
+    # with no cache between a pass and mpmath
+    calls = {"erfc": 0, "exp": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(mp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counting)
+    table = orbit_recurrence_table("2.1", 2)
+    assert table.escalations == 0  # one level: a pass and its check pass
+    assert calls == {"erfc": 2, "exp": 2}
+    orbit_recurrence_table("2.1", 2)  # a second build evaluates both again
+    assert calls == {"erfc": 4, "exp": 4}
+    calls.update(erfc=0, exp=0)
+    iterate_r_orbit("1", 6, 256)
+    assert calls == {"erfc": 1, "exp": 1}
+
+
 @pytest.mark.parametrize("a_text, n_max, digits", [
     ("1", 1000, 118), ("6", 1000, 93), ("30", 100, 140), ("30", 20, 107),
     ("1e-40", 200, 152), ("3", 200, 108),

@@ -29,16 +29,25 @@ from gue_gap_lab.orthopoly import (
 from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, as_mpf
 from gue_gap_lab.probability import hankel_probabilities
 from gue_gap_lab.report import sci_str
-from gue_gap_lab.weight import GapWeight, moment, seed_R0
 
 A_VALUES = ("1e-40", "0.25", "1", "3", "30")
 BITS = (64, 512, 576, 4096)
 N_TOP = 60
 
 
+def _seed_ref(a, bits):
+    """(h_0, R_0): sqrt(pi) erfc(a) rounded from bits + GUARD_BITS, and
+    2 e^{-a^2} / h_0, from mpmath directly."""
+    av = as_mpf(a, bits)
+    with mp.workprec(bits + GUARD_BITS):
+        h0 = as_mpf(mp.sqrt(mp.pi) * mp.erfc(av), bits)
+    with mp.workprec(bits):
+        return h0, 2 * mp.exp(-av * av) / h0
+
+
 def _orbit_ref(a, n_top, bits):
     av = as_mpf(a, bits)
-    R = seed_R0(GapWeight(av, bits))
+    R = _seed_ref(a, bits)[1]
     with mp.workprec(bits):
         r = [mp.mpf(0), av * R]
         for n in range(1, n_top + 1):
@@ -53,7 +62,7 @@ def _orbit_ref(a, n_top, bits):
 def _orbit_pass_ref(a, n_max, bits):
     """(beta, h) of the pass, and the orbit it came from."""
     r = _orbit_ref(a, max(n_max, 1), bits)
-    h0 = moment(0, GapWeight(as_mpf(a, bits), bits))
+    h0 = _seed_ref(a, bits)[0]
     with mp.workprec(bits):
         beta = [mp.mpf(0)]
         h = [h0]

@@ -13,11 +13,10 @@ from gue_gap_lab import (
     iterate_r_orbit,
     moment,
     probability_record,
-    seed_R0,
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
 from gue_gap_lab.precision import GUARD_BITS, as_mpf
-from gue_gap_lab.weight import moment_jets, moments
+from gue_gap_lab.weight import moment_jets, moments, orbit_seed
 
 R0_AT_1 = "2.63896751423479126047150115207156112883768656"
 TWO_OVER_SQRT_PI = "1.12837916709551257389615890312154517168810126"
@@ -109,15 +108,19 @@ def test_moments_at_zero_reduce_to_gaussian():
 
 def test_seed_R0_frozen_value_at_one():
     w = make_weight("1")
+    h0, R0 = orbit_seed(w.a, 512)
+    assert h0 == moment(0, w)
     with mp.workprec(512):
-        rel = abs(seed_R0(w) - mp.mpf(R0_AT_1)) / mp.mpf(R0_AT_1)
+        rel = abs(R0 - mp.mpf(R0_AT_1)) / mp.mpf(R0_AT_1)
     assert rel < mp.mpf(10) ** -44
 
 
 def test_seed_R0_at_zero_is_two_over_sqrt_pi():
     w = make_weight("0")
+    h0, R0 = orbit_seed(w.a, 512)
+    assert h0 == moment(0, w)
     with mp.workprec(512):
-        rel = abs(seed_R0(w) - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
+        rel = abs(R0 - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
     assert rel < mp.mpf(10) ** -44
 
 

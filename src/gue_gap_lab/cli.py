@@ -37,6 +37,7 @@ import mpmath as mp
 
 from .difference_eqs import (
     BRANCH_MATCH_TOL,
+    DISCRETE_TOL,
     iterate_r_orbit,
     orbit_recurrence_table,
     residual_R_recurrence,
@@ -325,6 +326,23 @@ def cmd_table(config: RunConfig, out_path: str | None, plot_path: str | None = N
 # verify
 
 
+def _verify_policy(policy: PrecisionPolicy, a_str: str) -> PrecisionPolicy:
+    """``policy`` with its target raised to what the residuals need at small a.
+
+    alternate_r and sigma_recurrence lose about 2 log10(1/a) digits to the
+    cancellation in r_{n+1} + r_n = a R_n, and norm_log_deriv and
+    subleading_deriv as many (sigma_ode about half) against the looser
+    CONTINUOUS_TOL.  The target's headroom over DISCRETE_TOL covers that
+    loss down to a = 1e-5; below, the target rises by the rest.
+    """
+    with mp.workprec(64):
+        need = math.floor(-2 * mp.log10(mp.mpf(a_str)) - math.log10(DISCRETE_TOL))
+    if need <= policy.target_certified_digits:
+        return policy
+    return PrecisionPolicy(base_bits=policy.base_bits, bits_per_n=policy.bits_per_n,
+                           target_certified_digits=need, max_bits=policy.max_bits)
+
+
 def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     """Every report of the configured suite for one cell.
 
@@ -336,7 +354,7 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     n_max = config.n_max
     suite = config.suite
     reports: list[ResidualReport] = []
-    table = build_recurrence_table(a_str, n_max + 1, policy, jets=True)
+    table = build_recurrence_table(a_str, n_max + 1, _verify_policy(policy, a_str), jets=True)
     states = ladder_states(table)
     if suite in ("identities", "all"):
         reports.extend(residual_identities(states))
@@ -538,6 +556,19 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _check_writable(parser, flag: str, path: str) -> None:
+    """Refuse, before any work, an output path that cannot be opened for
+    writing.  The probe opens it for appending, which leaves an existing file
+    as it was, and removes a file that only the probe made."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        parser.error(f"cannot write {flag} {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
+
+
 def _add_precision(sub):
     """Flags of every computing subcommand: precision policy and output."""
     sub.add_argument("--prec-bits", type=int, default=None,
@@ -615,6 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("out", "plot"):
+        path = getattr(args, flag, None)
+        if path:
+            _check_writable(parser, f"--{flag}", path)
     if args.command == "plot":
         try:
             rows = _read_table_csv(args.in_path)

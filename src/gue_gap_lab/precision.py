@@ -9,13 +9,14 @@ runs inside its callers' blocks).
 Values travel as plain mpf, and each container states their bits once; a
 :class:`Jet` carries a value together with its first a-derivatives.
 
-Loops of O(n) steps at one precision (the r_n orbit and its pass, the
+Loops of O(n) steps at one precision (the one r_n orbit loop, the
 certification compare, the edge-zero check, the Hankel product,
 ``report.relative_residual``) run on raw ``_mpf_`` tuples through
 ``mpmath.libmp`` instead, skipping the mpf operators' dispatch.  Each call
 takes the stated bits and ``round_nearest``, as an operator does under
-``mp.workprec``, so every value is bit for bit the same; tuples never leave
-the function, which returns plain mpf.
+``mp.workprec``, so every value is bit for bit the same.  Tuples leave only
+the private orbit loop, for its two callers in ``difference_eqs``; every
+public function returns plain mpf.
 """
 
 from __future__ import annotations

@@ -69,8 +69,7 @@ class GapWeight(_GapWeightFields):
 
 
 def _mu0(a: mp.mpf, work: int) -> mp.mpf:
-    """sqrt(pi) erfc(a) at ``work`` bits, evaluated on every call: a moment
-    sweep and an orbit pass (``orbit_seed``) each need it once."""
+    """sqrt(pi) erfc(a) at ``work`` bits, evaluated afresh on every call."""
     with mp.workprec(work):
         return mp.sqrt(mp.pi) * mp.erfc(a)
 
@@ -146,9 +145,10 @@ def moment(k: int, w: GapWeight) -> mp.mpf:
 
 def orbit_seed(a: mp.mpf, bits: int) -> tuple[mp.mpf, mp.mpf]:
     """(h_0, R_0) of the orbit route at ``bits``, from one erfc and one
-    exponential: h_0 = mu_0, rounded from bits + GUARD_BITS as ``moment(0, ·)``
-    rounds it, and the ladder's base R_0 = 2 w(a) P_0(a)^2 / h_0 =
-    2 e^{-a^2} / h_0.  a is an mpf at ``bits`` that ``GapWeight`` accepts."""
+    exponential: h_0 = mu_0, rounded from bits + GUARD_BITS as ``moment``
+    rounds it for a weight at ``bits``, and the ladder's base
+    R_0 = 2 w(a) P_0(a)^2 / h_0 = 2 e^{-a^2} / h_0.  a is an mpf at ``bits``
+    that ``GapWeight`` accepts."""
     h0 = as_mpf(_mu0(a, bits + GUARD_BITS), bits)
     with mp.workprec(bits):
         return h0, 2 * mp.exp(-(a ** 2)) / h0

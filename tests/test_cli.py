@@ -399,6 +399,16 @@ class TestVerify:
             rows = json.loads(out.read_text())["checks"]
             assert any(c["name"] == name and c["tolerance"] == 1e-5 for c in rows) == (a_list == "1")
 
+    @pytest.mark.parametrize("n_max, a_list", [("1", "1e-20,1e-100"), ("2", "1e-100")])
+    def test_tiny_half_widths_pass_whatever_the_degree(self, tmp_path, n_max, a_list):
+        # alternate_r and sigma_recurrence lose 2 log10(1/a) digits; the
+        # table's target rises by what its headroom over the tolerance lacks
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--n-max", n_max, "--a-list", a_list, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["checks"]
+        assert rows and all(row["pass"] for row in rows)
+        assert {row["a"] for row in rows} == set(a_list.split(","))
+
     def test_half_width_past_the_erfc_bound_is_a_cell_error(self, tmp_path):
         out = tmp_path / "huge.json"
         assert run_cli(["verify", "--n-max", "2", "--a-list", "1e400", "--out", str(out)]) == 1
@@ -752,6 +762,47 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["table", "--n-max", "1", "--a-list", "1", "--out", "{missing}"], "--out"),
+    (["table", "--n-max", "1", "--a-list", "1", "--plot", "{missing}"], "--plot"),
+    (["verify", "--n-max", "1", "--a-list", "1", "--out", "{missing}"], "--out"),
+    (["prob", "2", "1", "--out", "{missing}"], "--out"),
+    (["plot", "--in", "{csv}", "--out", "{missing}"], "--out"),
+    (["table", "--n-max", "1", "--a-list", "1", "--out", "{dir}"], "--out"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_unwritable_output_is_one_line_before_any_work(args, flag, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(cli, "_map_cells", no_work)
+    monkeypatch.setattr(cli, "probability_record", no_work)
+    table_csv = tmp_path / "t.csv"
+    table_csv.write_text("# x\nn,a,prob\n0,1,1.0\n")
+    paths = {"missing": str(tmp_path / "missing" / "x.csv"), "csv": str(table_csv),
+             "dir": str(tmp_path)}
+    args = [arg.format(**paths) for arg in args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    path = args[args.index(flag) + 1]
+    reason = "Is a directory" if path == str(tmp_path) else "No such file or directory"
+    assert err == f"gue-gap-lab: error: cannot write {flag} {path}: {reason}\n"
+
+
+def test_output_probe_keeps_an_existing_file_until_the_run_writes(tmp_path):
+    # a run that ends before writing (--tol names no check) leaves the file
+    # as it was; one that writes replaces it
+    out = tmp_path / "v.json"
+    out.write_text("old")
+    args = ["verify", "--suite", "identities", "--n-max", "1", "--a-list", "1", "--out", str(out)]
+    assert cli.main(args + ["--tol", "nope=1e-5"]) == 2
+    assert out.read_text() == "old"
+    assert cli.main(args) == 0
+    assert json.loads(out.read_text())["all_pass"] is True
 
 
 def test_prob_past_the_erfc_bound_is_one_line_and_exit_one(capsys):

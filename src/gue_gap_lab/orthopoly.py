@@ -8,12 +8,14 @@ Chebyshev algorithm on mixed moments S_k[l] = integral P_k(x) x^l w(x) dx:
     h_k     = S_k[k]
     beta_k  = h_k / h_{k-1}
 
-That map is notoriously ill conditioned (about half a digit lost per
-degree), which is the point of running it in arbitrary precision: a build
-is accepted only after a pass at W bits and a check pass at W + CHECK_BITS
-agree to the policy's target number of digits, and W escalates until they
-do or the check pass reaches the ceiling.  W starts at the target plus the
-route's measured loss (``PrecisionPolicy.start_bits``), so the first level
+P_k has the parity of k, so S_k[l] is exactly 0 when k + l is odd; the
+pass stores and updates only S_k[k + 2m], from the even moments.  That map
+is notoriously ill conditioned (about half a digit lost per degree), which
+is the point of running it in arbitrary precision: a build is accepted
+only after a pass at W bits and a check pass at W + CHECK_BITS agree to the
+policy's target number of digits, and W escalates until they do or the
+check pass reaches the ceiling.  W starts at the target plus the route's
+measured loss (``PrecisionPolicy.start_bits``), so the first level
 normally certifies.  That loop, ``_certify``, certifies every route: the
 second route to the same table, ``difference_eqs.orbit_recurrence_table``,
 from which ``table`` builds every a > 0 cell, and the Fredholm minors of
@@ -21,13 +23,13 @@ from which ``table`` builds every a > 0 cell, and the Fredholm minors of
 acceptance gate use this module's Chebyshev route.  The table keeps the
 check pass, so its working bits are W + CHECK_BITS.
 
-Every moment has an exact a-derivative (``weight.moment_jets``), so the same
-pass run on Taylor jets (``build_recurrence_table(..., jets=True)``) carries
-d/da and d^2/da^2 of every beta_j and h_j alongside its values, which are
-bit for bit the plain pass's.  The certification loop then compares the
-derivative parts too, so the certified digit count covers them.  ``verify``
-builds its one table per cell this way and takes every derivative of the
-continuous suite from it.
+Every moment has an exact a-derivative (``weight.even_moment_jets``), so
+the same pass run on Taylor jets (``build_recurrence_table(..., jets=True)``)
+carries d/da and d^2/da^2 of every beta_j and h_j alongside its values,
+which are bit for bit the plain pass's.  The certification loop then
+compares the derivative parts too, so the certified digit count covers
+them.  ``verify`` builds its one table per cell this way and takes every
+derivative of the continuous suite from it.
 
 The polynomials themselves are evaluated only at the edge x = a, by
 ``ladder.edge_quantities``.  Conventions: beta_0 = 0 and P_{-1} = 0, so
@@ -46,7 +48,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
 from .precision import CHECK_BITS, Jet, PrecisionPolicy, as_mpf
-from .weight import GapWeight, moment_jets, moments
+from .weight import GapWeight, even_moment_jets, even_moments
 
 _LOG10_2 = 0.30102999566398120
 
@@ -108,38 +110,36 @@ class Certified(NamedTuple):
 def _chebyshev_pass(a_value, n_max: int, bits: int, jets: bool = False):
     """One full moment-to-recurrence pass at a fixed precision.
 
+    Row k holds only the mixed moments that can be nonzero,
+    row_k[m] = S_k[k + 2m] for m = 0..n_max - k, so row_0 is the even
+    moments mu_0, ..., mu_{2 n_max}, row_1 = row_0[1:], and
+    row_k[m] = row_{k-1}[m+1] - beta_{k-1} row_{k-2}[m+1]; h_k = row_k[0].
     Returns (beta, h) as lists of mpf, or of Jet when ``jets`` is set: the
     same formulas then run on the moment jets.  Raises _NonPositiveNorm if
     the precision was insufficient to keep the norms positive.
     """
     w = GapWeight(as_mpf(a_value, bits), bits)
-    mu = (moment_jets if jets else moments)(2 * n_max + 1, w)
+    row = (even_moment_jets if jets else even_moments)(n_max + 1, w)
 
     def value(x):
         return x.c[0] if jets else x
 
     with mp.workprec(bits):
-        zero = mu[0] * 0
-        beta = [zero]
-        h = [mu[0]]
+        beta = [row[0] * 0]
+        h = [row[0]]
         if not value(h[0]) > 0:
             raise _NonPositiveNorm(0)
-        row_km2: list = []
-        row_km1 = mu
         for k in range(1, n_max + 1):
-            width = 2 * (n_max - k) + 1
             if k == 1:
-                row = [row_km1[i + 2] for i in range(width)]
+                prev, row = row, row[1:]
             else:
                 b = beta[k - 1]
-                row = [row_km1[i + 2] - b * row_km2[i + 2] for i in range(width)]
+                prev, row = row, [row[m + 1] - b * prev[m + 1] for m in range(n_max - k + 1)]
             hk = row[0]
             if not value(hk) > 0:
                 raise _NonPositiveNorm(k)
             beta.append(hk / h[k - 1])
             h.append(hk)
-            row_km2 = row_km1
-            row_km1 = row
     return beta, h
 
 

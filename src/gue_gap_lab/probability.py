@@ -39,6 +39,7 @@ from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, 
                         build_recurrence_table, hermite_norms_exact)
 from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport
+from .weight import GapWeight
 
 ORACLE_TOL = 1e-12
 
@@ -46,6 +47,10 @@ ORACLE_TOL = 1e-12
 def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
     """[phi_0(x), ..., phi_{count-1}(x)] for the orthonormal Hermite
     functions phi_l(x) = (2^l l! sqrt(pi))^{-1/2} H_l(x) e^{-x^2/2}."""
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
+    if count == 0:
+        return []
     with mp.workprec(bits):
         vals = [mp.exp(-x * x / 2) / mp.sqrt(mp.sqrt(mp.pi))]
         for l in range(count - 1):
@@ -75,9 +80,8 @@ def overlap_matrix(n: int, a, bits: int) -> list[list[mp.mpf]]:
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
+    GapWeight(as_mpf(a, 64), 64)
     av = as_mpf(a, bits)
-    if av < 0:
-        raise DomainError("gap half-width must be >= 0")
     phi = hermite_function_values(n, av, bits)
     with mp.workprec(bits):
         roots = [mp.sqrt(j) for j in range(n)]

@@ -12,14 +12,15 @@ gives the two-term recurrence (DLMF 8.8.2 with s = (k+1)/2, x = a^2)
 
     mu_{k+2} = ((k+1)/2) mu_k + a^{k+1} e^{-a^2},   mu_0 = sqrt(pi) erfc(a),
 
-which ``moments`` runs upward from mu_0 in one sweep.  Every term is
-nonnegative for a >= 0, so no step cancels: each one adds at most a few
-roundings, and mu_k carries a relative error of about (k/2 + 1) 2^-work at
-``work`` bits.  The recurrence runs with guard bits above the weight's
-precision, which covers that growth for any k the recurrence builder asks
-for.  These exact moments are the sole input to the Chebyshev route of the
-recurrence builder; no quadrature is involved on the main computational
-path.
+which ``even_moments`` runs upward from mu_0 in one sweep, storing only the
+even moments: no list here holds an odd one, and ``moment`` gives the exact
+zero for odd k.  Every term is nonnegative for a >= 0, so no step cancels:
+each one adds at most a few roundings, and mu_k carries a relative error of
+about (k/2 + 1) 2^-work at ``work`` bits.  The recurrence runs with guard
+bits above the weight's precision, which covers that growth for any k the
+recurrence builder asks for.  These exact moments are the sole input to the
+Chebyshev route of the recurrence builder; no quadrature is involved on the
+main computational path.
 """
 
 from __future__ import annotations
@@ -75,23 +76,19 @@ def _mu0(a: mp.mpf, work: int) -> mp.mpf:
 
 
 def _moment_sweep(count: int, w: GapWeight, exp_a_sq: mp.mpf | None) -> list[mp.mpf]:
-    """``moments``, given e^{-a^2} at the sweep's prec_bits + GUARD_BITS
-    (None when count <= 2, which never reads it)."""
+    """``even_moments``, given e^{-a^2} at the sweep's prec_bits + GUARD_BITS
+    (None when count <= 1, which never reads it)."""
     if count < 0:
         raise DomainError(f"moment count must be >= 0, got {count}")
     bits = w.prec_bits
-    zero = as_mpf(0, bits)
     out = []
     mu = w._mu0_guarded
     with mp.workprec(bits + GUARD_BITS):
         a = w.a
         a_sq = a * a
         # a^{k-1} e^{-a^2} at the step to even k >= 2, which mu_0 alone skips
-        edge = a * exp_a_sq if count > 2 else None
-        for k in range(count):
-            if k % 2 == 1:
-                out.append(zero)
-                continue
+        edge = a * exp_a_sq if count > 1 else None
+        for k in range(0, 2 * count, 2):
             if k > 0:
                 mu = (k - 1) * mu / 2 + edge
                 edge *= a_sq
@@ -99,48 +96,45 @@ def _moment_sweep(count: int, w: GapWeight, exp_a_sq: mp.mpf | None) -> list[mp.
     return out
 
 
-def moments(count: int, w: GapWeight) -> list[mp.mpf]:
-    """[mu_0, ..., mu_{count-1}] from one upward sweep of the recurrence in
-    the module docstring, started at mu_0 = sqrt(pi) erfc(a); odd moments
-    are exactly zero."""
+def even_moments(count: int, w: GapWeight) -> list[mp.mpf]:
+    """[mu_0, mu_2, ..., mu_{2(count-1)}] from one upward sweep of the
+    recurrence in the module docstring, started at mu_0 = sqrt(pi) erfc(a)."""
     with mp.workprec(w.prec_bits + GUARD_BITS):
-        return _moment_sweep(count, w, mp.exp(-(w.a * w.a)) if count > 2 else None)
+        return _moment_sweep(count, w, mp.exp(-(w.a * w.a)) if count > 1 else None)
 
 
-def moment_jets(count: int, w: GapWeight) -> list[Jet]:
-    """``moments`` as Taylor jets (mu_k, mu_k', mu_k''/2) in a.
+def even_moment_jets(count: int, w: GapWeight) -> list[Jet]:
+    """``even_moments`` as Taylor jets (mu_k, mu_k', mu_k''/2) in a.
 
     Differentiating the defining integral in its limits gives, for even k,
     mu_k' = -2 a^k e^{-a^2} and mu_k'' = -2 (k a^{k-1} - 2 a^{k+1}) e^{-a^2},
-    so every derivative is exact and needs no recurrence; odd moments are
-    zero jets.  The values are ``moments``'s, from the same e^{-a^2}, and
-    the derivatives are rounded from the same guard bits to the weight's
-    precision.
+    so every derivative is exact and needs no recurrence.  The values are
+    ``even_moments``'s, from the same e^{-a^2}, and the derivatives are
+    rounded from the same guard bits to the weight's precision.
     """
     bits = w.prec_bits
-    zero = as_mpf(0, bits)
     out = []
     with mp.workprec(bits + GUARD_BITS):
         a = w.a
         a_sq = a * a
         edge = mp.exp(-a_sq)  # a^k e^{-a^2} at even k
-        prev = zero  # a^{k-2} e^{-a^2}, absent at k = 0
-        for k, mu in enumerate(_moment_sweep(count, w, edge)):
-            if k % 2 == 1:
-                out.append(Jet((mu, zero, zero)))
-                continue
+        prev = 0  # a^{k-2} e^{-a^2}, absent at k = 0
+        for m, mu in enumerate(_moment_sweep(count, w, edge)):
             d1 = -2 * edge
-            half_d2 = a * (2 * edge - k * prev)
+            half_d2 = a * (2 * edge - 2 * m * prev)
             out.append(Jet((mu, as_mpf(d1, bits), as_mpf(half_d2, bits))))
             prev, edge = edge, edge * a_sq
     return out
 
 
 def moment(k: int, w: GapWeight) -> mp.mpf:
-    """k-th power moment of the weight; exactly zero for odd k."""
+    """k-th power moment of the weight: the exact zero at the weight's bits
+    for odd k, else entry k/2 of ``even_moments``."""
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
-    return moments(k + 1, w)[k]
+    if k % 2:
+        return as_mpf(0, w.prec_bits)
+    return even_moments(k // 2 + 1, w)[k // 2]
 
 
 def orbit_seed(a: mp.mpf, bits: int) -> tuple[mp.mpf, mp.mpf]:

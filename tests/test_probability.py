@@ -90,6 +90,14 @@ class TestHermiteFunctions:
         vals = hermite_function_values(8, x, bits)
         assert [v._mpf_ for v in vals] == [r._mpf_ for r in ref]
 
+    def test_count_zero_is_empty_and_negative_count_is_refused(self):
+        assert hermite_function_values(0, mp.mpf("0.7"), 128) == []
+        assert len(hermite_function_values(1, mp.mpf("0.7"), 128)) == 1
+        with pytest.raises(DomainError):
+            hermite_function_values(-1, mp.mpf("0.7"), 128)
+        with pytest.raises(DomainError):
+            hermite_function_values(-2, mp.mpf("0.7"), 128)
+
     def test_orthonormality_via_quadrature(self):
         # integrate phi_i phi_j over [-12, 12]: the tail beyond is < 1e-31
         bits = 160

@@ -4,7 +4,9 @@ Each reference below is the operator form, under ``mp.workprec``, of a loop
 that now runs on ``_mpf_`` tuples through ``mpmath.libmp``: the r_n orbit
 and the pass built on it, the certified-digit compare, the edge-zero
 decision, the Hankel product, the closed-form Hermite norms and the
-truncation in ``sci_str``.  The two must agree bit for bit.  (The strings of
+truncation in ``sci_str``.  The Chebyshev pass is held to its full-width
+form, which carried every moment and every mixed moment, the exact zeros
+included.  The two must agree bit for bit.  (The strings of
 the 16384-bit table at a = 30 are checked in ``test_cli``, which builds it.)
 """
 
@@ -26,9 +28,10 @@ from gue_gap_lab.orthopoly import (
     _numbers,
     hermite_norms_exact,
 )
-from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, as_mpf
+from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, Jet, as_mpf
 from gue_gap_lab.probability import hankel_probabilities
 from gue_gap_lab.report import sci_str
+from gue_gap_lab.weight import GapWeight, even_moment_jets, even_moments
 
 A_VALUES = ("1e-40", "0.25", "1", "3", "30")
 BITS = (64, 512, 576, 4096)
@@ -70,6 +73,39 @@ def _orbit_pass_ref(a, n_max, bits):
             beta.append((n + r[n]) / 2)
             h.append(beta[n] * h[n - 1])
     return beta, h, r
+
+
+def _full_width_pass_ref(a, n_max, bits, jets):
+    """The Chebyshev pass on all 2 n_max + 1 moments, odd zeros included,
+    with full-width rows row_k[i] = S_k[k + i], i = 0..2 (n_max - k), so
+    that every S_k[l] with k + l odd is formed as an exact zero."""
+    w = GapWeight(as_mpf(a, bits), bits)
+    even = (even_moment_jets if jets else even_moments)(n_max + 1, w)
+    zero = as_mpf(0, bits)
+    odd = Jet((zero, zero, zero)) if jets else zero
+    mu = [odd if k % 2 else even[k // 2] for k in range(2 * n_max + 1)]
+
+    def value(x):
+        return x.c[0] if jets else x
+
+    with mp.workprec(bits):
+        beta, h = [mu[0] * 0], [mu[0]]
+        if not value(h[0]) > 0:
+            raise _NonPositiveNorm(0)
+        row_km2, row_km1 = [], mu
+        for k in range(1, n_max + 1):
+            width = 2 * (n_max - k) + 1
+            if k == 1:
+                row = [row_km1[i + 2] for i in range(width)]
+            else:
+                b = beta[k - 1]
+                row = [row_km1[i + 2] - b * row_km2[i + 2] for i in range(width)]
+            if not value(row[0]) > 0:
+                raise _NonPositiveNorm(k)
+            beta.append(row[0] / h[k - 1])
+            h.append(row[0])
+            row_km2, row_km1 = row_km1, row
+    return beta, h
 
 
 def _certified_digits_ref(lo, hi, lo_bits):
@@ -206,6 +242,21 @@ def test_certified_digits_compare_matches_near_decade_boundaries():
     a = as_mpf("0.7", 1024)
     lo, hi = _chebyshev_pass(a, 6, 512, jets=True), _chebyshev_pass(a, 6, 576, jets=True)
     assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
+
+
+@pytest.mark.parametrize("a_text", ("0", "1e-40", "0.25", "1", "8"))
+def test_half_length_chebyshev_pass_matches_the_full_width_pass(a_text):
+    # every beta, h and jet coefficient, or the degree that lost positivity
+    for n_max in (0, 1, 2, 7, 40):
+        for bits in (64, 256, 576):
+            for jets in (False, True):
+                ref = _ref_or_index(_full_width_pass_ref, a_text, n_max, bits, jets)
+                got = _ref_or_index(_chebyshev_pass, a_text, n_max, bits, jets)
+                if isinstance(ref, int):
+                    assert bits < 576 and got == ref
+                    continue
+                assert len(got[0]) == len(got[1]) == n_max + 1
+                assert _tuples(_numbers(got)) == _tuples(_numbers(ref))
 
 
 @pytest.mark.parametrize("bits", BITS)

@@ -16,7 +16,8 @@ from gue_gap_lab import (
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
 from gue_gap_lab.precision import GUARD_BITS, as_mpf
-from gue_gap_lab.weight import moment_jets, moments, orbit_seed
+from gue_gap_lab.probability import overlap_matrix
+from gue_gap_lab.weight import even_moment_jets, even_moments, orbit_seed
 
 R0_AT_1 = "2.63896751423479126047150115207156112883768656"
 TWO_OVER_SQRT_PI = "1.12837916709551257389615890312154517168810126"
@@ -48,18 +49,18 @@ def test_even_moments_match_incomplete_gamma_oracle():
 
 @pytest.mark.parametrize("a_text", ["0.3", "1.7", "4"])
 def test_moment_jets_match_differentiated_incomplete_gamma(a_text):
-    # (mu_k, mu_k', mu_k''/2) against mp.diffs of Gamma((k+1)/2, a^2); the
-    # values are those of the one-sweep recurrence
+    # (mu_k, mu_k', mu_k''/2) against mp.diffs of Gamma((k+1)/2, a^2); jet m
+    # is that of mu_{2m}, and its values are those of the one-sweep recurrence
     w = make_weight(a_text)
-    jets = moment_jets(11, w)
-    assert [j.c[0] for j in jets] == moments(11, w)
-    assert all(jets[k].c == (0, 0, 0) for k in range(1, 11, 2))
+    jets = even_moment_jets(6, w)
+    assert [j.c[0] for j in jets] == even_moments(6, w)
+    assert all(moment(k, w) == 0 for k in range(1, 11, 2))
     with mp.workprec(400):
         av = mp.mpf(a_text)
         for k in (0, 2, 4, 10):
             _, d1, d2 = mp.diffs(lambda x: mp.gammainc(mp.mpf(k + 1) / 2, x * x), av, 2)
-            assert abs(jets[k].c[1] - d1) / abs(d1) < mp.mpf(10) ** -100
-            assert abs(2 * jets[k].c[2] - d2) / abs(d2) < mp.mpf(10) ** -100
+            assert abs(jets[k // 2].c[1] - d1) / abs(d1) < mp.mpf(10) ** -100
+            assert abs(2 * jets[k // 2].c[2] - d2) / abs(d2) < mp.mpf(10) ** -100
 
 
 def per_order_moment(k, w):
@@ -81,14 +82,16 @@ def per_order_moment(k, w):
 def test_one_sweep_matches_per_order_recurrence(a_text):
     # the sweep rounds each mu_k exactly as a fresh run up to k would
     w = make_weight(a_text, 700)
-    swept = moments(121, w)
-    assert len(swept) == 121
+    swept = even_moments(61, w)
+    assert len(swept) == 61
     for k in range(121):
-        assert swept[k]._mpf_ == per_order_moment(k, w)._mpf_, k
-        assert moment(k, w)._mpf_ == swept[k]._mpf_
-    assert moments(0, w) == []
+        want = per_order_moment(k, w)._mpf_
+        if k % 2 == 0:
+            assert swept[k // 2]._mpf_ == want, k
+        assert moment(k, w)._mpf_ == want, k
+    assert even_moments(0, w) == []
     with pytest.raises(DomainError):
-        moments(-1, w)
+        even_moments(-1, w)
 
 
 def test_zeroth_moment_is_sqrt_pi_erfc():
@@ -135,6 +138,8 @@ def test_negative_half_width_rejected():
     (iterate_r_orbit, ("inf", 5, 256)),
     (build_a_grid, ("inf", 3)),
     (probability_record, (3, "inf")),
+    (overlap_matrix, (3, "inf", 64)),
+    (overlap_matrix, (3, "nan", 64)),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_non_finite_half_width_fails_at_the_boundary(route, args):
     # every route builds a GapWeight, which rejects a that is not finite
@@ -155,6 +160,7 @@ def test_non_finite_half_width_fails_at_the_boundary(route, args):
     (iterate_r_orbit, ("1e154", 3, 300)),
     (iterate_r_orbit, ("1e154", 3, 512)),
     (probability_record, (3, "1e154")),
+    (overlap_matrix, (3, "1e400", 64)),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_half_width_past_the_erfc_bound_fails_at_the_boundary(route, args):
     # mpmath's erfc squares int(a) into a float, which overflows past about

@@ -6,8 +6,8 @@ and the pass built on it, the certified-digit compare, the edge-zero
 decision, the Hankel product, the closed-form Hermite norms and the
 truncation in ``sci_str``.  The Chebyshev pass is held to its full-width
 form, which carried every moment and every mixed moment, the exact zeros
-included.  The two must agree bit for bit.  (The strings of
-the 16384-bit table at a = 30 are checked in ``test_cli``, which builds it.)
+included.  The two must agree bit for bit.  (The strings of the 16384-bit
+table at a = 30 are checked in ``test_cli``, which builds it.)
 """
 
 import math

@@ -55,7 +55,6 @@ from .probability import (
     ProbabilityRecord,
     gap_probability_fredholm,
     hermite_function_values,
-    overlap_matrix,
     probability_record,
     residual_oracle,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "jet_source",
     "ladder_states",
     "moment",
-    "overlap_matrix",
     "probability_record",
     "relative_residual",
     "residual_R_recurrence",

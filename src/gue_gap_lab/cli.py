@@ -466,19 +466,22 @@ def _read_table_csv(path: str) -> list[dict[str, str]]:
 
 def cmd_plot(rows: list[dict[str, str]], quantity: str, out_path: str,
              n_select: tuple[int, ...] | None = None) -> int:
-    """Draw one of the PLOT_COLUMNS against a as an SVG, one polyline per n."""
+    """Draw one of the PLOT_COLUMNS against a as an SVG, one polyline per n.
+    A row whose n, a or column is not a number, or no point to draw, is a
+    DomainError."""
     series: dict[int, list[tuple[float, float]]] = {}
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         if not row.get(quantity):
             continue
-        n = int(row["n"])
-        if n_select is not None and n not in n_select:
-            continue
-        series.setdefault(n, []).append(
-            (float(row["a"]), float(mp.mpf(row[quantity])))
-        )
-    if not series or all(len(pts) == 0 for pts in series.values()):
-        raise SystemExit(f"no data for column {quantity!r}")
+        cells = (row.get("n"), row.get("a"), row[quantity])
+        try:
+            n, x, y = int(cells[0]), float(cells[1]), float(mp.mpf(cells[2]))
+        except (TypeError, ValueError):
+            raise DomainError(f"data row {i}: n, a, {quantity} = {cells} is not numeric") from None
+        if n_select is None or n in n_select:
+            series.setdefault(n, []).append((x, y))
+    if not series:
+        raise DomainError(f"no data for column {quantity!r}")
     svg = _render_svg(series, quantity)
     with open(out_path, "w") as fh:
         fh.write(svg)
@@ -655,7 +658,10 @@ def main(argv: list[str] | None = None) -> int:
             rows = _read_table_csv(args.in_path)
         except OSError as exc:
             parser.error(f"cannot read --in {args.in_path}: {exc.strerror}")
-        return cmd_plot(rows, args.quantity, args.out, args.n_select)
+        try:
+            return cmd_plot(rows, args.quantity, args.out, args.n_select)
+        except DomainError as exc:
+            parser.error(f"--in {args.in_path}: {exc}")
     try:
         policy = PrecisionPolicy(
             base_bits=args.prec_bits,
@@ -664,19 +670,20 @@ def main(argv: list[str] | None = None) -> int:
         )
     except DomainError as exc:
         parser.error(f"precision flags (--prec-bits, --max-bits, --target-digits): {exc}")
-    if args.command == "prob":
-        try:
+    if args.command != "prob":
+        config = _config_from(args, policy, _parse_a_values(args, parser))
+        if args.command == "verify" and config.n_max == 0 and config.suite in (
+                "discrete", "continuous", "oracle"):
+            parser.error(f"--suite {config.suite} has no checks at n = 0; give --n-max >= 1")
+    try:
+        if args.command == "prob":
             return cmd_prob(policy, args.digits, args.n, args.a, args.out)
-        except GapLabError as exc:
-            print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-    config = _config_from(args, policy, _parse_a_values(args, parser))
-    if args.command == "verify" and config.n_max == 0 and config.suite in (
-            "discrete", "continuous", "oracle"):
-        parser.error(f"--suite {config.suite} has no checks at n = 0; give --n-max >= 1")
-    if args.command == "table":
-        return cmd_table(config, args.out, args.plot)
-    return cmd_verify(config, args.out)
+        if args.command == "table":
+            return cmd_table(config, args.out, args.plot)
+        return cmd_verify(config, args.out)
+    except GapLabError as exc:
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ CHECK_BITS = 64
 LOSS_FIT = {
     "chebyshev": (1.47, 0.45, 0.0, 3.94),
     "orbit": (-0.29, 0.0, 2.53, 4.21),
-    "fredholm": (-1.13, 0.0, 3.52, 6.01),
+    "fredholm": (-2.15, 0.0, 2.02, 8.3),
 }
 
 # Digits a default start adds to the fitted loss: the smallest margin at

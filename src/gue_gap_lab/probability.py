@@ -10,17 +10,16 @@ in (-a, a).  Two independent routes compute it:
 
 * fredholm route: P(n, a) = det(I - G_n) where G_n is the n x n matrix of
   overlaps of the first n orthonormal Hermite functions over (-a, a).
-  I - G_n is their Gram matrix C over |x| > a, whose entries follow
-  exactly, with no quadrature and no subtraction from the identity, from
-  erfc(a) and the Hermite functions at x = a, by a recurrence from the
-  derivative and x phi relations of DLMF 18.9 (``overlap_matrix``).  C_k
-  is the leading k x k block of C_n, so one unpivoted LDL^T factorization
-  of C_n gives P(k, a) for every k <= n as its leading principal minors
-  (Bornemann, "On the numerical evaluation of Fredholm determinants",
-  Math. Comp. 79, 2010).  The minors are certified by the loop that
-  certifies the recurrence tables (``orthopoly._certify``), from the start
-  bits of the route's own measured loss, so the route reads no number of
-  the Hankel route.
+  I - G_n is their Gram matrix C over |x| > a.  C is Cauchy-like, and
+  erfc(a) and the Hermite functions at x = a set it exactly, with no
+  quadrature and no subtraction from the identity (DLMF 18.9).  C_k is the
+  leading k x k block of C_n, so one unpivoted elimination of C_n, run on
+  its generators in O(n^2) without forming C (``_fredholm_pass``), gives
+  P(k, a) for every k <= n as its leading principal minors (Bornemann, "On
+  the numerical evaluation of Fredholm determinants", Math. Comp. 79, 2010).
+  The minors are certified by the loop that certifies the recurrence
+  tables (``orthopoly._certify``), from the start bits of the route's own
+  measured loss, so the route reads no number of the Hankel route.
 
 Agreement of the two routes is the package's strongest end-to-end check,
 since they share no code beyond the scalar kernel.
@@ -39,7 +38,6 @@ from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, 
                         build_recurrence_table, hermite_norms_exact)
 from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport
-from .weight import GapWeight
 
 ORACLE_TOL = 1e-12
 
@@ -60,77 +58,6 @@ def hermite_function_values(count: int, x: mp.mpf, bits: int) -> list[mp.mpf]:
         return vals
 
 
-def overlap_matrix(n: int, a, bits: int) -> list[list[mp.mpf]]:
-    """C[j][k] = integral_{|x| > a} phi_j phi_k dx for j, k < n, exactly:
-    C = I - G_n itself, whose minors are those of I - G_n.
-
-    Integrating (phi_j phi_k)' over |x| > a with the relations
-    phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} and
-    x phi_k = sqrt(k/2) phi_{k-1} + sqrt((k+1)/2) phi_{k+1} (DLMF 18.9)
-    gives, for j + k even and j <= k,
-
-        C[j][k] = (sqrt(j) C[j-1][k-1] + sqrt(2) phi_j(a) phi_{k-1}(a)) / sqrt(k)
-
-    from C[0][0] = erfc(a); the first row is the boundary term alone, and
-    on the diagonal this is C[k-1][k-1] + sqrt(2/k) phi_k(a) phi_{k-1}(a).
-    An entry with j + k odd is exactly 0, since phi_j phi_k is then odd.
-    Only k >= j is walked, so each factor sqrt(j / k) is at most 1 and
-    rounding errors add up along a band instead of growing.  At a = 0 every
-    boundary term holds a factor phi_odd(0) = 0, so C is exactly I.
-    """
-    if n < 1:
-        raise DomainError(f"matrix size must be >= 1, got {n}")
-    GapWeight(as_mpf(a, 64), 64)
-    av = as_mpf(a, bits)
-    phi = hermite_function_values(n, av, bits)
-    with mp.workprec(bits):
-        roots = [mp.sqrt(j) for j in range(n)]
-        sqrt2 = mp.sqrt(2)
-        C = [[mp.mpf(0)] * n for _ in range(n)]
-        C[0][0] = mp.erfc(av)
-        for j in range(n):
-            for k in range(j or 2, n, 2):
-                edge = sqrt2 * phi[j] * phi[k - 1]
-                inner = roots[j] * C[j - 1][k - 1] + edge if j else edge
-                C[j][k] = C[k][j] = inner / roots[k]
-        return C
-
-
-def det_identity_minus(C: list[list[mp.mpf]], bits: int) -> list[mp.mpf]:
-    """Leading principal minors det(I - G_n)[:k, :k] for k = 1..n, by LDL^T:
-    the minors of I - G_n, from C = I - G_n itself (``overlap_matrix``).
-
-    C is symmetric positive definite, the Gram matrix of orthonormal
-    functions restricted to |x| > a.  Unpivoted elimination is therefore
-    stable, and the k-th minor is the product of the first k pivots.  Only
-    the lower triangle of the Schur complement is updated.  A pivot that is
-    not positive means rounding lost that property, and raises
-    ``orthopoly._NonPositiveNorm``, on which the certification loop
-    escalates.
-
-    C must vanish wherever j + k is odd, as ``overlap_matrix``'s does; the
-    updates keep that pattern, so only the rows and columns of the pivot's
-    parity are updated (the others would subtract exact zeros).
-    """
-    n = len(C)
-    with mp.workprec(bits):
-        M = [list(row) for row in C]
-        minors = []
-        det = mp.mpf(1)
-        for k in range(n):
-            pivot = M[k][k]
-            if not pivot > 0:
-                raise _NonPositiveNorm(k + 1, "pivot")
-            det *= pivot
-            minors.append(det)
-            for i in range(k + 2, n, 2):
-                f = M[i][k] / pivot
-                Mi = M[i]
-                for j in range(k + 2, i + 1, 2):
-                    Mi[j] -= f * M[j][k]
-        return minors
-
-
 def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
     """[P(0, a), ..., P(n, a)] in one running product of h_j(a) / h_j(0)
     over the table, on raw mpf tuples at the table's bits.  Each factor lies
@@ -147,14 +74,60 @@ def hankel_probabilities(table: RecurrenceTable, n: int) -> list[mp.mpf]:
 
 
 def _fredholm_pass(a_value, n: int, bits: int) -> list[mp.mpf]:
-    """[P(1, a), ..., P(n, a)] at ``bits``: the minors of one C_n."""
-    return det_identity_minus(overlap_matrix(n, a_value, bits), bits)
+    """[P(1, a), ..., P(n, a)] at ``bits``: the leading principal minors of
+    C = I - G_n, by elimination on its generators, with C never formed.
+
+    C[j][k] = integral_{|x| > a} phi_j phi_k dx is exactly 0 when j + k is
+    odd, since phi_j phi_k is then odd.  Integrating (phi_j phi_k)' over
+    |x| > a with phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} and
+    x phi_k = sqrt(k/2) phi_{k-1} + sqrt((k+1)/2) phi_{k+1} (DLMF 18.9)
+    gives, for j + k even,
+
+        (k - j) C[j][k] = u_j w_k - w_j u_k,
+        u_j = sqrt(2) phi_j(a),  w_j = sqrt(j) phi_{j-1}(a),
+
+    and on the diagonal C[k][k] = C[k-1][k-1] + sqrt(2/k) phi_k(a) phi_{k-1}(a)
+    from C[0][0] = erfc(a).  So C is Cauchy-like: eliminating pivot k leaves
+    a Schur complement of the same form, with generators u_i - f u_k and
+    w_i - f w_k, f = C[i][k] / C[k][k] (Gohberg, Kailath and Olshevsky,
+    Math. Comp. 64, 1995).  u, w and the diagonal carry the whole
+    elimination in O(n^2), and only the rows of the pivot's parity change.
+    C is the Gram matrix of orthonormal functions on |x| > a, so it is
+    positive definite, unpivoted elimination is stable, and the k-th minor
+    is the product of the first k pivots.  A pivot that is not positive
+    means rounding lost that, and raises ``orthopoly._NonPositiveNorm``, on
+    which the certification loop escalates.  At a = 0 each product of u and
+    w holds a factor phi_odd(0) = 0, so every minor is exactly 1.
+    """
+    av = as_mpf(a_value, bits)
+    phi = hermite_function_values(n, av, bits)
+    with mp.workprec(bits):
+        sqrt2 = mp.sqrt(2)
+        u = [sqrt2 * p for p in phi]
+        w = [mp.mpf(0)] + [mp.sqrt(j) * phi[j - 1] for j in range(1, n)]
+        d = [mp.erfc(av)]
+        for k in range(1, n):
+            d.append(d[k - 1] + mp.sqrt(mp.mpf(2) / k) * phi[k] * phi[k - 1])
+        minors, det = [], mp.mpf(1)
+        for k in range(n):
+            pivot, uk, wk = d[k], u[k], w[k]
+            if not pivot > 0:
+                raise _NonPositiveNorm(k + 1, "pivot")
+            det *= pivot
+            minors.append(det)
+            for i in range(k + 2, n, 2):
+                c = (uk * w[i] - wk * u[i]) / (i - k)
+                f = c / pivot
+                d[i] -= f * c
+                u[i] -= f * uk
+                w[i] -= f * wk
+        return minors
 
 
 def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -> Certified:
     """[P(1, a), ..., P(n, a)] as det(I - G_k), G_k the leading k x k block
-    of the Hermite-function overlap matrix G_n: the minors of I - G_n, from
-    C = I - G_n itself.
+    of the Hermite-function overlap matrix G_n: the leading minors of
+    I - G_n, by elimination on its generators (``_fredholm_pass``).
 
     Certified by ``orthopoly._certify`` to ``policy.target_certified_digits``
     from ``policy.start_bits("fredholm", a, n)``, the target plus the

@@ -378,7 +378,7 @@ class TestVerify:
         # is the same whichever of the two labels a row carries
         assert run_cli("verify --suite all --n-max 6 --a-list 0.3,0.7,1.1,2.5".split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "102deeb7469752187c8a2604cf3e1376e7c30963ddafd01b7bcf7ef42de3da90")
+            "ae209d6eab502a68ae65c838a6e3e07b8fef4e6c10e65e303865d2fdd684c37d")
 
     @pytest.mark.parametrize("a_list, name, code", [
         ("1", "pair_summ", 2),  # a typo matches no check
@@ -542,10 +542,10 @@ class TestProb:
         assert doc["prob_fredholm"] == doc["prob_hankel"]
 
     @pytest.mark.parametrize("args, digest", [
-        ("prob 10 3", "702355bedcec5ce31a82f51582d721ebec33a496141eee6f873edf6916c5cab6"),
-        ("prob 60 1", "0b082d02a76f6808db21189ff9a3ce5db95528fcc58b5af812f4d6b20241027e"),
+        ("prob 10 3", "c724c311728e21d3a8e69c940f96305e3b652d842c9d1eb661ef86ec36cf29fc"),
+        ("prob 60 1", "3925cb62c88720020d1903c784d79d74d3ec59442dec3719b010c58f2140b21a"),
         ("verify --suite oracle --n-max 6 --a-list 0.7,3",
-         "3fd7333421529b67c7af3781abe8376817c9a5947cf59dffd5d7ba62dee85ec8"),
+         "961beddafcb5bef78c555485fbf5f770245ead335e9de8b6fe181f0771c53c6f"),
     ])
     def test_both_route_outputs_are_pinned(self, capsys, args, digest):
         # every byte the two routes print is pinned, so a change to how they
@@ -636,6 +636,14 @@ class TestPlot:
         with pytest.raises(SystemExit):
             run_cli(["plot", "--in", str(table_csv), "--quantity", "prob",
                      "--n-select", "77", "--out", str(tmp_path / "x.svg")])
+
+    def test_table_plot_with_no_point_is_one_line(self, tmp_path, capsys):
+        # every row is an error row, so the prob column has nothing to draw
+        svg = tmp_path / "t.svg"
+        assert run_cli(["table", "--n-max", "1", "--a-list", "1e400", "--plot", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "gue-gap-lab: error: DomainError: no data for column 'prob'\n"
+        assert not svg.exists()
 
     def test_table_with_inline_plot(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -754,8 +762,14 @@ def test_bad_tolerance_syntax_is_an_error():
     ["table", "--a-list", "1", "--fd-h", "1e-8"],
     ["table", "--a-list", "1", "--tol", "1e-3"],
     ["plot", "--in", "t.csv", "--quantity", "nope", "--out", "p.svg"],
+    ["plot", "--in", "bad.csv", "--out", "o.svg"],
+    ["plot", "--in", "t.csv", "--n-select", "77", "--out", "o.svg"],
 ], ids=lambda args: " ".join(args))
-def test_bad_input_is_a_one_line_usage_error(args, capsys):
+def test_bad_input_is_a_one_line_usage_error(args, capsys, tmp_path, monkeypatch):
+    # t.csv holds one point at n = 1; bad.csv a cell that is not a number
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("n,a,prob\n1,1,0.5\n")
+    (tmp_path / "bad.csv").write_text("n,a,prob\n1,1,abc\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2
@@ -814,17 +828,15 @@ def test_prob_past_the_erfc_bound_is_one_line_and_exit_one(capsys):
 
 
 def test_prob_failure_is_one_line_and_exit_one(capsys, monkeypatch):
-    # a C that is off by about 1e-28 at every precision keeps every level
+    # minors that are off by about 1e-28 at every precision keep every level
     # of the Fredholm certification below 40 digits, up to the ceiling
-    exact = probability.overlap_matrix
+    exact = probability._fredholm_pass
 
-    def perturbed(n, a, bits):
-        C = exact(n, a, bits)
+    def perturbed(a, n, bits):
         with mp.workprec(bits):
-            C[0][0] += mp.ldexp(bits, -100) * C[0][0]
-        return C
+            return [m + mp.ldexp(bits, -100) * m for m in exact(a, n, bits)]
 
-    monkeypatch.setattr(probability, "overlap_matrix", perturbed)
+    monkeypatch.setattr(probability, "_fredholm_pass", perturbed)
     assert cli.main(["prob", "1", "5"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "PrecisionExhaustedError" in err

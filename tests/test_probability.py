@@ -1,4 +1,4 @@
-"""Gap probability routes: overlap matrix, determinants, anchors, agreement."""
+"""Gap probability routes: the Fredholm pass, its minors, anchors, agreement."""
 
 import functools
 import math
@@ -17,11 +17,10 @@ from gue_gap_lab import (
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
 from gue_gap_lab.orthopoly import _NonPositiveNorm
 from gue_gap_lab.probability import (
-    det_identity_minus,
+    _fredholm_pass,
     gap_probability_fredholm,
     hankel_probabilities,
     hermite_function_values,
-    overlap_matrix,
     probability_record,
     residual_oracle,
 )
@@ -51,16 +50,83 @@ def gauss_legendre(order, bits):
     return nodes, weights
 
 
-def watch_overlap_builds(monkeypatch):
-    """Record (n, a, bits) of every overlap_matrix call the routes make."""
+def quad_overlaps(n, a_text, bits):
+    """C[j][k] = integral_{|x| > a} phi_j phi_k dx for j + k even by mpmath's
+    quadrature over (-inf, -a] and [a, inf), and 0 for j + k odd.  Every
+    entry's quadrature meets the same nodes, so the Hermite functions are
+    formed once per node."""
+    phi = functools.lru_cache(maxsize=None)(lambda x: hermite_function_values(n, x, bits))
+    C = [[mp.mpf(0)] * n for _ in range(n)]
+    with mp.workprec(bits):
+        av = mp.mpf(a_text)
+        for j in range(n):
+            for k in range(j, n, 2):
+                C[j][k] = C[k][j] = sum(mp.quad(lambda x: phi(x)[j] * phi(x)[k], span)
+                                        for span in ([-mp.inf, -av], [av, mp.inf]))
+    return C
+
+
+def node_sum_overlaps(n, a_text, order, bits):
+    """I minus the order-point Gauss-Legendre sum of phi_j phi_k over (-a, a),
+    over every node and every entry, j + k odd included."""
+    nodes, weights = gauss_legendre(order, bits)
+    C = [[None] * n for _ in range(n)]
+    with mp.workprec(bits):
+        av = mp.mpf(a_text)
+        rows = [hermite_function_values(n, av * t, bits) for t in nodes]
+        for j in range(n):
+            for k in range(j, n):
+                C[j][k] = C[k][j] = (j == k) - av * mp.fsum(
+                    w * row[j] * row[k] for w, row in zip(weights, rows))
+    return C
+
+
+def worst_minor_error(C, minors, bits):
+    """The worst relative difference of ``minors`` from mpmath's LU
+    determinants of the leading blocks of C."""
+    with mp.workprec(bits):
+        return max(abs(m - mp.det(mp.matrix([row[:k] for row in C[:k]]))) / m
+                   for k, m in enumerate(minors, start=1))
+
+
+def dense_minors(n, a_text, bits):
+    """The leading minors the way the Fredholm route once formed them: every
+    entry of C filled by the overlap recurrence, C[0][0] = erfc(a) and, for
+    j + k even and j <= k,
+    C[j][k] = (sqrt(j) C[j-1][k-1] + sqrt(2) phi_j(a) phi_{k-1}(a)) / sqrt(k),
+    then an LDL^T over the lower triangle of the pivot's parity."""
+    with mp.workprec(bits):
+        av = mp.mpf(a_text)
+        phi = hermite_function_values(n, av, bits)
+        roots, sqrt2 = [mp.sqrt(j) for j in range(n)], mp.sqrt(2)
+        C = [[mp.mpf(0)] * n for _ in range(n)]
+        C[0][0] = mp.erfc(av)
+        for j in range(n):
+            for k in range(j or 2, n, 2):
+                edge = sqrt2 * phi[j] * phi[k - 1]
+                inner = roots[j] * C[j - 1][k - 1] + edge if j else edge
+                C[j][k] = C[k][j] = inner / roots[k]
+        minors, det = [], mp.mpf(1)
+        for k in range(n):
+            det *= C[k][k]
+            minors.append(det)
+            for i in range(k + 2, n, 2):
+                f = C[i][k] / C[k][k]
+                for j in range(k + 2, i + 1, 2):
+                    C[i][j] -= f * C[j][k]
+        return minors
+
+
+def watch_fredholm_passes(monkeypatch):
+    """Record (n, a, bits) of every Fredholm pass the routes run."""
     built = []
-    exact = probability.overlap_matrix
+    exact = probability._fredholm_pass
 
-    def watched(n, a, bits):
+    def watched(a, n, bits):
         built.append((n, a, bits))
-        return exact(n, a, bits)
+        return exact(a, n, bits)
 
-    monkeypatch.setattr(probability, "overlap_matrix", watched)
+    monkeypatch.setattr(probability, "_fredholm_pass", watched)
     return built
 
 
@@ -114,116 +180,85 @@ class TestHermiteFunctions:
 class TestOverlapMatrix:
     @pytest.mark.parametrize("n, a_text", [(6, "0.5"), (12, "2.5"), (8, "4")])
     def test_entries_against_mpmath_quad(self, n, a_text):
-        # the recurrence against direct quadrature of phi_j phi_k over
-        # (-inf, -a] and [a, inf); every entry's quadrature meets the same
-        # nodes, so the Hermite functions are formed once per node
+        # the entries the pass's generators and diagonal recurrence stand
+        # for, against direct quadrature: (k - j) C[j][k] = u_j w_k - w_j u_k
+        # with u_j = sqrt(2) phi_j(a), w_j = sqrt(j) phi_{j-1}(a), and
+        # C[k][k] - C[k-1][k-1] = sqrt(2/k) phi_k(a) phi_{k-1}(a)
         bits = 256
-        C = overlap_matrix(n, a_text, bits)
-        phi = functools.lru_cache(maxsize=None)(lambda x: hermite_function_values(n, x, bits))
+        C = quad_overlaps(n, a_text, bits)
         with mp.workprec(bits):
             av = mp.mpf(a_text)
-            for j, k in ((0, 0), (1, 3), (n - 1, n - 1), (n - 4, n - 2), (0, n - 2)):
-                ref = sum(mp.quad(lambda x: phi(x)[j] * phi(x)[k], span)
-                          for span in ([-mp.inf, -av], [av, mp.inf]))
-                assert abs(C[j][k] - ref) < mp.mpf(2) ** -240
+            phi = hermite_function_values(n, av, bits)
+            u = [mp.sqrt(2) * p for p in phi]
+            w = [mp.mpf(0)] + [mp.sqrt(j) * phi[j - 1] for j in range(1, n)]
+            tol = mp.mpf(2) ** -240
+            assert abs(C[0][0] - mp.erfc(av)) < tol
+            for k in range(1, n):
+                edge = mp.sqrt(mp.mpf(2) / k) * phi[k] * phi[k - 1]
+                assert abs(C[k][k] - C[k - 1][k - 1] - edge) < tol
+                for j in range(k % 2, k, 2):
+                    assert abs((k - j) * C[j][k] - (u[j] * w[k] - w[j] * u[k])) < n * tol
 
     @pytest.mark.parametrize("a_text", ["0.1", "1.3", "6"])
     def test_doubling_the_bits_moves_no_entry(self, a_text):
+        # no minor of the pass moves by more than its fitted loss when the
+        # bits double
         n, bits = 20, 320
-        lo, hi = overlap_matrix(n, a_text, bits), overlap_matrix(n, a_text, 2 * bits)
+        lo, hi = _fredholm_pass(a_text, n, bits), _fredholm_pass(a_text, n, 2 * bits)
+        loss = precision.loss_digits("fredholm", a_text, n) + precision.LOSS_MARGIN_DIGITS
         with mp.workprec(2 * bits):
-            worst = max(abs(x - y) for row_lo, row_hi in zip(lo, hi)
-                        for x, y in zip(row_lo, row_hi))
-        assert worst < mp.mpf(2) ** (8 - bits)
-
-    def test_odd_entries_are_exact_zeros(self):
-        C = overlap_matrix(9, "1.7", 192)
-        for j in range(9):
-            for k in range(9):
-                assert (C[j][k] == 0) == ((j + k) % 2 == 1)
+            worst = max(abs(x - y) / y for x, y in zip(lo, hi))
+        assert worst < mp.mpf(10) ** loss * mp.mpf(2) ** -bits
 
     def test_zero_gap_is_the_zero_matrix(self):
         # the overlaps over a gap of zero width, I - C, are exactly zero:
-        # every boundary term holds a factor phi_odd(0) = 0, so C is I
-        C = overlap_matrix(6, "0", 128)
-        assert all(v == (j == k) for j, row in enumerate(C) for k, v in enumerate(row))
+        # every boundary term holds a factor phi_odd(0) = 0, so every minor
+        # of C is exactly 1
+        assert all(m == 1 for m in _fredholm_pass("0", 12, 128))
 
 
 class TestDeterminant:
     def test_against_mpmath_lu(self):
-        # every leading principal minor against mpmath's LU of the block
-        bits = 512
-        C = overlap_matrix(4, "0.9", bits)
-        minors = det_identity_minus(C, bits)
-        assert len(minors) == 4
-        with mp.workprec(bits):
-            for k in range(1, 5):
-                M = mp.matrix(k, k)
-                for i in range(k):
-                    for j in range(k):
-                        M[i, j] = C[i][j]
-                ref = mp.det(M)
-                assert abs(minors[k - 1] - ref) / abs(ref) < mp.mpf(10) ** -120
-
-    @pytest.mark.parametrize("n, a_text", [(12, "2.5"), (9, "0.7")])
-    def test_parity_skip_matches_dense_elimination(self, n, a_text):
-        # the same lower-triangle LDL^T update, over every row i > k and
-        # column j <= i: the updates the parity skip leaves out subtract
-        # exact zeros, so every minor is bit for bit the same
-        bits = 256
-        C = overlap_matrix(n, a_text, bits)
-        with mp.workprec(bits):
-            M = [list(row) for row in C]
-            ref, det = [], mp.mpf(1)
-            for k in range(n):
-                det *= M[k][k]
-                ref.append(det)
-                for i in range(k + 1, n):
-                    f = M[i][k] / M[k][k]
-                    for j in range(k + 1, i + 1):
-                        M[i][j] -= f * M[j][k]
-        assert [m._mpf_ for m in det_identity_minus(C, bits)] == [r._mpf_ for r in ref]
-
-    def test_non_positive_pivot_is_a_quadrature_failure(self):
-        # a C with a zero on the diagonal is not positive definite: its
-        # pivot raises the _NonPositiveNorm on which the loop escalates
-        bits = 128
-        with mp.workprec(bits):
-            C = [[mp.mpf("0.5"), mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]]
-        with pytest.raises(_NonPositiveNorm, match="pivot 2") as exc:
-            det_identity_minus(C, bits)
-        assert exc.value.index == 2
-
-    def test_overlap_matrix_symmetric(self):
+        # every leading principal minor against mpmath's LU of the block of
+        # the quadrature-built C
         bits = 384
-        C = overlap_matrix(5, "1.1", bits)
+        minors = _fredholm_pass("0.9", 4, bits)
+        assert len(minors) == 4
+        assert worst_minor_error(quad_overlaps(4, "0.9", bits), minors, bits) < mp.mpf(10) ** -100
+
+    @pytest.mark.parametrize("n, a_text", [(12, "2.5"), (9, "0.7"), (60, "1"), (150, "1"), (60, "8")])
+    def test_parity_skip_matches_dense_elimination(self, n, a_text):
+        # elimination on the generators against the filled C and its LDL^T,
+        # at 300 bits, and 450 at a = 8, where C_60 loses about 60 digits
+        bits = 450 if a_text == "8" else 300
+        new, ref = _fredholm_pass(a_text, n, bits), dense_minors(n, a_text, bits)
         with mp.workprec(bits):
-            for i in range(5):
-                for j in range(5):
-                    assert abs(C[i][j] - C[j][i]) < mp.mpf(10) ** -100
+            assert max(abs(x - y) / y for x, y in zip(new, ref, strict=True)) < mp.mpf(10) ** -70
+
+    def test_non_positive_pivot_is_a_quadrature_failure(self, monkeypatch):
+        # Hermite values for which the second pivot erfc(1) + sqrt(2) phi_1 phi_0
+        # is negative: it raises the _NonPositiveNorm on which the loop escalates
+        monkeypatch.setattr(probability, "hermite_function_values",
+                            lambda count, x, bits: [mp.mpf(1), mp.mpf(-1)])
+        with pytest.raises(_NonPositiveNorm, match="pivot 2") as exc:
+            _fredholm_pass("1", 2, 128)
+        assert exc.value.index == 2
 
     @pytest.mark.parametrize("n, a_text, order, bits", [
         (1, "0.5", 40, 256), (6, "1.1", 45, 384), (9, "2.5", 76, 800),
         (4, "5", 129, 1328), (5, "0.7", 52, 1328),
     ])
     def test_parity_fold_matches_the_full_node_sum(self, n, a_text, order, bits):
-        # the recurrence, which folds parity into exact zeros, against I minus
-        # the order-point Gauss-Legendre sum over (-a, a), over every node and
-        # every entry; the sum's own truncation error is at most 2e-72 at
-        # these orders
-        nodes, weights = gauss_legendre(order, bits)
-        ref = [[None] * n for _ in range(n)]
+        # the pass, which never forms the entries with j + k odd, against
+        # mpmath's LU of I minus the order-point Gauss-Legendre sum over
+        # (-a, a), over every node and every entry; the sum's own truncation
+        # error is at most 2e-72 at these orders
+        C = node_sum_overlaps(n, a_text, order, bits)
+        minors = _fredholm_pass(a_text, n, bits)
+        assert worst_minor_error(C, minors, bits) < mp.mpf(10) ** -60
         with mp.workprec(bits):
-            av = mp.mpf(a_text)
-            rows = [hermite_function_values(n, av * t, bits) for t in nodes]
-            for l in range(n):
-                for m in range(l, n):
-                    ref[l][m] = ref[m][l] = (l == m) - av * mp.fsum(
-                        w * row[l] * row[m] for w, row in zip(weights, rows))
-        C = overlap_matrix(n, a_text, bits)
-        with mp.workprec(bits):
-            assert max(abs(C[l][m] - ref[l][m]) for l in range(n) for m in range(n)) < mp.mpf(10) ** -60
-        assert all(C[l][m] == 0 for l in range(n) for m in range(n) if (l + m) % 2)
+            assert all(abs(C[j][k]) < mp.mpf(10) ** -60
+                       for j in range(n) for k in range(n) if (j + k) % 2)
 
 
 class TestRoutes:
@@ -263,7 +298,7 @@ class TestRoutes:
     def test_oracle_builds_one_rule_pair_for_every_n(self, monkeypatch):
         # one C_n at each precision of the cross-precision pair serves
         # every k <= n through its leading minors, from the route's own start
-        built = watch_overlap_builds(monkeypatch)
+        built = watch_fredholm_passes(monkeypatch)
         rep = residual_oracle(4, "0.9")
         assert len(rep.checks) == 4 and rep.all_pass
         assert len(built) == 2
@@ -272,22 +307,22 @@ class TestRoutes:
         assert all(b[:2] == (4, "0.9") for b in built)
 
     def test_fredholm_convergence_guard(self, monkeypatch):
-        # an error in C[0][0] that does not shrink as the bits grow, about
+        # an error in phi_0(a) that does not shrink as the bits grow, about
         # 1e-28 between the passes of a level, keeps every level below 40
         # digits, so the loop ends at the ceiling
-        exact = probability.overlap_matrix
+        exact = probability.hermite_function_values
 
-        def perturbed(n, a, bits):
-            C = exact(n, a, bits)
+        def perturbed(count, x, bits):
+            vals = exact(count, x, bits)
             with mp.workprec(bits):
-                C[0][0] += mp.ldexp(bits, -100)
-            return C
+                vals[0] += mp.ldexp(bits, -100)
+            return vals
 
         policy = PrecisionPolicy(max_bits=2048)
-        monkeypatch.setattr(probability, "overlap_matrix", perturbed)
+        monkeypatch.setattr(probability, "hermite_function_values", perturbed)
         with pytest.raises(PrecisionExhaustedError, match="certified only 2[78] digits"):
             gap_probability_fredholm(4, "0.5", policy)
-        monkeypatch.setattr(probability, "overlap_matrix", exact)
+        monkeypatch.setattr(probability, "hermite_function_values", exact)
         fredholm = gap_probability_fredholm(4, "0.5", policy)
         assert len(fredholm.value) == 4 and fredholm.certified_digits >= 40
 
@@ -341,7 +376,7 @@ class TestPrecisionRule:
         assert precision.loss_digits("fredholm", 1, 40) < precision.loss_digits("fredholm", 8, 40)
         explicit = PrecisionPolicy(base_bits=200, bits_per_n=8)
         assert explicit.start_bits("fredholm", 8, 60) == 200
-        built = watch_overlap_builds(monkeypatch)
+        built = watch_fredholm_passes(monkeypatch)
         fredholm = gap_probability_fredholm(3, "1.1", explicit)
         assert [b[2] for b in built] == [200, 264]
         assert (fredholm.working_bits, fredholm.escalations) == (264, 0)
@@ -363,7 +398,7 @@ class TestPrecisionRule:
     def test_nearby_cells_share_one_rule_pair(self, monkeypatch):
         # each cell builds C at one pair of precisions: its start bits and
         # CHECK_BITS more, with no escalation
-        built = watch_overlap_builds(monkeypatch)
+        built = watch_fredholm_passes(monkeypatch)
         assert residual_oracle(3, "0.7").all_pass
         assert residual_oracle(3, "1.1").all_pass
         starts = [PrecisionPolicy().start_bits("fredholm", a, 3) for a in (0.7, 1.1)]

@@ -10,13 +10,13 @@ from gue_gap_lab import (
     GapWeight,
     build_a_grid,
     build_recurrence_table,
+    gap_probability_fredholm,
     iterate_r_orbit,
     moment,
     probability_record,
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
 from gue_gap_lab.precision import GUARD_BITS, as_mpf
-from gue_gap_lab.probability import overlap_matrix
 from gue_gap_lab.weight import even_moment_jets, even_moments, orbit_seed
 
 R0_AT_1 = "2.63896751423479126047150115207156112883768656"
@@ -138,8 +138,8 @@ def test_negative_half_width_rejected():
     (iterate_r_orbit, ("inf", 5, 256)),
     (build_a_grid, ("inf", 3)),
     (probability_record, (3, "inf")),
-    (overlap_matrix, (3, "inf", 64)),
-    (overlap_matrix, (3, "nan", 64)),
+    (gap_probability_fredholm, (3, "inf")),
+    (gap_probability_fredholm, (3, "nan")),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_non_finite_half_width_fails_at_the_boundary(route, args):
     # every route builds a GapWeight, which rejects a that is not finite
@@ -160,7 +160,7 @@ def test_non_finite_half_width_fails_at_the_boundary(route, args):
     (iterate_r_orbit, ("1e154", 3, 300)),
     (iterate_r_orbit, ("1e154", 3, 512)),
     (probability_record, (3, "1e154")),
-    (overlap_matrix, (3, "1e400", 64)),
+    (gap_probability_fredholm, (3, "1e400")),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_half_width_past_the_erfc_bound_fails_at_the_boundary(route, args):
     # mpmath's erfc squares int(a) into a float, which overflows past about

@@ -10,8 +10,9 @@ compare, uncapped), at the first W = 256, 512, 1024, ... where they agree
 to at least 30 digits.  The Chebyshev route is measured on the pass on
 jets, whose derivative parts certification also compares; the orbit on
 ``difference_eqs._orbit_pass``; the Fredholm route on the minors of C_n
-(``probability._fredholm_pass``), over the Chebyshev route's cells with n
-the matrix order.
+(``probability._fredholm_pass``), with n the matrix order, over the
+Chebyshev route's cells, n = 100 and 150 across the a-range, and
+a = 20 and 30.
 
 The write mode then fits ``precision.LOSS_FIT`` to the table (minimax,
 rounded to 2 decimals) and finds the smallest margin in digits at which a
@@ -53,7 +54,9 @@ CELLS = {
     "orbit": list(itertools.product(
         ("1e-300", "1e-40", "1e-9", "0.01", "0.1", "0.5", "1", "2", "3", "6", "12", "20", "30"),
         (1, 4, 20, 100, 300))) + [("1", 1000), ("6", 1000), ("30", 1000)],
-    "fredholm": CHEBYSHEV_CELLS,
+    "fredholm": CHEBYSHEV_CELLS + list(itertools.product(
+        ("0.1", "1", "2", "3", "5", "8", "12"), (100, 150))) + list(itertools.product(
+        ("20", "30"), (1, 2, 4, 8, 16, 32, 61, 100))),
 }
 
 

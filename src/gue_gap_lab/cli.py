@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -572,6 +573,14 @@ def _check_writable(parser, flag: str, path: str) -> None:
         os.remove(path)
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: by the file system when both exist,
+    by their resolved paths otherwise."""
+    if os.path.exists(path) and os.path.exists(other):
+        return os.path.samefile(path, other)
+    return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _add_precision(sub):
     """Flags of every computing subcommand: precision policy and output."""
     sub.add_argument("--prec-bits", type=int, default=None,
@@ -649,6 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    named = [(f"--{flag}", getattr(args, dest, None))
+             for flag, dest in (("in", "in_path"), ("out", "out"), ("plot", "plot"))]
+    for (first, other), (flag, path) in itertools.combinations(
+            [(flag, path) for flag, path in named if path], 2):
+        if _same_file(path, other):
+            parser.error(f"{flag} {path} names the same file as {first} {other}")
     for flag in ("out", "plot"):
         path = getattr(args, flag, None)
         if path:

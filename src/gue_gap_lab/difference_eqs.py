@@ -50,8 +50,8 @@ class DiscreteOrbit(NamedTuple):
 
 
 def _orbit(a, n_top: int, bits: int):
-    """(h_0, [r_0, ..., r_n_top]) at ``bits``, h_0 an mpf and each r_n a raw
-    mpf tuple (see ``precision``), from the first-order pair
+    """(r, beta, h) for n = 0..n_top at ``bits``, lists of raw mpf tuples
+    (see ``precision``), from the first-order pair
 
         R_n = 2 r_n^2 / ((n + r_n) R_{n-1}),    r_{n+1} = a R_n - r_n,
 
@@ -59,11 +59,13 @@ def _orbit(a, n_top: int, bits: int):
     These are the ladder relations r_n^2 = beta_n R_n R_{n-1}, with
     beta_n = (n + r_n)/2, and r_{n+1} + r_n = a R_n; eliminating R_n gives
     the second-order closure in r_n alone, whose denominator
-    r_n + r_{n-1} = a R_{n-1} cancels to O(a^3) at small a.  The pair only
-    divides by 2 beta_n R_{n-1}, positive in exact arithmetic, so a value
-    <= 0 at some n <= n_top means this precision lost the orbit: that
-    raises _NonPositiveNorm(n), and the certification loop escalates.  a
-    is judged once by ``GapWeight`` at 64 bits, as in
+    r_n + r_{n-1} = a R_{n-1} cancels to O(a^3) at small a.  The sum
+    n + r_n that the denominator forms also gives beta_n, halved exactly,
+    and h_n = beta_n h_{n-1}, with beta_0 = 0.  The pair only divides by
+    2 beta_n R_{n-1}, positive in exact arithmetic, so a value <= 0 at some
+    n <= n_top means this precision lost the orbit: that raises
+    _NonPositiveNorm(n), and the certification loop escalates.  a is
+    judged once by ``GapWeight`` at 64 bits, as in
     ``orthopoly._parse_inputs``, so that whether it is refused does not
     depend on ``bits``, and must then be > 0 at ``bits``.
     """
@@ -72,16 +74,21 @@ def _orbit(a, n_top: int, bits: int):
     if not av > 0:
         raise DomainError("orbit iteration requires a > 0")
     h0, R = orbit_seed(av, bits)
-    a_t, R = av._mpf_, R._mpf_
-    r = [fzero, mpf_mul(a_t, R, bits, RN)]
+    a_t, R, hn = av._mpf_, R._mpf_, h0._mpf_
+    r, beta, h = [fzero, mpf_mul(a_t, R, bits, RN)], [fzero], [hn]
     for n in range(1, n_top + 1):
         rn = r[n]
-        den = mpf_mul(mpf_add(rn, from_int(n), bits, RN), R, bits, RN)
+        s = mpf_add(rn, from_int(n), bits, RN)
+        den = mpf_mul(s, R, bits, RN)
         if den[0] or not den[1]:  # den <= 0: a sign bit, or a zero mantissa
             raise _NonPositiveNorm(n)
         R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, bits, RN), den, bits, RN)  # exact doubling
         r.append(mpf_sub(mpf_mul(a_t, R, bits, RN), rn, bits, RN))
-    return h0, r[:-1]
+        bn = mpf_shift(s, -1)  # exact halving
+        hn = mpf_mul(bn, hn, bits, RN)
+        beta.append(bn)
+        h.append(hn)
+    return r[:-1], beta, h
 
 
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
@@ -89,23 +96,15 @@ def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     ``_orbit``), at ``prec_bits``.  Requires n_top >= 1 and a > 0."""
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
-    r = _orbit(a, n_top, prec_bits)[1]
-    return DiscreteOrbit(r=tuple(mp.make_mpf(x) for x in r), bits=prec_bits)
+    r = _orbit(a, n_top, prec_bits)[0]
+    return DiscreteOrbit(r=tuple(map(mp.make_mpf, r)), bits=prec_bits)
 
 
 def _orbit_pass(a_value, n_max: int, bits: int):
-    """One orbit-to-recurrence pass at ``bits``: (beta, h) as lists of mpf,
-    beta_n = (n + r_n)/2 > 0 (the orbit checked it) and h_n = beta_n h_{n-1}
-    from the orbit's h_0, formed on the orbit's raw tuples."""
-    h0, r = _orbit(a_value, max(n_max, 1), bits)
-    beta, h = [mp.mpf(0)], [h0]
-    hn = h0._mpf_
-    for n in range(1, n_max + 1):
-        bn = mpf_shift(mpf_add(r[n], from_int(n), bits, RN), -1)  # exact halving
-        hn = mpf_mul(bn, hn, bits, RN)
-        beta.append(mp.make_mpf(bn))
-        h.append(mp.make_mpf(hn))
-    return beta, h
+    """One orbit-to-recurrence pass at ``bits``: (beta, h) as lists of mpf
+    for n = 0..n_max, from ``_orbit``, which formed them on raw tuples."""
+    _, beta, h = _orbit(a_value, max(n_max, 1), bits)
+    return list(map(mp.make_mpf, beta[:n_max + 1])), list(map(mp.make_mpf, h[:n_max + 1]))
 
 
 def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None) -> RecurrenceTable:

@@ -119,7 +119,18 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
     with mp.workprec(bits):
         thresh = (mp.mpf(10) ** (-t))._mpf_
     a_t = a._mpf_
+    # a tuple (s, m, e, b) with m != 0 has magnitude in [2^(e+b-1), 2^(e+b)),
+    # and a rounded product of magnitudes below 2^k stays at most 2^k; so
+    # |P_n| at least 4 times the bound on thresh * scale passes the check
+    top = [x[2] + x[3] for x in pt]
+    lead = thresh[2] + thresh[3] + 2
+    a_top, b_top = a_t[2] + a_t[3], [b._mpf_[2] + b._mpf_[3] for b in beta]
     for n in range(1, n_top + 1):
+        bound = a_top + top[n - 1]
+        if n >= 2:
+            bound = max(bound, b_top[n - 1] + top[n - 2])
+        if pt[n][1] and top[n] - 1 >= lead + bound:
+            continue
         # scale of the two recurrence terms whose difference is P_n(a)
         scale = mpf_abs(mpf_mul(a_t, pt[n - 1], bits, RN), bits, RN)
         if n >= 2:
@@ -131,11 +142,8 @@ def ladder_states(table: RecurrenceTable, n_top: int | None = None) -> list[Ladd
                 f"P_{n}(a) is below the certification threshold at a={mp.nstr(a, 8)}",
                 n=n,
             )
-    return [
-        LadderState(n=n, a=a, beta=beta[n], Pn_at_a=P[n], bits=bits,
-                    **{k: edge[k][n] for k in ("R", "r", "sigma", "p")})
-        for n in range(n_top + 1)
-    ]
+    return list(map(LadderState, range(n_top + 1), [a] * (n_top + 1), edge["R"], edge["r"],
+                    beta, edge["sigma"], edge["p"], P, [bits] * (n_top + 1)))
 
 
 def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:

@@ -160,17 +160,37 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
     disagreement over all their numbers (over each jet coefficient, for a
     pass on jets), capped at the lower pass's precision.  One logarithm, of
     the worst disagreement, since floor(-log10(rel)) falls as rel grows.
-    The compare runs at 64 bits on raw mpf tuples."""
+
+    The compare runs at 64 bits on raw mpf tuples, from the last number to
+    the first, since a pass loses its digits as the degree grows.  A pair of
+    one sign whose leading binary exponents differ by at most 1 first takes
+    its exact difference from the mantissas, aligned: when that and the
+    exponents bound its disagreement below half the worst so far, the pair
+    cannot raise the worst and is skipped.  Every other pair runs the
+    64-bit compare, so the worst is the one a full walk finds.
+    """
     cap = int(lo_bits * _LOG10_2)
     worst = fzero
-    for x, y in zip(_numbers(lo), _numbers(hi)):
-        x, y = x._mpf_, y._mpf_
-        if x != y:  # normalized tuples are equal exactly when the values are
-            ax, ay = mpf_abs(x, 64, RN), mpf_abs(y, 64, RN)
-            den = ax if mpf_cmp(ax, ay) >= 0 else ay
-            rel = mpf_div(mpf_abs(mpf_sub(x, y, 64, RN)), den, 64, RN)
-            if mpf_cmp(rel, worst) > 0:
-                worst = rel
+    bound = None  # a pair whose disagreement is below 2^bound is skipped
+    xs, ys = list(_numbers(lo)), list(_numbers(hi))
+    for i in range(min(len(xs), len(ys)) - 1, -1, -1):
+        x, y = xs[i]._mpf_, ys[i]._mpf_
+        if x == y:  # normalized tuples are equal exactly when the values are
+            continue
+        if bound is not None and x[1] and y[1] and x[0] == y[0]:
+            tx, ty = x[2] + x[3], y[2] + y[3]  # |x| in [2^(tx-1), 2^tx)
+            if -1 <= tx - ty <= 1:
+                e = min(x[2], y[2])
+                diff = (x[1] << (x[2] - e)) - (y[1] << (y[2] - e))  # (x - y) / 2^e
+                # rel < 2^(bits(diff) + e) / 2^(max(tx, ty) - 1)
+                if diff.bit_length() + e - max(tx, ty) + 1 <= bound:
+                    continue
+        ax, ay = mpf_abs(x, 64, RN), mpf_abs(y, 64, RN)
+        den = ax if mpf_cmp(ax, ay) >= 0 else ay
+        rel = mpf_div(mpf_abs(mpf_sub(x, y, 64, RN)), den, 64, RN)
+        if mpf_cmp(rel, worst) > 0:
+            worst = rel
+            bound = worst[2] + worst[3] - 2  # worst / 2 >= 2^bound
     if worst == fzero:
         return cap
     if mpf_cmp(worst, fone) >= 0:

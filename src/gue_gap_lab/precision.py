@@ -9,14 +9,19 @@ runs inside its callers' blocks).
 Values travel as plain mpf, and each container states their bits once; a
 :class:`Jet` carries a value together with its first a-derivatives.
 
-Loops of O(n) steps at one precision (the one r_n orbit loop, the
-certification compare, the edge-zero check, the Hankel product,
-``report.relative_residual``) run on raw ``_mpf_`` tuples through
-``mpmath.libmp`` instead, skipping the mpf operators' dispatch.  Each call
-takes the stated bits and ``round_nearest``, as an operator does under
-``mp.workprec``, so every value is bit for bit the same.  Tuples leave only
-the private orbit loop, for its two callers in ``difference_eqs``; every
-public function returns plain mpf.
+Loops of O(n) steps at one precision (the one r_n orbit loop, which also
+forms beta_n and h_n, the certification compare, the edge-zero check, the
+Hankel product, ``report.relative_residual``) run on raw ``_mpf_`` tuples
+through ``mpmath.libmp`` instead, skipping the mpf operators' dispatch.
+Each call takes the stated bits and ``round_nearest``, as an operator does
+under ``mp.workprec``, so every value is bit for bit the same.  The compare
+and the edge-zero check first settle from exponents (and, for the compare,
+an exact mantissa difference) each number whose outcome those already
+prove, and run the libmp path on the rest.  ``report.sci_str`` forms its
+decimal digits from the tuple with integer arithmetic, as
+``libmp.to_digits_exp`` does.  Tuples leave only the private orbit loop,
+for its two callers in ``difference_eqs``; every public function returns
+plain mpf.
 """
 
 from __future__ import annotations

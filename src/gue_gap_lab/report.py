@@ -24,27 +24,67 @@ from mpmath import libmp
 from .precision import GUARD_BITS
 
 
+_LOG_10_2 = math.log(10, 2)  # the constant libmp.to_digits_exp scales digits to bits with
+_POW10: dict[int, int] = {}
+
+
 def sci_str(x, digits: int) -> str:
     """Deterministic scientific-notation string with ``digits`` significant
-    digits.  An mpf prints as given, whatever the ambient precision.
+    digits: ``mp.nstr(x, digits, min_fixed=1, max_fixed=0,
+    strip_zeros=False)``, byte for byte, once a mantissa wider than nstr
+    reads is cut.  An mpf prints as given, whatever the ambient precision.
 
     nstr reads only the leading (digits + 3) log2(10) + 10 bits, truncated,
     but scales a tiny or huge value by a power of ten taken from the raw
     binary exponent, so a mantissa tens of thousands of bits wide would
     become an integer past Python's int-str limit.  A wider mantissa is
-    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
-    which leaves every bit nstr reads as it was.  The truncation shifts the
-    raw tuple's mantissa right, moving its exponent by as much, and strips
-    the trailing zero bits, so the tuple handed to ``libmp.to_str`` (what
-    nstr calls) is the one ``mpf_pos(..., round_down)`` would give.
+    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits:
+    the tuple that results is the one ``mpf_pos(..., round_down)`` would
+    give.
+
+    nstr's ``libmp.to_str`` takes digits + 3 digits, truncated, from
+    ``libmp.to_digits_exp`` and rounds that string half up to ``digits``.
+    Both steps run here on the raw tuple: the digits are one integer
+    multiply by a power of ten (cached by exponent), a shift and ``str``,
+    and the rounding carries through a run of 9s into the next decade.
+    Zero, and a value whose binary exponent is beyond +-3500, which
+    to_digits_exp first rescales by a rounded power of ten, go through
+    ``libmp.to_str`` itself.
     """
-    sign, man, exp, bc = t = mp.mpmathify(x)._mpf_
+    sign, man, exp, bc = t = x._mpf_ if isinstance(x, mp.mpf) else mp.mpmathify(x)._mpf_
     cut = bc - int((digits + 3) * math.log2(10)) - GUARD_BITS
     if cut > 0:
         man >>= cut
         zeros = (man & -man).bit_length() - 1
-        t = (sign, man >> zeros, exp + cut + zeros, bc - cut - zeros)
-    return libmp.to_str(t, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+        man >>= zeros
+        exp += cut + zeros
+        t = (sign, man, exp, bc - cut - zeros)
+    top = t[2] + t[3]
+    if not man or not -3500 <= top <= 3500 or digits < 1:
+        return libmp.to_str(t, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+    # to_digits_exp at digits + 3: floor(|x| 2^fix) as a fixed-point integer,
+    # times 10^fixdps, shifted back down
+    fix = max(int((digits + 3) * _LOG_10_2) + 10 - top, 0)
+    fixdps = int(fix / _LOG_10_2 + 0.5)
+    shift = exp + fix
+    pow10 = _POW10.get(fixdps) or _POW10.setdefault(fixdps, 10 ** fixdps)
+    s = str(((man << shift) if shift >= 0 else (man >> -shift)) * pow10 >> fix)
+    e = len(s) - fixdps - 1
+    # to_str's half-up rounding, where a carry out of the leading digit
+    # moves the exponent
+    if len(s) > digits and s[digits] >= "5":
+        s = str(int(s[:digits]) + 1)
+        if len(s) > digits:
+            s = s[:digits]
+            e += 1
+    else:
+        s = s[:digits]
+    s = s[0] + "." + s[1:]
+    if sign:
+        s = "-" + s
+    if e == 0:
+        return s
+    return f"{s}e+{e}" if e > 0 else f"{s}e{e}"
 
 
 def relative_residual(terms: Sequence, bits: int) -> mp.mpf:

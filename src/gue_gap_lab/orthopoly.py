@@ -161,14 +161,11 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
     pass on jets), capped at the lower pass's precision.  One logarithm, of
     the worst disagreement, since floor(-log10(rel)) falls as rel grows.
 
-    The compare runs at 64 bits on raw mpf tuples, from the last number to
-    the first, since a pass loses its digits as the degree grows.  A pair of
-    one sign whose leading binary exponents differ by at most 1 first takes
-    its exact difference from the mantissas, aligned: when that and the
-    exponents bound its disagreement below half the worst so far, the pair
-    cannot raise the worst and is skipped.  Every other pair runs the
-    64-bit compare, so the worst is the one a full walk finds.
-    """
+    The compare runs at 64 bits on raw mpf tuples, last number first, since
+    a pass loses its digits as the degree grows.  A pair of one sign whose
+    aligned mantissa difference and exponents bound its disagreement below
+    half the worst so far cannot raise it and is skipped; every other pair
+    runs the 64-bit compare."""
     cap = int(lo_bits * _LOG10_2)
     worst = fzero
     bound = None  # a pair whose disagreement is below 2^bound is skipped

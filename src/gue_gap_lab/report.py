@@ -30,26 +30,20 @@ _POW10: dict[int, int] = {}
 
 def sci_str(x, digits: int) -> str:
     """Deterministic scientific-notation string with ``digits`` significant
-    digits: ``mp.nstr(x, digits, min_fixed=1, max_fixed=0,
-    strip_zeros=False)``, byte for byte, once a mantissa wider than nstr
-    reads is cut.  An mpf prints as given, whatever the ambient precision.
+    digits.  An mpf prints as given, whatever the ambient precision.
 
     nstr reads only the leading (digits + 3) log2(10) + 10 bits, truncated,
     but scales a tiny or huge value by a power of ten taken from the raw
     binary exponent, so a mantissa tens of thousands of bits wide would
     become an integer past Python's int-str limit.  A wider mantissa is
-    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits:
-    the tuple that results is the one ``mpf_pos(..., round_down)`` would
-    give.
-
-    nstr's ``libmp.to_str`` takes digits + 3 digits, truncated, from
-    ``libmp.to_digits_exp`` and rounds that string half up to ``digits``.
-    Both steps run here on the raw tuple: the digits are one integer
-    multiply by a power of ten (cached by exponent), a shift and ``str``,
-    and the rounding carries through a run of 9s into the next decade.
-    Zero, and a value whose binary exponent is beyond +-3500, which
-    to_digits_exp first rescales by a rounded power of ten, go through
-    ``libmp.to_str`` itself.
+    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
+    as ``mpf_pos(..., round_down)`` would.  The string is then nstr's
+    (``libmp.to_str``'s) for that tuple, byte for byte, formed here as
+    ``libmp.to_digits_exp`` forms it: one integer multiply by a power of
+    ten (cached by exponent), a shift and ``str``, then rounded half up,
+    carrying through a run of 9s into the next decade.  Zero, and binary
+    exponents beyond +-3500, which to_digits_exp first rescales by a
+    rounded power of ten, go through ``libmp.to_str`` itself.
     """
     sign, man, exp, bc = t = x._mpf_ if isinstance(x, mp.mpf) else mp.mpmathify(x)._mpf_
     cut = bc - int((digits + 3) * math.log2(10)) - GUARD_BITS

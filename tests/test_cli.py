@@ -807,6 +807,49 @@ def test_unwritable_output_is_one_line_before_any_work(args, flag, tmp_path, cap
     assert err == f"gue-gap-lab: error: cannot write {flag} {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["table", "--n-max", "1", "--a-list", "1", "--out", "x.csv", "--plot", "./x.csv"],
+     "--plot ./x.csv names the same file as --out x.csv"),
+    (["table", "--n-max", "1", "--a-list", "1", "--out", "new.csv", "--plot", "sub/../new.csv"],
+     "--plot sub/../new.csv names the same file as --out new.csv"),
+    (["table", "--n-max", "1", "--a-list", "1", "--out", "link.csv", "--plot", "x.csv"],
+     "--plot x.csv names the same file as --out link.csv"),
+    (["plot", "--in", "t.csv", "--out", "t.csv"], "--out t.csv names the same file as --in t.csv"),
+    (["plot", "--in", "t.csv", "--out", "sub/../link.csv"],
+     "--out sub/../link.csv names the same file as --in t.csv"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "refused")
+def test_an_output_naming_another_paths_file_is_refused(args, message, tmp_path, capsys,
+                                                        monkeypatch):
+    # before any cell runs and before --in is read, and every file is left
+    # byte for byte as it was; new.csv, which does not exist, is compared by
+    # its resolved path and not created
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_map_cells", no_work)
+    monkeypatch.setattr(cli, "_read_table_csv", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x.csv").write_text("x data\n")
+    (tmp_path / "t.csv").write_text("# x\nn,a,prob\n0,1,1.0\n")
+    (tmp_path / "link.csv").symlink_to("x.csv" if args[0] == "table" else "t.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"gue-gap-lab: error: {message}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
+
+
+def test_distinct_outputs_and_input_still_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["table", "--n-max", "1", "--a-list", "1", "--out", "t.csv",
+                     "--plot", "t.svg"]) == 0
+    assert cli.main(["plot", "--in", "t.csv", "--out", "p.svg"]) == 0
+    assert (tmp_path / "p.svg").read_text() == (tmp_path / "t.svg").read_text()
+
+
 def test_output_probe_keeps_an_existing_file_until_the_run_writes(tmp_path):
     # a run that ends before writing (--tol names no check) leaves the file
     # as it was; one that writes replaces it

@@ -2,12 +2,20 @@
 
 Each reference below is the operator form, under ``mp.workprec``, of a loop
 that now runs on ``_mpf_`` tuples through ``mpmath.libmp``: the r_n orbit
-and the pass built on it, the certified-digit compare, the edge-zero
-decision, the Hankel product, the closed-form Hermite norms and the
-truncation in ``sci_str``.  The Chebyshev pass is held to its full-width
-form, which carried every moment and every mixed moment, the exact zeros
-included.  The two must agree bit for bit.  (The strings of the 16384-bit
-table at a = 30 are checked in ``test_cli``, which builds it.)
+and the pass built on it (beta_n and h_n formed in the orbit loop), the
+certified-digit compare, the edge-zero decision, the Hankel product and the
+closed-form Hermite norms.  The compare walks its pairs last to first and
+skips those that exponents prove below half the worst so far, and the
+edge-zero check settles from exponents each P_n(a) at least 4 times above
+its threshold, so both are also run with the worst pair, a sign flip or a
+lone zero at each end and in the middle, and on ratios within a factor of 4
+of the threshold.  ``sci_str`` is held to the truncation and ``nstr`` it
+replaced, through carries into the next decade, at 1 to 60 digits and at
+binary exponents either side of +-3500, where it hands off to
+``libmp.to_str``.  The Chebyshev pass is held to its full-width form, which
+carried every moment and every mixed moment, the exact zeros included.  The
+two must agree bit for bit.  (The strings of the 16384-bit table at a = 30
+are checked in ``test_cli``, which builds it.)
 """
 
 import math
@@ -29,7 +37,7 @@ from gue_gap_lab.orthopoly import (
     hermite_norms_exact,
 )
 from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, Jet, as_mpf
-from gue_gap_lab.probability import hankel_probabilities
+from gue_gap_lab.probability import _fredholm_pass, hankel_probabilities
 from gue_gap_lab.report import sci_str
 from gue_gap_lab.weight import GapWeight, even_moment_jets, even_moments
 
@@ -280,3 +288,95 @@ def test_sci_str_matches_nstr_and_the_rounded_cut():
                 assert got == _sci_str_ref(v, digits)
                 far = mp.make_mpf(libmp.mpf_shift(v._mpf_, rng.choice((-1, 1)) * 30000))
                 assert sci_str(far, digits) == _sci_str_ref(far, digits)
+
+
+@pytest.mark.parametrize("where", (0, 6, 11))
+def test_certified_digits_finds_the_worst_pair_wherever_it_sits(where):
+    # the worst pair just above 10^-k (k - 1 digits) among pairs just below
+    # it and down to half of it, which the walk may meet first and skip by
+    rng = random.Random(where)
+    zero = mp.mpf(0)
+    with mp.workprec(400):
+        for k in (3, 12, 30, 90):
+            x = [rng.choice((-1, 1)) * mp.mpf(rng.random() + 0.5)
+                 * mp.mpf(10) ** rng.randint(-20, 20) for _ in range(12)]
+            rels = [0.95, 0.9, 0.6, 0.51, 0.49, 1e-5] * 2
+            rels[where] = 1.05
+            y = [v * (1 + mp.mpf(r) * mp.mpf(10) ** -k) for v, r in zip(x, rels)]
+            lo, hi = ([zero] + x[:6], x[6:]), ([zero] + y[:6], y[6:])
+            assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == k - 1
+
+
+@pytest.mark.parametrize("where", (0, 3, 7))
+def test_certified_digits_after_a_sign_flip_or_a_lone_zero(where):
+    # pairs agreeing to 1.5e-20, and one that flips sign or is zero in one
+    # pass only: the compare reads 0 digits wherever the walk meets it
+    with mp.workprec(400):
+        x = [mp.mpf(j + 1) / 7 for j in range(8)]
+        y = [v * (1 + mp.mpf("1.5e-20")) for v in x]
+        for lo_v, hi_v in ((x[where], -x[where]), (mp.mpf(0), x[where]), (x[where], mp.mpf(0)),
+                           (x[where], -x[where] * mp.mpf(10) ** -30)):
+            lo, hi = list(x), list(y)
+            lo[where], hi[where] = lo_v, hi_v
+            assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == 0
+        assert _certified_digits(x, y, 512) == _certified_digits_ref(x, y, 512) == 19
+
+
+@pytest.mark.parametrize("a_text", ("0.3", "1.3", "6"))
+def test_certified_digits_of_fredholm_minor_pairs(a_text):
+    for n, bits in ((4, 128), (12, 256), (30, 384)):
+        lo = _fredholm_pass(a_text, n, bits)
+        hi = _fredholm_pass(a_text, n, bits + CHECK_BITS)
+        assert _certified_digits(lo, hi, bits) == _certified_digits_ref(lo, hi, bits)
+
+
+@pytest.mark.parametrize("ratio", ("0.26", "0.3", "0.5", "0.9", "0.99", "1.01", "1.1", "2", "3.9"))
+def test_edge_check_at_ratios_near_the_threshold(ratio):
+    # a = sqrt(beta_1) (1 + d) puts |P_2(a)| / scale at about 2 d, with the
+    # scale beta_1 P_0 and threshold 10^-20 (40 certified digits): d sets
+    # the ratio to the threshold, within a factor of 4 either side
+    beta, h = _orbit_pass(as_mpf("1", 576), 8, 576)
+    with mp.workprec(576):
+        for sign in (1, -1):
+            a = mp.sqrt(beta[1]) * (1 + sign * mp.mpf(ratio) * mp.mpf(10) ** -20 / 2)
+            table = RecurrenceTable(a=a, n_max=8, beta=tuple(beta), h=tuple(h),
+                                    certified_digits=40, working_bits=576)
+            P = edge_quantities(a, table.beta, table.h, 576)["P"]
+            expected = _edge_zero_ref(table, P)
+            assert expected == (2 if mp.mpf(ratio) < 1 else None)
+            assert _edge_zero(table) == expected
+
+
+@pytest.mark.parametrize("digits", (1, 2, 8, 30, 60))
+def test_sci_str_carries_into_the_next_decade_like_the_cut_nstr(digits):
+    # a run of 9s rounds up into the next decade, which moves the exponent:
+    # from -1 to 0 (the e suffix disappears), from 0 to 1 (it appears), and
+    # elsewhere; ...94 and ...849 must not carry
+    values = []
+    with mp.workprec(400):
+        for k in (-40, -2, -1, 0, 1, 2, 40):
+            for tail in ("9" * (digits + 5), "9" * digits + "5", "9" * digits + "49",
+                         "9" * (digits - 1) + "849", "9" * (digits - 1) + "85"):
+                values.append(mp.mpf(f"0.{tail}e{k + 1}"))  # 9.99...e{k}
+    for v in values:
+        for w in (v, -v):
+            assert sci_str(w, digits) == _sci_str_ref(w, digits)
+    one = "1." + "0" * (digits - 1)
+    assert sci_str(values[10], digits) == one  # 9.99..e-1 -> 1.0
+    assert sci_str(-values[15], digits) == "-" + one + "e+1"  # -9.99.. -> -1.0e+1
+    assert sci_str(values[30], digits) == one + "e+41"
+
+
+@pytest.mark.parametrize("top", (-3501, -3500, -3499, 3499, 3500, 3501))
+def test_sci_str_either_side_of_the_to_str_hand_off(top):
+    # binary exponents beyond +-3500 go through libmp.to_str, which rescales
+    # them by a rounded power of ten; those within are formed here
+    rng = random.Random(top)
+    for bc in (1, 53, 200, 4096):
+        for _ in range(6):
+            man = rng.getrandbits(bc) | 1 << (bc - 1)
+            man >>= (man & -man).bit_length() - 1
+            for sign in (0, 1):
+                v = mp.make_mpf((sign, man, top - man.bit_length(), man.bit_length()))
+                for digits in (1, 2, 30, 60):
+                    assert sci_str(v, digits) == _sci_str_ref(v, digits)

@@ -18,7 +18,7 @@ from .exceptions import (
     PrecisionExhaustedError,
 )
 from .precision import PrecisionPolicy
-from .weight import GapWeight, moment
+from .weight import GapWeight
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
     LadderState,
@@ -93,7 +93,6 @@ __all__ = [
     "iterate_r_orbit",
     "jet_source",
     "ladder_states",
-    "moment",
     "probability_record",
     "relative_residual",
     "residual_R_recurrence",

@@ -8,7 +8,7 @@ touches the polynomials, so comparing the orbit against the directly
 computed ladder is a genuine two-route consistency check.  With
 h_n = beta_n h_{n-1} the orbit also gives the whole recurrence table in O(n)
 steps (``orbit_recurrence_table``), certified by the same two-level loop as
-the Chebyshev route; ``table`` builds every a > 0 cell that way.
+the Chebyshev route; ``table`` and ``prob`` build every a > 0 cell that way.
 
 Eliminating R_n closes r_n on itself as a second-order rational recurrence.
 That closure can be written three more ways, each checked here as a

@@ -18,10 +18,10 @@ check pass reaches the ceiling.  W starts at the target plus the route's
 measured loss (``PrecisionPolicy.start_bits``), so the first level
 normally certifies.  That loop, ``_certify``, certifies every route: the
 second route to the same table, ``difference_eqs.orbit_recurrence_table``,
-from which ``table`` builds every a > 0 cell, and the Fredholm minors of
-``probability``; ``verify``, ``prob``, the continuous grid and the
-acceptance gate use this module's Chebyshev route.  The table keeps the
-check pass, so its working bits are W + CHECK_BITS.
+from which ``table`` and ``prob`` build every a > 0 cell, and the Fredholm
+minors of ``probability``; ``verify``, the continuous grid, the acceptance
+gate and ``prob`` at a = 0 use this module's Chebyshev route.  The table
+keeps the check pass, so its working bits are W + CHECK_BITS.
 
 Every moment has an exact a-derivative (``weight.even_moment_jets``), so
 the same pass run on Taylor jets (``build_recurrence_table(..., jets=True)``)

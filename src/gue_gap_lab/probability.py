@@ -5,8 +5,9 @@ in (-a, a).  Two independent routes compute it:
 
 * hankel route: P(n, a) = D_n(a) / D_n(0), the ratio of moment
   determinants of the gap weight and the plain Hermite weight, evaluated
-  as prod_{j<n} h_j(a) / h_j(0) with the closed form
-  h_j(0) = (j!/2^j) sqrt(pi);
+  as prod_{j<n} h_j(a) / h_j(0) over a recurrence table, by default the
+  orbit of the ladder relations (``difference_eqs.orbit_recurrence_table``),
+  with the closed form h_j(0) = (j!/2^j) sqrt(pi);
 
 * fredholm route: P(n, a) = det(I - G_n) where G_n is the n x n matrix of
   overlaps of the first n orthonormal Hermite functions over (-a, a).
@@ -33,6 +34,7 @@ import mpmath as mp
 from mpmath.libmp import fone, mpf_div, mpf_mul
 from mpmath.libmp import round_nearest as RN
 
+from .difference_eqs import orbit_recurrence_table
 from .exceptions import DomainError
 from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs,
                         build_recurrence_table, hermite_norms_exact)
@@ -144,14 +146,18 @@ def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):
     """(bits, Hankel [P(1, a), ..., P(n, a)], certified Fredholm minors).
-    bits is the table's, built at degree n - 1 unless given, and so is a if
-    None.  The routes share no number: the Fredholm route starts from a."""
+    bits is the table's, and so is a if None.  Unless given, the table is
+    the orbit's at degree n - 1 (``difference_eqs.orbit_recurrence_table``),
+    which ``table`` builds too, or the Chebyshev route's at a = 0, which the
+    orbit refuses.  The routes share no number: the Hankel side comes from
+    the ladder relations, the Fredholm side from the Hermite functions at a."""
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     if table is None:
         if a is None:
             raise DomainError("need either a or a prebuilt table")
-        table = build_recurrence_table(a, n - 1, policy)
+        build = orbit_recurrence_table if as_mpf(a, 64) > 0 else build_recurrence_table
+        table = build(a, n - 1, policy)
     if a is None:
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]

@@ -32,29 +32,23 @@ def sci_str(x, digits: int) -> str:
     """Deterministic scientific-notation string with ``digits`` significant
     digits.  An mpf prints as given, whatever the ambient precision.
 
-    nstr reads only the leading (digits + 3) log2(10) + 10 bits, truncated,
-    but scales a tiny or huge value by a power of ten taken from the raw
-    binary exponent, so a mantissa tens of thousands of bits wide would
-    become an integer past Python's int-str limit.  A wider mantissa is
-    therefore first truncated to (digits + 3) log2(10) + GUARD_BITS bits,
-    as ``mpf_pos(..., round_down)`` would.  The string is then nstr's
-    (``libmp.to_str``'s) for that tuple, byte for byte, formed here as
-    ``libmp.to_digits_exp`` forms it: one integer multiply by a power of
-    ten (cached by exponent), a shift and ``str``, then rounded half up,
-    carrying through a run of 9s into the next decade.  Zero, and binary
-    exponents beyond +-3500, which to_digits_exp first rescales by a
-    rounded power of ten, go through ``libmp.to_str`` itself.
+    For binary exponents within +-3500 the string is nstr's
+    (``libmp.to_str``'s), byte for byte, formed as ``libmp.to_digits_exp``
+    forms it: floor(|x| 2^fix) as an integer, where fix keeps the leading
+    (digits + 3) log2(10) + 10 bits or, for a larger value, the whole
+    integer part (at most 3500 bits); one multiply by a power of ten (cached
+    by exponent), a shift and ``str``; then rounded half up, carrying
+    through a run of 9s into the next decade.  Zero and exponents beyond
+    +-3500, which to_digits_exp first rescales by a power of ten taken from
+    the raw exponent, go to ``libmp.to_str`` itself, with the mantissa first
+    truncated to (digits + 3) log2(10) + GUARD_BITS bits: one tens of
+    thousands of bits wide would become an integer past Python's int-str
+    limit.
     """
     sign, man, exp, bc = t = x._mpf_ if isinstance(x, mp.mpf) else mp.mpmathify(x)._mpf_
-    cut = bc - int((digits + 3) * math.log2(10)) - GUARD_BITS
-    if cut > 0:
-        man >>= cut
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += cut + zeros
-        t = (sign, man, exp, bc - cut - zeros)
-    top = t[2] + t[3]
+    top = exp + bc
     if not man or not -3500 <= top <= 3500 or digits < 1:
+        t = libmp.mpf_pos(t, int((digits + 3) * math.log2(10)) + GUARD_BITS, libmp.round_down)
         return libmp.to_str(t, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
     # to_digits_exp at digits + 3: floor(|x| 2^fix) as a fixed-point integer,
     # times 10^fixdps, shifted back down

@@ -13,14 +13,13 @@ gives the two-term recurrence (DLMF 8.8.2 with s = (k+1)/2, x = a^2)
     mu_{k+2} = ((k+1)/2) mu_k + a^{k+1} e^{-a^2},   mu_0 = sqrt(pi) erfc(a),
 
 which ``even_moments`` runs upward from mu_0 in one sweep, storing only the
-even moments: no list here holds an odd one, and ``moment`` gives the exact
-zero for odd k.  Every term is nonnegative for a >= 0, so no step cancels:
-each one adds at most a few roundings, and mu_k carries a relative error of
-about (k/2 + 1) 2^-work at ``work`` bits.  The recurrence runs with guard
-bits above the weight's precision, which covers that growth for any k the
-recurrence builder asks for.  These exact moments are the sole input to the
-Chebyshev route of the recurrence builder; no quadrature is involved on the
-main computational path.
+even moments: no list here holds an odd one.  Every term is nonnegative
+for a >= 0, so no step cancels: each one adds at most a few roundings, and
+mu_k carries a relative error of about (k/2 + 1) 2^-work at ``work`` bits.
+The recurrence runs with guard bits above the weight's precision, which
+covers that growth for any k the recurrence builder asks for.  These exact
+moments are the sole input to the Chebyshev route of the recurrence
+builder; no quadrature is involved on the main computational path.
 """
 
 from __future__ import annotations
@@ -127,22 +126,12 @@ def even_moment_jets(count: int, w: GapWeight) -> list[Jet]:
     return out
 
 
-def moment(k: int, w: GapWeight) -> mp.mpf:
-    """k-th power moment of the weight: the exact zero at the weight's bits
-    for odd k, else entry k/2 of ``even_moments``."""
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
-    if k % 2:
-        return as_mpf(0, w.prec_bits)
-    return even_moments(k // 2 + 1, w)[k // 2]
-
-
 def orbit_seed(a: mp.mpf, bits: int) -> tuple[mp.mpf, mp.mpf]:
     """(h_0, R_0) of the orbit route at ``bits``, from one erfc and one
-    exponential: h_0 = mu_0, rounded from bits + GUARD_BITS as ``moment``
-    rounds it for a weight at ``bits``, and the ladder's base
-    R_0 = 2 w(a) P_0(a)^2 / h_0 = 2 e^{-a^2} / h_0.  a is an mpf at ``bits``
-    that ``GapWeight`` accepts."""
+    exponential: h_0 = mu_0, rounded from bits + GUARD_BITS as
+    ``even_moments`` rounds it for a weight at ``bits``, and the ladder's
+    base R_0 = 2 w(a) P_0(a)^2 / h_0 = 2 e^{-a^2} / h_0.  a is an mpf at
+    ``bits`` that ``GapWeight`` accepts."""
     h0 = as_mpf(_mu0(a, bits + GUARD_BITS), bits)
     with mp.workprec(bits):
         return h0, 2 * mp.exp(-(a ** 2)) / h0

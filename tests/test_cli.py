@@ -542,8 +542,8 @@ class TestProb:
         assert doc["prob_fredholm"] == doc["prob_hankel"]
 
     @pytest.mark.parametrize("args, digest", [
-        ("prob 10 3", "c724c311728e21d3a8e69c940f96305e3b652d842c9d1eb661ef86ec36cf29fc"),
-        ("prob 60 1", "3925cb62c88720020d1903c784d79d74d3ec59442dec3719b010c58f2140b21a"),
+        ("prob 10 3", "e2b513a532c097b284fd17be5f06781cebec20b1f4a33f58a65854c121714535"),
+        ("prob 60 1", "76e0e3b218b06c38eb34fa433893f085fe5f6e2c5278e329b0f5c504cd2fd769"),
         ("verify --suite oracle --n-max 6 --a-list 0.7,3",
          "961beddafcb5bef78c555485fbf5f770245ead335e9de8b6fe181f0771c53c6f"),
     ])
@@ -553,6 +553,16 @@ class TestProb:
         assert run_cli(args.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_hankel_side_runs_no_chebyshev_pass(self, capsys, monkeypatch):
+        # `prob` builds its Hankel side from the orbit table, as `table` does
+        def refuse(*args, **kwargs):
+            raise AssertionError("Chebyshev pass")
+
+        monkeypatch.setattr(orthopoly, "_chebyshev_pass", refuse)
+        assert run_cli(["prob", "5", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["prob_hankel"] == doc["prob_fredholm"]
 
     def test_zero_width_notice(self, capsys):
         assert run_cli(["prob", "5", "0"]) == 0

@@ -2,7 +2,8 @@
 
 The independent oracles here avoid the production code paths: moment-space
 orthogonality sums, an LU determinant of the raw moment matrix via mpmath,
-and the closed-form Hermite data at a = 0.
+both over moments from mpmath's incomplete gamma function, and the
+closed-form Hermite data at a = 0.
 """
 
 import math
@@ -21,12 +22,17 @@ from gue_gap_lab import (
     orthopoly,
 )
 from gue_gap_lab.precision import CHECK_BITS, Jet, as_mpf
-from gue_gap_lab.weight import GapWeight, moment
 
 
 # The start before the loss model; the bounds of the tests that pass it
 # assume its 150-odd certified digits.
 WIDE_POLICY = PrecisionPolicy(base_bits=512, bits_per_n=32)
+
+
+def gamma_moment(k, a):
+    """mu_k = Gamma((k+1)/2, a^2) for even k and 0 for odd k, from mpmath at
+    the ambient precision."""
+    return mp.gammainc(mp.mpf(k + 1) / 2, a * a) if k % 2 == 0 else mp.mpf(0)
 
 
 def monic_coefficient_rows(table, n_top, bits):
@@ -266,9 +272,9 @@ class TestOrthogonality:
         # <P_n, x^k> = sum_j c_j mu_{j+k}: zero for k < n, h_n at k = n
         table = build_recurrence_table("0.7", 6, WIDE_POLICY)
         bits = table.working_bits
-        w = GapWeight(as_mpf("0.7", bits), bits)
         rows = monic_coefficient_rows(table, 6, bits)
         with mp.workprec(bits):
+            a = mp.mpf("0.7")
             for n in range(1, 7):
                 coeffs = rows[n]
                 h_n = table.h[n]
@@ -277,7 +283,7 @@ class TestOrthogonality:
                     scale = h_n
                     for j, c in enumerate(coeffs):
                         if c != 0:
-                            term = c * moment(j + k, w)
+                            term = c * gamma_moment(j + k, a)
                             inner += term
                             scale = max(scale, abs(term))
                     if k < n:
@@ -306,13 +312,13 @@ class TestHankelDeterminant:
         # independent route: det of the raw (mu_{i+j}) matrix via mpmath LU
         table = build_recurrence_table("0.7", 5, WIDE_POLICY)
         bits = table.working_bits
-        w = GapWeight(as_mpf("0.7", bits), bits)
         for n in (2, 3, 5):
             with mp.workprec(bits):
+                a = mp.mpf("0.7")
                 M = mp.matrix(n, n)
                 for i in range(n):
                     for j in range(n):
-                        M[i, j] = moment(i + j, w)
+                        M[i, j] = gamma_moment(i + j, a)
                 ref = mp.det(M)
                 got = hankel_product(table, n)
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -120

@@ -11,6 +11,7 @@ from gue_gap_lab import (
     PrecisionExhaustedError,
     PrecisionPolicy,
     build_recurrence_table,
+    orthopoly,
     precision,
     probability,
 )
@@ -329,6 +330,34 @@ class TestRoutes:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gap_probability_fredholm(0, "1")
+
+    def test_a_positive_half_width_runs_no_chebyshev_pass(self, monkeypatch):
+        # with no table given, the Hankel side is the orbit's, as in `table`
+        def refuse(*args, **kwargs):
+            raise AssertionError("Chebyshev pass")
+
+        monkeypatch.setattr(orthopoly, "_chebyshev_pass", refuse)
+        rec = probability_record(5, "1")
+        assert rec.rel_discrepancy < 1e-40
+        assert residual_oracle(3, "0.8").all_pass
+
+    @pytest.mark.parametrize("n, a_text", [(1, "1"), (5, "1"), (12, "1e-40"), (30, "6")])
+    def test_hankel_side_is_the_orbit_tables_product(self, n, a_text):
+        rec = probability_record(n, a_text)
+        table = orbit_recurrence_table(a_text, n - 1)
+        assert rec.prob_hankel.value._mpf_ == hankel_probabilities(table, n)[n]._mpf_
+        assert rec.prob_hankel.bits == table.working_bits
+
+    def test_zero_half_width_gives_one_by_both_routes(self):
+        # the orbit refuses a = 0, so the Hankel side is the Chebyshev
+        # table's there, 1 to within an ulp of its bits; each Fredholm
+        # product holds a factor phi_odd(0) = 0, so that side is exactly 1
+        rec = probability_record(3, "0")
+        table = build_recurrence_table("0", 2)
+        assert rec.prob_hankel.value._mpf_ == hankel_probabilities(table, 3)[3]._mpf_
+        with mp.workprec(rec.prob_hankel.bits):
+            assert abs(rec.prob_hankel.value - 1) <= mp.mpf(2) ** (1 - rec.prob_hankel.bits)
+        assert rec.prob_fredholm.value == 1
 
     def test_zero_gap_is_certain(self):
         table = build_recurrence_table("0", 4, PrecisionPolicy(base_bits=512, bits_per_n=32))

@@ -351,7 +351,9 @@ def test_edge_check_at_ratios_near_the_threshold(ratio):
 def test_sci_str_carries_into_the_next_decade_like_the_cut_nstr(digits):
     # a run of 9s rounds up into the next decade, which moves the exponent:
     # from -1 to 0 (the e suffix disappears), from 0 to 1 (it appears), and
-    # elsewhere; ...94 and ...849 must not carry
+    # elsewhere; ...94 and ...849 must not carry.  Within binary exponents
+    # +-3500 no mantissa is cut, so nstr itself is the reference, exact
+    # decimal ties such as 9.5e40 at 1 digit included
     values = []
     with mp.workprec(400):
         for k in (-40, -2, -1, 0, 1, 2, 40):
@@ -360,11 +362,24 @@ def test_sci_str_carries_into_the_next_decade_like_the_cut_nstr(digits):
                 values.append(mp.mpf(f"0.{tail}e{k + 1}"))  # 9.99...e{k}
     for v in values:
         for w in (v, -v):
-            assert sci_str(w, digits) == _sci_str_ref(w, digits)
+            assert sci_str(w, digits) == mp.nstr(w, digits, min_fixed=1, max_fixed=0,
+                                                 strip_zeros=False)
     one = "1." + "0" * (digits - 1)
     assert sci_str(values[10], digits) == one  # 9.99..e-1 -> 1.0
     assert sci_str(-values[15], digits) == "-" + one + "e+1"  # -9.99.. -> -1.0e+1
     assert sci_str(values[30], digits) == one + "e+41"
+
+
+@pytest.mark.parametrize("text, digits, want", [
+    ("9.5e25", 1, "1.e+26"), ("9.99999995e40", 8, "1.0000000e+41")])
+def test_sci_str_rounds_an_exact_tie_up_like_nstr(text, digits, want):
+    # ties held exactly, far above the leading (digits + 3) log2(10) + 10
+    # bits: the whole integer part is formed, so the tie rounds half up
+    with mp.workprec(400):
+        v = mp.mpf(text)
+    for w, s in ((v, want), (-v, "-" + want)):
+        assert sci_str(w, digits) == s == mp.nstr(w, digits, min_fixed=1, max_fixed=0,
+                                                  strip_zeros=False)
 
 
 @pytest.mark.parametrize("top", (-3501, -3500, -3499, 3499, 3500, 3501))

@@ -12,7 +12,6 @@ from gue_gap_lab import (
     build_recurrence_table,
     gap_probability_fredholm,
     iterate_r_orbit,
-    moment,
     probability_record,
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
@@ -27,19 +26,12 @@ def make_weight(a_text, bits=512):
     return GapWeight(as_mpf(a_text, bits), bits)
 
 
-def test_odd_moments_vanish_exactly():
-    w = make_weight("0.8")
-    for k in (1, 3, 5, 11):
-        assert moment(k, w) == 0
-
-
 def test_even_moments_match_incomplete_gamma_oracle():
     # mu_k = Gamma((k+1)/2, a^2) for even k, checked against mpmath; wide
     # gaps and k up to 40 cover the rounding growth of the recurrence in k
     for a_text in ("0", "1.5", "3", "6"):
         w = make_weight(a_text)
-        for k in range(0, 41, 2):
-            m = moment(k, w)
+        for k, m in zip(range(0, 41, 2), even_moments(21, w), strict=True):
             with mp.workprec(560):
                 av = mp.mpf(a_text)
                 ref = mp.gammainc(mp.mpf(k + 1) / 2, av * av, mp.inf)
@@ -54,7 +46,6 @@ def test_moment_jets_match_differentiated_incomplete_gamma(a_text):
     w = make_weight(a_text)
     jets = even_moment_jets(6, w)
     assert [j.c[0] for j in jets] == even_moments(6, w)
-    assert all(moment(k, w) == 0 for k in range(1, 11, 2))
     with mp.workprec(400):
         av = mp.mpf(a_text)
         for k in (0, 2, 4, 10):
@@ -64,10 +55,8 @@ def test_moment_jets_match_differentiated_incomplete_gamma(a_text):
 
 
 def per_order_moment(k, w):
-    """mu_k by restarting the recurrence at mu_0 for this k alone."""
+    """mu_k, k even, by restarting the recurrence at mu_0 for this k alone."""
     bits = w.prec_bits
-    if k % 2 == 1:
-        return as_mpf(0, bits)
     mu = w._mu0_guarded
     with mp.workprec(bits + GUARD_BITS):
         a = w.a
@@ -84,11 +73,9 @@ def test_one_sweep_matches_per_order_recurrence(a_text):
     w = make_weight(a_text, 700)
     swept = even_moments(61, w)
     assert len(swept) == 61
-    for k in range(121):
-        want = per_order_moment(k, w)._mpf_
-        if k % 2 == 0:
-            assert swept[k // 2]._mpf_ == want, k
-        assert moment(k, w)._mpf_ == want, k
+    for k in range(0, 121, 2):
+        assert swept[k // 2]._mpf_ == per_order_moment(k, w)._mpf_, k
+        assert even_moments(k // 2 + 1, w) == swept[:k // 2 + 1], k
     assert even_moments(0, w) == []
     with pytest.raises(DomainError):
         even_moments(-1, w)
@@ -98,21 +85,21 @@ def test_zeroth_moment_is_sqrt_pi_erfc():
     w = make_weight("1.3")
     with mp.workprec(560):
         ref = mp.sqrt(mp.pi) * mp.erfc(mp.mpf("1.3"))
-        rel = abs(moment(0, w) - ref) / ref
+        rel = abs(even_moments(1, w)[0] - ref) / ref
     assert rel < mp.mpf(10) ** -140
 
 
 def test_moments_at_zero_reduce_to_gaussian():
-    w = make_weight("0")
+    mu0, mu2 = even_moments(2, make_weight("0"))
     with mp.workprec(560):
-        assert abs(moment(0, w) - mp.sqrt(mp.pi)) < mp.mpf(10) ** -140
-        assert abs(moment(2, w) - mp.sqrt(mp.pi) / 2) < mp.mpf(10) ** -140
+        assert abs(mu0 - mp.sqrt(mp.pi)) < mp.mpf(10) ** -140
+        assert abs(mu2 - mp.sqrt(mp.pi) / 2) < mp.mpf(10) ** -140
 
 
 def test_seed_R0_frozen_value_at_one():
     w = make_weight("1")
     h0, R0 = orbit_seed(w.a, 512)
-    assert h0 == moment(0, w)
+    assert h0 == even_moments(1, w)[0]
     with mp.workprec(512):
         rel = abs(R0 - mp.mpf(R0_AT_1)) / mp.mpf(R0_AT_1)
     assert rel < mp.mpf(10) ** -44
@@ -121,7 +108,7 @@ def test_seed_R0_frozen_value_at_one():
 def test_seed_R0_at_zero_is_two_over_sqrt_pi():
     w = make_weight("0")
     h0, R0 = orbit_seed(w.a, 512)
-    assert h0 == moment(0, w)
+    assert h0 == even_moments(1, w)[0]
     with mp.workprec(512):
         rel = abs(R0 - mp.mpf(TWO_OVER_SQRT_PI)) / mp.mpf(TWO_OVER_SQRT_PI)
     assert rel < mp.mpf(10) ** -44
@@ -173,7 +160,7 @@ def test_half_width_past_the_erfc_bound_fails_at_the_boundary(route, args):
 def test_erfc_bound_is_exclusive_and_just_below_it_evaluates():
     with pytest.raises(DomainError, match="below 1e154"):
         make_weight("1e154")
-    assert moment(0, make_weight("9.9e153")) > 0
+    assert even_moments(1, make_weight("9.9e153"))[0] > 0
 
 
 @given(st.integers(min_value=0, max_value=6).map(lambda k: 2 * k))
@@ -182,15 +169,16 @@ def test_even_moments_decrease_as_gap_widens(k):
     # removing more of the axis can only shrink the integral
     w_narrow = make_weight("0.4", 320)
     w_wide = make_weight("1.7", 320)
-    assert moment(k, w_wide) < moment(k, w_narrow)
+    m = k // 2
+    assert even_moments(m + 1, w_wide)[m] < even_moments(m + 1, w_narrow)[m]
 
 
 @given(st.floats(min_value=0.05, max_value=3.0))
 @settings(max_examples=20, deadline=None)
 def test_moment_ordering_in_k(a):
     # mu_{k+2} > a^2 mu_k since x^2 > a^2 on the support
-    w = GapWeight(mp.mpf(a), 320)
+    mu = even_moments(4, GapWeight(mp.mpf(a), 320))
     with mp.workprec(320):
         av = mp.mpf(a)
-        for k in (0, 2, 4):
-            assert moment(k + 2, w) > av * av * moment(k, w)
+        for m in range(3):
+            assert mu[m + 1] > av * av * mu[m]

@@ -191,13 +191,8 @@ def _parse_a_values(args, parser) -> tuple[str, ...]:
     if steps == 1:
         return (args.a_min,)
     with mp.workprec(200):
-        lo = mp.mpf(args.a_min)
-        hi = mp.mpf(args.a_max)
-        step = (hi - lo) / (steps - 1)
-        return tuple(
-            mp.nstr(lo + k * step, 30, min_fixed=1, max_fixed=0)
-            for k in range(steps)
-        )
+        return tuple(mp.nstr(x, 30, min_fixed=1, max_fixed=0)
+                     for x in mp.linspace(args.a_min, args.a_max, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +208,10 @@ def _table_rows_for_a(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     """
     policy = config.policy
     n_max = config.n_max
+    digits = config.digits or policy.target_certified_digits
     rows: list[dict[str, str]] = []
     if _is_zero(a_str):
-        return _table_rows_zero(config, a_str)
+        return _table_rows_zero(config, a_str, digits)
     try:
         table = orbit_recurrence_table(a_str, n_max, policy)
     except GapLabError as exc:
@@ -223,7 +219,6 @@ def _table_rows_for_a(config: RunConfig, a_str: str) -> list[dict[str, str]]:
             _row(n, a_str, status=f"error:{type(exc).__name__}")
             for n in range(n_max + 1)
         ]
-    digits = config.digits or table.certified_digits
     failed_at = None
     try:
         states = ladder_states(table)
@@ -243,7 +238,7 @@ def _table_rows_for_a(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     return rows
 
 
-def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
+def _table_rows_zero(config: RunConfig, a_str: str, digits: int) -> list[dict[str, str]]:
     """Rows at a = 0: the classical weight, where the gap closes.
 
     beta_n = n/2 and h_n = (n!/2^n) sqrt(pi) in closed form, through
@@ -252,10 +247,8 @@ def _table_rows_zero(config: RunConfig, a_str: str) -> list[dict[str, str]]:
     which is the slope of ln P from the right.  Odd-n rows are flagged
     edge-zero for the structural parity zero of P_n at the origin.
     """
-    policy = config.policy
     n_max = config.n_max
-    digits = config.digits or policy.target_certified_digits
-    bits = policy.start_bits("orbit", 0, n_max)
+    bits = config.policy.start_bits("orbit", 0, n_max)
     beta = [mp.mpf(n) / 2 for n in range(n_max + 1)]
     h = hermite_norms_exact(n_max + 1, bits)
     edge = edge_quantities(mp.mpf(0), beta, h, bits)
@@ -589,7 +582,7 @@ def _add_precision(sub):
     sub.add_argument("--max-bits", type=int, default=16384)
     sub.add_argument("--target-digits", type=int, default=40)
     sub.add_argument("--digits", type=_int_at_least(1), default=None,
-                     help="printed significant digits (default: certified)")
+                     help="printed significant digits (default: --target-digits)")
     sub.add_argument("--out", default=None)
 
 

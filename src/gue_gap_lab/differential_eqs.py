@@ -418,14 +418,8 @@ def convergence_study(
             slopes_in.setdefault(c.name, []).append(
                 (float(mp.log10(mp.mpf(h_text))), float(mp.log10(c.residual)))
             )
-    out = {}
-    for name, pts in slopes_in.items():
-        if len(pts) != len(h_values):
-            continue
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        xbar = sum(xs) / len(xs)
-        ybar = sum(ys) / len(ys)
-        den = sum((x - xbar) ** 2 for x in xs)
-        out[name] = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / den
-    return out
+    # statistics loads fractions, which importing the CLI must not
+    from statistics import linear_regression
+
+    return {name: linear_regression(*zip(*pts)).slope
+            for name, pts in slopes_in.items() if len(pts) == len(h_values)}

@@ -19,9 +19,9 @@ measured loss (``PrecisionPolicy.start_bits``), so the first level
 normally certifies.  That loop, ``_certify``, certifies every route: the
 second route to the same table, ``difference_eqs.orbit_recurrence_table``,
 from which ``table`` and ``prob`` build every a > 0 cell, and the Fredholm
-minors of ``probability``; ``verify``, the continuous grid, the acceptance
-gate and ``prob`` at a = 0 use this module's Chebyshev route.  The table
-keeps the check pass, so its working bits are W + CHECK_BITS.
+minors of ``probability``; ``verify``, the continuous grid and the
+acceptance gate use this module's Chebyshev route.  The table keeps the
+check pass, so its working bits are W + CHECK_BITS.
 
 Every moment has an exact a-derivative (``weight.even_moment_jets``), so
 the same pass run on Taylor jets (``build_recurrence_table(..., jets=True)``)
@@ -196,31 +196,41 @@ def _certified_digits(lo, hi, lo_bits: int) -> int:
         return min(cap, int(mp.floor(-mp.log10(mp.make_mpf(worst)))))
 
 
-def _certify(run, start_bits: int, policy: PrecisionPolicy) -> Certified:
-    """Run the pass ``run(bits)``, which returns a nested sequence of mpf or
-    Jet, at pairs of precisions until a pair agrees to the policy target.
+def _certify(route: str, pass_fn, a, n: int, policy: PrecisionPolicy | None) -> Certified:
+    """Run the ``route`` pass ``pass_fn(a, n, bits)``, which returns a nested
+    sequence of mpf or Jet, at pairs of precisions until a pair agrees to
+    the policy target.
 
-    Each level runs a pass at W bits and a check pass at W + CHECK_BITS,
-    and takes their worst relative agreement over all their numbers, capped
-    at W's digits, as the certified digit count; the upper pass is kept.  A
-    pass loses about the same digits at any precision, so the pass 64 bits
-    up measures W's error as well as one at 2W would.  W starts at
-    ``start_bits`` and escalates through ``policy.escalate``, capped at
-    max_bits - CHECK_BITS so that the top level is
-    (max_bits - CHECK_BITS, max_bits) and no pass is ever compared with one
-    at the same bits.  A pass raises _NonPositiveNorm when its precision
-    cannot keep positive what must be; its level then certifies nothing,
-    and below the top level its check pass is skipped.
-    Raises PrecisionExhaustedError when the top level falls short of the
-    target, or when start_bits + CHECK_BITS is already above the ceiling,
-    and IllConditioningError if positivity fails even at the ceiling.  Every
-    certified route runs through this one loop: the Chebyshev and orbit
-    tables (``_certified_table``) and the Fredholm minors.
+    Before any pass it refuses n < 0, and through ``GapWeight`` at 64 bits
+    an a that is not a finite number >= 0 below 1e154; a is passed on as
+    given, and each pass rounds it at its own bits.  The policy is
+    ``PrecisionPolicy()`` when None.  Each level runs a pass at W bits and a
+    check pass at W + CHECK_BITS, and takes their worst relative agreement
+    over all their numbers, capped at W's digits, as the certified digit
+    count; the upper pass is kept.  A pass loses about the same digits at
+    any precision, so the pass 64 bits up measures W's error as well as one
+    at 2W would.  W starts at ``policy.start_bits(route, a, n)`` and
+    escalates through ``policy.escalate``, capped at max_bits - CHECK_BITS
+    so that the top level is (max_bits - CHECK_BITS, max_bits) and no pass
+    is ever compared with one at the same bits.  A pass raises
+    _NonPositiveNorm when its precision cannot keep positive what must be;
+    its level then certifies nothing, and below the top level its check
+    pass is skipped.  Raises PrecisionExhaustedError when the top level
+    falls short of the target, or when the start + CHECK_BITS is already
+    above the ceiling, and IllConditioningError if positivity fails even at
+    the ceiling.  Every certified route runs through this one loop: the
+    Chebyshev and orbit tables (``_certified_table``) and the Fredholm
+    minors.
     """
+    if n < 0:
+        raise DomainError(f"n_max must be >= 0, got {n}")
+    GapWeight(as_mpf(a, 64), 64)
+    policy = policy or PrecisionPolicy()
+    bits = policy.start_bits(route, a, n)
     top = policy.max_bits - CHECK_BITS
-    if start_bits > top:
+    if bits > top:
         raise PrecisionExhaustedError(
-            f"cannot certify: starting precision {start_bits} bits leaves no room "
+            f"cannot certify: starting precision {bits} bits leaves no room "
             f"for a check pass {CHECK_BITS} bits up under the ceiling",
             certified_digits=0,
             ceiling_bits=policy.max_bits,
@@ -229,14 +239,13 @@ def _certify(run, start_bits: int, policy: PrecisionPolicy) -> Certified:
     def attempt(bits):
         """The pass at ``bits``, or None when it did not stay positive."""
         try:
-            return run(bits)
+            return pass_fn(a, n, bits)
         except _NonPositiveNorm as exc:
             if bits >= policy.max_bits:
                 raise IllConditioningError(
                     f"{exc} at ceiling precision {policy.max_bits} bits") from exc
             return None
 
-    bits = start_bits
     levels = 0
     best_certified = 0
     while True:
@@ -260,35 +269,19 @@ def _certify(run, start_bits: int, policy: PrecisionPolicy) -> Certified:
         bits = min(policy.escalate(bits), top)
 
 
-def _certified_table(route: str, pass_fn, a_value, n_max: int,
-                     policy: PrecisionPolicy) -> RecurrenceTable:
-    """The table of ``pass_fn(a_value, n_max, bits) -> (beta, h)``,
-    certified by ``_certify`` from ``policy.start_bits(route, a, n_max)``;
-    a pass on jets also gives the table its ``jets``.  ``a_value`` is the
-    half-width as the caller gave it, which the table keeps rounded at its
-    kept bits."""
-    (beta, h), certified, kept, escalations = _certify(
-        lambda bits: pass_fn(a_value, n_max, bits),
-        policy.start_bits(route, a_value, n_max), policy)
+def _certified_table(certified: Certified, a) -> RecurrenceTable:
+    """The table of a certified pass (beta, h) at half-width a, as given,
+    which the table keeps rounded at its kept bits; a pass on jets also
+    gives the table its ``jets``."""
+    (beta, h), digits, kept, escalations = certified
     jets = None
     if isinstance(h[0], Jet):
         jets = (tuple(beta), tuple(h))
         beta = [b.c[0] for b in beta]
         h = [v.c[0] for v in h]
-    return RecurrenceTable(a=as_mpf(a_value, kept), n_max=n_max, beta=tuple(beta), h=tuple(h),
-                           certified_digits=certified, working_bits=kept,
+    return RecurrenceTable(a=as_mpf(a, kept), n_max=len(h) - 1, beta=tuple(beta), h=tuple(h),
+                           certified_digits=digits, working_bits=kept,
                            escalations=escalations, jets=jets)
-
-
-def _parse_inputs(a, n_max: int, policy: PrecisionPolicy | None):
-    """(policy, a) for a build: the default policy when None, and a as
-    given, which each pass rounds at its own bits.  Rejects n_max < 0, and
-    through ``GapWeight`` at 64 bits, once for every pass, an a that is
-    not a finite number >= 0 below 1e154."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    GapWeight(as_mpf(a, 64), 64)
-    return policy or PrecisionPolicy(), a
 
 
 def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
@@ -308,11 +301,10 @@ def build_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None,
     require a > 0 (DomainError): at a = 0 derivative parts that vanish
     exactly come out as rounding noise, so no level would certify.
     """
-    policy, a = _parse_inputs(a, n_max, policy)
-    if jets and not as_mpf(a, 64) > 0:
+    if jets and as_mpf(a, 64) == 0:
         raise DomainError("a table on jets requires a > 0")
     pass_fn = functools.partial(_chebyshev_pass, jets=True) if jets else _chebyshev_pass
-    return _certified_table("chebyshev", pass_fn, a, n_max, policy)
+    return _certified_table(_certify("chebyshev", pass_fn, a, n_max, policy), a)
 
 
 def hermite_norms_exact(count: int, bits: int) -> list[mp.mpf]:

@@ -7,7 +7,7 @@ in (-a, a).  Two independent routes compute it:
   determinants of the gap weight and the plain Hermite weight, evaluated
   as prod_{j<n} h_j(a) / h_j(0) over a recurrence table, by default the
   orbit of the ladder relations (``difference_eqs.orbit_recurrence_table``),
-  with the closed form h_j(0) = (j!/2^j) sqrt(pi);
+  with the closed form h_j(0) = (j!/2^j) sqrt(pi), and exactly 1 at a = 0;
 
 * fredholm route: P(n, a) = det(I - G_n) where G_n is the n x n matrix of
   overlaps of the first n orthonormal Hermite functions over (-a, a).
@@ -36,8 +36,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .difference_eqs import orbit_recurrence_table
 from .exceptions import DomainError
-from .orthopoly import (Certified, RecurrenceTable, _certify, _NonPositiveNorm, _parse_inputs,
-                        build_recurrence_table, hermite_norms_exact)
+from .orthopoly import Certified, RecurrenceTable, _certify, _NonPositiveNorm, hermite_norms_exact
 from .precision import PrecisionPolicy, as_mpf
 from .report import ResidualReport
 
@@ -132,32 +131,32 @@ def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -
     I - G_n, by elimination on its generators (``_fredholm_pass``).
 
     Certified by ``orthopoly._certify`` to ``policy.target_certified_digits``
-    from ``policy.start_bits("fredholm", a, n)``, the target plus the
-    route's measured loss unless ``base_bits`` sets W exactly.  Returns the
-    loop's record: the minors of the upper pass in ``value``, their
-    certified digits, bits and escalations.
+    from the target plus the route's measured loss, unless ``base_bits``
+    sets the start exactly.  Returns the loop's record: the minors of the
+    upper pass in ``value``, their certified digits, bits and escalations.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    policy, a = _parse_inputs(a, n, policy)
-    return _certify(lambda bits: _fredholm_pass(a, n, bits),
-                    policy.start_bits("fredholm", a, n), policy)
+    return _certify("fredholm", _fredholm_pass, a, n, policy)
 
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):
     """(bits, Hankel [P(1, a), ..., P(n, a)], certified Fredholm minors).
     bits is the table's, and so is a if None.  Unless given, the table is
     the orbit's at degree n - 1 (``difference_eqs.orbit_recurrence_table``),
-    which ``table`` builds too, or the Chebyshev route's at a = 0, which the
-    orbit refuses.  The routes share no number: the Hankel side comes from
-    the ladder relations, the Fredholm side from the Hermite functions at a."""
+    which ``table`` builds too; at a = 0, which the orbit refuses, the
+    Hankel side is D_n(0) / D_n(0) = 1 exactly, at the Fredholm side's bits.
+    The routes share no number: the Hankel side comes from the ladder
+    relations, the Fredholm side from the Hermite functions at a."""
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     if table is None:
         if a is None:
             raise DomainError("need either a or a prebuilt table")
-        build = orbit_recurrence_table if as_mpf(a, 64) > 0 else build_recurrence_table
-        table = build(a, n - 1, policy)
+        if as_mpf(a, 64) == 0:
+            fredholm = gap_probability_fredholm(n, a, policy)
+            return fredholm.working_bits, [mp.mpf(1)] * n, fredholm
+        table = orbit_recurrence_table(a, n - 1, policy)
     if a is None:
         a = table.a
     p_h = hankel_probabilities(table, n)[1:]

@@ -24,7 +24,7 @@ from mpmath import libmp
 from .precision import GUARD_BITS
 
 
-_LOG_10_2 = math.log(10, 2)  # the constant libmp.to_digits_exp scales digits to bits with
+_LOG2_10 = math.log(10, 2)  # the constant libmp.to_digits_exp scales digits to bits with
 _POW10: dict[int, int] = {}
 
 
@@ -52,8 +52,8 @@ def sci_str(x, digits: int) -> str:
         return libmp.to_str(t, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
     # to_digits_exp at digits + 3: floor(|x| 2^fix) as a fixed-point integer,
     # times 10^fixdps, shifted back down
-    fix = max(int((digits + 3) * _LOG_10_2) + 10 - top, 0)
-    fixdps = int(fix / _LOG_10_2 + 0.5)
+    fix = max(int((digits + 3) * _LOG2_10) + 10 - top, 0)
+    fixdps = int(fix / _LOG2_10 + 0.5)
     shift = exp + fix
     pow10 = _POW10.get(fixdps) or _POW10.setdefault(fixdps, 10 ** fixdps)
     s = str(((man << shift) if shift >= 0 else (man >> -shift)) * pow10 >> fix)

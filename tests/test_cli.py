@@ -101,12 +101,12 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_default_digits_orbit_rows_are_pinned(self, capsys):
-        # stdout at the orbit's measured-loss start: 44-46 certified digits
-        # per row, each the rounding of the 150-odd the 512-bit start printed
+        # stdout without --digits prints the 40-digit target on every row,
+        # the rows of --digits 40 under this run's own header
         assert run_cli(["table", "--n-max", "40", "--a-list", "0.1,0.5,1,2,3.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "dc0a819c00c8f49f658cf9491d97f90b69e5f73c8ae1de9b8e587a3bcc7ef89e")
+            "80935a0111ab68df24ba895d2720c9b5247f5edc5b2253344576d6ef628e63de")
 
     def test_edge_zero_row_and_the_rows_after_it(self, tmp_path, monkeypatch):
         # P_2(a) forced below the certification threshold: the rows before
@@ -295,6 +295,15 @@ class TestTable:
         a_vals = [float(mp.mpf(r["a"])) for r in rows]
         assert a_vals == [0.5, 1.0, 1.5]
 
+    def test_descending_grid_ends_at_its_last_flag(self, tmp_path):
+        # the last point is --a-max itself, not a sum of steps that misses
+        # 0 by a rounding, 4.98e-60 at 200 bits
+        out = tmp_path / "g.csv"
+        run_cli(["table", "--n-max", "0", "--a-min", "7.4", "--a-max", "0",
+                 "--a-steps", "21", "--digits", "10", "--out", str(out)])
+        _, rows = read_table(str(out))
+        assert [r["a"] for r in rows][-3:] == ["7.4e-1", "3.7e-1", "0.0"]
+
 
 class TestVerify:
     def test_default_suite_passes(self, tmp_path):
@@ -467,7 +476,7 @@ class TestVerify:
         real_table = orthopoly._certified_table
 
         def counting_table(*args, **kwargs):
-            loops.append(args[2])
+            loops.append(args[1])
             return real_table(*args, **kwargs)
 
         monkeypatch.setattr(orthopoly, "_certified_table", counting_table)

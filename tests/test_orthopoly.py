@@ -6,6 +6,7 @@ both over moments from mpmath's incomplete gamma function, and the
 closed-form Hermite data at a = 0.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from gue_gap_lab import (
     hermite_norms_exact,
     ladder_states,
     orthopoly,
+    probability,
 )
 from gue_gap_lab.precision import CHECK_BITS, Jet, as_mpf
 
@@ -27,6 +29,35 @@ from gue_gap_lab.precision import CHECK_BITS, Jet, as_mpf
 # The start before the loss model; the bounds of the tests that pass it
 # assume its 150-odd certified digits.
 WIDE_POLICY = PrecisionPolicy(base_bits=512, bits_per_n=32)
+
+
+# The pass of each certified route, as (module, name), and each builder as
+# build(a, n).
+ROUTE_PASSES = ((orthopoly, "_chebyshev_pass"), (difference_eqs, "_orbit_pass"),
+                (probability, "_fredholm_pass"))
+BUILDS = {
+    "chebyshev": build_recurrence_table,
+    "jets": functools.partial(build_recurrence_table, jets=True),
+    "orbit": difference_eqs.orbit_recurrence_table,
+    "fredholm": lambda a, n: probability.gap_probability_fredholm(n, a),
+}
+
+
+@pytest.fixture()
+def passes_seen(monkeypatch):
+    """The half-width of every pass run, on any route, in order."""
+    seen = []
+
+    def recording(real_pass):
+        def run(a_value, *args, **kwargs):
+            seen.append(a_value)
+            return real_pass(a_value, *args, **kwargs)
+
+        return run
+
+    for module, name in ROUTE_PASSES:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return seen
 
 
 def gamma_moment(k, a):
@@ -228,17 +259,37 @@ class TestCertification:
         "1.5", "0.25", "2.500", "1.625", "-0.75", "1.7", "0.1", "1", "30", "1e-300", "1e-40",
         "12.5e-1", "5e-401",
     ])
-    def test_half_width_parses_to_the_mpf_of_as_mpf(self, text):
+    def test_half_width_parses_to_the_mpf_of_as_mpf(self, text, passes_seen):
         # a is checked once and kept as given; each pass, and the table,
         # round the decimal itself, never a parse at some other precision
+        builds = [BUILDS[route] for route in ("chebyshev", "orbit", "fredholm")]
         if text.startswith("-"):
-            with pytest.raises(DomainError, match="must be a finite number >= 0"):
-                orthopoly._parse_inputs(text, 4, None)
+            for build in builds:
+                with pytest.raises(DomainError, match="must be a finite number >= 0"):
+                    build(text, 4)
+            assert passes_seen == []
             return
-        assert orthopoly._parse_inputs(text, 4, None)[1] is text
-        orbit = difference_eqs.orbit_recurrence_table(text, 4)
-        for table in (build_recurrence_table(text, 4), orbit):
+        tables = [build(text, 4) for build in builds[:2]]
+        builds[2](text, 4)
+        assert len(passes_seen) >= 6 and all(a is text for a in passes_seen)
+        for table in tables:
             assert table.a._mpf_ == as_mpf(text, table.working_bits)._mpf_
+
+    @pytest.mark.parametrize("route", list(BUILDS))
+    @pytest.mark.parametrize("a_text, n, message", [
+        ("nan", 4, "must be a finite number >= 0"),
+        ("inf", 4, "must be a finite number >= 0"),
+        ("-1", 4, "must be a finite number >= 0"),
+        ("1e154", 4, "below 1e154"),
+        ("1", -1, "must be >= [01], got -1"),
+    ])
+    def test_every_route_refuses_its_inputs_before_any_pass(self, passes_seen, route,
+                                                            a_text, n, message):
+        # one check ahead of the certification loop, with GapWeight's
+        # messages for a; the Fredholm route's n is a matrix order, >= 1
+        with pytest.raises(DomainError, match=message):
+            BUILDS[route](a_text, n)
+        assert passes_seen == []
 
     def test_negative_a_rejected(self):
         with pytest.raises(DomainError):

@@ -348,16 +348,18 @@ class TestRoutes:
         assert rec.prob_hankel.value._mpf_ == hankel_probabilities(table, n)[n]._mpf_
         assert rec.prob_hankel.bits == table.working_bits
 
-    def test_zero_half_width_gives_one_by_both_routes(self):
-        # the orbit refuses a = 0, so the Hankel side is the Chebyshev
-        # table's there, 1 to within an ulp of its bits; each Fredholm
-        # product holds a factor phi_odd(0) = 0, so that side is exactly 1
+    def test_zero_half_width_gives_one_by_both_routes(self, monkeypatch):
+        # the Hankel side is D_n(0) / D_n(0), exactly 1, with no table; each
+        # Fredholm product holds a factor phi_odd(0) = 0, so that side is
+        # exactly 1 too
+        def refuse(*args, **kwargs):
+            raise AssertionError("Chebyshev pass")
+
+        monkeypatch.setattr(orthopoly, "_chebyshev_pass", refuse)
         rec = probability_record(3, "0")
-        table = build_recurrence_table("0", 2)
-        assert rec.prob_hankel.value._mpf_ == hankel_probabilities(table, 3)[3]._mpf_
-        with mp.workprec(rec.prob_hankel.bits):
-            assert abs(rec.prob_hankel.value - 1) <= mp.mpf(2) ** (1 - rec.prob_hankel.bits)
+        assert rec.prob_hankel.value == 1
         assert rec.prob_fredholm.value == 1
+        assert rec.rel_discrepancy == 0
 
     def test_zero_gap_is_certain(self):
         table = build_recurrence_table("0", 4, PrecisionPolicy(base_bits=512, bits_per_n=32))

@@ -69,24 +69,18 @@ def _pass(route: str):
     }[route]
 
 
-def build(route: str, a: str, n: int):
-    """The default-policy certified build of ``route`` at (a, n): a table,
-    or the Fredholm route's ``Certified`` minors."""
-    if route == "chebyshev":
-        return orthopoly.build_recurrence_table(a, n, jets=True)
-    if route == "fredholm":
-        return probability.gap_probability_fredholm(n, a)
-    return difference_eqs.orbit_recurrence_table(a, n)
+def build(route: str, a: str, n: int) -> orthopoly.Certified:
+    """The default-policy certified build of ``route`` at (a, n)."""
+    return orthopoly._certify(route, _pass(route), a, n, None)
 
 
 def measure(route: str, a: str, n: int) -> tuple[int, float]:
     """(W, loss in digits) of one cell, as the module docstring defines them."""
-    _, a_value = orthopoly._parse_inputs(a, n, None)
     run = _pass(route)
     bits = 256
     while True:
         try:
-            lo, hi = run(a_value, n, bits), run(a_value, n, bits + CHECK_BITS)
+            lo, hi = run(a, n, bits), run(a, n, bits + CHECK_BITS)
         except orthopoly._NonPositiveNorm:
             agreed = 0
         else:
@@ -126,11 +120,11 @@ def fit(route: str, cells: list) -> list[float]:
 def first_level_certifies(route: str, a: str, n: int) -> bool:
     """Whether the first level of a default build (``_certify``'s pass pair
     at the default start) reaches the default target."""
-    policy, a_value = orthopoly._parse_inputs(a, n, None)
-    bits = policy.start_bits(route, a_value, n)
+    policy = PrecisionPolicy()
+    bits = policy.start_bits(route, a, n)
     run = _pass(route)
     try:
-        lo, hi = run(a_value, n, bits), run(a_value, n, bits + CHECK_BITS)
+        lo, hi = run(a, n, bits), run(a, n, bits + CHECK_BITS)
     except orthopoly._NonPositiveNorm:
         return False
     return orthopoly._certified_digits(lo, hi, bits) >= policy.target_certified_digits

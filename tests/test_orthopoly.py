@@ -39,7 +39,7 @@ BUILDS = {
     "chebyshev": build_recurrence_table,
     "jets": functools.partial(build_recurrence_table, jets=True),
     "orbit": difference_eqs.orbit_recurrence_table,
-    "fredholm": lambda a, n: probability.gap_probability_fredholm(n, a),
+    "fredholm": lambda a, n, policy=None: probability.gap_probability_fredholm(n, a, policy),
 }
 
 
@@ -215,6 +215,22 @@ class TestCertification:
         # above the 40-digit target, at a sixth to a half of those bits
         table = build_recurrence_table(a_text, n_max, jets=True)
         assert (table.certified_digits, table.working_bits, table.escalations) == (digits, bits, 0)
+
+    @pytest.mark.parametrize("route, a_text, n_max, base_bits, record", [
+        ("chebyshev", "0.7", 26, None, (47, 257, 0)), ("chebyshev", "8", 61, None, (50, 451, 0)),
+        ("chebyshev", "0", 12, None, (46, 233, 0)), ("orbit", "1", 300, None, (46, 274, 0)),
+        ("orbit", "12", 100, None, (45, 543, 0)), ("orbit", "1e-40", 20, None, (43, 210, 0)),
+        ("fredholm", "1", 60, None, (42, 233, 0)), ("fredholm", "30", 100, None, (40, 839, 0)),
+        ("fredholm", "0", 10, None, (42, 204, 0)), ("chebyshev", "3", 40, 64, (51, 320, 2)),
+        ("jets", "1", 20, 64, (65, 320, 2)), ("orbit", "3", 200, 64, (108, 576, 3)),
+        ("fredholm", "3", 20, 64, (64, 320, 2)),
+    ])
+    def test_loop_record_is_pinned_on_every_route(self, route, a_text, n_max, base_bits, record):
+        # (certified_digits, working_bits, escalations) of the one loop on
+        # each route, from the default start and from a 64-bit start that
+        # escalates
+        built = BUILDS[route](a_text, n_max, PrecisionPolicy(base_bits=base_bits))
+        assert (built.certified_digits, built.working_bits, built.escalations) == record
 
     @pytest.mark.parametrize("a_text", ["0.7", "1.1", "2.5"])
     def test_jet_values_are_the_plain_build(self, a_text):

@@ -30,8 +30,8 @@ from mpmath.libmp import round_nearest as RN
 
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
-from .orthopoly import RecurrenceTable, _certified_table, _certify, _NonPositiveNorm
-from .precision import PrecisionPolicy, as_mpf
+from .orthopoly import RecurrenceTable
+from .precision import NonPositiveNorm, PrecisionPolicy, as_mpf, certify
 from .report import ResidualReport
 from .weight import GapWeight, orbit_seed
 
@@ -64,7 +64,7 @@ def _orbit(a, n_top: int, bits: int):
     and h_n = beta_n h_{n-1}, with beta_0 = 0.  The pair only divides by
     2 beta_n R_{n-1}, positive in exact arithmetic, so a value <= 0 at some
     n <= n_top means this precision lost the orbit: that raises
-    _NonPositiveNorm(n), and the certification loop escalates.  The caller
+    NonPositiveNorm(n), and the certification loop escalates.  The caller
     has checked a with ``GapWeight``; it must be > 0 at ``bits``.
     """
     av = as_mpf(a, bits)
@@ -78,7 +78,7 @@ def _orbit(a, n_top: int, bits: int):
         s = mpf_add(rn, from_int(n), bits, RN)
         den = mpf_mul(s, R, bits, RN)
         if den[0] or not den[1]:  # den <= 0: a sign bit, or a zero mantissa
-            raise _NonPositiveNorm(n)
+            raise NonPositiveNorm(n)
         R = mpf_div(mpf_mul(mpf_shift(rn, 1), rn, bits, RN), den, bits, RN)  # exact doubling
         r.append(mpf_sub(mpf_mul(a_t, R, bits, RN), rn, bits, RN))
         bn = mpf_shift(s, -1)  # exact halving
@@ -90,12 +90,12 @@ def _orbit(a, n_top: int, bits: int):
 
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     """r_0..r_n_top from the first-order pair of the ladder relations (see
-    ``_orbit``), at ``prec_bits``.  Requires n_top >= 1 and a > 0; a is
+    ``_orbit``), at ``prec_bits`` >= 1.  Requires n_top >= 1 and a > 0; a is
     judged by ``GapWeight`` at 64 bits, as a certified build judges it, so
     that whether it is refused does not depend on ``prec_bits``."""
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
-    GapWeight(as_mpf(a, 64), 64)
+    GapWeight(as_mpf(a, 64), prec_bits)
     r = _orbit(a, n_top, prec_bits)[0]
     return DiscreteOrbit(r=tuple(map(mp.make_mpf, r)), bits=prec_bits)
 
@@ -112,13 +112,13 @@ def orbit_recurrence_table(a, n_max: int, policy: PrecisionPolicy | None = None)
 
     The same table as ``orthopoly.build_recurrence_table`` by another route:
     O(n_max) steps of the difference equation instead of moments and the
-    Chebyshev pass, certified by the same loop (``orthopoly._certify``).
+    Chebyshev pass, certified by the same loop (``precision.certify``).
     The orbit loses digits slowly while a is below sqrt(n_max) (tens at
     n = 1000 for a <= 3), and by default the loop's start covers its
     measured loss.  Requires a > 0
     (DomainError); raises the Chebyshev route's exceptions otherwise.
     """
-    return _certified_table(_certify("orbit", _orbit_pass, a, n_max, policy), a)
+    return RecurrenceTable.from_certified(certify("orbit", _orbit_pass, a, n_max, policy), a)
 
 
 def residual_orbit_vs_direct(

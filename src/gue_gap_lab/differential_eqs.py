@@ -47,7 +47,7 @@ import mpmath as mp
 from .exceptions import DomainError
 from .ladder import LadderState, edge_quantities, ladder_states
 from .orthopoly import RecurrenceTable, build_recurrence_table
-from .precision import GUARD_BITS, Jet, PrecisionPolicy, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, as_mpf
 from .report import ResidualReport
 
 CONTINUOUS_TOL = 1e-20
@@ -134,7 +134,7 @@ def build_a_grid(
     grid_policy = PrecisionPolicy(
         base_bits=floor_bits,
         target_certified_digits=policy.target_certified_digits,
-        max_bits=max(policy.max_bits, floor_bits),
+        max_bits=max(policy.max_bits, floor_bits + CHECK_BITS),
     )
     parse_bits = grid_policy.max_bits + GUARD_BITS
     a0v = as_mpf(a0, parse_bits)

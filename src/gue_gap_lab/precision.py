@@ -22,6 +22,9 @@ decimal digits from the tuple with integer arithmetic, as
 ``libmp.to_digits_exp`` does.  Tuples leave only the private orbit loop,
 for its two callers in ``difference_eqs``; every public function returns
 plain mpf.
+
+One loop, ``certify``, certifies every route's pass under a
+``PrecisionPolicy``: the recurrence tables and the Fredholm minors.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import math
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_sub
+from mpmath.libmp import round_nearest as RN
 
-from .exceptions import DomainError
+from .exceptions import DomainError, IllConditioningError, PrecisionExhaustedError
 
 # Extra bits carried by internal evaluations before final rounding.
 GUARD_BITS = 48
@@ -67,6 +72,7 @@ LOSS_FIT = {
 LOSS_MARGIN_DIGITS = 4
 
 _LOG2_10 = math.log2(10)
+A_MAX = mp.mpf(10 ** 154, prec=0)  # exact; every half-width lies below it, check_half_width says why
 
 
 def loss_digits(route: str, a, n: int) -> float:
@@ -157,7 +163,9 @@ class PrecisionPolicy(_PolicyFields):
     explicit ``base_bits`` sets W exactly: base_bits + bits_per_n n_max on
     the Chebyshev route and base_bits on the others.  When a level falls
     short of ``target_certified_digits``, W doubles until it certifies or
-    the upper pass reaches ``max_bits``.
+    the upper pass reaches ``max_bits``.  Every W, the start included, is
+    capped at max_bits - CHECK_BITS, which must be base_bits (64 without
+    it) or more.
 
     The constructor validates the fields; ``_replace`` does not, so build
     a changed policy through the constructor.
@@ -175,8 +183,9 @@ class PrecisionPolicy(_PolicyFields):
             raise DomainError("bits_per_n needs base_bits")
         if self.target_certified_digits < 1:
             raise DomainError("target_certified_digits must be positive")
-        if self.max_bits < (self.base_bits or 64):
-            raise DomainError("max_bits must be at least base_bits (64 without it)")
+        if self.max_bits < (self.base_bits or 64) + CHECK_BITS:
+            raise DomainError(f"max_bits must be at least base_bits + {CHECK_BITS} "
+                              f"({64 + CHECK_BITS} without base_bits)")
         return self
 
     def start_bits(self, route: str, a, n_max: int) -> int:
@@ -189,3 +198,151 @@ class PrecisionPolicy(_PolicyFields):
 
     def escalate(self, bits: int) -> int:
         return 2 * bits
+
+
+def check_half_width(a: mp.mpf) -> None:
+    """Refuse an mpf a that is not a finite number >= 0 below ``A_MAX`` =
+    1e154: mpmath's erfc, which starts every moment sweep and every orbit,
+    squares int(a) into a float, which overflows once a passes about
+    1.34e154.  ``GapWeight`` and ``certify`` call it before any pass."""
+    if not (mp.isfinite(a) and a >= 0):
+        raise DomainError(f"gap half-width must be a finite number >= 0, got {a}")
+    if not a < A_MAX:
+        raise DomainError(f"gap half-width must be below 1e154, where erfc overflows, got {a}")
+
+
+class NonPositiveNorm(IllConditioningError):
+    """A quantity that is positive in exact arithmetic (h_n, the orbit's
+    2 beta_n R_{n-1}, or a pivot of I - G_n) came out <= 0 at the current
+    precision.  ``certify`` treats that level as certifying nothing;
+    outside the loop it is an IllConditioningError."""
+
+    def __init__(self, index: int, what: str = "norm"):
+        super().__init__(f"{what} {index} not positive")
+        self.index = index
+
+
+class Certified(NamedTuple):
+    """What ``certify`` keeps: the upper pass of the level that reached the
+    target (``value``, numbers at ``working_bits``), the digits its pair
+    agreed on, and how many times the precision was raised to get there."""
+
+    value: object
+    certified_digits: int
+    working_bits: int
+    escalations: int
+
+
+def pass_numbers(values):
+    """Every number of a pass, in order: nested sequences are flattened, and
+    a jet gives its coefficients."""
+    for v in values:
+        if isinstance(v, Jet):
+            yield from v.c
+        elif isinstance(v, (list, tuple)):
+            yield from pass_numbers(v)
+        else:
+            yield v
+
+
+def certified_digits(lo, hi, lo_bits: int) -> int:
+    """Decimal digits on which two passes agree: the worst relative
+    disagreement over all their numbers (over each jet coefficient, for a
+    pass on jets), capped at the lower pass's precision.  One logarithm, of
+    the worst disagreement, since floor(-log10(rel)) falls as rel grows.
+
+    The compare runs at 64 bits on raw mpf tuples, last number first, since
+    a pass loses its digits as the degree grows.  A pair of one sign whose
+    aligned mantissa difference and exponents bound its disagreement below
+    half the worst so far cannot raise it and is skipped; every other pair
+    runs the 64-bit compare."""
+    cap = int(lo_bits * math.log10(2))
+    worst = fzero
+    bound = None  # a pair whose disagreement is below 2^bound is skipped
+    xs, ys = list(pass_numbers(lo)), list(pass_numbers(hi))
+    for i in range(min(len(xs), len(ys)) - 1, -1, -1):
+        x, y = xs[i]._mpf_, ys[i]._mpf_
+        if x == y:  # normalized tuples are equal exactly when the values are
+            continue
+        if bound is not None and x[1] and y[1] and x[0] == y[0]:
+            tx, ty = x[2] + x[3], y[2] + y[3]  # |x| in [2^(tx-1), 2^tx)
+            if -1 <= tx - ty <= 1:
+                e = min(x[2], y[2])
+                diff = (x[1] << (x[2] - e)) - (y[1] << (y[2] - e))  # (x - y) / 2^e
+                # rel < 2^(bits(diff) + e) / 2^(max(tx, ty) - 1)
+                if diff.bit_length() + e - max(tx, ty) + 1 <= bound:
+                    continue
+        ax, ay = mpf_abs(x, 64, RN), mpf_abs(y, 64, RN)
+        den = ax if mpf_cmp(ax, ay) >= 0 else ay
+        rel = mpf_div(mpf_abs(mpf_sub(x, y, 64, RN)), den, 64, RN)
+        if mpf_cmp(rel, worst) > 0:
+            worst = rel
+            bound = worst[2] + worst[3] - 2  # worst / 2 >= 2^bound
+    if worst == fzero:
+        return cap
+    if mpf_cmp(worst, fone) >= 0:
+        return 0
+    with mp.workprec(64):
+        return min(cap, int(mp.floor(-mp.log10(mp.make_mpf(worst)))))
+
+
+def certify(route: str, pass_fn, a, n: int, policy: PrecisionPolicy | None) -> Certified:
+    """Run the ``route`` pass ``pass_fn(a, n, bits)``, which returns a nested
+    sequence of mpf or Jet, at pairs of precisions until a pair agrees to
+    the policy target.
+
+    Before any pass it refuses n < 0, and through ``check_half_width`` at
+    64 bits an a that is not a finite number >= 0 below 1e154; a is passed
+    on as given, and each pass rounds it at its own bits.  The policy is
+    ``PrecisionPolicy()`` when None.  Each level runs a pass at W bits and a
+    check pass at W + CHECK_BITS, and takes their worst relative agreement
+    over all their numbers, capped at W's digits (``certified_digits``), as
+    the certified digit count; the upper pass is kept.  W starts at
+    ``policy.start_bits(route, a, n)`` and escalates through
+    ``policy.escalate``, and every W, the start included, is capped at
+    max_bits - CHECK_BITS, so that the top level is
+    (max_bits - CHECK_BITS, max_bits) and no pass is ever compared with one
+    at the same bits.  A pass raises NonPositiveNorm when its precision
+    cannot keep positive what must be; its level then certifies nothing,
+    and below the top level its check pass is skipped.  Raises
+    PrecisionExhaustedError when the top level falls short of the target,
+    and IllConditioningError if positivity fails even at the ceiling.
+    """
+    if n < 0:
+        raise DomainError(f"n_max must be >= 0, got {n}")
+    check_half_width(as_mpf(a, 64))
+    policy = policy or PrecisionPolicy()
+    top = policy.max_bits - CHECK_BITS
+    bits = min(policy.start_bits(route, a, n), top)
+
+    def attempt(bits):
+        """The pass at ``bits``, or None when it did not stay positive."""
+        try:
+            return pass_fn(a, n, bits)
+        except NonPositiveNorm as exc:
+            if bits >= policy.max_bits:
+                raise IllConditioningError(
+                    f"{exc} at ceiling precision {policy.max_bits} bits") from exc
+            return None
+
+    levels = 0
+    best_certified = 0
+    while True:
+        lo = attempt(bits)
+        # a level whose lower pass lost positivity certifies nothing, so its
+        # check pass runs only at the top, where it may raise
+        hi = attempt(bits + CHECK_BITS) if lo is not None or bits >= top else None
+        levels += 1
+        if lo is not None and hi is not None:
+            certified = certified_digits(lo, hi, bits)
+            best_certified = max(best_certified, certified)
+            if certified >= policy.target_certified_digits:
+                return Certified(hi, certified, bits + CHECK_BITS, levels - 1)
+        if bits >= top:
+            raise PrecisionExhaustedError(
+                f"certified only {best_certified} digits of "
+                f"{policy.target_certified_digits} at ceiling {policy.max_bits} bits",
+                certified_digits=best_certified,
+                ceiling_bits=policy.max_bits,
+            )
+        bits = min(policy.escalate(bits), top)

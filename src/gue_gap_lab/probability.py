@@ -19,7 +19,7 @@ in (-a, a).  Two independent routes compute it:
   P(k, a) for every k <= n as its leading principal minors (Bornemann, "On
   the numerical evaluation of Fredholm determinants", Math. Comp. 79, 2010).
   The minors are certified by the loop that certifies the recurrence
-  tables (``orthopoly._certify``), from the start bits of the route's own
+  tables (``precision.certify``), from the start bits of the route's own
   measured loss, so the route reads no number of the Hankel route.
 
 Agreement of the two routes is the package's strongest end-to-end check,
@@ -36,8 +36,8 @@ from mpmath.libmp import round_nearest as RN
 
 from .difference_eqs import orbit_recurrence_table
 from .exceptions import DomainError
-from .orthopoly import Certified, RecurrenceTable, _certify, _NonPositiveNorm, hermite_norms_exact
-from .precision import PrecisionPolicy, as_mpf
+from .orthopoly import RecurrenceTable, hermite_norms_exact
+from .precision import Certified, NonPositiveNorm, PrecisionPolicy, as_mpf, certify
 from .report import ResidualReport
 
 ORACLE_TOL = 1e-12
@@ -96,7 +96,7 @@ def _fredholm_pass(a_value, n: int, bits: int) -> list[mp.mpf]:
     C is the Gram matrix of orthonormal functions on |x| > a, so it is
     positive definite, unpivoted elimination is stable, and the k-th minor
     is the product of the first k pivots.  A pivot that is not positive
-    means rounding lost that, and raises ``orthopoly._NonPositiveNorm``, on
+    means rounding lost that, and raises ``precision.NonPositiveNorm``, on
     which the certification loop escalates.  At a = 0 each product of u and
     w holds a factor phi_odd(0) = 0, so every minor is exactly 1.
     """
@@ -113,7 +113,7 @@ def _fredholm_pass(a_value, n: int, bits: int) -> list[mp.mpf]:
         for k in range(n):
             pivot, uk, wk = d[k], u[k], w[k]
             if not pivot > 0:
-                raise _NonPositiveNorm(k + 1, "pivot")
+                raise NonPositiveNorm(k + 1, "pivot")
             det *= pivot
             minors.append(det)
             for i in range(k + 2, n, 2):
@@ -130,14 +130,14 @@ def gap_probability_fredholm(n: int, a, policy: PrecisionPolicy | None = None) -
     of the Hermite-function overlap matrix G_n: the leading minors of
     I - G_n, by elimination on its generators (``_fredholm_pass``).
 
-    Certified by ``orthopoly._certify`` to ``policy.target_certified_digits``
+    Certified by ``precision.certify`` to ``policy.target_certified_digits``
     from the target plus the route's measured loss, unless ``base_bits``
     sets the start exactly.  Returns the loop's record: the minors of the
     upper pass in ``value``, their certified digits, bits and escalations.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    return _certify("fredholm", _fredholm_pass, a, n, policy)
+    return certify("fredholm", _fredholm_pass, a, n, policy)
 
 
 def _both_routes(n: int, a, policy: PrecisionPolicy | None, table: RecurrenceTable | None):

@@ -29,9 +29,7 @@ from typing import NamedTuple
 import mpmath as mp
 
 from .exceptions import DomainError
-from .precision import GUARD_BITS, Jet, as_mpf
-
-A_MAX = mp.mpf(10 ** 154, prec=0)  # exact; every half-width lies below it, GapWeight says why
+from .precision import GUARD_BITS, Jet, as_mpf, check_half_width
 
 
 class _GapWeightFields(NamedTuple):
@@ -44,20 +42,14 @@ class GapWeight(_GapWeightFields):
 
     a = 0 is allowed and recovers the classical Hermite weight; the
     eigenvalue-gap quantities that divide by edge values restrict to a > 0
-    at their own boundaries.  Every route builds one of these before its
-    first pass, so a half-width that is not finite and >= 0 fails here, and
-    so does one not below ``A_MAX`` = 1e154: mpmath's erfc, which starts
-    every moment sweep, squares int(a) into a float, which overflows once
-    a passes about 1.34e154.
+    at their own boundaries.  A half-width that ``precision.check_half_width``
+    refuses (not finite and >= 0, or not below 1e154) fails here.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: mp.mpf, prec_bits: int):
-        if not (mp.isfinite(a) and a >= 0):
-            raise DomainError(f"gap half-width must be a finite number >= 0, got {a}")
-        if not a < A_MAX:
-            raise DomainError(f"gap half-width must be below 1e154, where erfc overflows, got {a}")
+        check_half_width(a)
         if prec_bits <= 0:
             raise DomainError("prec_bits must be positive")
         return super().__new__(cls, a, prec_bits)

@@ -19,9 +19,9 @@ from mpmath import libmp
 from gue_gap_lab import (
     EdgeZeroError,
     PrecisionPolicy,
+    RecurrenceTable,
     build_recurrence_table,
     cli,
-    difference_eqs,
     orthopoly,
     precision,
     probability,
@@ -473,14 +473,13 @@ class TestVerify:
         # the continuous suite reads the cell's one table: no grid of node
         # tables, so one certified table per cell
         loops = []
-        real_table = orthopoly._certified_table
+        real_table = RecurrenceTable.from_certified.__func__
 
-        def counting_table(*args, **kwargs):
-            loops.append(args[1])
-            return real_table(*args, **kwargs)
+        def counting_table(cls, certified, a):
+            loops.append(a)
+            return real_table(cls, certified, a)
 
-        monkeypatch.setattr(orthopoly, "_certified_table", counting_table)
-        monkeypatch.setattr(difference_eqs, "_certified_table", counting_table)
+        monkeypatch.setattr(RecurrenceTable, "from_certified", classmethod(counting_table))
         out = tmp_path / "v.json"
         assert run_cli(["verify", "--n-max", "2", "--a-list", "0.7,1.1",
                         "--out", str(out)]) == 0
@@ -764,6 +763,7 @@ def test_bad_tolerance_syntax_is_an_error():
     ["table", "--a-list", "1", "--digits", "0"],
     ["verify", "--a-list", "1", "--jobs", "0"],
     ["table", "--a-list", "1", "--prec-bits", "20000"],
+    ["table", "--n-max", "2", "--a-list", "1", "--prec-bits", "100", "--max-bits", "120"],
     ["prob", "3", "1", "--prec-bits", "32"],
     ["prob", "2", "1", "--a-list", "5", "--n-max", "99"],
     ["prob", "2", "1", "--jobs", "2"],
@@ -792,7 +792,8 @@ def test_bad_input_is_a_one_line_usage_error(args, capsys, tmp_path, monkeypatch
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any cell runs, so no table is written
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
 

@@ -56,6 +56,22 @@ def test_orbit_rejects_nonpositive_a():
         orbit_recurrence_table("0", 5)
 
 
+def test_orbit_refuses_a_precision_below_one_bit():
+    # as GapWeight does, before any step
+    for bits in (0, -64):
+        with pytest.raises(DomainError, match="^prec_bits must be positive$"):
+            iterate_r_orbit("1", 3, bits)
+
+
+def test_orbit_table_certifies_under_a_ceiling_below_its_start():
+    # the default start lies above the top of a 200-bit ceiling, 136 bits,
+    # so the first level runs there, as an escalation would
+    policy = PrecisionPolicy(max_bits=200)
+    assert policy.start_bits("orbit", "1", 5) > 200 - 64
+    table = orbit_recurrence_table("1", 5, policy)
+    assert (table.certified_digits, table.working_bits, table.escalations) == (40, 200, 0)
+
+
 def test_orbit_iterates_at_tiny_half_width():
     # the pair divides only by 2 beta_n R_{n-1}, so at a = 1e-12 (where
     # r_2 + r_1 = a R_1 cancels to about 1e-24 of r_1) even 128 bits iterate

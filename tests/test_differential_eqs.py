@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, build_recurrence_table
+from gue_gap_lab import DomainError, PrecisionPolicy, build_recurrence_table
 from gue_gap_lab.differential_eqs import (
     STENCIL_HALFWIDTH,
     build_a_grid,
@@ -79,6 +79,12 @@ class TestGrid:
     def test_nodes_must_stay_positive(self):
         with pytest.raises(DomainError):
             build_a_grid("1e-9", 3)
+
+    def test_ceiling_at_the_grid_floor_is_lifted_above_it(self):
+        # the grid's tables start at its 700-bit floor, so a 700-bit ceiling
+        # is lifted 64 bits, to room for the floor's check pass
+        grid = build_a_grid("1", 5, PrecisionPolicy(max_bits=700))
+        assert grid.bits == 764
 
     def test_step_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ import pytest
 
 from gue_gap_lab import (
     DomainError,
+    IllConditioningError,
     PrecisionExhaustedError,
     PrecisionPolicy,
     build_recurrence_table,
@@ -21,6 +22,7 @@ from gue_gap_lab import (
     hermite_norms_exact,
     ladder_states,
     orthopoly,
+    precision,
     probability,
 )
 from gue_gap_lab.precision import CHECK_BITS, Jet, as_mpf
@@ -164,7 +166,7 @@ class TestCertification:
         def recording_pass(a_value, n, bits):
             try:
                 out = real_pass(a_value, n, bits)
-            except orthopoly._NonPositiveNorm:
+            except precision.NonPositiveNorm:
                 passes.append((bits, False))
                 raise
             passes.append((bits, True))
@@ -259,11 +261,31 @@ class TestCertification:
         # derivative at the 1e-20 level certify 20 digits, not the cap
         lo = orthopoly._chebyshev_pass(mp.mpf(1), 3, 256, jets=True)
         hi = orthopoly._chebyshev_pass(mp.mpf(1), 3, 512, jets=True)
-        assert orthopoly._certified_digits(lo, hi, 256) > 60
+        assert precision.certified_digits(lo, hi, 256) > 60
         v, d1, d2 = hi[1][2].c
         with mp.workprec(512):
             hi[1][2] = Jet((v, d1, d2 * (1 + mp.mpf(10) ** -20)))
-        assert orthopoly._certified_digits(lo, hi, 256) in (19, 20)
+        assert precision.certified_digits(lo, hi, 256) in (19, 20)
+
+    @pytest.mark.parametrize("route", ["chebyshev", "jets", "orbit", "fredholm"])
+    @pytest.mark.parametrize("a_text, n_max, max_bits", [
+        ("1", 12, 128), ("30", 100, 128), ("3", 61, 200), ("1", 5, 129),
+    ])
+    def test_a_ceiling_too_small_ends_in_a_precision_error(self, monkeypatch, route, a_text,
+                                                           n_max, max_bits):
+        # every lower pass, the start included, is capped at
+        # max_bits - CHECK_BITS, which the policy keeps at 64 bits or more:
+        # the build tries the top level and gives up there
+        bits_seen = []
+        for module, name in ROUTE_PASSES:
+            def recording(a_value, n, bits, real_pass=getattr(module, name), **kwargs):
+                bits_seen.append(bits)
+                return real_pass(a_value, n, bits, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        with pytest.raises((PrecisionExhaustedError, IllConditioningError)):
+            BUILDS[route](a_text, n_max, PrecisionPolicy(max_bits=max_bits))
+        assert bits_seen[-2:] == [max_bits - CHECK_BITS, max_bits]
 
     def test_unreachable_target_raises(self):
         impossible = PrecisionPolicy(base_bits=64, bits_per_n=0,

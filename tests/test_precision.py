@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from gue_gap_lab import DomainError, PrecisionPolicy
-from gue_gap_lab.precision import as_mpf
+from gue_gap_lab.precision import CHECK_BITS, as_mpf
 
 
 def test_as_mpf_string_parse_is_exact_at_bits():
@@ -41,6 +41,13 @@ class TestPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(bits_per_n=32)
         assert PrecisionPolicy(max_bits=256).base_bits is None
+        # every level's lower pass is capped at max_bits - CHECK_BITS, so the
+        # ceiling must reach base_bits + CHECK_BITS (64 + CHECK_BITS without)
+        for fields in ({"base_bits": 1000, "max_bits": 1030}, {"max_bits": 127}):
+            with pytest.raises(DomainError, match="max_bits must be at least base_bits"):
+                PrecisionPolicy(**fields)
+        assert PrecisionPolicy(base_bits=1000, max_bits=1000 + CHECK_BITS).max_bits == 1064
+        assert PrecisionPolicy(max_bits=64 + CHECK_BITS).base_bits is None
 
 
 def test_as_mpf_rejects_garbage():

@@ -16,7 +16,7 @@ from gue_gap_lab import (
     probability,
 )
 from gue_gap_lab.difference_eqs import orbit_recurrence_table
-from gue_gap_lab.orthopoly import _NonPositiveNorm
+from gue_gap_lab.precision import NonPositiveNorm
 from gue_gap_lab.probability import (
     _fredholm_pass,
     gap_probability_fredholm,
@@ -238,10 +238,10 @@ class TestDeterminant:
 
     def test_non_positive_pivot_is_a_quadrature_failure(self, monkeypatch):
         # Hermite values for which the second pivot erfc(1) + sqrt(2) phi_1 phi_0
-        # is negative: it raises the _NonPositiveNorm on which the loop escalates
+        # is negative: it raises the NonPositiveNorm on which the loop escalates
         monkeypatch.setattr(probability, "hermite_function_values",
                             lambda count, x, bits: [mp.mpf(1), mp.mpf(-1)])
-        with pytest.raises(_NonPositiveNorm, match="pivot 2") as exc:
+        with pytest.raises(NonPositiveNorm, match="pivot 2") as exc:
             _fredholm_pass("1", 2, 128)
         assert exc.value.index == 2
 

@@ -25,7 +25,8 @@ from gue_gap_lab.weight import GapWeight
     (lambda: PrecisionPolicy(base_bits=512, bits_per_n=-1), "bits_per_n must be nonnegative"),
     (lambda: PrecisionPolicy(bits_per_n=32), "bits_per_n needs base_bits"),
     (lambda: PrecisionPolicy(target_certified_digits=0), "target_certified_digits must be positive"),
-    (lambda: PrecisionPolicy(max_bits=32), "max_bits must be at least base_bits (64 without it)"),
+    (lambda: PrecisionPolicy(max_bits=32),
+     "max_bits must be at least base_bits + 64 (128 without base_bits)"),
 ])
 def test_validating_records_raise_domain_error(make, message):
     with pytest.raises(DomainError) as exc:

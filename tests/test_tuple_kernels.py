@@ -28,15 +28,16 @@ from mpmath import libmp
 from gue_gap_lab.difference_eqs import _orbit_pass, iterate_r_orbit
 from gue_gap_lab.exceptions import EdgeZeroError
 from gue_gap_lab.ladder import edge_quantities, ladder_states
-from gue_gap_lab.orthopoly import (
-    RecurrenceTable,
-    _certified_digits,
-    _chebyshev_pass,
-    _NonPositiveNorm,
-    _numbers,
-    hermite_norms_exact,
+from gue_gap_lab.orthopoly import RecurrenceTable, _chebyshev_pass, hermite_norms_exact
+from gue_gap_lab.precision import (
+    CHECK_BITS,
+    GUARD_BITS,
+    Jet,
+    NonPositiveNorm,
+    as_mpf,
+    certified_digits,
+    pass_numbers,
 )
-from gue_gap_lab.precision import CHECK_BITS, GUARD_BITS, Jet, as_mpf
 from gue_gap_lab.probability import _fredholm_pass, hankel_probabilities
 from gue_gap_lab.report import sci_str
 from gue_gap_lab.weight import GapWeight, even_moment_jets, even_moments
@@ -64,7 +65,7 @@ def _orbit_ref(a, n_top, bits):
         for n in range(1, n_top + 1):
             den = (n + r[n]) * R
             if not den > 0:
-                raise _NonPositiveNorm(n)
+                raise NonPositiveNorm(n)
             R = 2 * r[n] * r[n] / den
             r.append(av * R - r[n])
     return r[:-1]
@@ -99,7 +100,7 @@ def _full_width_pass_ref(a, n_max, bits, jets):
     with mp.workprec(bits):
         beta, h = [mu[0] * 0], [mu[0]]
         if not value(h[0]) > 0:
-            raise _NonPositiveNorm(0)
+            raise NonPositiveNorm(0)
         row_km2, row_km1 = [], mu
         for k in range(1, n_max + 1):
             width = 2 * (n_max - k) + 1
@@ -109,7 +110,7 @@ def _full_width_pass_ref(a, n_max, bits, jets):
                 b = beta[k - 1]
                 row = [row_km1[i + 2] - b * row_km2[i + 2] for i in range(width)]
             if not value(row[0]) > 0:
-                raise _NonPositiveNorm(k)
+                raise NonPositiveNorm(k)
             beta.append(row[0] / h[k - 1])
             h.append(row[0])
             row_km2, row_km1 = row_km1, row
@@ -118,7 +119,7 @@ def _full_width_pass_ref(a, n_max, bits, jets):
 
 def _certified_digits_ref(lo, hi, lo_bits):
     cap = int(lo_bits * 0.30102999566398120)
-    pairs = list(zip(_numbers(lo), _numbers(hi)))
+    pairs = list(zip(pass_numbers(lo), pass_numbers(hi)))
     worst = 0
     with mp.workprec(64):
         for x, y in pairs:
@@ -184,7 +185,7 @@ def _tuples(values):
 def _ref_or_index(fn, *args):
     try:
         return fn(*args)
-    except _NonPositiveNorm as exc:
+    except NonPositiveNorm as exc:
         return exc.index
 
 
@@ -203,7 +204,7 @@ def test_orbit_pass_compare_edge_check_and_hankel_match_the_operators(a_text):
         orbits[bits] = ref[2]
     assert set(passes) >= {512, 576, 4096}
     lo, hi = passes[512], passes[512 + CHECK_BITS]  # a certification level
-    assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
+    assert certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
     for bits, lo in passes.items():
         assert _tuples(iterate_r_orbit(a, N_TOP, bits).r) == _tuples(orbits[bits])
         table = RecurrenceTable(a=as_mpf(a, bits), n_max=N_TOP, beta=tuple(lo[0]),
@@ -242,14 +243,14 @@ def test_certified_digits_compare_matches_near_decade_boundaries():
                 x = [mp.mpf(rng.random()) * 10 ** rng.randint(-30, 30) for _ in range(4)]
                 y = [v * (1 + mp.mpf(10) ** -k * (1 + nudge)) for v in x]
                 lo, hi = ([zero] + x[:2], x[2:]), ([zero] + y[:2], y[2:])
-                assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
+                assert certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
         same = ([zero, mp.mpf(1)], [mp.mpf(2)])
-        assert _certified_digits(same, same, 512) == _certified_digits_ref(same, same, 512) == 154
+        assert certified_digits(same, same, 512) == _certified_digits_ref(same, same, 512) == 154
         far = ([zero, mp.mpf(1)], [mp.mpf(2)]), ([zero, mp.mpf(-1)], [mp.mpf(2)])
-        assert _certified_digits(*far, 512) == _certified_digits_ref(*far, 512) == 0
+        assert certified_digits(*far, 512) == _certified_digits_ref(*far, 512) == 0
     a = as_mpf("0.7", 1024)
     lo, hi = _chebyshev_pass(a, 6, 512, jets=True), _chebyshev_pass(a, 6, 576, jets=True)
-    assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
+    assert certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512)
 
 
 @pytest.mark.parametrize("a_text", ("0", "1e-40", "0.25", "1", "8"))
@@ -264,7 +265,7 @@ def test_half_length_chebyshev_pass_matches_the_full_width_pass(a_text):
                     assert bits < 576 and got == ref
                     continue
                 assert len(got[0]) == len(got[1]) == n_max + 1
-                assert _tuples(_numbers(got)) == _tuples(_numbers(ref))
+                assert _tuples(pass_numbers(got)) == _tuples(pass_numbers(ref))
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -304,7 +305,7 @@ def test_certified_digits_finds_the_worst_pair_wherever_it_sits(where):
             rels[where] = 1.05
             y = [v * (1 + mp.mpf(r) * mp.mpf(10) ** -k) for v, r in zip(x, rels)]
             lo, hi = ([zero] + x[:6], x[6:]), ([zero] + y[:6], y[6:])
-            assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == k - 1
+            assert certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == k - 1
 
 
 @pytest.mark.parametrize("where", (0, 3, 7))
@@ -318,8 +319,8 @@ def test_certified_digits_after_a_sign_flip_or_a_lone_zero(where):
                            (x[where], -x[where] * mp.mpf(10) ** -30)):
             lo, hi = list(x), list(y)
             lo[where], hi[where] = lo_v, hi_v
-            assert _certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == 0
-        assert _certified_digits(x, y, 512) == _certified_digits_ref(x, y, 512) == 19
+            assert certified_digits(lo, hi, 512) == _certified_digits_ref(lo, hi, 512) == 0
+        assert certified_digits(x, y, 512) == _certified_digits_ref(x, y, 512) == 19
 
 
 @pytest.mark.parametrize("a_text", ("0.3", "1.3", "6"))
@@ -327,7 +328,7 @@ def test_certified_digits_of_fredholm_minor_pairs(a_text):
     for n, bits in ((4, 128), (12, 256), (30, 384)):
         lo = _fredholm_pass(a_text, n, bits)
         hi = _fredholm_pass(a_text, n, bits + CHECK_BITS)
-        assert _certified_digits(lo, hi, bits) == _certified_digits_ref(lo, hi, bits)
+        assert certified_digits(lo, hi, bits) == _certified_digits_ref(lo, hi, bits)
 
 
 @pytest.mark.parametrize("ratio", ("0.26", "0.3", "0.5", "0.9", "0.99", "1.01", "1.1", "2", "3.9"))

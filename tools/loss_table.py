@@ -5,8 +5,8 @@ start-precision model to it, and check both.
     python tools/loss_table.py --check    # re-measure every 4th cell against the committed table
 
 A build's loss at (a, n) is W log10(2) minus the digits on which its pass
-at W bits and its check pass at W + CHECK_BITS agree (``_certify``'s own
-compare, uncapped), at the first W = 256, 512, 1024, ... where they agree
+at W bits and its check pass at W + CHECK_BITS agree (``certify``'s own
+compare, ``precision.certified_digits``, uncapped), at the first W = 256, 512, 1024, ... where they agree
 to at least 30 digits.  The Chebyshev route is measured on the pass on
 jets, whose derivative parts certification also compares; the orbit on
 ``difference_eqs._orbit_pass``; the Fredholm route on the minors of C_n
@@ -41,7 +41,15 @@ sys.path.insert(0, str(ROOT / "src"))
 import mpmath as mp  # noqa: E402
 
 from gue_gap_lab import difference_eqs, orthopoly, precision, probability  # noqa: E402
-from gue_gap_lab.precision import CHECK_BITS, PrecisionPolicy  # noqa: E402
+from gue_gap_lab.exceptions import IllConditioningError, PrecisionExhaustedError  # noqa: E402
+from gue_gap_lab.precision import (  # noqa: E402
+    CHECK_BITS,
+    Certified,
+    NonPositiveNorm,
+    PrecisionPolicy,
+    certified_digits,
+    certify,
+)
 
 TABLE = ROOT / "tests" / "data" / "loss_table.json"
 MIN_AGREEMENT = 30
@@ -69,9 +77,10 @@ def _pass(route: str):
     }[route]
 
 
-def build(route: str, a: str, n: int) -> orthopoly.Certified:
-    """The default-policy certified build of ``route`` at (a, n)."""
-    return orthopoly._certify(route, _pass(route), a, n, None)
+def build(route: str, a: str, n: int, policy: PrecisionPolicy | None = None) -> Certified:
+    """The certified build of ``route`` at (a, n), under the default policy
+    when ``policy`` is None."""
+    return certify(route, _pass(route), a, n, policy)
 
 
 def measure(route: str, a: str, n: int) -> tuple[int, float]:
@@ -81,10 +90,10 @@ def measure(route: str, a: str, n: int) -> tuple[int, float]:
     while True:
         try:
             lo, hi = run(a, n, bits), run(a, n, bits + CHECK_BITS)
-        except orthopoly._NonPositiveNorm:
+        except NonPositiveNorm:
             agreed = 0
         else:
-            agreed = orthopoly._certified_digits(lo, hi, 10 ** 9)
+            agreed = certified_digits(lo, hi, 10 ** 9)
         if agreed >= MIN_AGREEMENT:
             return bits, round(bits * math.log10(2) - agreed, 1)
         bits *= 2
@@ -118,16 +127,15 @@ def fit(route: str, cells: list) -> list[float]:
 
 
 def first_level_certifies(route: str, a: str, n: int) -> bool:
-    """Whether the first level of a default build (``_certify``'s pass pair
-    at the default start) reaches the default target."""
-    policy = PrecisionPolicy()
-    bits = policy.start_bits(route, a, n)
-    run = _pass(route)
+    """Whether the first level of a default build reaches the default
+    target: the build under a ceiling of the default start + CHECK_BITS,
+    whose one level is the default start's pass pair."""
+    ceiling = PrecisionPolicy().start_bits(route, a, n) + CHECK_BITS
     try:
-        lo, hi = run(a, n, bits), run(a, n, bits + CHECK_BITS)
-    except orthopoly._NonPositiveNorm:
+        build(route, a, n, PrecisionPolicy(max_bits=ceiling))
+    except (PrecisionExhaustedError, IllConditioningError):
         return False
-    return orthopoly._certified_digits(lo, hi, bits) >= policy.target_certified_digits
+    return True
 
 
 def smallest_margin(table: dict) -> int:

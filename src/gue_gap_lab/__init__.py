@@ -18,7 +18,6 @@ from .exceptions import (
     PrecisionExhaustedError,
 )
 from .precision import PrecisionPolicy
-from .weight import GapWeight
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
     LadderState,
@@ -71,7 +70,6 @@ __all__ = [
     "DomainError",
     "EdgeZeroError",
     "GapLabError",
-    "GapWeight",
     "IllConditioningError",
     "JetSource",
     "LadderState",

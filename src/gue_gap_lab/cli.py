@@ -245,10 +245,13 @@ def _table_rows_zero(config: RunConfig, a_str: str, digits: int) -> list[dict[st
     ``edge_quantities`` at a = 0.  The probability is exactly 1 and r
     vanishes identically; sigma carries the one-sided limit -sum R_j(0+),
     which is the slope of ln P from the right.  Odd-n rows are flagged
-    edge-zero for the structural parity zero of P_n at the origin.
+    edge-zero for the structural parity zero of P_n at the origin.  No
+    pass certifies these rows, so they are evaluated at no fewer bits than
+    a default start gives for the target digits, or at a larger --prec-bits.
     """
-    n_max = config.n_max
-    bits = config.policy.start_bits("orbit", 0, n_max)
+    n_max, policy = config.n_max, config.policy
+    default = PrecisionPolicy(target_certified_digits=policy.target_certified_digits)
+    bits = max(policy.start_bits("orbit", 0, n_max), default.start_bits("orbit", 0, n_max))
     beta = [mp.mpf(n) / 2 for n in range(n_max + 1)]
     h = hermite_norms_exact(n_max + 1, bits)
     edge = edge_quantities(mp.mpf(0), beta, h, bits)
@@ -579,22 +582,26 @@ def _add_precision(sub):
     sub.add_argument("--prec-bits", type=int, default=None,
                      help="starting precision of every certified build, in bits "
                           "(default: target digits plus each route's measured loss)")
-    sub.add_argument("--max-bits", type=int, default=16384)
-    sub.add_argument("--target-digits", type=int, default=40)
+    sub.add_argument("--max-bits", type=int, default=16384,
+                     help="ceiling of the check pass, in bits (default 16384)")
+    sub.add_argument("--target-digits", type=int, default=40,
+                     help="digits every certified build must reach (default 40)")
     sub.add_argument("--digits", type=_int_at_least(1), default=None,
                      help="printed significant digits (default: --target-digits)")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--out", default=None, help="write here instead of to stdout")
 
 
 def _add_grid(sub):
     """Flags of the subcommands that sweep an a-grid: table and verify."""
-    sub.add_argument("--n-max", type=_int_at_least(0), default=10)
+    sub.add_argument("--n-max", type=_int_at_least(0), default=10,
+                     help="largest degree n of every cell (default 10)")
     sub.add_argument("--a-list", type=_half_width_list, help="comma-separated a values")
-    sub.add_argument("--a-min", type=_half_width)
-    sub.add_argument("--a-max", type=_half_width)
+    sub.add_argument("--a-min", type=_half_width, help="first a of an evenly spaced grid")
+    sub.add_argument("--a-max", type=_half_width, help="last a of that grid")
     sub.add_argument("--a-steps", type=_int_at_least(1), default=None,
                      help="grid points from --a-min to --a-max (default 1)")
-    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1,
+                     help="worker processes, at most one per cell and CPU (default 1)")
 
 
 def _config_from(args, policy: PrecisionPolicy, a_values: tuple[str, ...]) -> RunConfig:
@@ -640,11 +647,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision(p)
 
     pl = subs.add_parser("plot", help="SVG plot of a table CSV column")
-    pl.add_argument("--in", dest="in_path", required=True)
+    pl.add_argument("--in", dest="in_path", required=True, help="table CSV to read")
     pl.add_argument("--quantity", choices=PLOT_COLUMNS, default="prob")
     pl.add_argument("--n-select", type=_degree_list, default=None,
                     help="comma-separated degrees to draw (default: all)")
-    pl.add_argument("--out", required=True)
+    pl.add_argument("--out", required=True, help="SVG file to write")
     return parser
 
 

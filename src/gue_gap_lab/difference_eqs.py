@@ -31,9 +31,9 @@ from mpmath.libmp import round_nearest as RN
 from .exceptions import BranchSelectionError, DegenerateDenominatorError, DomainError
 from .ladder import LadderState
 from .orthopoly import RecurrenceTable
-from .precision import NonPositiveNorm, PrecisionPolicy, as_mpf, certify
+from .precision import NonPositiveNorm, PrecisionPolicy, as_mpf, certify, check_half_width
 from .report import ResidualReport
-from .weight import GapWeight, orbit_seed
+from .weight import orbit_seed
 
 DISCRETE_TOL = 1e-30
 ORBIT_TOL = 1e-25
@@ -65,7 +65,8 @@ def _orbit(a, n_top: int, bits: int):
     2 beta_n R_{n-1}, positive in exact arithmetic, so a value <= 0 at some
     n <= n_top means this precision lost the orbit: that raises
     NonPositiveNorm(n), and the certification loop escalates.  The caller
-    has checked a with ``GapWeight``; it must be > 0 at ``bits``.
+    has judged a with ``precision.check_half_width``; it must be > 0 at
+    ``bits``.
     """
     av = as_mpf(a, bits)
     if not av > 0:
@@ -91,11 +92,14 @@ def _orbit(a, n_top: int, bits: int):
 def iterate_r_orbit(a, n_top: int, prec_bits: int) -> DiscreteOrbit:
     """r_0..r_n_top from the first-order pair of the ladder relations (see
     ``_orbit``), at ``prec_bits`` >= 1.  Requires n_top >= 1 and a > 0; a is
-    judged by ``GapWeight`` at 64 bits, as a certified build judges it, so
-    that whether it is refused does not depend on ``prec_bits``."""
+    judged by ``precision.check_half_width`` at 64 bits, as ``certify``
+    judges it, so that whether it is refused does not depend on
+    ``prec_bits``."""
     if n_top < 1:
         raise DomainError(f"n_top must be >= 1, got {n_top}")
-    GapWeight(as_mpf(a, 64), prec_bits)
+    check_half_width(as_mpf(a, 64))
+    if prec_bits < 1:
+        raise DomainError("prec_bits must be positive")
     r = _orbit(a, n_top, prec_bits)[0]
     return DiscreteOrbit(r=tuple(map(mp.make_mpf, r)), bits=prec_bits)
 

@@ -23,13 +23,13 @@ minors of ``probability``; ``verify``, the continuous grid and the
 acceptance gate use this module's Chebyshev route.  The table keeps the
 check pass, so its working bits are W + CHECK_BITS.
 
-Every moment has an exact a-derivative (``weight.even_moment_jets``), so
-the same pass run on Taylor jets (``build_recurrence_table(..., jets=True)``)
-carries d/da and d^2/da^2 of every beta_j and h_j alongside its values,
-which are bit for bit the plain pass's.  The certification loop then
-compares the derivative parts too, so the certified digit count covers
-them.  ``verify`` builds its one table per cell this way and takes every
-derivative of the continuous suite from it.
+Every moment has an exact a-derivative, which ``weight.even_moments``
+gives with ``jets``, so the same pass run on Taylor jets
+(``build_recurrence_table(..., jets=True)``) carries d/da and d^2/da^2 of
+every beta_j and h_j alongside its values, which are bit for bit the plain
+pass's.  The certification loop then compares the derivative parts too, so
+the certified digit count covers them.  ``verify`` builds its one table per
+cell this way and takes every derivative of the continuous suite from it.
 
 The polynomials themselves are evaluated only at the edge x = a, by
 ``ladder.edge_quantities``.  Conventions: beta_0 = 0 and P_{-1} = 0, so
@@ -47,7 +47,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .exceptions import DomainError
 from .precision import Certified, Jet, NonPositiveNorm, PrecisionPolicy, as_mpf, certify
-from .weight import GapWeight, even_moment_jets, even_moments
+from .weight import even_moments
 
 
 class _TableFields(NamedTuple):
@@ -107,8 +107,7 @@ def _chebyshev_pass(a_value, n_max: int, bits: int, jets: bool = False):
     same formulas then run on the moment jets.  Raises NonPositiveNorm if
     the precision was insufficient to keep the norms positive.
     """
-    w = GapWeight(as_mpf(a_value, bits), bits)
-    row = (even_moment_jets if jets else even_moments)(n_max + 1, w)
+    row = even_moments(n_max + 1, as_mpf(a_value, bits), bits, jets)
 
     def value(x):
         return x.c[0] if jets else x

@@ -204,7 +204,8 @@ def check_half_width(a: mp.mpf) -> None:
     """Refuse an mpf a that is not a finite number >= 0 below ``A_MAX`` =
     1e154: mpmath's erfc, which starts every moment sweep and every orbit,
     squares int(a) into a float, which overflows once a passes about
-    1.34e154.  ``GapWeight`` and ``certify`` call it before any pass."""
+    1.34e154.  ``certify`` calls it once per build, before any pass, and
+    ``difference_eqs.iterate_r_orbit`` for its uncertified orbit."""
     if not (mp.isfinite(a) and a >= 0):
         raise DomainError(f"gap half-width must be a finite number >= 0, got {a}")
     if not a < A_MAX:

@@ -22,6 +22,7 @@ from gue_gap_lab import (
     RecurrenceTable,
     build_recurrence_table,
     cli,
+    hermite_norms_exact,
     orthopoly,
     precision,
     probability,
@@ -87,6 +88,25 @@ class TestTable:
         table = build_recurrence_table("0", 12)
         assert [r["beta"] for r in rows] == [sci_str(b, 40) for b in table.beta]
         assert [r["h"] for r in rows] == [sci_str(h, 40) for h in table.h]
+
+    def test_zero_rows_keep_the_target_digits_under_a_low_prec_bits(self, capsys,
+                                                                     monkeypatch):
+        # no pass certifies the closed forms, so a --prec-bits below the
+        # target's start must not cut their digits; a larger one is kept
+        seen = []
+
+        def norms(count, bits):
+            seen.append(bits)
+            return hermite_norms_exact(count, bits)
+
+        monkeypatch.setattr(cli, "hermite_norms_exact", norms)
+        outs = []
+        for extra in ([], ["--prec-bits", "64"], ["--prec-bits", "512"]):
+            assert run_cli(["table", "--n-max", "3", "--a-list", "0", *extra]) == 0
+            outs.append(capsys.readouterr().out.splitlines()[1:])
+        assert seen == [146, 146, 512]
+        assert outs[1] == outs[0] == outs[2]
+        assert outs[1][1].split(",")[3] == "1.772453850905516027298167483341145182798"
 
     @pytest.mark.parametrize("digits, digest", [
         (["--digits", "30"],

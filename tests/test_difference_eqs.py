@@ -57,7 +57,8 @@ def test_orbit_rejects_nonpositive_a():
 
 
 def test_orbit_refuses_a_precision_below_one_bit():
-    # as GapWeight does, before any step
+    # iterate_r_orbit runs outside the certification loop, so it refuses
+    # a precision below one bit itself, before any step
     for bits in (0, -64):
         with pytest.raises(DomainError, match="^prec_bits must be positive$"):
             iterate_r_orbit("1", 3, bits)

@@ -12,7 +12,7 @@ from gue_gap_lab import (
 )
 from gue_gap_lab.ladder import edge_quantities
 from gue_gap_lab.precision import as_mpf
-from gue_gap_lab.weight import GapWeight, orbit_seed
+from gue_gap_lab.weight import orbit_seed
 
 # regression pins at a = 1, cross-checked against the difference-equation
 # orbit and the determinant route before freezing
@@ -27,14 +27,14 @@ R_REFERENCE = {
 
 def test_seed_rows(states_a1):
     bits = states_a1[0].bits
-    w = GapWeight(as_mpf("1", bits), bits)
+    a = as_mpf("1", bits)
     with mp.workprec(states_a1[0].bits):
         assert states_a1[0].r == 0
         assert states_a1[0].sigma == 0
         assert states_a1[0].p == 0
-        r0 = orbit_seed(w.a, bits)[1]
+        r0 = orbit_seed(a, bits)[1]
         assert abs(states_a1[0].R - r0) / r0 < mp.mpf(10) ** -140
-        r1 = w.a * r0  # r_1 = a R_0
+        r1 = a * r0  # r_1 = a R_0
         assert abs(states_a1[1].r - r1) / r1 < mp.mpf(10) ** -140
 
 

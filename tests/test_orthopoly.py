@@ -323,7 +323,7 @@ class TestCertification:
     ])
     def test_every_route_refuses_its_inputs_before_any_pass(self, passes_seen, route,
                                                             a_text, n, message):
-        # one check ahead of the certification loop, with GapWeight's
+        # one check ahead of the certification loop, with check_half_width's
         # messages for a; the Fredholm route's n is a matrix order, >= 1
         with pytest.raises(DomainError, match=message):
             BUILDS[route](a_text, n)
@@ -346,7 +346,7 @@ class TestCertification:
     def test_both_builders_check_the_half_width_with_one_message(self, a_text, route,
                                                                  message):
         # both parse a once, and a value that is not finite and >= 0 fails
-        # there with GapWeight's message; a = 0 is the Hermite weight, which
+        # there with check_half_width's message; a = 0 is the Hermite weight, which
         # only the orbit, dividing by R_{n-1}, cannot take
         build = getattr(difference_eqs if route.startswith("orbit") else orthopoly, route)
         if message is None:

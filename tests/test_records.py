@@ -14,13 +14,9 @@ import pytest
 from gue_gap_lab import DomainError, PrecisionPolicy, cli, iterate_r_orbit
 from gue_gap_lab.probability import probability_record
 from gue_gap_lab.report import make_check
-from gue_gap_lab.weight import GapWeight
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: GapWeight(mp.mpf(-1), 64), "gap half-width must be a finite number >= 0, got -1.0"),
-    (lambda: GapWeight(mp.inf, 64), "gap half-width must be a finite number >= 0, got +inf"),
-    (lambda: GapWeight(mp.mpf(1), 0), "prec_bits must be positive"),
     (lambda: PrecisionPolicy(base_bits=16), "base_bits must be at least 64"),
     (lambda: PrecisionPolicy(base_bits=512, bits_per_n=-1), "bits_per_n must be nonnegative"),
     (lambda: PrecisionPolicy(bits_per_n=32), "bits_per_n needs base_bits"),
@@ -37,7 +33,6 @@ def test_validating_records_raise_domain_error(make, message):
 def _records(table_a1, states_a1):
     policy = PrecisionPolicy(max_bits=4096)
     return [
-        GapWeight(mp.mpf("0.5"), 128),
         policy,
         table_a1,
         states_a1[3],

@@ -40,7 +40,7 @@ from gue_gap_lab.precision import (
 )
 from gue_gap_lab.probability import _fredholm_pass, hankel_probabilities
 from gue_gap_lab.report import sci_str
-from gue_gap_lab.weight import GapWeight, even_moment_jets, even_moments
+from gue_gap_lab.weight import even_moments
 
 A_VALUES = ("1e-40", "0.25", "1", "3", "30")
 BITS = (64, 512, 576, 4096)
@@ -88,8 +88,7 @@ def _full_width_pass_ref(a, n_max, bits, jets):
     """The Chebyshev pass on all 2 n_max + 1 moments, odd zeros included,
     with full-width rows row_k[i] = S_k[k + i], i = 0..2 (n_max - k), so
     that every S_k[l] with k + l odd is formed as an exact zero."""
-    w = GapWeight(as_mpf(a, bits), bits)
-    even = (even_moment_jets if jets else even_moments)(n_max + 1, w)
+    even = even_moments(n_max + 1, as_mpf(a, bits), bits, jets)
     zero = as_mpf(0, bits)
     odd = Jet((zero, zero, zero)) if jets else zero
     mu = [odd if k % 2 else even[k // 2] for k in range(2 * n_max + 1)]

@@ -21,10 +21,10 @@ from .precision import PrecisionPolicy
 from .orthopoly import RecurrenceTable, build_recurrence_table, hermite_norms_exact
 from .ladder import (
     LadderState,
-    default_z_samples,
     ladder_states,
     residual_identities,
     residual_supplementary,
+    spectral_samples,
 )
 from .difference_eqs import (
     BranchChoice,
@@ -83,7 +83,6 @@ __all__ = [
     "build_recurrence_table",
     "continuous_suite",
     "convergence_study",
-    "default_z_samples",
     "fd_derivative",
     "gap_probability_fredholm",
     "hermite_function_values",
@@ -107,5 +106,6 @@ __all__ = [
     "residual_supplementary",
     "sci_str",
     "select_r_branch",
+    "spectral_samples",
     "__version__",
 ]

@@ -49,16 +49,21 @@ from .difference_eqs import (
 )
 from .differential_eqs import continuous_suite, jet_source
 from .exceptions import DomainError, EdgeZeroError, GapLabError
-from .ladder import edge_quantities, ladder_states, residual_identities, residual_supplementary
+from .ladder import (edge_quantities, ladder_states, residual_identities, residual_supplementary,
+                     spectral_samples)
 from .orthopoly import build_recurrence_table, hermite_norms_exact
 from .precision import PrecisionPolicy
 from .probability import hankel_probabilities, probability_record, residual_oracle
-from .report import ResidualCheck, ResidualReport, sci_str
+from .report import ResidualCheck, ResidualReport, passes, sci_str
 
 FORMAT_VERSION = "gue-gap-lab v1"
 CSV_COLUMNS = ("n", "a", "beta", "h", "Pn_at_a", "p", "R", "r", "sigma", "prob", "status")
 SUITES = ("identities", "supplementary", "discrete", "continuous", "oracle", "all")
 PLOT_COLUMNS = CSV_COLUMNS[2:-1]  # every numeric column
+
+# a verify row (a flat dict) as json.dumps(indent=2) writes it inside the report, minus its
+# braces' lines, through the C encoder that an indent turns off: the separator holds the indent
+_ROW_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -356,8 +361,8 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
     if suite in ("identities", "all"):
         reports.extend(residual_identities(states))
     if suite in ("supplementary", "all"):
-        for n in range(0, n_max + 1):
-            reports.append(residual_supplementary(states, n))
+        samples = spectral_samples(states)
+        reports += [residual_supplementary(states, n, samples) for n in range(n_max + 1)]
     if suite in ("discrete", "all") and n_max >= 1:
         orbit = iterate_r_orbit(table.a, n_max, table.working_bits)
         reports.extend(residual_orbit_vs_direct(orbit, states))
@@ -366,7 +371,7 @@ def _suite_reports(config: RunConfig, a_str: str) -> list[ResidualReport]:
                 residual_alternate_r, residual_sigma_recurrence, residual_R_recurrence)]
             choice = select_r_branch(states, n)
             branch = ResidualCheck("branch_select", n, choice.rel_err, BRANCH_MATCH_TOL,
-                                   bool(choice.rel_err < BRANCH_MATCH_TOL), f"sign {choice.sign}")
+                                   passes(choice.rel_err, BRANCH_MATCH_TOL), f"sign {choice.sign}")
             reports.append(ResidualReport(n, table.working_bits, [branch]))
     if suite in ("continuous", "all"):
         source = jet_source(table)
@@ -394,7 +399,7 @@ def _verify_rows_for_a(config: RunConfig, a_str: str) -> list[dict]:
     for check in (c for rep in reports for c in rep.checks):
         tol = overrides.get(check.name, overrides.get("all"))
         if tol is not None:
-            check = check._replace(tolerance=tol, passed=bool(check.residual < tol))
+            check = check._replace(tolerance=tol, passed=passes(check.residual, tol))
         rows.append(check.row(a_str))
     return rows
 
@@ -412,16 +417,12 @@ def cmd_verify(config: RunConfig, out_path: str | None) -> int:
               file=sys.stderr)
         return 2
     ok = bool(rows) and all(row["pass"] for row in rows)
-    payload = json.dumps(
-        {
-            "version": FORMAT_VERSION,
-            "config": config.config_hash(),
-            "suite": config.suite,
-            "all_pass": ok,
-            "checks": rows,
-        },
-        sort_keys=True, indent=2,
-    ) + "\n"
+    head = json.dumps({"version": FORMAT_VERSION, "config": config.config_hash(),
+                       "suite": config.suite, "all_pass": ok, "checks": None},
+                      sort_keys=True, indent=2)
+    body = ",\n    ".join("{\n      " + _ROW_JSON(row)[1:-1] + "\n    }" for row in rows)
+    checks = f"[\n    {body}\n  ]" if rows else "[]"
+    payload = head.replace('"checks": null', '"checks": ' + checks) + "\n"
     _emit(payload, out_path)
     return 0 if ok else 1
 

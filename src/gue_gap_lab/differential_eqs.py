@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_pos, round_nearest
 
 from .exceptions import DomainError
 from .ladder import LadderState, edge_quantities, ladder_states
@@ -89,6 +90,7 @@ class AGrid(NamedTuple):
     up to n_max.  All nodes share the policy, with the working precision
     floored at MIN_GRID_BITS so that stencil cancellation (about 10^{16}
     amplification at h = 1e-8) cannot eat into the h^6 truncation signal.
+    ``bits`` is the widest node's working bits, ``dlog_d`` the (ln D_n)'.
     """
 
     a0: mp.mpf
@@ -97,10 +99,8 @@ class AGrid(NamedTuple):
     nodes: tuple[mp.mpf, ...]
     tables: tuple[RecurrenceTable, ...]
     states: tuple[tuple[LadderState, ...], ...]
-
-    @property
-    def bits(self) -> int:
-        return max(t.working_bits for t in self.tables)
+    bits: int
+    dlog_d: tuple[mp.mpf, ...] = ()
 
     def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         """(value, d/da, d^2/da^2) of ``name`` ("h", "beta", "R", "r",
@@ -150,25 +150,21 @@ def build_a_grid(
     tables = tuple(build_recurrence_table(v, n_max, grid_policy) for v in node_vals)
     states = tuple(ladder_states(t) for t in tables)
     bits = max(t.working_bits for t in tables)
-    return AGrid(
-        a0=as_mpf(a0v, bits),
-        h=as_mpf(hv, bits),
-        n_max=n_max,
-        nodes=tuple(as_mpf(v, bits) for v in node_vals),
-        tables=tables,
-        states=states,
-    )
+    grid = AGrid(as_mpf(a0v, bits), as_mpf(hv, bits), n_max,
+                 tuple(as_mpf(v, bits) for v in node_vals), tables, states, bits)
+    return grid._replace(dlog_d=_log_d_slopes(grid))
 
 
 class JetSource(NamedTuple):
     """Exact a-derivatives at one half-width: Taylor jets (value, d/da,
     d^2/da^2 / 2) of h, beta, R, r, sigma and p for n = 0..n_max, from one
-    recurrence table built with ``jets=True``."""
+    recurrence table built with ``jets=True``; ``dlog_d`` holds (ln D_n)'."""
 
     a0: mp.mpf
     n_max: int
     bits: int
     jets: dict[str, Sequence[Jet]]
+    dlog_d: tuple[mp.mpf, ...] = ()
 
     def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         """(value, d/da, d^2/da^2) of ``name`` at degree n."""
@@ -187,12 +183,22 @@ def jet_source(table: RecurrenceTable) -> JetSource:
         raise DomainError("ladder quantities require a > 0")
     beta, h = table.jets
     edge = edge_quantities(table.a, beta, h, table.working_bits)
-    return JetSource(
-        a0=table.a,
-        n_max=table.n_max,
-        bits=table.working_bits,
-        jets={"h": h, "beta": beta, **{k: edge[k] for k in ("R", "r", "sigma", "p")}},
-    )
+    source = JetSource(table.a, table.n_max, table.working_bits,
+                       {"h": h, "beta": beta, **{k: edge[k] for k in ("R", "r", "sigma", "p")}})
+    return source._replace(dlog_d=_log_d_slopes(source))
+
+
+def _log_d_slopes(grid: AGrid | JetSource) -> tuple[mp.mpf, ...]:
+    """(ln D_n)' = sum_{j<n} h_j'/h_j for n = 0..n_max in one pass: each ratio
+    rounded at the source's bits, the running sum exact and rounded once per
+    n, as mp.fsum rounds it while no ratio is 2 * bits binary orders away."""
+    out, total = [mp.mpf(0)], fzero
+    with mp.workprec(grid.bits):
+        for j in range(grid.n_max):
+            value, slope, _ = grid.derivs("h", j)
+            total = mpf_add(total, (slope / value)._mpf_)
+            out.append(mp.make_mpf(mpf_pos(total, grid.bits, round_nearest)))
+    return tuple(out)
 
 
 def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
@@ -212,8 +218,8 @@ def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualR
       beta_deriv           beta_n' - [a(2 r_n - a R_n) - beta_n R_n
                                       + (a R_n - r_n)^2 / R_n]
 
-    with (ln D_n)' = sum_{j<n} h_j'/h_j; D_n(0) does not depend on a, so
-    that sum is also the log-derivative of P(n, a) = D_n(a)/D_n(0).
+    with (ln D_n)' = sum_{j<n} h_j'/h_j, the source's ``dlog_d[n]``; D_n(0) does
+    not depend on a, so it is also the log-derivative of P(n, a) = D_n(a)/D_n(0).
     """
     rep = _report(grid, n)
     with mp.workprec(rep.bits):
@@ -226,10 +232,9 @@ def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualR
         if n >= 1:
             rep.check("beta_log_deriv", [dbeta / beta, -grid.derivs("R", n - 1)[0], R],
                       CONTINUOUS_TOL)
-            dlog_d = mp.fsum(d / v for v, d, _ in (grid.derivs("h", j) for j in range(n)))
             sigma = grid.derivs("sigma", n)[0]
-            rep.check("hankel_log_deriv", [dlog_d, -sigma], CONTINUOUS_TOL)
-            rep.check("prob_log_deriv", [dlog_d, -sigma], CONTINUOUS_TOL)
+            rep.check("hankel_log_deriv", [grid.dlog_d[n], -sigma], CONTINUOUS_TOL)
+            rep.check("prob_log_deriv", [grid.dlog_d[n], -sigma], CONTINUOUS_TOL)
         dp = grid.derivs("p", n)[1]
         rep.check("subleading_deriv", [dp, -a * r, (n + r) * R / 2], CONTINUOUS_TOL)
         if R != 0:
@@ -383,13 +388,8 @@ def continuous_suite(grid: AGrid | JetSource, n: int) -> ResidualReport:
     """Every continuous residual for one (n, a0) cell, merged, from either
     derivative source."""
     rep = residual_derivative_identities(grid, n)
-    for part in (
-        residual_riccati(grid, n),
-        residual_painleve4(grid, n),
-        residual_sigma_form(grid, n),
-        residual_chazy(grid, n),
-    ):
-        rep.checks.extend(part.checks)
+    for family in (residual_riccati, residual_painleve4, residual_sigma_form, residual_chazy):
+        rep.checks.extend(family(grid, n).checks)
     return rep
 
 

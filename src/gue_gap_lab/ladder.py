@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
-from mpmath.libmp import mpf_abs, mpf_cmp, mpf_mul
-from mpmath.libmp import round_nearest as RN
+from mpmath.libmp import fone, from_int, ftwo, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul
+from mpmath.libmp import mpf_neg, mpf_shift, mpf_sub, round_nearest as RN
 
 from .exceptions import DomainError, EdgeZeroError
 from .orthopoly import RecurrenceTable
@@ -205,26 +205,33 @@ def residual_identities(states: Sequence[LadderState]) -> list[ResidualReport]:
     return reports
 
 
-def _spectral_AB(state: LadderState, z: mp.mpf, a: mp.mpf):
-    """A_n(z) = 2 + R_n a/(z^2 - a^2), B_n(z) = r_n z/(z^2 - a^2)."""
-    d = z * z - a * a
-    return 2 + state.R * a / d, state.r * z / d
-
-
-def default_z_samples(a, bits: int) -> list[mp.mpf]:
-    """The default spectral sample points, nudged away from z^2 = a^2."""
-    av = as_mpf(a, bits)
+def spectral_samples(states: Sequence[LadderState]) -> list[tuple]:
+    """The cell's spectral table: per default sample point z, nudged off
+    z^2 = a^2, (names, z, -z, 2z, d, A, B) with names its checks s1@z, s2@z,
+    s2sum@z (z as mp.nstr(z, 8)) and the rest raw mpf tuples at the states'
+    bits: d = z^2 - a^2, A[j] = 2 + R_j a / d and B[j] = r_j z / d for every
+    state j, each operation rounded once as the mpf expression rounds it."""
+    bits, a = states[0].bits, states[0].a._mpf_
+    a2 = mpf_mul(a, a, bits, RN)
+    R_a = [mpf_mul(s.R._mpf_, a, bits, RN) for s in states]
     out = []
     with mp.workprec(bits):
+        av = as_mpf(states[0].a, bits)
         for text in DEFAULT_Z_SAMPLES:
             z = mp.mpf(text)
             while abs(z * z - av * av) <= POLE_MARGIN:
                 z *= mp.mpf("1.5")
-            out.append(z)
+            tag, z = mp.nstr(z, 8), z._mpf_
+            d = mpf_sub(mpf_mul(z, z, bits, RN), a2, bits, RN)
+            out.append(((f"s1@{tag}", f"s2@{tag}", f"s2sum@{tag}"), z, mpf_neg(z),
+                        mpf_shift(z, 1), d,
+                        [mpf_add(ftwo, mpf_div(x, d, bits, RN), bits, RN) for x in R_a],
+                        [mpf_div(mpf_mul(s.r._mpf_, z, bits, RN), d, bits, RN) for s in states]))
     return out
 
 
-def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualReport:
+def residual_supplementary(states: Sequence[LadderState], n: int,
+                           samples: Sequence[tuple] | None = None) -> ResidualReport:
     """Residuals of the three supplementary spectral-function conditions.
 
     With v0'(z) = 2z for the Gaussian potential these read
@@ -234,27 +241,30 @@ def residual_supplementary(states: Sequence[LadderState], n: int) -> ResidualRep
       s2sum   B_n^2 + 2 z B_n + sum_{j<n} A_j = beta_n A_n A_{n-1}
 
     where sum_{j<n} A_j = 2n - a sigma_n / (z^2 - a^2).  s1 is checked for
-    n >= 0, the other two need n >= 1.  The sample points are the defaults,
-    which move themselves off the poles at z = +-a.
+    n >= 0, the other two need n >= 1, at the default sample points moved
+    off the poles at z = +-a: ``samples`` is ``spectral_samples(states)``,
+    built here when not given, once per cell by a caller of many n.
     """
     if n < 0 or n + 1 >= len(states):
         raise DomainError(f"need states 0..{n + 1}, have {len(states)}")
+    if samples is None:
+        samples = spectral_samples(states)
     bits = states[0].bits
-    a = states[0].a
     rep = ResidualReport(n, bits)
-    with mp.workprec(bits):
-        for z in default_z_samples(a, bits):
-            ztag = mp.nstr(z, 8)
-            A_n, B_n = _spectral_AB(states[n], z, a)
-            A_np1, B_np1 = _spectral_AB(states[n + 1], z, a)
-            rep.check(f"s1@{ztag}", [B_np1, B_n, -z * A_n, 2 * z], SUPPLEMENTARY_TOL)
-            if n >= 1:
-                A_nm1, _ = _spectral_AB(states[n - 1], z, a)
-                beta_n = states[n].beta
-                rep.check(f"s2@{ztag}",
-                          [1, z * B_np1, -z * B_n, -states[n + 1].beta * A_np1, beta_n * A_nm1],
-                          SUPPLEMENTARY_TOL)
-                sum_A = 2 * mp.mpf(n) - a * states[n].sigma / (z * z - a * a)
-                rep.check(f"s2sum@{ztag}", [B_n * B_n, 2 * z * B_n, sum_A, -beta_n * A_n * A_nm1],
-                          SUPPLEMENTARY_TOL)
+    if n >= 1:
+        beta_n, beta_np1, two_n = states[n].beta._mpf_, states[n + 1].beta._mpf_, from_int(2 * n)
+        neg_beta_n, neg_beta_np1 = mpf_neg(beta_n, bits, RN), mpf_neg(beta_np1, bits, RN)
+        a_sigma = mpf_mul(states[0].a._mpf_, states[n].sigma._mpf_, bits, RN)
+    for (s1, s2, s2sum), z, neg_z, two_z, d, A, B in samples:
+        A_n, B_n, B_np1 = A[n], B[n], B[n + 1]
+        rep.check(s1, [B_np1, B_n, mpf_mul(neg_z, A_n, bits, RN), two_z], SUPPLEMENTARY_TOL)
+        if n >= 1:
+            A_nm1 = A[n - 1]
+            rep.check(s2, [fone, mpf_mul(z, B_np1, bits, RN), mpf_mul(neg_z, B_n, bits, RN),
+                           mpf_mul(neg_beta_np1, A[n + 1], bits, RN),
+                           mpf_mul(beta_n, A_nm1, bits, RN)], SUPPLEMENTARY_TOL)
+            rep.check(s2sum, [
+                mpf_mul(B_n, B_n, bits, RN), mpf_mul(two_z, B_n, bits, RN),
+                mpf_sub(two_n, mpf_div(a_sigma, d, bits, RN), bits, RN),
+                mpf_mul(mpf_mul(neg_beta_n, A_n, bits, RN), A_nm1, bits, RN)], SUPPLEMENTARY_TOL)
     return rep

@@ -26,6 +26,7 @@ from .precision import GUARD_BITS
 
 _LOG2_10 = math.log(10, 2)  # the constant libmp.to_digits_exp scales digits to bits with
 _POW10: dict[int, int] = {}
+_DOUBLES: dict[float, tuple] = {}  # tolerance -> its exact double as a raw mpf tuple
 
 
 def sci_str(x, digits: int) -> str:
@@ -78,26 +79,34 @@ def sci_str(x, digits: int) -> str:
 def relative_residual(terms: Sequence, bits: int) -> mp.mpf:
     """|sum of terms| / max |term|, or exact 0 when every term vanishes.
 
-    Runs on the raw mpf tuples, at ``bits`` with round-nearest: every term
-    is first rounded to ``bits``, so the result is bit for bit that of
-    |fsum(terms)| / max|term| under ``mp.workprec(bits)``.
+    Runs on raw mpf tuples, at ``bits`` with round-nearest: every term (an
+    mpf, a raw tuple or a number mpmath converts) is first rounded to ``bits``,
+    so the result is bit for bit |fsum(terms)| / max|term| under workprec.
     """
     rnd = libmp.round_nearest
     vals = []
     for t in terms:
         if isinstance(t, mp.mpf):
-            vals.append(libmp.mpf_pos(t._mpf_, bits, rnd))
-        else:
-            vals.append(mp.mpf(t, prec=bits, rounding=rnd)._mpf_)
+            t = t._mpf_
+        elif type(t) is not tuple:
+            t = mp.mpf(t, prec=bits, rounding=rnd)._mpf_
+        vals.append(t if t[3] <= bits else libmp.mpf_pos(t, bits, rnd))
     scale = libmp.fzero
     for v in vals:
-        m = libmp.mpf_abs(v, bits, rnd)
+        m = libmp.mpf_abs(v)
         if libmp.mpf_cmp(m, scale) > 0:
             scale = m
     if scale == libmp.fzero:
         return mp.mpf(0)
-    total = libmp.mpf_abs(libmp.mpf_sum(vals, bits, rnd), bits, rnd)
+    total = libmp.mpf_abs(libmp.mpf_sum(vals, bits, rnd))
     return mp.make_mpf(libmp.mpf_div(total, scale, bits, rnd))
+
+
+def passes(residual: mp.mpf, tolerance: float) -> bool:
+    """The verdict of every check: residual < tolerance, with the residual's
+    raw tuple compared against the exact double of the tolerance."""
+    tol = _DOUBLES.get(tolerance) or _DOUBLES.setdefault(tolerance, libmp.from_float(tolerance))
+    return libmp.mpf_cmp(residual._mpf_, tol) < 0
 
 
 class ResidualCheck(NamedTuple):
@@ -125,9 +134,9 @@ class ResidualCheck(NamedTuple):
 
 
 def make_check(name: str, n: int, terms: Sequence, tolerance: float, bits: int) -> ResidualCheck:
-    """Evaluate a relative residual and compare against its tolerance."""
+    """Evaluate a relative residual and judge it against its tolerance."""
     r = relative_residual(terms, bits)
-    return ResidualCheck(name=name, n=n, residual=r, tolerance=tolerance, passed=bool(r < tolerance))
+    return ResidualCheck(name, n, r, tolerance, passes(r, tolerance))
 
 
 class ResidualReport:

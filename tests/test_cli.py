@@ -409,6 +409,34 @@ class TestVerify:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "ae209d6eab502a68ae65c838a6e3e07b8fef4e6c10e65e303865d2fdd684c37d")
 
+    @pytest.mark.parametrize("args, digest", [
+        ("verify --suite all --n-max 3 --a-list 0.7,1.1 --jobs 1",
+         "ab39d305b0ff1b18f8b636558cb376bd4801dd0ca2ad681399b6dcd1493698e8"),
+        # at 0.37 and 2.1 a default sample point sits on the pole and is nudged
+        ("verify --suite supplementary --n-max 40 --a-list 1e-3,0.37,2.1,5",
+         "2e0f24aa10d3f1eed1c4bdb1755450aa48335e0d95468765d7f2524b63c4aa13"),
+    ])
+    def test_verify_outputs_are_pinned(self, capsys, args, digest):
+        # taken before the spectral samples were built once per cell
+        assert run_cli(args.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_tol_override_is_judged_by_passes(self, tmp_path, monkeypatch):
+        # every override verdict is the one helper's, whatever it says
+        seen = []
+
+        def judge(residual, tolerance):
+            seen.append(tolerance)
+            return False
+
+        monkeypatch.setattr(cli, "passes", judge)
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "identities", "--n-max", "1", "--a-list", "1",
+                        "--tol", "pair_sum=1e-5", "--out", str(out)]) == 1
+        rows = [r for r in json.loads(out.read_text())["checks"] if r["name"] == "pair_sum"]
+        assert seen == [1e-5] * len(rows) and rows
+        assert not any(r["pass"] for r in rows)
+
     @pytest.mark.parametrize("a_list, name, code", [
         ("1", "pair_summ", 2),  # a typo matches no check
         ("1", "pair_sum", 0),
@@ -488,6 +516,29 @@ class TestVerify:
         assert cli.cmd_verify(config, str(out)) == 1
         doc = json.loads(out.read_text())
         assert doc["checks"] == [] and doc["all_pass"] is False
+
+    def test_report_is_the_indented_json_of_its_rows(self, tmp_path, monkeypatch):
+        # rows are encoded one at a time; the report is still exactly
+        # json.dumps(doc, sort_keys=True, indent=2), for no rows too
+        real = cli._suite_reports
+
+        def tricky(config, a_str):
+            if a_str == "2":
+                raise EdgeZeroError('a "quoted", \\ message,\n  on two lines \u2014 \u00fc', n=1)
+            return real(config, a_str)
+
+        monkeypatch.setattr(cli, "_suite_reports", tricky)
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--n-max", "1", "--a-list", "0,1,2", "--out", str(out)]) == 1
+        empty = tmp_path / "e.json"
+        config = cli.RunConfig(command="verify", n_max=0, a_values=("1",),
+                               policy=PrecisionPolicy(), digits=None, suite="discrete")
+        assert cli.cmd_verify(config, str(empty)) == 1
+        for path in (out, empty):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        names = [row["name"] for row in json.loads(out.read_text())["checks"]]
+        assert names[0] == "cell_skipped" and names[-1] == "cell_error:EdgeZeroError"
 
     def test_one_certified_table_per_cell(self, monkeypatch, tmp_path):
         # the continuous suite reads the cell's one table: no grid of node

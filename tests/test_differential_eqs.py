@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, PrecisionPolicy, build_recurrence_table
+from gue_gap_lab import DomainError, PrecisionPolicy, build_recurrence_table, cli
 from gue_gap_lab.differential_eqs import (
     STENCIL_HALFWIDTH,
     build_a_grid,
@@ -75,6 +75,12 @@ class TestGrid:
             for k in range(7):
                 expect = grid_a1.a0 + (k - 3) * h
                 assert abs(grid_a1.nodes[k] - expect) < mp.mpf(2) ** (-600)
+
+    def test_log_d_slopes_keep_the_fsum_bits(self, grid_a1):
+        with mp.workprec(grid_a1.bits):
+            for n, value in enumerate(grid_a1.dlog_d):
+                ref = mp.fsum(d / v for v, d, _ in (grid_a1.derivs("h", j) for j in range(n)))
+                assert value._mpf_ == ref._mpf_
 
     def test_nodes_must_stay_positive(self):
         with pytest.raises(DomainError):
@@ -182,6 +188,20 @@ class TestJetSource:
             rep = continuous_suite(source, n)
             assert {c.name for c in rep.checks} == ALL_CHECK_NAMES
             assert rep.worst < mp.ldexp(1, -(source.bits - 16))
+
+    @pytest.mark.parametrize("a_text, n_max", [
+        ("0.1", 25), ("3", 25), ("0.3", 6), ("0.7", 6), ("1.1", 6), ("2.5", 6),
+        ("1", 60), ("8", 60), ("1", 150), ("1e-20", 1), ("1e-100", 1), ("1", 0),
+    ])
+    def test_log_d_slopes_keep_the_fsum_bits(self, a_text, n_max):
+        # the cells of the CI verify commands, built as verify builds them
+        policy = cli._verify_policy(PrecisionPolicy(), a_text)
+        source = jet_source(build_recurrence_table(a_text, n_max + 1, policy, jets=True))
+        assert len(source.dlog_d) == n_max + 2
+        with mp.workprec(source.bits):
+            for n, value in enumerate(source.dlog_d):
+                ref = mp.fsum(d / v for v, d, _ in (source.derivs("h", j) for j in range(n)))
+                assert value._mpf_ == ref._mpf_
 
     def test_needs_a_table_with_jets(self, table_a1):
         with pytest.raises(DomainError):

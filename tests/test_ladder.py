@@ -9,8 +9,9 @@ from gue_gap_lab import (
     ladder_states,
     residual_identities,
     residual_supplementary,
+    spectral_samples,
 )
-from gue_gap_lab.ladder import edge_quantities
+from gue_gap_lab.ladder import DEFAULT_Z_SAMPLES, edge_quantities
 from gue_gap_lab.precision import as_mpf
 from gue_gap_lab.weight import orbit_seed
 
@@ -91,6 +92,34 @@ def test_supplementary_all_pass(states_a1):
 def test_supplementary_covers_three_conditions(states_a1):
     names = {c.name.split("@")[0] for c in residual_supplementary(states_a1, 3).checks}
     assert names == {"s1", "s2", "s2sum"}
+
+
+@pytest.mark.parametrize("a", ["0.37", "2.1", "5"])
+def test_spectral_samples_keep_the_bits_of_the_mpf_expressions(a):
+    # at 0.37 and 2.1 a default point sits on the pole and is nudged by 1.5
+    states = ladder_states(build_recurrence_table(a, 6))
+    bits = states[0].bits
+    samples = spectral_samples(states)
+    assert len(samples) == len(DEFAULT_Z_SAMPLES)
+    with mp.workprec(bits):
+        av = states[0].a
+        for (names, z, neg_z, two_z, d, A, B), text in zip(samples, DEFAULT_Z_SAMPLES):
+            zv = mp.make_mpf(z)
+            nudged = zv != mp.mpf(text)
+            assert nudged == (abs(mp.mpf(text) ** 2 - av * av) <= 1e-3)
+            tag = mp.nstr(zv, 8)
+            assert names == (f"s1@{tag}", f"s2@{tag}", f"s2sum@{tag}")
+            assert (neg_z, two_z) == ((-zv)._mpf_, (2 * zv)._mpf_)
+            assert d == (zv * zv - av * av)._mpf_
+            assert A == [(2 + s.R * av / (zv * zv - av * av))._mpf_ for s in states]
+            assert B == [(s.r * zv / (zv * zv - av * av))._mpf_ for s in states]
+
+
+def test_supplementary_from_given_samples_equals_its_own(states_a1):
+    samples = spectral_samples(states_a1)
+    for n in range(len(states_a1) - 1):
+        assert (residual_supplementary(states_a1, n, samples).checks
+                == residual_supplementary(states_a1, n).checks)
 
 
 def test_ladder_requires_positive_half_width():

@@ -1,5 +1,6 @@
 """Residual bookkeeping: normalization, verdicts, serialization."""
 
+import hashlib
 import math
 import random
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpmath import libmp
+
 from gue_gap_lab.report import (
     ResidualReport,
     make_check,
+    passes,
     relative_residual,
     sci_str,
 )
@@ -88,6 +92,57 @@ def test_make_check_verdict():
     assert good.passed and good.residual == 0
     bad = make_check("x", 1, [mp.mpf(1), mp.mpf("-1.01")], 1e-30, 256)
     assert not bad.passed
+
+
+def _check_grid():
+    """300 seeded term lists of 2 to 7 terms: mpf values, ints, zeros (int
+    and mpf) and near-cancelling pairs, each with a tolerance."""
+    rng = random.Random(30)
+    cases = []
+    with mp.workprec(400):
+        for _ in range(300):
+            terms = []
+            for kind in rng.choices(["mpf", "int", "zero", "near"], k=rng.randint(2, 7)):
+                if kind == "mpf":
+                    x = mp.mpf(rng.random()) * mp.mpf(2) ** rng.randint(-60, 60)
+                    terms.append(x if rng.getrandbits(1) else -x)
+                elif kind == "int":
+                    terms.append(rng.randint(-2 ** rng.randint(1, 120), 2 ** rng.randint(1, 120)))
+                elif kind == "zero":
+                    terms.append(rng.choice([0, mp.mpf(0)]))
+                else:
+                    x = mp.mpf(rng.random()) + 1
+                    terms += [x, -(x + x * mp.mpf(2) ** -rng.randint(20, 390))]
+            cases.append((terms, rng.choice([1e-30, 1e-60, 1e-100, 1e-6])))
+    return cases
+
+
+def test_make_check_residuals_and_verdicts_are_pinned():
+    # sha256 of every (residual _mpf_, passed) at 64, 224 and 300 bits,
+    # taken when the verdict was the mpf-float compare r < tolerance
+    rows = []
+    for bits in (64, 224, 300):
+        for terms, tol in _check_grid():
+            c = make_check("x", 0, terms, tol, bits)
+            rows.append((c.residual._mpf_, c.passed))
+    assert sum(p for _, p in rows) == 80
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "f61abbed3a76483318696b01e7e42f010b45596708beceb7004e557b16fd1822")
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-300, 5e-324])
+def test_verdict_at_the_tolerance_boundary(tol):
+    # a residual equal to the tolerance's double fails, one ulp below passes;
+    # terms (1, -1, q) give the relative residual q exactly at 1200 bits
+    bits = 1200
+    q = libmp.from_float(tol)
+    below = libmp.mpf_sub(q, libmp.mpf_shift(q, -2 * bits), bits, libmp.round_down)
+    assert libmp.mpf_cmp(below, q) < 0
+    for t, verdict in ((q, False), (below, True)):
+        check = make_check("x", 1, [mp.mpf(1), mp.mpf(-1), mp.make_mpf(t)], tol, bits)
+        assert check.residual._mpf_ == t
+        assert check.passed is verdict is passes(mp.make_mpf(t), tol)
+        assert check.passed is bool(mp.make_mpf(t) < tol)
 
 
 def test_rows_serialize_tiny_residuals_without_underflow():

@@ -37,8 +37,7 @@ from .difference_eqs import (
     select_r_branch,
 )
 from .differential_eqs import (
-    AGrid,
-    JetSource,
+    DerivativeSource,
     build_a_grid,
     continuous_suite,
     convergence_study,
@@ -62,16 +61,15 @@ from .report import ResidualCheck, ResidualReport, relative_residual, sci_str
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGrid",
     "BranchChoice",
     "BranchSelectionError",
     "DegenerateDenominatorError",
+    "DerivativeSource",
     "DiscreteOrbit",
     "DomainError",
     "EdgeZeroError",
     "GapLabError",
     "IllConditioningError",
-    "JetSource",
     "LadderState",
     "PrecisionExhaustedError",
     "PrecisionPolicy",

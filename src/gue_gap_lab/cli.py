@@ -9,9 +9,10 @@ Four subcommands:
   plot     standalone SVG line plot of a table column against a
 
 Output is deterministic: identical configuration produces byte-identical
-files, numbers are serialized in decimal scientific notation, and every
-emitted file carries a hash of the canonical configuration JSON so a
-report can be traced back to the exact run that made it.
+files, and numbers are serialized in decimal scientific notation.  The
+table (CSV header or JSON) and the verify report carry a hash of the
+canonical configuration JSON, so they can be traced back to the exact run
+that made them; the prob JSON and the SVG plots carry none.
 """
 
 from __future__ import annotations

@@ -20,22 +20,22 @@ easy to get wrong by hand.
 
 Each residual family is a formula in the values and first and second
 a-derivatives of h_n, beta_n, R_n, r_n, sigma_n and p_n, which it reads
-from a derivative source, ``grid.derivs(name, n) -> (value, d/da,
-d^2/da^2)``.  Log-derivatives are ratios, (ln h_n)' = h_n'/h_n and
-(ln D_n)' = sum_{j<n} h_j'/h_j, so no logarithm is taken.  There are two
-sources:
+from one record, ``DerivativeSource``: ``source.derivs(name, n) -> (value,
+d/da, d^2/da^2)`` looks up triples formed once, when the source is built.
+Log-derivatives are ratios, (ln h_n)' = h_n'/h_n and (ln D_n)' = sum_{j<n}
+h_j'/h_j, so no logarithm is taken.  Two builders fill the record:
 
-  JetSource   exact derivatives at a: the recurrence table is built on
-              Taylor jets from the exact moment derivatives, and
-              ``ladder.edge_quantities`` forms the edge quantities from its
-              jets with the edge x = a itself the jet (a, 1, 0).  The
-              residuals sit at working precision.  ``verify`` reads the
-              cell's one table this way.
-  AGrid       standard central differences of order h^6 on 7 nodes a0 + kh,
-              each node with its own certified table at full working
-              precision (at least 700 bits), so the h^6 truncation term
-              dominates the residual and ``convergence_study`` can measure
-              its order.  The acceptance gate runs on this source.
+  jet_source    exact derivatives at a: the recurrence table is built on
+                Taylor jets from the exact moment derivatives, and
+                ``ladder.edge_quantities`` forms the edge quantities from its
+                jets with the edge x = a itself the jet (a, 1, 0).  The
+                residuals sit at working precision.  ``verify`` reads the
+                cell's one table this way.
+  build_a_grid  standard central differences of order h^6 on 7 nodes a0 + kh,
+                each node with its own certified table at full working
+                precision (at least 700 bits), so the h^6 truncation term
+                dominates the residual and ``convergence_study`` can measure
+                its order.  The acceptance gate runs on this source.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_pos, round_nearest
 
 from .exceptions import DomainError
-from .ladder import LadderState, edge_quantities, ladder_states
+from .ladder import edge_quantities, ladder_states
 from .orthopoly import RecurrenceTable, build_recurrence_table
-from .precision import CHECK_BITS, GUARD_BITS, Jet, PrecisionPolicy, as_mpf
+from .precision import CHECK_BITS, GUARD_BITS, PrecisionPolicy, as_mpf
 from .report import ResidualReport
 
 CONTINUOUS_TOL = 1e-20
@@ -83,38 +83,34 @@ def fd_derivative(values: Sequence, order: int, h, bits: int) -> mp.mpf:
         return acc / hv**order
 
 
-class AGrid(NamedTuple):
-    """Ladder data on 7 nodes a0 + k h, k = -3..3, for derivative checks.
-
-    Each node carries its own certified recurrence table and ladder states
-    up to n_max.  All nodes share the policy, with the working precision
-    floored at MIN_GRID_BITS so that stencil cancellation (about 10^{16}
-    amplification at h = 1e-8) cannot eat into the h^6 truncation signal.
-    ``bits`` is the widest node's working bits, ``dlog_d`` the (ln D_n)'.
-    """
+class DerivativeSource(NamedTuple):
+    """(value, d/da, d^2/da^2) of h, beta, R, r, sigma and p at a0, one tuple
+    of triples per name in ``columns``, indexed by n = 0..n_max; ``bits`` is
+    the precision the residuals run at, ``dlog_d`` holds (ln D_n)'."""
 
     a0: mp.mpf
-    h: mp.mpf
     n_max: int
-    nodes: tuple[mp.mpf, ...]
-    tables: tuple[RecurrenceTable, ...]
-    states: tuple[tuple[LadderState, ...], ...]
     bits: int
-    dlog_d: tuple[mp.mpf, ...] = ()
+    columns: dict[str, tuple[tuple[mp.mpf, mp.mpf, mp.mpf], ...]]
+    dlog_d: tuple[mp.mpf, ...]
 
     def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         """(value, d/da, d^2/da^2) of ``name`` ("h", "beta", "R", "r",
-        "sigma" or "p") at degree n: the centre node's value and the 7-node
-        central differences."""
-        if name in ("h", "beta"):
-            samples = [getattr(t, name)[n] for t in self.tables]
-        else:
-            samples = [getattr(s[n], name) for s in self.states]
-        return (
-            samples[STENCIL_HALFWIDTH],
-            fd_derivative(samples, 1, self.h, self.bits),
-            fd_derivative(samples, 2, self.h, self.bits),
-        )
+        "sigma" or "p") at degree n."""
+        return self.columns[name][n]
+
+
+def _source(a0: mp.mpf, n_max: int, bits: int, columns: dict) -> DerivativeSource:
+    """The source of ``columns``, with (ln D_n)' = sum_{j<n} h_j'/h_j for
+    n = 0..n_max formed in one pass: each ratio rounded at ``bits``, the
+    running sum exact and rounded once per n, as mp.fsum rounds it while no
+    ratio is 2 * bits binary orders away."""
+    out, total = [mp.mpf(0)], fzero
+    with mp.workprec(bits):
+        for value, slope, _ in columns["h"][:n_max]:
+            total = mpf_add(total, (slope / value)._mpf_)
+            out.append(mp.make_mpf(mpf_pos(total, bits, round_nearest)))
+    return DerivativeSource(a0, n_max, bits, columns, tuple(out))
 
 
 def build_a_grid(
@@ -122,11 +118,16 @@ def build_a_grid(
     n_max: int,
     policy: PrecisionPolicy | None = None,
     h=DEFAULT_FD_STEP,
-) -> AGrid:
-    """Build the 7-node derivative grid centered at a0.
+) -> DerivativeSource:
+    """The derivatives at a0 as 7-node central differences on a0 + k h.
 
     a0 and h are parsed once at high precision; nodes are a0 + k h with
-    k = -3..3 and every node must stay strictly positive.
+    k = -3..3 and every node must stay strictly positive.  Each node carries
+    its own certified recurrence table and ladder states up to n_max.  All
+    nodes share the policy, with the working precision floored at
+    MIN_GRID_BITS so that stencil cancellation (about 10^{16} amplification
+    at h = 1e-8) cannot eat into the h^6 truncation signal.  A triple is the
+    centre node's value and the two differences at the widest node's bits.
     """
     if policy is None:
         policy = PrecisionPolicy()
@@ -147,35 +148,27 @@ def build_a_grid(
         raise DomainError(
             f"grid node a0 - 3h = {mp.nstr(node_vals[0], 8)} is not positive"
         )
-    tables = tuple(build_recurrence_table(v, n_max, grid_policy) for v in node_vals)
-    states = tuple(ladder_states(t) for t in tables)
+    tables = [build_recurrence_table(v, n_max, grid_policy) for v in node_vals]
+    states = [ladder_states(t) for t in tables]
     bits = max(t.working_bits for t in tables)
-    grid = AGrid(as_mpf(a0v, bits), as_mpf(hv, bits), n_max,
-                 tuple(as_mpf(v, bits) for v in node_vals), tables, states, bits)
-    return grid._replace(dlog_d=_log_d_slopes(grid))
+    hv = as_mpf(hv, bits)
+
+    def triples(nodes):
+        # nodes[k][n] is node k's value at degree n, so zip gives each n's 7 samples
+        return tuple((s[STENCIL_HALFWIDTH], fd_derivative(s, 1, hv, bits),
+                      fd_derivative(s, 2, hv, bits)) for s in zip(*nodes))
+
+    columns = {"h": triples([t.h for t in tables])}
+    for name in ("beta", "R", "r", "sigma", "p"):
+        columns[name] = triples([[getattr(s, name) for s in node] for node in states])
+    return _source(as_mpf(a0v, bits), n_max, bits, columns)
 
 
-class JetSource(NamedTuple):
-    """Exact a-derivatives at one half-width: Taylor jets (value, d/da,
-    d^2/da^2 / 2) of h, beta, R, r, sigma and p for n = 0..n_max, from one
-    recurrence table built with ``jets=True``; ``dlog_d`` holds (ln D_n)'."""
-
-    a0: mp.mpf
-    n_max: int
-    bits: int
-    jets: dict[str, Sequence[Jet]]
-    dlog_d: tuple[mp.mpf, ...] = ()
-
-    def derivs(self, name: str, n: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
-        """(value, d/da, d^2/da^2) of ``name`` at degree n."""
-        c = self.jets[name][n].c
-        return c[0], c[1], mp.ldexp(c[2], 1)
-
-
-def jet_source(table: RecurrenceTable) -> JetSource:
-    """The edge quantities of ``ladder.ladder_states`` as jets in a:
-    ``ladder.edge_quantities`` run on the table's (beta, h) jets.
-    ``table`` must carry jets and have a > 0.
+def jet_source(table: RecurrenceTable) -> DerivativeSource:
+    """The exact derivatives at the table's a: its (beta, h) Taylor jets and
+    the edge quantities ``ladder.edge_quantities`` forms from them as jets,
+    each jet (value, d/da, d^2/da^2 / 2) read as (c0, c1, 2 c2).  ``table``
+    must carry jets and have a > 0.
     """
     if table.jets is None:
         raise DomainError("table carries no jets; build it with jets=True")
@@ -183,31 +176,19 @@ def jet_source(table: RecurrenceTable) -> JetSource:
         raise DomainError("ladder quantities require a > 0")
     beta, h = table.jets
     edge = edge_quantities(table.a, beta, h, table.working_bits)
-    source = JetSource(table.a, table.n_max, table.working_bits,
-                       {"h": h, "beta": beta, **{k: edge[k] for k in ("R", "r", "sigma", "p")}})
-    return source._replace(dlog_d=_log_d_slopes(source))
+    jets = {"h": h, "beta": beta, **{k: edge[k] for k in ("R", "r", "sigma", "p")}}
+    columns = {name: tuple((j.c[0], j.c[1], mp.ldexp(j.c[2], 1)) for j in col)
+               for name, col in jets.items()}
+    return _source(table.a, table.n_max, table.working_bits, columns)
 
 
-def _log_d_slopes(grid: AGrid | JetSource) -> tuple[mp.mpf, ...]:
-    """(ln D_n)' = sum_{j<n} h_j'/h_j for n = 0..n_max in one pass: each ratio
-    rounded at the source's bits, the running sum exact and rounded once per
-    n, as mp.fsum rounds it while no ratio is 2 * bits binary orders away."""
-    out, total = [mp.mpf(0)], fzero
-    with mp.workprec(grid.bits):
-        for j in range(grid.n_max):
-            value, slope, _ = grid.derivs("h", j)
-            total = mpf_add(total, (slope / value)._mpf_)
-            out.append(mp.make_mpf(mpf_pos(total, grid.bits, round_nearest)))
-    return tuple(out)
-
-
-def _report(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def _report(grid: DerivativeSource, n: int) -> ResidualReport:
     if not 0 <= n <= grid.n_max:
         raise DomainError(f"degree {n} outside grid range 0..{grid.n_max}")
     return ResidualReport(n, grid.bits)
 
 
-def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def residual_derivative_identities(grid: DerivativeSource, n: int) -> ResidualReport:
     """First-derivative identities for norms, recurrence and subleading data.
 
       norm_log_deriv       h_n'/h_n + R_n
@@ -244,7 +225,7 @@ def residual_derivative_identities(grid: AGrid | JetSource, n: int) -> ResidualR
     return rep
 
 
-def residual_riccati(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def residual_riccati(grid: DerivativeSource, n: int) -> ResidualReport:
     """The coupled first-order system in a:
 
       r_slope    r' - [2 r^2 / R - (n + r) R]
@@ -266,7 +247,7 @@ def residual_riccati(grid: AGrid | JetSource, n: int) -> ResidualReport:
     return rep
 
 
-def residual_painleve4(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def residual_painleve4(grid: DerivativeSource, n: int) -> ResidualReport:
     """Second-order closure for R alone.
 
     Solving the R-Riccati for r and substituting into the r-Riccati
@@ -291,7 +272,7 @@ def residual_painleve4(grid: AGrid | JetSource, n: int) -> ResidualReport:
     return rep
 
 
-def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def residual_sigma_form(grid: DerivativeSource, n: int) -> ResidualReport:
     """The chain leading to the closed sigma equation, link by link:
 
       sigma_slope       sigma' - [2 r - r^2 / a^2]
@@ -356,7 +337,7 @@ def residual_sigma_form(grid: AGrid | JetSource, n: int) -> ResidualReport:
     return rep
 
 
-def residual_chazy(grid: AGrid | JetSource, n: int) -> ResidualReport:
+def residual_chazy(grid: DerivativeSource, n: int) -> ResidualReport:
     """Second-order closure for the off-diagonal quantity alone.
 
     Eliminating R between the r-Riccati and the R-Riccati (the R-Riccati
@@ -384,9 +365,9 @@ def residual_chazy(grid: AGrid | JetSource, n: int) -> ResidualReport:
     return rep
 
 
-def continuous_suite(grid: AGrid | JetSource, n: int) -> ResidualReport:
-    """Every continuous residual for one (n, a0) cell, merged, from either
-    derivative source."""
+def continuous_suite(grid: DerivativeSource, n: int) -> ResidualReport:
+    """Every continuous residual for one (n, a0) cell, merged, from the
+    source of ``jet_source`` or ``build_a_grid``."""
     rep = residual_derivative_identities(grid, n)
     for family in (residual_riccati, residual_painleve4, residual_sigma_form, residual_chazy):
         rep.checks.extend(family(grid, n).checks)
@@ -404,20 +385,23 @@ def convergence_study(
 
     Returns {check name: slope}.  For 7-node stencils on analytic data the
     truncation term is O(h^6), so slopes near 6 confirm that the residuals
-    are finite-difference truncation rather than equation error.
+    are finite-difference truncation rather than equation error.  A fit
+    needs at least two distinct steps; fewer raise DomainError before any
+    grid is built.
     """
+    log_h = [mp.log10(mp.mpf(h_text)) for h_text in h_values]
+    if len(set(log_h)) < 2:
+        raise DomainError(f"convergence study needs at least two distinct steps h, "
+                          f"got {tuple(h_values)}")
     if n_max is None:
         n_max = n + 1
     slopes_in: dict[str, list[tuple[float, float]]] = {}
-    for h_text in h_values:
-        grid = build_a_grid(a0, n_max, policy, h=h_text)
-        rep = continuous_suite(grid, n)
+    for h_text, x in zip(h_values, log_h):
+        rep = continuous_suite(build_a_grid(a0, n_max, policy, h=h_text), n)
         for c in rep.checks:
             if c.residual <= 0:
                 continue
-            slopes_in.setdefault(c.name, []).append(
-                (float(mp.log10(mp.mpf(h_text))), float(mp.log10(c.residual)))
-            )
+            slopes_in.setdefault(c.name, []).append((float(x), float(mp.log10(c.residual))))
     # statistics loads fractions, which importing the CLI must not
     from statistics import linear_regression
 

@@ -1,10 +1,13 @@
 """Differential-equation suite: stencils, grids, residuals, convergence."""
 
+import hashlib
+
 import mpmath as mp
 import pytest
 
-from gue_gap_lab import DomainError, PrecisionPolicy, build_recurrence_table, cli
+from gue_gap_lab import DomainError, PrecisionPolicy, build_recurrence_table, cli, differential_eqs
 from gue_gap_lab.differential_eqs import (
+    MIN_GRID_BITS,
     STENCIL_HALFWIDTH,
     build_a_grid,
     continuous_suite,
@@ -28,6 +31,16 @@ ALL_CHECK_NAMES = {
     "discriminant", "sigma_ode",
     "chazy",
 }
+NAMES = ("h", "beta", "R", "r", "sigma", "p")
+
+
+def _source_digest(source):
+    """sha256 of the repr of every derivs(name, n) triple's _mpf_ tuples,
+    for every name and n, and of every dlog_d entry."""
+    rows = [[x._mpf_ for x in source.derivs(name, n)]
+            for name in NAMES for n in range(source.n_max + 1)]
+    rows.append([x._mpf_ for x in source.dlog_d])
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestStencils:
@@ -68,13 +81,24 @@ class TestStencils:
 
 class TestGrid:
     def test_grid_shape_and_precision_floor(self, grid_a1):
-        assert len(grid_a1.nodes) == 7
         assert grid_a1.bits >= 700
-        with mp.workprec(grid_a1.bits):
-            h = grid_a1.h
-            for k in range(7):
-                expect = grid_a1.a0 + (k - 3) * h
-                assert abs(grid_a1.nodes[k] - expect) < mp.mpf(2) ** (-600)
+        assert set(grid_a1.columns) == set(NAMES)
+        for column in grid_a1.columns.values():
+            assert len(column) == grid_a1.n_max + 1
+            assert all(len(triple) == 3 for triple in column)
+
+    # digests taken when the grid kept its node tables and formed the two
+    # differences on every derivs call
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        (("1", 5), {},
+         "26248555e4c89330fb30f896282c6f5e3b0688f46550ef1d4654975685c4b4a5"),
+        (("0.3", 10), {"h": "1e-7"},
+         "eda5bb6d68d63cd68fa4365cff642d1941926de17f5acff8d5949d64b3ab21ca"),
+        (("1", 5, PrecisionPolicy(max_bits=700)), {},
+         "26248555e4c89330fb30f896282c6f5e3b0688f46550ef1d4654975685c4b4a5"),
+    ], ids=["a1", "a0.3-h1e-7", "a1-max700"])
+    def test_derivatives_are_pinned(self, args, kwargs, digest):
+        assert _source_digest(build_a_grid(*args, **kwargs)) == digest
 
     def test_log_d_slopes_keep_the_fsum_bits(self, grid_a1):
         with mp.workprec(grid_a1.bits):
@@ -144,19 +168,22 @@ class TestResiduals:
         bits = grid_a1.bits
         with mp.workprec(bits):
             for n in range(1, grid_a1.n_max + 1):
-                s = grid_a1.states[STENCIL_HALFWIDTH][n]
-                r, R = s.r, s.R
+                r, R = grid_a1.derivs("r", n)[0], grid_a1.derivs("R", n)[0]
                 dr = 2 * r * r / R - (n + r) * R
                 disc = dr * dr + 8 * r * r * (n + r)
                 assert disc > 0
 
     def test_monotonicity_transfer(self, grid_a1):
         # sigma_n < 0 for n >= 1, and P(n, .) strictly decreases, locally
-        # across the grid nodes and globally across separated half-widths
+        # across the 7 nodes of the default grid at a = 1 and globally across
+        # separated half-widths
         n = 4
-        with mp.workprec(grid_a1.bits):
-            assert grid_a1.states[STENCIL_HALFWIDTH][n].sigma < 0
-            probs = [hankel_probabilities(t, n)[n] for t in grid_a1.tables]
+        assert grid_a1.derivs("sigma", n)[0] < 0
+        policy = PrecisionPolicy(base_bits=MIN_GRID_BITS)
+        with mp.workprec(MIN_GRID_BITS + 64):
+            nodes = [1 + k * mp.mpf("1e-8") for k in range(-STENCIL_HALFWIDTH, STENCIL_HALFWIDTH + 1)]
+        probs = [hankel_probabilities(build_recurrence_table(v, n, policy), n)[n] for v in nodes]
+        with mp.workprec(MIN_GRID_BITS):
             for lo, hi in zip(probs[1:], probs[:-1]):
                 assert lo < hi
         coarse = [hankel_probabilities(build_recurrence_table(a, n - 1), n)[n]
@@ -203,14 +230,60 @@ class TestJetSource:
                 ref = mp.fsum(d / v for v, d, _ in (source.derivs("h", j) for j in range(n)))
                 assert value._mpf_ == ref._mpf_
 
+    # digests taken when the source kept the jets and read each triple from
+    # them on every derivs call; the cells of the CI verify commands, built
+    # as verify builds them
+    @pytest.mark.parametrize("a_text, n_max, digest", [
+        ("0.7", 3, "c614c4967b5d69e1ea09fa52b568d2b2682f7988c8fe935059f35050bfb0a11b"),
+        ("1.1", 3, "f91c6077397949685613d27133606b5f421fdc69ad9147ae1ac9cb0ea1bdb873"),
+        ("0.1", 25, "23f2cb86c3216a63368245c2c055c216c727ffe0c6c9cec26679987a0c4037f3"),
+        ("3", 25, "6e601169ea869bb21b056df7f3172ef4cbaf2365dd3bb860ffff6bc2bc63432e"),
+        ("1e-20", 1, "6cf797166168ef0697f177fceb7117dc0d22e439c0762e505820ad9440c714c8"),
+    ])
+    def test_derivatives_are_pinned(self, a_text, n_max, digest):
+        policy = cli._verify_policy(PrecisionPolicy(), a_text)
+        source = jet_source(build_recurrence_table(a_text, n_max + 1, policy, jets=True))
+        assert _source_digest(source) == digest
+
     def test_needs_a_table_with_jets(self, table_a1):
         with pytest.raises(DomainError):
             jet_source(table_a1)
 
 
+# the slopes of the study below, taken when the grid formed its differences
+# on every derivs call
+PINNED_SLOPES = {
+    "norm_log_deriv": 5.99999999999897, "beta_log_deriv": 6.000000000000242,
+    "hankel_log_deriv": 5.99999999999001, "prob_log_deriv": 5.99999999999001,
+    "subleading_deriv": 5.999999999988049, "beta_deriv": 6.000000000000249,
+    "r_slope": 6.000000000000242, "R_slope": 6.000000000000497,
+    "painleve4_R": 5.999999999999041, "sigma_slope": 5.999999999970598,
+    "riccati_product": 6.000000000000249, "R_root_plus": 6.000000000000242,
+    "R_root_minus": 6.000000000000242, "discriminant": 6.000000000000242,
+    "sigma_ode": 5.999999999998614, "chazy": 5.999999999998543,
+}
+
+
 class TestConvergence:
-    def test_slopes_near_six(self):
-        slopes = convergence_study("1", 2, h_values=("1e-6", "1e-7"), n_max=3)
+    @pytest.fixture(scope="class")
+    def slopes(self):
+        return convergence_study("1", 2, h_values=("1e-6", "1e-7"), n_max=3)
+
+    def test_slopes_near_six(self, slopes):
         assert set(slopes) == ALL_CHECK_NAMES
         for name, slope in slopes.items():
             assert 5.4 < slope < 6.6, f"{name}: slope {slope}"
+
+    def test_slopes_are_pinned(self, slopes):
+        assert slopes == PINNED_SLOPES
+
+    @pytest.mark.parametrize("h_values", [(), ("1e-6",), ("1e-7", "1e-7")],
+                             ids=["none", "one", "repeated"])
+    def test_fewer_than_two_distinct_steps_are_refused(self, h_values, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(differential_eqs, "build_a_grid", no_grid)
+        with pytest.raises(DomainError, match="two distinct steps") as info:
+            convergence_study("1", 2, h_values=h_values)
+        assert "\n" not in str(info.value)
